@@ -17,8 +17,8 @@ This module also provides the classical constructions: distorted
 probabilities, envelope (Hurwicz-style) capacities, possibility/necessity,
 unanimity games, belief/plausibility from a mass function, and the self-dual
 credibility measure, together with the structural checks used by the
-theorem-verification layer (conjugate dominance, superadditivity,
-uncertainty-measure axioms).
+theorem-verification layer (conjugate dominance, coexistence sets,
+superadditivity, uncertainty-measure axioms).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class GroundSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_ELEMENTS:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or not 1 <= self.n <= MAX_ELEMENTS:
             raise ValueError(f"ground set size must be an int in [1, {MAX_ELEMENTS}], got {self.n!r}")
         if self.labels is not None:
             labels = tuple(self.labels)
@@ -289,19 +289,21 @@ class MassFunction:
         return [a for a, v in enumerate(self.mass) if v > 0.0]
 
 
-def belief(m: MassFunction) -> Capacity:
-    """Lower set function ``Bel(A) = sum of m(B) over B inside A``.
-
-    Computed with the subset-sum (zeta) transform in O(n 2^n).
-    """
-    ground = m.ground
+def _zeta(m: MassFunction) -> list[float]:
+    """Subset-sum (zeta) transform: entry A is the mass inside A, in O(n 2^n)."""
     acc = list(m.mass)
-    for i in range(ground.n):
+    for i in range(m.ground.n):
         bit = 1 << i
-        for a in ground.subsets():
+        for a in m.ground.subsets():
             if a & bit:
                 acc[a] += acc[a ^ bit]
-    return Capacity(ground, tuple(_snap_endpoints(ground, acc, "belief")))
+    return acc
+
+
+def belief(m: MassFunction) -> Capacity:
+    """Lower set function ``Bel(A) = sum of m(B) over B inside A``."""
+    ground = m.ground
+    return Capacity(ground, tuple(_snap_endpoints(ground, _zeta(m), "belief")))
 
 
 def plausibility(m: MassFunction) -> Capacity:
@@ -312,12 +314,7 @@ def plausibility(m: MassFunction) -> Capacity:
     against the direct double-sum definition.
     """
     ground = m.ground
-    sub = list(m.mass)
-    for i in range(ground.n):
-        bit = 1 << i
-        for a in ground.subsets():
-            if a & bit:
-                sub[a] += sub[a ^ bit]
+    sub = _zeta(m)
     total = sub[ground.full]
     table = [total - sub[ground.full ^ a] for a in ground.subsets()]
     return Capacity(ground, tuple(_snap_endpoints(ground, table, "plausibility")))
@@ -381,6 +378,21 @@ def dominates_dual(mu: Capacity, nu: Capacity, atol: float = STRUCT_TOL) -> Domi
         if gap > worst_gap:
             worst_set, worst_gap = a, gap
     return DominanceCheck(worst_gap <= atol, worst_set, worst_gap)
+
+
+def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int | None:
+    """First set B (by bitmask) with ``mu(B) > 0`` and ``nu(B^c) > 0``.
+
+    With ``both_one`` the set must carry ``mu(B) = nu(B^c) = 1`` instead.
+    Both tests hold within STRUCT_TOL; None when no proper nonempty set
+    qualifies.
+    """
+    full = _check_same_ground(mu, nu).full
+    for b in range(1, full):
+        low = min(mu.table[b], nu.table[full ^ b])
+        if low >= 1.0 - STRUCT_TOL if both_one else low > STRUCT_TOL:
+            return b
+    return None
 
 
 @dataclass(frozen=True)

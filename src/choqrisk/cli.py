@@ -32,7 +32,7 @@ from .premium import (
     sample_outcomes,
 )
 from .sampling import rng_from_seed
-from .theorems import run_full_report
+from .theorems import THEOREM_IDS, run_full_report
 from .utility import parse_utility
 from .weighting import dominance_check, figure_data, parse_weighting
 
@@ -219,7 +219,7 @@ def _cmd_figures(args) -> int:
 
 def _cmd_verify(args) -> int:
     levels = tuple(float(t) for t in args.levels.split(","))
-    theorems = ("lemma", "1", "2", "3", "4") if args.theorem == "all" else tuple(args.theorem.split(","))
+    theorems = THEOREM_IDS if args.theorem == "all" else tuple(args.theorem.split(","))
     report = run_full_report(n=args.n, levels=levels, seed=args.seed, theorems=theorems)
     print(report.to_text())
     if args.json:

@@ -56,7 +56,7 @@ class NotZeroOneValued(ChoqriskError, ValueError):
 
 
 class TooLarge(ChoqriskError, ValueError):
-    """Exhaustive enumeration requested beyond the supported size."""
+    """Work requested beyond a documented size bound (enumeration, oracle cells)."""
 
 
 class DomainError(ChoqriskError, ValueError):

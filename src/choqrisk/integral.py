@@ -30,9 +30,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .capacity import Capacity, GroundSet, _check_same_ground
-from .errors import NotZeroOneValued
+from .errors import NotZeroOneValued, TooLarge
 
 INF = float("inf")
+# Cap on n * cells for riemann_oracle: its mask step holds two int64 arrays of
+# n x cells at once (16 bytes per cell and element), so one call stays near 160 MB.
+ORACLE_MAX_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -185,11 +188,18 @@ def riemann_oracle(mu: Capacity, nu: Capacity, x: RandomVariable, step: float = 
 
     Independent of the exact sorted-threshold path.  Each tail function is
     monotone with total variation at most 1, so the midpoint error is at
-    most one cell width per tail: ``|exact - oracle| <= 2 * step``.
+    most one cell width per tail: ``|exact - oracle| <= 2 * step``.  Raises
+    TooLarge when n times the cell count exceeds ORACLE_MAX_CELLS.
     """
     _check_same_ground(mu, nu, x)
     if step <= 0.0:
         raise ValueError("step must be positive")
+    cells = (max(x.max, 0.0) - min(x.min, 0.0)) / step
+    if x.ground.n * cells > ORACLE_MAX_CELLS:
+        raise TooLarge(
+            f"oracle needs {x.ground.n} x {cells:.3g} mask cells, over the cap of "
+            f"{ORACLE_MAX_CELLS:.0e}; use a larger step"
+        )
     vals = np.asarray(x.values, dtype=float)
     mu_arr = np.asarray(mu.table, dtype=float)
     nu_arr = np.asarray(nu.table, dtype=float)
@@ -255,10 +265,10 @@ def translation_gap(mu: Capacity, nu: Capacity, x: RandomVariable, a: float) -> 
     """Measure how far C deviates from translation equivariance at shift ``a``."""
     _check_same_ground(mu, nu, x)
     lhs = gen_choquet(mu, nu, x + a) - a - gen_choquet(mu, nu, x)
-    nu_dual = nu.dual()
 
     def integrand(s: float) -> float:
-        return survival(mu, x, s, strict=True) - survival(nu_dual, x, s, strict=False)
+        # dual(nu)(X >= s) = 1 - nu(X < s)
+        return survival(mu, x, s) - (1.0 - lower_tail(nu, x, s))
 
     correction = step_integral(integrand, -a, 0.0, x.values)
     return TranslationGap(lhs, correction)

@@ -35,11 +35,16 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _is_number(v: Any) -> bool:
+    """True for JSON numbers; ``true``/``false`` load as bool, an int subclass, and are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_ground(doc: dict, what: str) -> GroundSet:
     _require(isinstance(doc, dict), f"{what}: document must be a JSON object")
     _require("n" in doc, f"{what}: missing 'n'")
     n = doc["n"]
-    _require(isinstance(n, int) and n >= 1, f"{what}: 'n' must be a positive integer")
+    _require(_is_number(n) and isinstance(n, int) and n >= 1, f"{what}: 'n' must be a positive integer")
     labels = doc.get("labels")
     if labels is not None:
         _require(
@@ -78,7 +83,8 @@ def capacity_from_dict(doc: dict, what: str = "capacity") -> Capacity:
     _require("table" in doc and isinstance(doc["table"], dict), f"{what}: missing 'table' object")
     table = [None] * ground.size
     for key, val in doc["table"].items():
-        _require(isinstance(val, (int, float)), f"{what}: value for key {key!r} is not a number")
+        if not _is_number(val):  # not _require: 2^n entries, build the message only on failure
+            raise SchemaError(f"{what}: value for key {key!r} is not a number")
         mask = _mask_from_key(str(key), ground, what)
         _require(table[mask] is None, f"{what}: subset {key!r} given twice")
         table[mask] = float(val)
@@ -113,7 +119,7 @@ def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
     _require("mass" in doc and isinstance(doc["mass"], list), f"{what}: missing 'mass' array")
     mass = doc["mass"]
     _require(len(mass) == ground.size, f"{what}: 'mass' must have 2^n = {ground.size} entries")
-    _require(all(isinstance(v, (int, float)) for v in mass), f"{what}: masses must be numbers")
+    _require(all(_is_number(v) for v in mass), f"{what}: masses must be numbers")
     try:
         return MassFunction(ground, tuple(float(v) for v in mass))
     except ValueError as exc:
@@ -141,7 +147,7 @@ def load_values_array(text_or_path: str) -> list[float]:
         arr = json.loads(s)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON array: {exc}") from exc
-    _require(isinstance(arr, list) and all(isinstance(v, (int, float)) for v in arr),
+    _require(isinstance(arr, list) and all(_is_number(v) for v in arr),
              "expected a JSON array of numbers")
     return [float(v) for v in arr]
 
@@ -155,9 +161,9 @@ def load_scenario_doc(path: str | Path) -> dict:
     _require(isinstance(doc, dict), f"{path}: scenario must be a JSON object")
     for key in ("w", "X", "mu_file", "nu_file", "utility"):
         _require(key in doc, f"{path}: missing {key!r}")
-    _require(isinstance(doc["w"], (int, float)), f"{path}: 'w' must be a number")
+    _require(_is_number(doc["w"]), f"{path}: 'w' must be a number")
     _require(
-        isinstance(doc["X"], list) and all(isinstance(v, (int, float)) for v in doc["X"]),
+        isinstance(doc["X"], list) and all(_is_number(v) for v in doc["X"]),
         f"{path}: 'X' must be an array of numbers",
     )
     doc["_dir"] = path.parent

@@ -26,9 +26,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, _check_same_ground, dominates_dual
+from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
 from .errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
-from .integral import RandomVariable, gen_choquet, step_integral
+from .integral import RandomVariable, gen_choquet, lower_tail, step_integral, survival
 from .utility import UtilityFunction, arrow_pratt, is_concave_on
 
 PREMIUM_TOL = 1e-9
@@ -55,50 +55,51 @@ class Scenario:
         return self.w - self.x
 
 
-def class_membership(s: Scenario) -> tuple[bool, str | None]:
-    """Premium-existence test; returns (ok, failed-check name).
+def _price(s: Scenario) -> tuple[str | None, float | None]:
+    """Membership test and pricing in one pass over the scenario.
 
-    Checks, in order: every value of ``w - X`` lies in the utility domain;
-    the integral of ``w - X`` does too; and the integral of ``u(w - X)``
-    lies in the utility's range so the inverse applies.
+    Returns ``(failed-check name, None)`` outside the premium class and
+    ``(None, premium)`` inside it.  Checks, in order: every value of
+    ``w - X`` lies in the utility domain; the integral of ``w - X`` does
+    too; and the integral of ``u(w - X)`` lies in the utility's range so
+    the inverse applies.
     """
     y = s.outcome
     if not all(s.u.in_domain(v) for v in y.values):
-        return False, "values"
+        return "values", None
     lo, hi = s.u.domain_lo, s.u.domain_hi
     m = gen_choquet(s.mu, s.nu, y)
     if not (lo < m < hi or (m == lo and s.u.closed_at_lo)):
-        return False, "outcome_integral"
+        return "outcome_integral", None
     rlo, rhi = s.u.range()
     mu_val = gen_choquet(s.mu, s.nu, y.map(s.u.value))
     if not (rlo < mu_val < rhi or (mu_val == rlo and s.u.closed_at_lo)):
-        return False, "utility_integral"
-    return True, None
+        return "utility_integral", None
+    return None, s.w - s.u.inverse(mu_val)
+
+
+def class_membership(s: Scenario) -> tuple[bool, str | None]:
+    """Premium-existence test; returns (ok, failed-check name)."""
+    reason, _ = _price(s)
+    return reason is None, reason
 
 
 def premium(s: Scenario) -> float:
     """Certainty-equivalent premium ``w - u^{-1}(C(u(w - X)))``."""
-    ok, reason = class_membership(s)
-    if not ok:
+    reason, pi = _price(s)
+    if reason is not None:
         raise OutOfClass(reason)
-    m = gen_choquet(s.mu, s.nu, s.outcome.map(s.u.value))
-    return s.w - s.u.inverse(m)
+    return pi
 
 
 def _tail_gap_integral(mu: Capacity, nu: Capacity, z: RandomVariable, upper: float) -> float:
     """Exact ``int_0^upper (dual(nu)(Z < t) - mu(Z < t)) dt``."""
-    nu_dual = nu.dual()
-    n = z.ground.n
-    vals = z.values
 
     def integrand(t: float) -> float:
-        mask = 0
-        for i in range(n):
-            if vals[i] < t:
-                mask |= 1 << i
-        return nu_dual.table[mask] - mu.table[mask]
+        # dual(nu)(Z < t) = 1 - nu(Z >= t)
+        return (1.0 - survival(nu, z, t, strict=False)) - lower_tail(mu, z, t)
 
-    return step_integral(integrand, 0.0, upper, vals)
+    return step_integral(integrand, 0.0, upper, z.values)
 
 
 def risk_neutral_premium(s: Scenario) -> float:
@@ -152,12 +153,12 @@ def is_risk_averse(
     checked = skipped = 0
     for w, x in outcomes:
         s = Scenario(w, x, mu, nu, u)
-        ok, _ = class_membership(s)
-        if not ok:
+        reason, pi = _price(s)
+        if reason is not None:
             skipped += 1
             continue
         checked += 1
-        shortfall = risk_neutral_premium(s) - premium(s)
+        shortfall = risk_neutral_premium(s) - pi
         if shortfall > tol:
             return RiskAversionReport(False, checked, skipped, s, shortfall)
     return RiskAversionReport(True, checked, skipped, None, 0.0)
@@ -224,16 +225,6 @@ class AgentComparison:
         return self.premium_order_holds == self.r_order_holds == self.composition_concave
 
 
-def _has_coexistence_set(mu: Capacity, nu: Capacity, strict_one: bool = False) -> bool:
-    """A set B with ``mu(B) > 0`` and ``nu(B^c) > 0`` (or both equal 1)."""
-    full = mu.ground.full
-    thr = 1.0 - 1e-12 if strict_one else 1e-12
-    for b in range(1, full):
-        if mu.table[b] > thr and nu.table[full ^ b] > thr:
-            return True
-    return False
-
-
 def compare_agents(
     u: UtilityFunction,
     v: UtilityFunction,
@@ -244,7 +235,7 @@ def compare_agents(
     tol: float = PREMIUM_TOL,
 ) -> AgentComparison:
     """Compare premiums, Arrow-Pratt coefficients and composed curvature."""
-    hypotheses = dominates_dual(mu, nu).holds and _has_coexistence_set(mu, nu)
+    hypotheses = dominates_dual(mu, nu).holds and coexistence_set(mu, nu) is not None
 
     if grid is None:
         lo = max(u.domain_lo, v.domain_lo)
@@ -270,11 +261,14 @@ def compare_agents(
     checked = 0
     for w, x in outcomes:
         su = Scenario(w, x, mu, nu, u)
-        sv = Scenario(w, x, mu, nu, v)
-        if not class_membership(su)[0] or not class_membership(sv)[0]:
+        reason_u, pi_u = _price(su)
+        if reason_u is not None:
+            continue
+        reason_v, pi_v = _price(Scenario(w, x, mu, nu, v))
+        if reason_v is not None:
             continue
         checked += 1
-        if premium(su) < premium(sv) - tol:
+        if pi_u < pi_v - tol:
             premium_order = False
             witness = su
             break
@@ -315,10 +309,11 @@ def nonneg_loss_check(
         if any(v > w for v in x.values):
             raise ValueError("sampler must keep X <= w pointwise")
         s = Scenario(w, x, mu, nu, u)
-        if not class_membership(s)[0]:
+        reason, pi = _price(s)
+        if reason is not None:
             continue
         checked += 1
-        if risk_neutral_premium(s) - premium(s) > tol:
+        if risk_neutral_premium(s) - pi > tol:
             averse = False
             witness = s
             break

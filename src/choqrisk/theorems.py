@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, dominates_dual
+from .capacity import Capacity, GroundSet, coexistence_set, dominates_dual
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import RandomVariable, ax_bx, gen_choquet, translation_gap
 from .utility import (
@@ -44,6 +45,8 @@ VIOLATION_TOL = 1e-9
 GAP_MATCH_TOL = 1e-12
 DEFAULT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VALUE_GRID = tuple(-5.0 + 0.25 * k for k in range(41))
+#: ids of the sweep's check families, in the order each pair runs them
+THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 
 
 # ---------------------------------------------------------------------------
@@ -224,25 +227,6 @@ def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
     return lhs - f.value(gen_choquet(mu, nu, x))
 
 
-def _scan_two_point(
-    mu: Capacity,
-    nu: Capacity,
-    f,
-    values: Sequence[float],
-    tol: float = VIOLATION_TOL,
-) -> tuple[dict | None, int]:
-    """First Jensen violation over the two-valued grid, plus the scan count."""
-    checked = 0
-    for x in two_point_variables(mu.ground, values):
-        if not all(f.in_domain(v) for v in x.values):
-            continue
-        checked += 1
-        gap = jensen_gap(mu, nu, f, x)
-        if gap > tol:
-            return {"f": f.spec(), "x": list(x.values), "gap": gap}, checked
-    return None, checked
-
-
 def jensen_holds(
     mu: Capacity,
     nu: Capacity,
@@ -355,24 +339,6 @@ def integral_property_checks(
     return out
 
 
-def _coexistence_levels(mu: Capacity, nu: Capacity) -> tuple[float, float, int] | None:
-    """First set B with ``mu(B) > 0`` and ``nu(B^c) > 0``; returns (p, q, B)."""
-    full = mu.ground.full
-    for b in range(1, full):
-        p, q = mu.table[b], nu.table[full ^ b]
-        if p > 1e-12 and q > 1e-12:
-            return p, q, b
-    return None
-
-
-def _coexistence_one(mu: Capacity, nu: Capacity) -> int | None:
-    full = mu.ground.full
-    for b in range(1, full):
-        if mu.table[b] >= 1.0 - 1e-12 and nu.table[full ^ b] >= 1.0 - 1e-12:
-            return b
-    return None
-
-
 def zero_one_collapse_check(
     mu: Capacity,
     nu: Capacity,
@@ -412,26 +378,25 @@ def zero_one_collapse_check(
                 {"f": f.spec(), "x": list(x.values), "lhs": lhs, "rhs": rhs},
             )
 
-    violation, scanned = _scan_two_point(mu, nu, f, values)
-    checked += scanned
-    if _coexistence_one(mu, nu) is not None:
+    scan = jensen_holds(mu, nu, f, two_point_variables(ground, values))
+    checked += scan.checked
+    if coexistence_set(mu, nu, both_one=True) is not None:
         in_dom = [v for v in values if f.in_domain(v)]
         # same tolerance on both sides so the equivalence is grid-exact
         ws = is_weakly_superadditive_on(f, in_dom, tol=VIOLATION_TOL)
-        consistent = ws.holds == (violation is None)
+        consistent = ws.holds == scan.holds
         return Verdict(
             "collapse equivalence",
             consistent,
             checked,
-            None if consistent else {"f": f.spec(), "ws": ws.holds, "violation": violation},
+            None if consistent else {"f": f.spec(), "ws": ws.holds, "violation": scan.witness},
             detail="coexistence set present",
         )
-    consistent = violation is None
     return Verdict(
         "collapse unconditional",
-        consistent,
+        scan.holds,
         checked,
-        violation,
+        scan.witness,
         detail="no coexistence set",
     )
 
@@ -450,8 +415,7 @@ def two_valued_concavity_probe(
     """
     if not dominates_dual(mu, nu).holds:
         raise HypothesisFailure("conjugate dominance fails")
-    coex = _coexistence_levels(mu, nu)
-    if coex is None:
+    if coexistence_set(mu, nu) is None:
         raise HypothesisFailure("no set with mu(B) > 0 and nu(B^c) > 0")
 
     ground = mu.ground
@@ -517,23 +481,23 @@ def nonnegative_axis_check(
         values = tuple(0.25 * k for k in range(21))
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    violation, checked = _scan_two_point(mu, nu, f, values)
+    scan = jensen_holds(mu, nu, f, two_point_variables(mu.ground, values))
     if mu.is_zero_one_valued():
         return Verdict(
             "nonnegative-axis zero-one",
-            violation is None,
-            checked,
-            violation,
+            scan.holds,
+            scan.checked,
+            scan.witness,
             detail="{0,1}-valued gains capacity: unconditional",
         )
     in_dom = [v for v in values if f.in_domain(v)]
     concave = is_concave_on(f, in_dom, tol=VIOLATION_TOL)
-    consistent = concave.holds == (violation is None)
+    consistent = concave.holds == scan.holds
     return Verdict(
         "nonnegative-axis probe",
         consistent,
-        checked,
-        None if consistent else {"f": f.spec(), "concave": concave.holds, "violation": violation},
+        scan.checked,
+        None if consistent else {"f": f.spec(), "concave": concave.holds, "violation": scan.witness},
         detail=f"concave on x>=0: {concave.holds}",
     )
 
@@ -593,115 +557,100 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _bump(report: SweepReport, key: str, ok: bool):
-    good, total = report.verdict_counts.get(key, (0, 0))
-    report.verdict_counts[key] = (good + (1 if ok else 0), total + 1)
-
-
 def run_full_report(
     n: int = 2,
     levels: Sequence[float] = DEFAULT_LEVELS,
     seed: int = 42,
     values: Sequence[float] = DEFAULT_VALUE_GRID,
     property_samples: int = 12,
-    theorems: Sequence[str] = ("lemma", "1", "2", "3", "4"),
+    theorems: Sequence[str] = THEOREM_IDS,
 ) -> SweepReport:
     """Sweep all enumerated pairs, run the applicable checks, collect verdicts.
 
-    Anything contradicting a theorem lands in ``report.unexpected``; a clean
-    report has none.  Deterministic for fixed arguments.
+    ``theorems`` selects check families by id (see THEOREM_IDS); an unknown
+    id raises ValueError.  Anything contradicting a theorem lands in
+    ``report.unexpected``; a clean report has none.  Deterministic for fixed
+    arguments.
     """
+    theorems = tuple(theorems)
+    unknown = [t for t in theorems if t not in THEOREM_IDS]
+    if unknown:
+        raise ValueError(
+            f"unknown theorem id {', '.join(map(repr, unknown))}; valid ids: {', '.join(THEOREM_IDS)}"
+        )
     caps = list(enumerate_capacities(n, levels))
     report = SweepReport(n=n, levels=tuple(sorted(set(float(v) for v in levels))), seed=seed)
     report.capacity_count = len(caps)
-    theorems = tuple(theorems)
 
-    concave_gallery = concave_increasing_gallery()
-    mixed_gallery = zero_at_zero_gallery()
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
     nonneg_values = tuple(0.25 * k for k in range(21))
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
+    def lemma(mu, nu):
+        verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed)
+        for name, verdict in verdicts.items():
+            yield f"property {name}", verdict.holds, verdict.witness
+
+    def converse(mu, nu):
+        wit = jensen_counterexample(mu, nu)
+        ok = (
+            wit is not None
+            and wit.gap > VIOLATION_TOL
+            and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
+        )
+        yield "jensen converse", ok, None if wit is None else {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
+
+    def forward(mu, nu, f):
+        return jensen_holds(mu, nu, f, two_point_variables(mu.ground, values))
+
+    def over(name, gallery, check):
+        def run(mu, nu):
+            for f in gallery:
+                verdict = check(mu, nu, f)
+                yield name, verdict.holds, verdict.witness
+
+        return run
+
+    # (theorem id, applies to the pair class (dominant, zero_one, coexistence), check);
+    # each check yields (check name, ok, witness)
+    table = (
+        ("lemma", lambda d, z, c: True, lemma),
+        ("1", lambda d, z, c: d, over("jensen forward", concave_increasing_gallery(), forward)),
+        ("1", lambda d, z, c: not d, converse),
+        ("2", lambda d, z, c: z, over(
+            "collapse", zero_at_zero_gallery(),
+            partial(zero_one_collapse_check, values=probe_values, seed=seed),
+        )),
+        ("3", lambda d, z, c: d and c, over(
+            "two-valued concavity", concavity_probe_gallery,
+            partial(two_valued_concavity_probe, values=probe_values),
+        )),
+        ("4", lambda d, z, c: True, over(
+            "nonnegative axis", axis_gallery, partial(nonnegative_axis_check, values=nonneg_values)
+        )),
+    )
+    rows = [(applies, check) for tid, applies, check in table if tid in theorems]
+
     for mu in caps:
         for nu in caps:
             report.pair_count += 1
-            dom = dominates_dual(mu, nu)
+            dom = dominates_dual(mu, nu).holds
             zero_one = mu.is_zero_one_valued() and nu.is_zero_one_valued()
-            coex = _coexistence_levels(mu, nu) is not None
-            key = (
-                f"dominant={dom.holds}",
-                f"zero_one={zero_one}",
-                f"coexistence={coex}",
-            )
-            ck = ", ".join(key)
+            coex = coexistence_set(mu, nu) is not None
+            ck = f"dominant={dom}, zero_one={zero_one}, coexistence={coex}"
             report.class_counts[ck] = report.class_counts.get(ck, 0) + 1
-
-            if "lemma" in theorems:
-                for name, verdict in integral_property_checks(
-                    mu, nu, samples=property_samples, seed=seed
-                ).items():
-                    _bump(report, f"property {name}", verdict.holds)
-                    if not verdict.holds:
-                        report.unexpected.append(
-                            {"check": f"property {name}", "mu": list(mu.table), "nu": list(nu.table), "witness": verdict.witness}
-                        )
-
-            if "1" in theorems:
-                if dom.holds:
-                    for f in concave_gallery:
-                        violation, _ = _scan_two_point(mu, nu, f, values)
-                        _bump(report, "jensen forward", violation is None)
-                        if violation is not None:
-                            report.unexpected.append(
-                                {"check": "jensen forward", "mu": list(mu.table), "nu": list(nu.table), "witness": violation}
-                            )
-                else:
-                    wit = jensen_counterexample(mu, nu)
-                    ok = (
-                        wit is not None
-                        and wit.gap > VIOLATION_TOL
-                        and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
-                    )
-                    _bump(report, "jensen converse", ok)
-                    report.counterexamples += 1 if ok else 0
+            for applies, check in rows:
+                if not applies(dom, zero_one, coex):
+                    continue
+                for name, ok, witness in check(mu, nu):
+                    good, total = report.verdict_counts.get(name, (0, 0))
+                    report.verdict_counts[name] = (good + (1 if ok else 0), total + 1)
                     if not ok:
                         report.unexpected.append(
-                            {
-                                "check": "jensen converse",
-                                "mu": list(mu.table),
-                                "nu": list(nu.table),
-                                "witness": None
-                                if wit is None
-                                else {"gap": wit.gap, "dominance_gap": wit.dominance_gap},
-                            }
+                            {"check": name, "mu": list(mu.table), "nu": list(nu.table), "witness": witness}
                         )
 
-            if "2" in theorems and zero_one:
-                for f in mixed_gallery:
-                    verdict = zero_one_collapse_check(mu, nu, f, probe_values, seed=seed)
-                    _bump(report, "collapse", verdict.holds)
-                    if not verdict.holds:
-                        report.unexpected.append(
-                            {"check": "collapse", "mu": list(mu.table), "nu": list(nu.table), "witness": verdict.witness}
-                        )
-
-            if "3" in theorems and dom.holds and coex:
-                for f in concavity_probe_gallery:
-                    verdict = two_valued_concavity_probe(mu, nu, f, probe_values)
-                    _bump(report, "two-valued concavity", verdict.holds)
-                    if not verdict.holds:
-                        report.unexpected.append(
-                            {"check": "two-valued concavity", "mu": list(mu.table), "nu": list(nu.table), "witness": verdict.witness}
-                        )
-
-            if "4" in theorems:
-                for f in axis_gallery:
-                    verdict = nonnegative_axis_check(mu, nu, f, nonneg_values)
-                    _bump(report, "nonnegative axis", verdict.holds)
-                    if not verdict.holds:
-                        report.unexpected.append(
-                            {"check": "nonnegative axis", "mu": list(mu.table), "nu": list(nu.table), "witness": verdict.witness}
-                        )
-
+    # a converse verdict is as expected exactly when its counterexample verified
+    report.counterexamples = report.verdict_counts.get("jensen converse", (0, 0))[0]
     return report

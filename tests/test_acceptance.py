@@ -45,6 +45,7 @@ from choqrisk import (
     translation_gap,
     unanimity,
 )
+from choqrisk.capacity import coexistence_set
 from choqrisk.premium import sample_outcomes, two_point_outcomes
 from choqrisk.sampling import (
     random_capacity,
@@ -52,7 +53,7 @@ from choqrisk.sampling import (
     random_variable,
     rng_from_seed,
 )
-from choqrisk.theorems import PlainMap, _coexistence_levels
+from choqrisk.theorems import PlainMap
 from choqrisk.utility import compose_via_inverse
 
 SWEEP_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -246,7 +247,7 @@ def test_criterion_06_contrapositive_probes():
         for nu in caps:
             from choqrisk import dominates_dual
 
-            if not dominates_dual(mu, nu).holds or _coexistence_levels(mu, nu) is None:
+            if not dominates_dual(mu, nu).holds or coexistence_set(mu, nu) is None:
                 continue
             probed += 1
             for f in convex:
@@ -335,7 +336,7 @@ def test_criterion_08_agent_comparison():
         a1 = a2 + float(rng.uniform(0.3, 1.5))
         ground = GroundSet(int(rng.integers(2, 5)))
         mu, nu = random_dominant_pair(rng, ground)
-        if _coexistence_levels(mu, nu) is None:
+        if coexistence_set(mu, nu) is None:
             continue
         outcomes = sample_outcomes(rng, ground, 220, w_range=(0.5, 2.0), x_range=(-1.0, 1.0))
         comp = compare_agents(Exponential(a1), Exponential(a2), mu, nu, outcomes)

@@ -104,6 +104,8 @@ def test_ground_set_validation():
     with pytest.raises(ValueError):
         GroundSet(0)
     with pytest.raises(ValueError):
+        GroundSet(True)
+    with pytest.raises(ValueError):
         GroundSet(21)
     with pytest.raises(ValueError):
         GroundSet(2, ("a",))

@@ -1,5 +1,6 @@
 """JSON schemas, CSV emission, and the CLI surface end to end."""
 
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,8 @@ def test_mass_document():
     assert m.mass == (0.0, 0.5, 0.0, 0.5)
     with pytest.raises(SchemaError):
         mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.5]})
+    with pytest.raises(SchemaError, match="numbers"):
+        mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.0, True]})
 
 
 def test_values_array_inline_and_file(tmp_path):
@@ -92,6 +95,8 @@ def test_values_array_inline_and_file(tmp_path):
     assert load_values_array(str(p)) == [1.5, 2.5]
     with pytest.raises(SchemaError):
         load_values_array("not-a-file")
+    with pytest.raises(SchemaError):
+        load_values_array("[true,false]")
 
 
 def test_fmt17_round_trips():
@@ -108,10 +113,15 @@ def test_cli_check_capacity_ok(mu_file, capsys):
 
 def test_cli_check_capacity_rejects_bad_table(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n": 2, "table": {"0": 0.0, "1": 0.6, "2": 0.1, "3": 0.5}}))
-    assert main(["check-capacity", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert "monotonicity" in err
+    for doc, message in [
+        ({"n": 2, "table": {"0": 0.0, "1": 0.6, "2": 0.1, "3": 0.5}}, "monotonicity"),
+        ({"n": True, "table": {"0": False, "1": True}}, "positive integer"),
+        ({"n": 1, "table": {"0": False, "1": True}}, "not a number"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        assert main(["check-capacity", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
 
 
 def test_cli_check_capacity_rewrite_round_trip(mu_file, tmp_path):
@@ -134,6 +144,23 @@ def test_cli_integrate_oracle_delta(mu_file, nu_file, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert float(lines[1].split(":")[1]) < 3e-4
+
+
+def test_cli_integrate_oracle_cell_cap(mu_file, nu_file, capsys, monkeypatch):
+    """A step far too fine for the cell cap fails before any array is built."""
+    from choqrisk import integral
+
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"oracle reached np.{name} before checking its cell count")
+
+    monkeypatch.setattr(integral, "np", NoArrays())
+    code = main(
+        ["integrate", "--mu", str(mu_file), "--nu", str(nu_file), "--x", "[10,-10]",
+         "--oracle-step", "1e-9"]
+    )
+    assert code == 1
+    assert "cap" in capsys.readouterr().err
 
 
 def test_cli_integrate_choquet_mode(mu_file, capsys):
@@ -160,6 +187,16 @@ def test_cli_premium(tmp_path, mu_file, nu_file, capsys):
     line = [l for l in out.splitlines() if l.startswith("premium:")][0]
     assert float(line.split()[-1]) == pytest.approx(0.2, abs=1e-12)
     assert "risk_neutral_premium" in out
+
+
+@pytest.mark.parametrize("field,value", [("w", True), ("X", [True, 2.0])])
+def test_cli_premium_rejects_booleans(tmp_path, mu_file, nu_file, capsys, field, value):
+    doc = {"w": 1.0, "X": [0.5, -0.5], "mu_file": "mu.json", "nu_file": "nu.json",
+           "utility": "linear", field: value}
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["premium", str(sc)]) == 1
+    assert f"'{field}' must be" in capsys.readouterr().err
 
 
 def test_cli_premium_with_comparison(tmp_path, mu_file, nu_file, capsys):
@@ -227,6 +264,21 @@ def test_cli_verify_small_sweep(capsys, tmp_path):
 def test_cli_verify_single_theorem(capsys):
     assert main(["verify", "--n", "2", "--levels", "0,0.5,1", "--theorem", "lemma"]) == 0
     assert "property translation" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_unknown_theorem(capsys):
+    assert main(["verify", "--n", "2", "--levels", "0,1", "--theorem", "5", "--expect-clean"]) == 1
+    captured = capsys.readouterr()
+    assert "lemma, 1, 2, 3, 4" in captured.err
+    assert "verdicts" not in captured.out
+
+
+def test_cli_verify_report_digest(tmp_path, capsys):
+    """The three-level sweep report, pinned byte for byte (sha256)."""
+    out = tmp_path / "report.json"
+    main(["verify", "--n", "2", "--levels", "0,0.5,1", "--seed", "42", "--json", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"
 
 
 def test_cli_figures_byte_reproducible(tmp_path):

@@ -278,6 +278,79 @@ def test_sweep_classification_totals():
     assert report.clean
 
 
+def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
+    """Each check files its failures in ``unexpected``; the entries are pinned.
+
+    The faults: flipped shape certificates (collapse, two-valued concavity,
+    nonnegative axis), a convex map in the concave gallery (jensen forward),
+    an unreachable gap-match tolerance (jensen converse), a negative
+    tolerance for the integral properties and a perturbed weak-tail
+    integral (tail conventions).  The pinned digest and counts were recorded
+    before the sweep driver was rewritten as a table.
+    """
+    import hashlib
+    from collections import Counter
+    from dataclasses import replace
+    from functools import partial
+
+    from choqrisk import theorems
+
+    def flipped(check):
+        def run(*args, **kwargs):
+            cert = check(*args, **kwargs)
+            return replace(cert, holds=not cert.holds)
+
+        return run
+
+    exact = theorems.gen_choquet
+
+    def weak_tails_off(mu, nu, x, strict_tails=True):
+        return exact(mu, nu, x, strict_tails) + (0.0 if strict_tails else 2.0**-20)
+
+    gallery = theorems.concave_increasing_gallery
+    monkeypatch.setattr(theorems, "is_concave_on", flipped(theorems.is_concave_on))
+    monkeypatch.setattr(
+        theorems, "is_weakly_superadditive_on", flipped(theorems.is_weakly_superadditive_on)
+    )
+    monkeypatch.setattr(
+        theorems, "concave_increasing_gallery", lambda: gallery() + [PlainMap("expm1", math.expm1)]
+    )
+    monkeypatch.setattr(theorems, "GAP_MATCH_TOL", -1.0)
+    monkeypatch.setattr(
+        theorems, "integral_property_checks", partial(theorems.integral_property_checks, tol=-1.0)
+    )
+    monkeypatch.setattr(theorems, "gen_choquet", weak_tails_off)
+
+    report = run_full_report(
+        n=2, levels=(0.0, 0.5, 1.0), seed=42, values=tuple(-3.0 + 0.5 * k for k in range(13))
+    )
+    assert Counter(e["check"] for e in report.unexpected) == {
+        "property tail-conventions": 81,
+        "property monotonicity": 57,
+        "property homogeneity": 81,
+        "property translation": 81,
+        "jensen forward": 27,
+        "jensen converse": 45,
+        "collapse": 28,
+        "two-valued concavity": 44,
+        "nonnegative axis": 135,
+    }
+    assert report.verdict_counts == {
+        "property tail-conventions": (0, 81),
+        "property monotonicity": (24, 81),
+        "property homogeneity": (0, 81),
+        "property translation": (0, 81),
+        "jensen forward": (153, 180),
+        "jensen converse": (0, 45),
+        "collapse": (36, 64),
+        "two-valued concavity": (0, 44),
+        "nonnegative axis": (108, 243),
+    }
+    assert report.counterexamples == 0
+    digest = hashlib.sha256(json.dumps(report.unexpected, sort_keys=True).encode()).hexdigest()
+    assert digest == "d13bcf2bb1df578a8b23d4d9a2561a97f7dc194e8130eb07f7f12c23269c572b"
+
+
 # --- two point generator ------------------------------------------------------------------
 
 def test_two_point_variables_cover_both_orders(g2):

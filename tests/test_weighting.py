@@ -7,7 +7,7 @@ closed forms.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqrisk import (
@@ -112,10 +112,15 @@ def test_kt_monotone_and_bounded(gamma, k):
     st.floats(0.3, 1.0),
     st.floats(0.001, 0.999),
 )
+@example(1.0, 0.375, 0.0013710885408097502)
 @settings(max_examples=100, deadline=None)
 def test_dual_round_trip(delta, gamma, p):
+    # Compare at the point q actually holds: fl(1 - p) has already rounded p
+    # away (by 5.5e-17 in the example), and the weighting's slope, about 20
+    # there, amplifies that past 1e-15; no dual_value can recover p from q.
     h = GoldsteinEinhorn(delta, gamma)
-    assert 1.0 - h.dual_value(1.0 - p) == pytest.approx(h.value(p), abs=1e-15)
+    q = 1.0 - p
+    assert 1.0 - h.dual_value(q) == pytest.approx(h.value(1.0 - q), abs=1e-15)
 
 
 def test_tabulated_interpolation():
@@ -162,6 +167,39 @@ def test_prelec_same_parameters_fail_in_both_corners():
     scan = dominance_check(g, g)
     assert not scan.holds
     assert scan.max_gap == pytest.approx(1.27658e-2, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "g_spec,h_spec,worst_p,gap,violations",
+    [
+        ("kt:0.61", "kt:0.69", 0.002, "2.8e-03", 10),
+        ("prelec:1,0.74", "prelec:1,0.74", 0.007, "1.3e-02", 100),
+    ],
+)
+def test_corner_dominance_failures_confirmed_at_50_digits(g_spec, h_spec, worst_p, gap, violations):
+    """The double-precision scan behind README's known discrepancies, redone at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def closed_form(spec):
+        family, args = spec.split(":")
+        c = [mpmath.mpf(a) for a in args.split(",")]
+        if family == "kt":
+            return lambda p: p ** c[0] / (p ** c[0] + (1 - p) ** c[0]) ** (1 / c[0])
+        return lambda p: mpmath.exp(-c[0] * (-mpmath.log(p)) ** c[1])
+
+    g, h = parse_weighting(g_spec), parse_weighting(h_spec)
+    scan = dominance_check(g, h)
+    g50, h50 = closed_form(g_spec), closed_form(h_spec)
+    with mpmath.workdps(50):
+        # interior points of the scan's 1001-point grid, each at its exact float value
+        exact = {k / 1000: g50(mpmath.mpf(k / 1000)) - (1 - h50(1 - mpmath.mpf(k / 1000)))
+                 for k in range(1, 1000)}
+    failing = sorted(p for p, d in exact.items() if d > 1e-12)
+    assert failing == sorted(p for p in exact if g.value(p) - h.dual_value(p) > 1e-12)
+    assert len(failing) == violations
+    assert scan.argmax == worst_p
+    assert float(exact[worst_p]) == pytest.approx(scan.max_gap, abs=1e-15)
+    assert f"{float(exact[worst_p]):.1e}" == gap
 
 
 def test_dominance_grid_size_validation():
