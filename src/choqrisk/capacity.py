@@ -24,7 +24,7 @@ superadditivity, uncertainty-measure axioms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,11 +37,14 @@ from .errors import (
     NotAdditive,
     NotMonotone,
     NotNormalized,
+    TooLarge,
 )
 
 STRUCT_TOL = 1e-12
 DERIVED_TOL = 1e-9
 MAX_ELEMENTS = 20
+#: largest n whose 3^n disjoint pairs are walked (3^16 is about 4.3e7)
+PAIR_WALK_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -337,13 +340,8 @@ def credibility(ground: GroundSet, v: Sequence[float]) -> Capacity:
         raise NotNormalized(
             f"credibility profile with max {max(vals)!r} < 1 gives Cr(full) < 1; rejected"
         )
-
-    def sup_over(mask: int) -> float:
-        return max((vals[i] for i in range(ground.n) if mask >> i & 1), default=0.0)
-
-    table = [
-        (sup_over(a) + 1.0 - sup_over(ground.full ^ a)) / 2.0 for a in ground.subsets()
-    ]
+    sup = possibility(ground, vals).table
+    table = [(sup[a] + 1.0 - sup[ground.full ^ a]) / 2.0 for a in ground.subsets()]
     return Capacity(ground, tuple(_snap_endpoints(ground, table, "credibility")))
 
 
@@ -395,6 +393,20 @@ def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int |
     return None
 
 
+def _disjoint_pairs(ground: GroundSet) -> Iterator[tuple[int, int]]:
+    """The 3^n disjoint pairs (A, B): A ascending, B over the subsets of A's complement, descending."""
+    if ground.n > PAIR_WALK_MAX_N:
+        raise TooLarge(f"the walk over 3^{ground.n} disjoint pairs is capped at n = {PAIR_WALK_MAX_N}")
+    for a in ground.subsets():
+        rest = ground.full ^ a
+        b = rest
+        while True:
+            yield a, b
+            if b == 0:
+                break
+            b = (b - 1) & rest
+
+
 @dataclass(frozen=True)
 class SuperadditivityCheck:
     holds: bool
@@ -408,21 +420,16 @@ class SuperadditivityCheck:
 def is_superadditive(mu: Capacity, atol: float = STRUCT_TOL) -> SuperadditivityCheck:
     """Check ``mu(A) + mu(B) <= mu(A | B)`` over all disjoint pairs.
 
-    Enumerates all 3^n disjoint pairs; fine at desk scale (n <= 12 or so).
+    Enumerates all 3^n disjoint pairs; raises TooLarge above
+    PAIR_WALK_MAX_N elements.
     """
-    ground = mu.ground
+    t = mu.table
     worst: tuple[int, int] | None = None
     worst_gap = float("-inf")
-    for a in ground.subsets():
-        rest = ground.full ^ a
-        b = rest
-        while True:
-            gap = mu.table[a] + mu.table[b] - mu.table[a | b]
-            if gap > worst_gap:
-                worst, worst_gap = (a, b), gap
-            if b == 0:
-                break
-            b = (b - 1) & rest
+    for a, b in _disjoint_pairs(mu.ground):
+        gap = t[a] + t[b] - t[a | b]
+        if gap > worst_gap:
+            worst, worst_gap = (a, b), gap
     return SuperadditivityCheck(worst_gap <= atol, None if worst_gap <= atol else worst, worst_gap)
 
 
@@ -447,7 +454,9 @@ def is_uncertainty_measure(m: Capacity, atol: float = STRUCT_TOL) -> Uncertainty
 
     Countable subadditivity reduces to pairwise subadditivity here: any
     finite union is a chain of pairwise unions, so the pairwise inequality
-    gives the general one by induction.
+    gives the general one by induction.  Disjoint pairs suffice, since
+    replacing B by B minus A keeps the union and cannot raise a monotone
+    m(B); their walk raises TooLarge above PAIR_WALK_MAX_N elements.
     """
     ground = m.ground
     if m.table[ground.full] != 1.0:
@@ -455,8 +464,7 @@ def is_uncertainty_measure(m: Capacity, atol: float = STRUCT_TOL) -> Uncertainty
     for a in ground.subsets():
         if abs(m.table[a] + m.table[ground.full ^ a] - 1.0) > atol:
             return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
-    for a in ground.subsets():
-        for b in ground.subsets():
-            if m.table[a | b] > m.table[a] + m.table[b] + atol:
-                return UncertaintyCheck(False, "subadditivity", (a, b))
+    for a, b in _disjoint_pairs(ground):
+        if m.table[a | b] > m.table[a] + m.table[b] + atol:
+            return UncertaintyCheck(False, "subadditivity", (a, b))
     return UncertaintyCheck(True, None, None)

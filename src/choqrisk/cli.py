@@ -124,7 +124,7 @@ def _cmd_integrate(args) -> int:
     x = RandomVariable(mu.ground, tuple(load_values_array(args.x)))
     value = gen_choquet(mu, nu, x)
     print(fmt17(value))
-    if args.oracle_step:
+    if args.oracle_step is not None:
         approx = riemann_oracle(mu, nu, x, args.oracle_step)
         print(f"oracle delta: {fmt17(abs(value - approx))}")
     return 0
@@ -152,15 +152,16 @@ def _cmd_premium(args) -> int:
     except ChoqriskError as exc:
         print(f"approx_premium:       unavailable ({exc})")
     if args.compare:
-        v = parse_utility(args.compare)
-        rng = rng_from_seed(args.seed)
-        outcomes = sample_outcomes(rng, s.mu.ground, args.samples)
-        comp = compare_agents(s.u, v, s.mu, s.nu, outcomes)
-        _print_comparison(comp)
+        _run_comparison(s.u, parse_utility(args.compare), s.mu, s.nu, args)
     return 0
 
 
-def _print_comparison(comp) -> None:
+def _run_comparison(u, v, mu, nu, args) -> None:
+    """Sample ``args.samples`` outcomes from ``args.seed``, compare u and v, print the verdicts."""
+    if args.samples < 1:
+        raise ChoqriskError(f"--samples must be at least 1, got {args.samples}")
+    outcomes = sample_outcomes(rng_from_seed(args.seed), mu.ground, args.samples)
+    comp = compare_agents(u, v, mu, nu, outcomes)
     print(f"hypotheses met (dominance + coexistence set): {comp.hypotheses_met}")
     print(f"premium order holds:   {comp.premium_order_holds} ({comp.checked} scenarios)")
     print(f"arrow-pratt order:     {comp.r_order_holds}")
@@ -172,12 +173,7 @@ def _print_comparison(comp) -> None:
 def _cmd_compare(args) -> int:
     u = parse_utility(args.u)
     v = parse_utility(args.v)
-    mu = load_capacity(args.mu)
-    nu = load_capacity(args.nu)
-    rng = rng_from_seed(args.seed)
-    outcomes = sample_outcomes(rng, mu.ground, args.samples)
-    comp = compare_agents(u, v, mu, nu, outcomes)
-    _print_comparison(comp)
+    _run_comparison(u, v, load_capacity(args.mu), load_capacity(args.nu), args)
     return 0
 
 

@@ -189,11 +189,12 @@ def riemann_oracle(mu: Capacity, nu: Capacity, x: RandomVariable, step: float = 
     Independent of the exact sorted-threshold path.  Each tail function is
     monotone with total variation at most 1, so the midpoint error is at
     most one cell width per tail: ``|exact - oracle| <= 2 * step``.  Raises
-    TooLarge when n times the cell count exceeds ORACLE_MAX_CELLS.
+    ValueError unless the step is positive and finite, and TooLarge when n
+    times the cell count exceeds ORACLE_MAX_CELLS.
     """
     _check_same_ground(mu, nu, x)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     cells = (max(x.max, 0.0) - min(x.min, 0.0)) / step
     if x.ground.n * cells > ORACLE_MAX_CELLS:
         raise TooLarge(

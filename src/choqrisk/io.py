@@ -58,22 +58,24 @@ def _parse_ground(doc: dict, what: str) -> GroundSet:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def _mask_from_key(key: str, ground: GroundSet, what: str) -> int:
-    if key == "" or key.isdigit():
-        if key == "":
-            return 0
+def _mask_from_key(key: str, size: int, index: dict[str, int] | None, what: str) -> int:
+    if key == "":
+        return 0
+    if key.isdigit():
         try:
             mask = int(key, 10)
         except ValueError:
             raise SchemaError(f"{what}: bad subset key {key!r}")
-        _require(0 <= mask < ground.size, f"{what}: subset key {key!r} out of range")
+        if mask >= size:
+            raise SchemaError(f"{what}: subset key {key!r} out of range")
         return mask
-    _require(ground.labels is not None, f"{what}: label-set key {key!r} but no labels declared")
-    index = {lab: i for i, lab in enumerate(ground.labels)}
+    if index is None:
+        raise SchemaError(f"{what}: label-set key {key!r} but no labels declared")
     mask = 0
     for part in key.split(","):
         part = part.strip()
-        _require(part in index, f"{what}: unknown label {part!r} in key {key!r}")
+        if part not in index:
+            raise SchemaError(f"{what}: unknown label {part!r} in key {key!r}")
         mask |= 1 << index[part]
     return mask
 
@@ -81,12 +83,15 @@ def _mask_from_key(key: str, ground: GroundSet, what: str) -> int:
 def capacity_from_dict(doc: dict, what: str = "capacity") -> Capacity:
     ground = _parse_ground(doc, what)
     _require("table" in doc and isinstance(doc["table"], dict), f"{what}: missing 'table' object")
+    index = None if ground.labels is None else {lab: i for i, lab in enumerate(ground.labels)}
     table = [None] * ground.size
+    # 2^n entries: raise directly, not via _require, to build messages only on failure
     for key, val in doc["table"].items():
-        if not _is_number(val):  # not _require: 2^n entries, build the message only on failure
+        if not _is_number(val):
             raise SchemaError(f"{what}: value for key {key!r} is not a number")
-        mask = _mask_from_key(str(key), ground, what)
-        _require(table[mask] is None, f"{what}: subset {key!r} given twice")
+        mask = _mask_from_key(str(key), ground.size, index, what)
+        if table[mask] is not None:
+            raise SchemaError(f"{what}: subset {key!r} given twice")
         table[mask] = float(val)
     missing = [m for m, v in enumerate(table) if v is None]
     _require(not missing, f"{what}: missing entries for subsets {missing[:5]} (omitted entries are disallowed)")
@@ -101,13 +106,16 @@ def capacity_to_dict(c: Capacity) -> dict:
     return doc
 
 
-def load_capacity(path: str | Path) -> Capacity:
-    path = Path(path)
+def _read_json(path: Path) -> Any:
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    return capacity_from_dict(doc, what=str(path))
+
+
+def load_capacity(path: str | Path) -> Capacity:
+    path = Path(path)
+    return capacity_from_dict(_read_json(path), what=str(path))
 
 
 def save_capacity(c: Capacity, path: str | Path):
@@ -128,11 +136,7 @@ def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
 
 def load_mass_function(path: str | Path) -> MassFunction:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
-    return mass_from_dict(doc, what=str(path))
+    return mass_from_dict(_read_json(path), what=str(path))
 
 
 def load_values_array(text_or_path: str) -> list[float]:
@@ -154,10 +158,7 @@ def load_values_array(text_or_path: str) -> list[float]:
 
 def load_scenario_doc(path: str | Path) -> dict:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
+    doc = _read_json(path)
     _require(isinstance(doc, dict), f"{path}: scenario must be a JSON object")
     for key in ("w", "X", "mu_file", "nu_file", "utility"):
         _require(key in doc, f"{path}: missing {key!r}")

@@ -29,7 +29,7 @@ import numpy as np
 from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
 from .errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
 from .integral import RandomVariable, gen_choquet, lower_tail, step_integral, survival
-from .utility import UtilityFunction, arrow_pratt, is_concave_on
+from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
 
@@ -62,18 +62,16 @@ def _price(s: Scenario) -> tuple[str | None, float | None]:
     ``(None, premium)`` inside it.  Checks, in order: every value of
     ``w - X`` lies in the utility domain; the integral of ``w - X`` does
     too; and the integral of ``u(w - X)`` lies in the utility's range so
-    the inverse applies.
+    the inverse applies.  Both tests are the utility's own ``in_domain``
+    and ``in_range``, so endpoints are admitted exactly where u has them.
     """
     y = s.outcome
     if not all(s.u.in_domain(v) for v in y.values):
         return "values", None
-    lo, hi = s.u.domain_lo, s.u.domain_hi
-    m = gen_choquet(s.mu, s.nu, y)
-    if not (lo < m < hi or (m == lo and s.u.closed_at_lo)):
+    if not s.u.in_domain(gen_choquet(s.mu, s.nu, y)):
         return "outcome_integral", None
-    rlo, rhi = s.u.range()
     mu_val = gen_choquet(s.mu, s.nu, y.map(s.u.value))
-    if not (rlo < mu_val < rhi or (mu_val == rlo and s.u.closed_at_lo)):
+    if not s.u.in_range(mu_val):
         return "utility_integral", None
     return None, s.w - s.u.inverse(mu_val)
 
@@ -251,8 +249,6 @@ def compare_agents(
             r_order = False
             break
 
-    from .utility import compose_via_inverse
-
     comp = compose_via_inverse(u, v)
     comp_concave = all(comp.second(xx) <= tol for xx in comp.grid())
 
@@ -302,21 +298,15 @@ def nonneg_loss_check(
     """Check risk aversion over scenarios with ``X <= w`` pointwise."""
     if mu.is_zero_one_valued():
         raise ZeroOneCapacity("hypothesis requires a capacity that is not {0,1}-valued")
-    checked = 0
-    witness = None
-    averse = True
-    for w, x in outcomes:
-        if any(v > w for v in x.values):
-            raise ValueError("sampler must keep X <= w pointwise")
-        s = Scenario(w, x, mu, nu, u)
-        reason, pi = _price(s)
-        if reason is not None:
-            continue
-        checked += 1
-        if risk_neutral_premium(s) - pi > tol:
-            averse = False
-            witness = s
-            break
+
+    def capped():
+        # lazy, so a bad row after the witness is never reached
+        for w, x in outcomes:
+            if any(v > w for v in x.values):
+                raise ValueError("sampler must keep X <= w pointwise")
+            yield w, x
+
+    scan = is_risk_averse(u, mu, nu, capped(), tol)
     hi = min(u.domain_hi, 10.0)
     pts = 101
     eps = max(1e-9, hi * 1e-9)
@@ -324,4 +314,4 @@ def nonneg_loss_check(
     if not u.closed_at_lo and u.domain_lo >= 0.0:
         grid = grid[1:]
     concave = is_concave_on(u, grid).holds
-    return NonnegLossReport(averse, concave, averse == concave, checked, witness)
+    return NonnegLossReport(scan.averse, concave, scan.averse == concave, scan.checked, scan.witness)

@@ -163,40 +163,40 @@ class CapacityEnumerator:
             raise ValueError("levels must lie in [0, 1] and include 0 and 1")
 
     def __iter__(self) -> Iterator[Capacity]:
-        return enumerate_capacities(self.n, self.levels)
+        """Yield every monotone normalized table over the level grid exactly once.
+
+        Masks are filled in ascending integer order, which refines subset
+        inclusion, so each entry only needs to dominate its already-assigned
+        covers from below.
+        """
+        ground = GroundSet(self.n)
+        size = ground.size
+        table = [0.0] * size
+        table[size - 1] = 1.0
+
+        def fill(mask: int) -> Iterator[Capacity]:
+            if mask == size - 1:
+                yield Capacity(ground, tuple(table))
+                return
+            lb = 0.0
+            for i in range(self.n):
+                if mask >> i & 1:
+                    lb = max(lb, table[mask ^ (1 << i)])
+            for level in self.levels:
+                if level >= lb:
+                    table[mask] = level
+                    yield from fill(mask + 1)
+            table[mask] = 0.0
+
+        return fill(1)
 
     def count(self) -> int:
         return sum(1 for _ in self)
 
 
 def enumerate_capacities(n: int, levels: Sequence[float] = DEFAULT_LEVELS) -> Iterator[Capacity]:
-    """Yield every monotone normalized table over the level grid exactly once.
-
-    Masks are filled in ascending integer order, which refines subset
-    inclusion, so each entry only needs to dominate its already-assigned
-    covers from below.
-    """
-    enum = CapacityEnumerator(n, tuple(levels))
-    ground = GroundSet(enum.n)
-    size = ground.size
-    table = [0.0] * size
-    table[size - 1] = 1.0
-
-    def fill(mask: int) -> Iterator[Capacity]:
-        if mask == size - 1:
-            yield Capacity(ground, tuple(table))
-            return
-        lb = 0.0
-        for i in range(enum.n):
-            if mask >> i & 1:
-                lb = max(lb, table[mask ^ (1 << i)])
-        for level in enum.levels:
-            if level >= lb:
-                table[mask] = level
-                yield from fill(mask + 1)
-        table[mask] = 0.0
-
-    yield from fill(1)
+    """Iterator over ``CapacityEnumerator(n, levels)``."""
+    return iter(CapacityEnumerator(n, levels))
 
 
 # ---------------------------------------------------------------------------
@@ -293,49 +293,45 @@ def integral_property_checks(
     translation identity at ``tol``.
     """
     rng = np.random.default_rng(seed)
-    n = mu.ground.n
-    out: dict[str, Verdict] = {}
+    ground = mu.ground
 
-    bad = None
-    for _ in range(samples):
-        x = RandomVariable(mu.ground, tuple(rng.uniform(-10, 10, n)))
+    def tails(x: RandomVariable) -> dict | None:
         a = gen_choquet(mu, nu, x, strict_tails=True)
         b = gen_choquet(mu, nu, x, strict_tails=False)
-        if a != b:
-            bad = {"x": list(x.values), "gap": abs(a - b)}
-            break
-    out["tail-conventions"] = Verdict("tail conventions agree", bad is None, samples, bad)
+        return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
 
-    bad = None
-    for _ in range(samples):
-        x = RandomVariable(mu.ground, tuple(rng.uniform(-10, 10, n)))
-        y = RandomVariable(mu.ground, tuple(v + d for v, d in zip(x.values, rng.uniform(0, 5, n))))
+    def monotonicity(x: RandomVariable) -> dict | None:
+        y = RandomVariable(ground, tuple(v + d for v, d in zip(x.values, rng.uniform(0, 5, ground.n))))
         gap = gen_choquet(mu, nu, x) - gen_choquet(mu, nu, y)
-        if gap > tol:
-            bad = {"x": list(x.values), "y": list(y.values), "gap": gap}
-            break
-    out["monotonicity"] = Verdict("pointwise monotonicity", bad is None, samples, bad)
+        return {"x": list(x.values), "y": list(y.values), "gap": gap} if gap > tol else None
 
-    bad = None
-    for _ in range(samples):
-        x = RandomVariable(mu.ground, tuple(rng.uniform(-10, 10, n)))
+    def homogeneity(x: RandomVariable) -> dict | None:
         b = float(rng.uniform(-3, 3))
         lhs = gen_choquet(mu, nu, x * b)
         rhs = b * (gen_choquet(mu, nu, x) if b > 0 else gen_choquet(nu, mu, x))
-        if abs(lhs - rhs) > tol:
-            bad = {"x": list(x.values), "b": b, "gap": abs(lhs - rhs)}
-            break
-    out["homogeneity"] = Verdict("positive homogeneity with swap", bad is None, samples, bad)
+        gap = abs(lhs - rhs)
+        return {"x": list(x.values), "b": b, "gap": gap} if gap > tol else None
 
-    bad = None
-    for _ in range(samples):
-        x = RandomVariable(mu.ground, tuple(rng.uniform(-10, 10, n)))
+    def translation(x: RandomVariable) -> dict | None:
         a = float(rng.uniform(-10, 10))
         tg = translation_gap(mu, nu, x, a)
-        if abs(tg.lhs - tg.correction) > tol:
-            bad = {"x": list(x.values), "a": a, "gap": abs(tg.lhs - tg.correction)}
-            break
-    out["translation"] = Verdict("translation identity", bad is None, samples, bad)
+        gap = abs(tg.lhs - tg.correction)
+        return {"x": list(x.values), "a": a, "gap": gap} if gap > tol else None
+
+    trials = (
+        ("tail-conventions", "tail conventions agree", tails),
+        ("monotonicity", "pointwise monotonicity", monotonicity),
+        ("homogeneity", "positive homogeneity with swap", homogeneity),
+        ("translation", "translation identity", translation),
+    )
+    out: dict[str, Verdict] = {}
+    for key, check, trial in trials:
+        bad = None
+        for _ in range(samples):
+            bad = trial(RandomVariable(ground, tuple(rng.uniform(-10, 10, ground.n))))
+            if bad is not None:
+                break
+        out[key] = Verdict(check, bad is None, samples, bad)
     return out
 
 

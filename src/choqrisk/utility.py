@@ -42,6 +42,11 @@ class UtilityFunction:
             return self.domain_lo <= x < self.domain_hi
         return self.domain_lo < x < self.domain_hi
 
+    def in_range(self, y: float) -> bool:
+        """True where ``inverse`` applies: y is the image of a domain point."""
+        lo, hi = self.range()
+        return lo <= y < hi if self.closed_at_lo else lo < y < hi
+
     def _require(self, x: float) -> float:
         x = float(x)
         if not self.in_domain(x):
@@ -60,13 +65,13 @@ class UtilityFunction:
         return self._second(self._require(x))
 
     def inverse(self, y: float) -> float:
-        lo, hi = self.range()
-        if not (lo < y < hi or (y == lo and self.closed_at_lo)):
-            raise NotInRange(f"{self.spec()}: {y!r} outside range ({lo}, {hi})")
+        if not self.in_range(y):
+            lo, hi = self.range()
+            raise NotInRange(f"{self.spec()}: {y!r} outside the range from {lo} to {hi}")
         return self._inverse(float(y))
 
     def range(self) -> tuple[float, float]:
-        """Open image interval of the domain."""
+        """Endpoints of the image of the domain; ``in_range`` says which are included."""
         raise NotImplementedError
 
     def _value(self, x: float) -> float:
@@ -365,7 +370,8 @@ class PiecewiseLinearKink(UtilityFunction):
 class TabulatedUtility(UtilityFunction):
     """Strictly increasing piecewise-linear utility through knots.
 
-    A knot at ``(0, 0)`` is required.  The inverse runs the generic
+    A knot at ``(0, 0)`` is required.  Domain and range are closed at both
+    ends: the end knots belong to them.  The inverse runs the generic
     bisection bracket rather than segment algebra, exercising the fallback
     path an empirical (non-closed-form) utility would take; tests pin it
     against the exact segment inverse.
@@ -389,6 +395,10 @@ class TabulatedUtility(UtilityFunction):
 
     def in_domain(self, x: float) -> bool:
         return self.domain_lo <= x <= self.domain_hi
+
+    def in_range(self, y: float) -> bool:
+        lo, hi = self.range()
+        return lo <= y <= hi
 
     def _value(self, x: float) -> float:
         ks = self.knots
@@ -430,12 +440,6 @@ class TabulatedUtility(UtilityFunction):
 
     def range(self) -> tuple[float, float]:
         return (self.knots[0][1], self.knots[-1][1])
-
-    def inverse(self, y: float) -> float:
-        lo, hi = self.range()
-        if not lo <= y <= hi:
-            raise NotInRange(f"{self.spec()}: {y!r} outside range [{lo}, {hi}]")
-        return self._inverse(float(y))
 
     def spec(self) -> str:
         return "utable:" + ";".join(f"{x:g},{y:g}" for x, y in self.knots)

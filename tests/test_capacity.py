@@ -35,6 +35,7 @@ from choqrisk.errors import (
     NotAdditive,
     NotMonotone,
     NotNormalized,
+    TooLarge,
 )
 
 STRUCT_TOL = 1e-12
@@ -404,6 +405,26 @@ def test_uncertainty_measure_axioms(g2):
     bad = new_capacity(g2, [0.0, 0.3, 0.3, 1.0])
     check = is_uncertainty_measure(bad)
     assert not check.holds and check.failing_axiom == "self-duality"
+
+
+def test_uncertainty_measure_subadditivity_failure(g3):
+    # self-dual (0.2 + 0.8 = 1) but two singletons join to more than their sum
+    table = [0.8 if bin(a).count("1") == 2 else 0.2 for a in g3.subsets()]
+    table[0], table[g3.full] = 0.0, 1.0
+    m = new_capacity(g3, table)
+    check = is_uncertainty_measure(m)
+    assert not check.holds and check.failing_axiom == "subadditivity"
+    a, b = check.witness
+    assert m[a | b] > m[a] + m[b] + STRUCT_TOL
+
+
+def test_pair_walks_refuse_n_above_the_cap():
+    g = GroundSet(17)
+    p = from_probability(g, [2.0**-k for k in range(1, 17)] + [2.0**-16])
+    with pytest.raises(TooLarge):
+        is_superadditive(p)
+    with pytest.raises(TooLarge):
+        is_uncertainty_measure(p)
 
 
 def test_capacity_repr_uses_labels():

@@ -117,6 +117,7 @@ def test_cli_check_capacity_rejects_bad_table(tmp_path, capsys):
         ({"n": 2, "table": {"0": 0.0, "1": 0.6, "2": 0.1, "3": 0.5}}, "monotonicity"),
         ({"n": True, "table": {"0": False, "1": True}}, "positive integer"),
         ({"n": 1, "table": {"0": False, "1": True}}, "not a number"),
+        ({"n": 2, "table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0, "4": 1.0}}, "out of range"),
     ]:
         bad.write_text(json.dumps(doc))
         assert main(["check-capacity", str(bad)]) == 1
@@ -161,6 +162,16 @@ def test_cli_integrate_oracle_cell_cap(mu_file, nu_file, capsys, monkeypatch):
     )
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_cli_integrate_rejects_bad_oracle_step(mu_file, nu_file, capsys, step):
+    code = main(
+        ["integrate", "--mu", str(mu_file), "--nu", str(nu_file), "--x", "[4,-2]",
+         "--oracle-step", step]
+    )
+    assert code == 1
+    assert "step must be positive and finite" in capsys.readouterr().err
 
 
 def test_cli_integrate_choquet_mode(mu_file, capsys):
@@ -218,6 +229,19 @@ def test_cli_compare(mu_file, nu_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "composition concave:   True" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_comparisons_reject_samples_below_one(tmp_path, mu_file, nu_file, capsys, samples):
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"w": 1.0, "X": [0.5, -0.5], "mu_file": "mu.json",
+                              "nu_file": "nu.json", "utility": "exp:2"}))
+    for argv in (
+        ["compare", "--u", "exp:2", "--v", "exp:1", "--mu", str(mu_file), "--nu", str(nu_file)],
+        ["premium", str(sc), "--compare", "exp:1"],
+    ):
+        assert main(argv + ["--samples", samples]) == 1
+        assert "--samples must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_figures_all(tmp_path, capsys):

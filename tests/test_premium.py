@@ -21,6 +21,7 @@ from choqrisk import (
     Power,
     RandomVariable,
     Scenario,
+    TabulatedUtility,
     approx_premium,
     compare_agents,
     from_probability,
@@ -28,6 +29,7 @@ from choqrisk import (
     nonneg_loss_check,
     premium,
     risk_neutral_premium,
+    unanimity,
 )
 from choqrisk.errors import OutOfClass, ZeroOneCapacity
 from choqrisk.premium import class_membership, sample_outcomes, two_point_outcomes
@@ -59,9 +61,21 @@ def test_linear_premium_worked(mu_worked, nu_worked, g2):
 
 def test_constant_outcome_prices_at_itself(mu_worked, nu_worked, g2):
     x = RandomVariable(g2, (0.7, 0.7))
-    for u in (Linear(), Exponential(2.0), Logarithmic(1.0)):
+    # the tabulated utility's top knot sits at w - c = 0.8, inside its closed domain
+    top_knot = TabulatedUtility(((-1.0, -2.0), (0.0, 0.0), (0.8, 0.5)))
+    for u in (Linear(), Exponential(2.0), Logarithmic(1.0), top_knot):
         s = Scenario(1.5, x, mu_worked, nu_worked, u)
         assert premium(s) == pytest.approx(0.7, abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [(0.0, 0.5), (0.0, 0.0)])
+def test_tabulated_top_endpoint_is_in_class(g2, x):
+    # w - X reaches the top knot (1, 0.5) where the unanimity game looks
+    u = TabulatedUtility(((-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)))
+    cap = unanimity(g2, 0b01)
+    s = Scenario(1.0, RandomVariable(g2, x), cap, cap, u)
+    assert class_membership(s) == (True, None)
+    assert premium(s) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_out_of_class_reports_reason(g2, mu_worked, nu_worked):
@@ -314,8 +328,6 @@ def test_nonneg_loss_kinked_on_negatives_is_still_averse(nu_worked, mu_worked, g
 
 
 def test_nonneg_loss_rejects_zero_one_capacity(g2):
-    from choqrisk import unanimity
-
     mu = unanimity(g2, 1)
     with pytest.raises(ZeroOneCapacity):
         nonneg_loss_check(Exponential(1.0), mu, mu, [])
@@ -325,3 +337,12 @@ def test_nonneg_loss_rejects_bad_sampler(mu_worked, nu_worked, g2):
     outcomes = [(1.0, RandomVariable(g2, (2.0, 0.0)))]
     with pytest.raises(ValueError):
         nonneg_loss_check(Exponential(1.0), mu_worked, nu_worked, outcomes)
+
+
+def test_nonneg_loss_stops_at_the_witness(mu_worked, nu_worked, g2):
+    # the scan is lazy: a row with X > w after the witness is never reached
+    w, x = 3.0, RandomVariable(g2, (3.0, 0.0))
+    bad = (1.0, RandomVariable(g2, (2.0, 0.0)))
+    report = nonneg_loss_check(Power(0.5, 2.0), mu_worked, nu_worked, [(w, x), bad])
+    assert not report.averse and report.checked == 1
+    assert (report.witness.w, report.witness.x) == (w, x)
