@@ -27,6 +27,7 @@ from .integral import (
     ax_bx,
     choquet,
     gen_choquet,
+    gen_choquet_batch,
     in_l_class,
     lower_tail,
     riemann_oracle,

@@ -163,6 +163,62 @@ def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable, strict_tails: boo
     return total - lower_part
 
 
+def _outcome_rows(ground: GroundSet, xs) -> np.ndarray:
+    """xs as a float array of finite rows of n values; RandomVariable's checks."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != ground.n:
+        raise ValueError(f"expected rows of {ground.n} values, got an array of shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("values must be finite")
+    return xs
+
+
+def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
+    """``gen_choquet`` of every row of a (K, n) array, bit-for-bit.
+
+    The plan depends only on the ordering of each row: a stable argsort, the
+    first column of each tie group, and the prefix bitmasks of the sorted
+    elements.  At the first column of a tie group with value d, the prefix
+    before the group is the event ``X < d`` and the prefix through it is
+    ``X <= d``; their complements are ``X >= d`` and ``X > d``.  These are
+    the events both tail conventions select, so one plan serves both.
+    Evaluation gathers the capacity values at those masks, walks the columns
+    in ascending order and adds the scalar loop's terms in its order, so
+    every row equals the scalar integral under either convention.  Rows must
+    be finite and have n columns, as for RandomVariable.
+    """
+    ground = _check_same_ground(mu, nu)
+    n = ground.n
+    xs = _outcome_rows(ground, xs)
+
+    # plan
+    order = np.argsort(xs, axis=1, kind="stable")
+    srt = np.take_along_axis(xs, order, axis=1)
+    before = np.zeros((len(xs), n + 1), dtype=np.int64)
+    np.cumsum(np.left_shift(1, order), axis=1, out=before[:, 1:])
+    starts = np.ones(srt.shape, dtype=bool)
+    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    # first column of the next tie group, n after the last one
+    first = np.where(starts, np.arange(n), n)
+    nxt = np.concatenate([first[:, 1:], np.full((len(xs), 1), n)], axis=1)
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    below = before[:, :n]  # X < d at the first column of d's group
+    upto = np.take_along_axis(before, nxt, axis=1)  # X <= d
+
+    # evaluate
+    mu_t, nu_t = np.asarray(mu.table, dtype=float), np.asarray(nu.table, dtype=float)
+    full = ground.full
+    tail, tail_next = mu_t[full ^ below], mu_t[full ^ upto]
+    prev, low = nu_t[below], nu_t[upto]
+    total = np.zeros(len(xs))
+    lower = np.zeros(len(xs))
+    for j in range(n):
+        d = srt[:, j]
+        total = np.where(starts[:, j] & (d > 0.0), total + d * (tail[:, j] - tail_next[:, j]), total)
+        lower = np.where(starts[:, j] & (d < 0.0), lower + d * (prev[:, j] - low[:, j]), lower)
+    return total - lower
+
+
 def choquet(mu: Capacity, x: RandomVariable) -> float:
     """Choquet integral: losses weighted by the conjugate of ``mu``."""
     return gen_choquet(mu, mu.dual(), x)

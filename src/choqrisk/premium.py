@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
-from .errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
+from .errors import NonDifferentiable, OutOfClass, ZeroDerivative, ZeroOneCapacity
 from .integral import RandomVariable, gen_choquet, lower_tail, step_integral, survival
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
@@ -223,6 +223,15 @@ class AgentComparison:
         return self.premium_order_holds == self.r_order_holds == self.composition_concave
 
 
+def _where_differentiable(fn, xs: Iterable[float]) -> Iterator:
+    """``fn`` at each point of xs, skipping kinks and knots where it raises NonDifferentiable."""
+    for x in xs:
+        try:
+            yield fn(x)
+        except NonDifferentiable:
+            continue
+
+
 def compare_agents(
     u: UtilityFunction,
     v: UtilityFunction,
@@ -232,7 +241,11 @@ def compare_agents(
     grid: Sequence[float] | None = None,
     tol: float = PREMIUM_TOL,
 ) -> AgentComparison:
-    """Compare premiums, Arrow-Pratt coefficients and composed curvature."""
+    """Compare premiums, Arrow-Pratt coefficients and composed curvature.
+
+    Grid points where u or v has no derivative (a kink, a tabulated knot)
+    are left out of the Arrow-Pratt and curvature verdicts.
+    """
     hypotheses = dominates_dual(mu, nu).holds and coexistence_set(mu, nu) is not None
 
     if grid is None:
@@ -243,14 +256,12 @@ def compare_agents(
         ghi = shrink(hi, -1.0) if hi < np.inf else 10.0
         grid = [glo + k * (ghi - glo) / 200 for k in range(201)]
 
-    r_order = True
-    for x in grid:
-        if arrow_pratt(u, x) < arrow_pratt(v, x) - tol:
-            r_order = False
-            break
-
+    r_order = all(
+        not ru < rv - tol
+        for ru, rv in _where_differentiable(lambda x: (arrow_pratt(u, x), arrow_pratt(v, x)), grid)
+    )
     comp = compose_via_inverse(u, v)
-    comp_concave = all(comp.second(xx) <= tol for xx in comp.grid())
+    comp_concave = all(g2 <= tol for g2 in _where_differentiable(comp.second, comp.grid()))
 
     premium_order = True
     witness = None

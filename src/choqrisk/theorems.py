@@ -29,9 +29,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, coexistence_set, dominates_dual
+from .capacity import Capacity, GroundSet, _check_same_ground, coexistence_set, dominates_dual
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
-from .integral import RandomVariable, ax_bx, gen_choquet, translation_gap
+from .integral import (
+    RandomVariable,
+    _outcome_rows,
+    ax_bx,
+    gen_choquet,
+    gen_choquet_batch,
+    translation_gap,
+)
 from .utility import (
     Exponential,
     NegSqrtKink,
@@ -47,6 +54,9 @@ DEFAULT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VALUE_GRID = tuple(-5.0 + 0.25 * k for k in range(41))
 #: ids of the sweep's check families, in the order each pair runs them
 THEOREM_IDS = ("lemma", "1", "2", "3", "4")
+#: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
+#: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
+GRID_MAX_CELLS = 2 * 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +219,48 @@ def _canonical_splits(ground: GroundSet) -> list[int]:
     return [b for b in range(1, ground.full) if b & 1]
 
 
+def _check_grid_size(ground: GroundSet, rows: int) -> None:
+    if rows * ground.n > GRID_MAX_CELLS:
+        raise TooLarge(
+            f"a grid of {rows} rows of {ground.n} values is over the cap of {GRID_MAX_CELLS:.0e} cells"
+        )
+
+
+def two_point_grid(ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GRID) -> np.ndarray:
+    """(K, n) array of all variables taking value s on B and t off B.
+
+    Rows run over the canonical splits B, then s, then t, each over the value
+    grid in its order.  Raises TooLarge above GRID_MAX_CELLS cells.
+    """
+    values = np.asarray(values, dtype=float)
+    splits = _canonical_splits(ground)
+    _check_grid_size(ground, len(splits) * len(values) ** 2)
+    on_b = np.array(
+        [[b_set >> i & 1 for i in range(ground.n)] for b_set in splits], dtype=bool
+    ).reshape(-1, 1, 1, ground.n)
+    grid = np.where(on_b, values[:, None, None], values[None, :, None])
+    return grid.reshape(-1, ground.n)
+
+
 def two_point_variables(
     ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GRID
 ) -> Iterator[RandomVariable]:
-    """All variables taking value s on B and t off B, over a value grid."""
-    for b_set in _canonical_splits(ground):
-        for s in values:
-            for t in values:
-                yield RandomVariable(
-                    ground, tuple(s if b_set >> i & 1 else t for i in range(ground.n))
-                )
+    """The rows of ``two_point_grid`` as random variables."""
+    for row in two_point_grid(ground, values).tolist():
+        yield RandomVariable(ground, tuple(row))
+
+
+def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
+    """``fn`` at every entry of xs, called once per distinct float (by bit pattern)."""
+    xs = np.ascontiguousarray(xs, dtype=float)
+    keys, inverse = np.unique(xs.view(np.int64).ravel(), return_inverse=True)
+    out = np.array([fn(v) for v in keys.view(np.float64).tolist()], dtype=dtype)
+    return out[inverse].reshape(xs.shape)
+
+
+def _jensen_gaps(mu: Capacity, nu: Capacity, f, xs: np.ndarray, integrals: np.ndarray) -> np.ndarray:
+    """``jensen_gap`` of every row of xs (all inside f's domain), given C of each row."""
+    return gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, integrals)
 
 
 def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
@@ -231,21 +273,30 @@ def jensen_holds(
     mu: Capacity,
     nu: Capacity,
     f,
-    xs: Iterable[RandomVariable],
+    xs: np.ndarray | Iterable[RandomVariable],
     tol: float = VIOLATION_TOL,
 ) -> Verdict:
-    """Check ``C(f(X)) <= f(C(X))`` over supplied variables."""
-    checked = 0
-    for x in xs:
-        if not all(f.in_domain(v) for v in x.values):
-            continue
-        checked += 1
-        gap = jensen_gap(mu, nu, f, x)
-        if gap > tol:
-            return Verdict(
-                "jensen", False, checked, {"f": f.spec(), "x": list(x.values), "gap": gap}
-            )
-    return Verdict("jensen", True, checked)
+    """Check ``C(f(X)) <= f(C(X))`` over supplied variables.
+
+    ``xs`` is a (K, n) array of outcomes, or random variables.  Rows with a
+    value outside f's domain are skipped; the witness is the first violating
+    row, and ``checked`` counts the in-domain rows up to it.
+    """
+    ground = _check_same_ground(mu, nu)
+    if not isinstance(xs, np.ndarray):
+        xs = list(xs)
+        _check_same_ground(mu, *xs)
+        xs = np.reshape([x.values for x in xs], (len(xs), ground.n))
+    xs = _outcome_rows(ground, xs)
+    xs = xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
+    gaps = _jensen_gaps(mu, nu, f, xs, gen_choquet_batch(mu, nu, xs))
+    bad = np.flatnonzero(gaps > tol)
+    if bad.size:
+        i = int(bad[0])
+        return Verdict(
+            "jensen", False, i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
+        )
+    return Verdict("jensen", True, len(xs))
 
 
 @dataclass(frozen=True)
@@ -359,7 +410,9 @@ def zero_one_collapse_check(
         RandomVariable(ground, tuple(rng.uniform(min(values), max(values), ground.n)))
         for _ in range(25)
     ]
-    for x in list(two_point_variables(ground, values))[:: max(1, len(values) // 8)] + dense:
+    grid = two_point_grid(ground, values)
+    sampled = [RandomVariable(ground, tuple(row)) for row in grid[:: max(1, len(values) // 8)].tolist()]
+    for x in sampled + dense:
         if not all(f.in_domain(v) for v in x.values):
             continue
         a_x, b_x = ax_bx(mu, nu, x)
@@ -374,7 +427,7 @@ def zero_one_collapse_check(
                 {"f": f.spec(), "x": list(x.values), "lhs": lhs, "rhs": rhs},
             )
 
-    scan = jensen_holds(mu, nu, f, two_point_variables(ground, values))
+    scan = jensen_holds(mu, nu, f, grid)
     checked += scan.checked
     if coexistence_set(mu, nu, both_one=True) is not None:
         in_dom = [v for v in values if f.in_domain(v)]
@@ -416,41 +469,40 @@ def two_valued_concavity_probe(
 
     ground = mu.ground
     full = ground.full
-    checked = 0
-    violation = None
-    for b_set in _canonical_splits(ground):
-        for variant in (b_set, full ^ b_set):
-            p, q = mu.table[variant], nu.table[full ^ variant]
-            for alpha in values:
-                for beta in values:
-                    if alpha >= beta:
-                        continue
-                    if not (f.in_domain(alpha) and f.in_domain(beta)):
-                        continue
-                    x = RandomVariable(
-                        ground,
-                        tuple(beta if variant >> i & 1 else alpha for i in range(ground.n)),
-                    )
-                    m = gen_choquet(mu, nu, x)
-                    # closed two-valued mixture forms
-                    if alpha >= 0.0:
-                        expect = alpha * (1 - p) + beta * p
-                    elif beta <= 0.0:
-                        expect = alpha * q + beta * (1 - q)
-                    else:
-                        expect = alpha * q + beta * p
-                    if abs(m - expect) > 1e-9:
-                        return Verdict(
-                            "two-valued mixture form",
-                            False,
-                            checked,
-                            {"x": list(x.values), "integral": m, "expected": expect},
-                        )
-                    checked += 1
-                    gap = gen_choquet(mu, nu, x.map(f.value)) - f.value(m)
-                    if gap > VIOLATION_TOL and violation is None:
-                        violation = {"f": f.spec(), "x": list(x.values), "gap": gap}
     in_dom = [v for v in values if f.in_domain(v)]
+    dom = np.asarray(in_dom, dtype=float)
+    alpha, beta = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
+    alpha, beta = alpha[alpha < beta], beta[alpha < beta]
+    variants = [v for b_set in _canonical_splits(ground) for v in (b_set, full ^ b_set)]
+    _check_grid_size(ground, len(variants) * len(alpha))
+    on_beta = np.array([[v >> i & 1 for i in range(ground.n)] for v in variants], dtype=bool)
+    xs = np.where(on_beta[:, None, :], beta[:, None], alpha[:, None]).reshape(-1, ground.n)
+    p = np.repeat([mu.table[v] for v in variants], len(alpha))
+    q = np.repeat([nu.table[full ^ v] for v in variants], len(alpha))
+    alpha, beta = np.tile(alpha, len(variants)), np.tile(beta, len(variants))
+    m = gen_choquet_batch(mu, nu, xs)
+    # closed two-valued mixture forms
+    expect = np.where(
+        alpha >= 0.0,
+        alpha * (1 - p) + beta * p,
+        np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
+    )
+    off = np.flatnonzero(np.abs(m - expect) > 1e-9)
+    if off.size:
+        i = int(off[0])
+        return Verdict(
+            "two-valued mixture form",
+            False,
+            i,
+            {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])},
+        )
+    checked = len(xs)
+    gaps = _jensen_gaps(mu, nu, f, xs, m)
+    bad = np.flatnonzero(gaps > VIOLATION_TOL)
+    violation = None
+    if bad.size:
+        i = int(bad[0])
+        violation = {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
     concave = is_concave_on(f, in_dom, tol=VIOLATION_TOL)
     consistent = concave.holds == (violation is None)
     return Verdict(
@@ -477,7 +529,7 @@ def nonnegative_axis_check(
         values = tuple(0.25 * k for k in range(21))
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    scan = jensen_holds(mu, nu, f, two_point_variables(mu.ground, values))
+    scan = jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))
     if mu.is_zero_one_valued():
         return Verdict(
             "nonnegative-axis zero-one",
@@ -598,7 +650,7 @@ def run_full_report(
         yield "jensen converse", ok, None if wit is None else {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
 
     def forward(mu, nu, f):
-        return jensen_holds(mu, nu, f, two_point_variables(mu.ground, values))
+        return jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))
 
     def over(name, gallery, check):
         def run(mu, nu):

@@ -20,8 +20,10 @@ from choqrisk import (
     choquet,
     from_probability,
     gen_choquet,
+    gen_choquet_batch,
     in_l_class,
     lower_tail,
+    new_capacity,
     riemann_oracle,
     scaled_integral,
     sipos,
@@ -32,6 +34,7 @@ from choqrisk import (
 )
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
+from choqrisk.theorems import zero_at_zero_gallery
 
 DERIVED_TOL = 1e-9
 
@@ -326,3 +329,63 @@ def test_rv_operators(g2):
 def test_rv_requires_finite(g2):
     with pytest.raises(ValueError):
         RandomVariable(g2, (1.0, math.inf))
+
+
+# --- batched kernel ------------------------------------------------------------------
+
+# a small value set with 0 in it, so rows carry ties and zeros
+KERNEL_VALUES = (-2.5, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0)
+
+
+def kernel_rows(n):
+    return st.lists(
+        st.lists(st.sampled_from(KERNEL_VALUES), min_size=n, max_size=n), min_size=1, max_size=12
+    )
+
+
+def zero_one_capacity(ground, coalitions):
+    """1 exactly on supersets of some coalition: the {0,1}-valued capacities."""
+    return new_capacity(
+        ground,
+        [1.0 if any(a & c == c for c in coalitions) else 0.0 for a in range(ground.size)],
+    )
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_matches_scalar_bitwise_under_both_conventions(n, seed, data):
+    ground = GroundSet(n)
+    rng = rng_from_seed(seed)
+    mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+    rows = data.draw(kernel_rows(n))
+    got = gen_choquet_batch(mu, nu, rows)
+    for strict in (True, False):
+        want = np.array([gen_choquet(mu, nu, RandomVariable(ground, tuple(r)), strict) for r in rows])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    step = 1e-3
+    for r, c in zip(rows, got):
+        assert abs(c - riemann_oracle(mu, nu, RandomVariable(ground, tuple(r)), step)) <= 2 * step
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_batch_zero_one_collapse_is_exact(n, data):
+    ground = GroundSet(n)
+    masks = st.lists(st.integers(1, ground.full), min_size=1, max_size=3)
+    mu = zero_one_capacity(ground, data.draw(masks))
+    nu = zero_one_capacity(ground, data.draw(masks))
+    rows = data.draw(kernel_rows(n))
+    for f in zero_at_zero_gallery():
+        got = gen_choquet_batch(mu, nu, [[f.value(v) for v in r] for r in rows])
+        for r, c in zip(rows, got):
+            x = RandomVariable(ground, tuple(r))
+            a_x, b_x = ax_bx(mu, nu, x)
+            assert c == f.value(a_x) + f.value(b_x)
+            assert c == gen_choquet(mu, nu, x.map(f.value))
+
+
+def test_batch_rejects_bad_rows(mu_worked, nu_worked):
+    for bad in ([[1.0, 2.0, 3.0]], [1.0, 2.0], [[1.0, math.nan]], [[math.inf, 0.0]]):
+        with pytest.raises(ValueError):
+            gen_choquet_batch(mu_worked, nu_worked, bad)
+    assert gen_choquet_batch(mu_worked, nu_worked, np.empty((0, 2))).shape == (0,)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,34 @@ def test_cli_compare(mu_file, nu_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "composition concave:   True" in out
+
+
+TABLE_SPEC = "utable:-1,-2;0,0;1,0.5"
+
+
+@pytest.mark.parametrize(
+    "u, v, r_order", [(TABLE_SPEC, "exp:1", False), ("exp:1", TABLE_SPEC, True)]
+)
+def test_cli_compare_tabulated_utility(mu_file, nu_file, capsys, u, v, r_order):
+    code = main(
+        ["compare", "--u", u, "--v", v, "--mu", str(mu_file), "--nu", str(nu_file), "--samples", "60"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"arrow-pratt order:     {r_order}" in out
+    assert f"composition concave:   {r_order}" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["verify", "--n", "2", "--levels", "0,1", "--seed", "1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "choqrisk", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -288,6 +288,18 @@ def test_reversed_exponentials_fail_with_witness():
     assert not comp.premium_order_holds and comp.witness is not None
 
 
+def test_comparison_with_a_tabulated_utility_skips_its_knots():
+    # the default grids hit the knots -1 and 0, where the slopes are undefined
+    mu, nu, outcomes = comparison_setup()
+    table = TabulatedUtility(((-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)))
+    comp = compare_agents(table, Exponential(1.0), mu, nu, outcomes)
+    assert comp.checked > 0
+    assert not comp.r_order_holds and not comp.composition_concave
+    comp = compare_agents(Exponential(1.0), table, mu, nu, outcomes)
+    assert comp.checked > 0
+    assert comp.r_order_holds and comp.composition_concave
+
+
 def test_comparison_reports_hypothesis_failure(pl_pair):
     pl, _ = pl_pair
     outcomes = sample_outcomes(rng_from_seed(7), pl.ground, 50)

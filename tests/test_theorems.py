@@ -20,6 +20,7 @@ from choqrisk import (
     TabulatedUtility,
     integral_property_checks,
     enumerate_capacities,
+    gen_choquet,
     jensen_counterexample,
     jensen_holds,
     new_capacity,
@@ -31,7 +32,19 @@ from choqrisk import (
 )
 from choqrisk.errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
-from choqrisk.theorems import AffineMap, PlainMap, jensen_gap, two_point_variables
+import numpy as np
+
+from choqrisk.theorems import (
+    DEFAULT_VALUE_GRID,
+    VIOLATION_TOL,
+    AffineMap,
+    PlainMap,
+    concave_increasing_gallery,
+    convex_increasing_gallery,
+    jensen_gap,
+    two_point_grid,
+    two_point_variables,
+)
 
 
 # --- enumeration oracle --------------------------------------------------------
@@ -356,3 +369,148 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 def test_two_point_variables_cover_both_orders(g2):
     xs = {x.values for x in two_point_variables(g2, (-1.0, 2.0))}
     assert (2.0, -1.0) in xs and (-1.0, 2.0) in xs
+
+
+def reference_two_point_rows(ground, values):
+    """The grid order written out: splits containing element 0, then s, then t."""
+    return [
+        tuple(s if b >> i & 1 else t for i in range(ground.n))
+        for b in range(1, ground.full)
+        if b & 1
+        for s in values
+        for t in values
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_point_grid_matches_the_variables_row_for_row(n):
+    ground = GroundSet(n)
+    values = (-1.5, 0.0, 0.25, 2.0)
+    want = reference_two_point_rows(ground, values)
+    assert [tuple(r) for r in two_point_grid(ground, values).tolist()] == want
+    assert [x.values for x in two_point_variables(ground, values)] == want
+    assert two_point_grid(ground, values).shape == (len(want), n)
+
+
+def test_two_point_grids_refuse_more_than_the_cap():
+    with pytest.raises(TooLarge):
+        two_point_grid(GroundSet(9))  # 255 splits x 41^2 values x 9 > 2e6 cells
+    assert two_point_grid(GroundSet(2), range(1000)).shape == (10**6, 2)
+    mu = new_capacity(GroundSet(2), [0.0, 0.3, 0.4, 1.0])
+    with pytest.raises(TooLarge):
+        two_valued_concavity_probe(mu, mu.dual(), Exponential(1.0), range(1001))
+
+
+# --- batched jensen scan ---------------------------------------------------------------
+
+def reference_jensen(mu, nu, f, xs, tol=VIOLATION_TOL):
+    """The scalar scan: (checked, witness) at the first violation, else (checked, None)."""
+    checked = 0
+    for x in xs:
+        if not all(f.in_domain(v) for v in x.values):
+            continue
+        checked += 1
+        gap = jensen_gap(mu, nu, f, x)
+        if gap > tol:
+            return checked, {"f": f.spec(), "x": list(x.values), "gap": gap}
+    return checked, None
+
+
+def test_jensen_holds_edge_cases_check_nothing(mu_worked, nu_worked):
+    f = Exponential(1.0)
+    for xs in ([], np.empty((0, 2))):
+        verdict = jensen_holds(mu_worked, nu_worked, f, xs)
+        assert (verdict.holds, verdict.checked, verdict.witness) == (True, 0, None)
+    g1 = GroundSet(1)
+    one = new_capacity(g1, [0.0, 1.0])
+    grid = two_point_grid(g1)
+    assert grid.shape == (0, 1)
+    assert jensen_holds(one, one, f, grid).checked == 0
+    negative = two_point_grid(mu_worked.ground, (-2.0, -1.0))
+    verdict = jensen_holds(mu_worked, nu_worked, Power(0.0, 0.5), negative)
+    assert (verdict.holds, verdict.checked) == (True, 0)
+
+
+def test_jensen_holds_matches_the_scalar_scan(pl_pair):
+    pl, _ = pl_pair
+    rng = rng_from_seed(41)
+    ground = GroundSet(3)
+    pairs = [(pl, pl)] + [(random_capacity(rng, ground), random_capacity(rng, ground)) for _ in range(3)]
+    maps = concave_increasing_gallery() + convex_increasing_gallery() + [Power(0.0, 0.5)]
+    violations = 0
+    for mu, nu in pairs:
+        values = DEFAULT_VALUE_GRID[::3]
+        grid = two_point_grid(mu.ground, values)
+        for f in maps:
+            checked, witness = reference_jensen(mu, nu, f, two_point_variables(mu.ground, values))
+            for xs in (grid, two_point_variables(mu.ground, values)):
+                verdict = jensen_holds(mu, nu, f, xs)
+                assert (verdict.checked, verdict.witness) == (checked, witness)
+                assert verdict.holds == (witness is None)
+            if witness is not None:
+                violations += 1
+                assert all(type(v) is float for v in verdict.witness["x"] + [verdict.witness["gap"]])
+    assert violations >= 3
+
+
+def reference_probe_scan(mu, nu, f, values):
+    """The scalar concavity-probe loop: (checked, first violation or mismatch witness)."""
+    ground, full = mu.ground, mu.ground.full
+    checked = 0
+    violation = None
+    for b_set in range(1, full):
+        if not b_set & 1:
+            continue
+        for variant in (b_set, full ^ b_set):
+            p, q = mu.table[variant], nu.table[full ^ variant]
+            for alpha in values:
+                for beta in values:
+                    if alpha >= beta or not (f.in_domain(alpha) and f.in_domain(beta)):
+                        continue
+                    x = RandomVariable(
+                        ground, tuple(beta if variant >> i & 1 else alpha for i in range(ground.n))
+                    )
+                    m = gen_choquet(mu, nu, x)
+                    if alpha >= 0.0:
+                        expect = alpha * (1 - p) + beta * p
+                    elif beta <= 0.0:
+                        expect = alpha * q + beta * (1 - q)
+                    else:
+                        expect = alpha * q + beta * p
+                    if abs(m - expect) > 1e-9:
+                        return checked, {"x": list(x.values), "integral": m, "expected": expect}
+                    checked += 1
+                    gap = gen_choquet(mu, nu, x.map(f.value)) - f.value(m)
+                    if gap > VIOLATION_TOL and violation is None:
+                        violation = {"f": f.spec(), "x": list(x.values), "gap": gap}
+    return checked, violation
+
+
+def test_probe_matches_the_scalar_scan(g3, monkeypatch):
+    from choqrisk import theorems
+    from choqrisk.utility import ShapeCheck
+
+    mu = new_capacity(g3, [0.0, 0.2, 0.3, 0.5, 0.1, 0.4, 0.4, 1.0])
+    nu = mu.dual()
+    values = tuple(-3.0 + 0.5 * k for k in range(13))
+    # every map passes as concave, so a violation lands in the witness
+    monkeypatch.setattr(theorems, "is_concave_on", lambda f, xs, tol: ShapeCheck(True, None, 0.0))
+    violations = 0
+    for f in (Exponential(1.0), PlainMap("expm1", math.expm1), Power(0.0, 2.0)):
+        checked, violation = reference_probe_scan(mu, nu, f, values)
+        verdict = two_valued_concavity_probe(mu, nu, f, values)
+        assert verdict.checked == checked
+        assert verdict.witness == (
+            None if violation is None else {"f": f.spec(), "concave": True, "violation": violation}
+        )
+        violations += violation is not None
+    assert violations == 2
+
+    # a kernel off from row 40 on: the probe stops there, as the scalar loop would
+    exact = theorems.gen_choquet_batch
+    monkeypatch.setattr(
+        theorems, "gen_choquet_batch", lambda mu, nu, xs: exact(mu, nu, xs) + (np.arange(len(xs)) >= 40)
+    )
+    verdict = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
+    assert (verdict.check, verdict.holds, verdict.checked) == ("two-valued mixture form", False, 40)
+    assert verdict.witness["integral"] == pytest.approx(verdict.witness["expected"] + 1.0, abs=1e-9)
