@@ -24,6 +24,7 @@ it never shares code with the exact path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -102,35 +103,49 @@ class RandomVariable:
         return max(self.values)
 
 
-def _mask(values: Sequence[float], pred: Callable[[float], bool]) -> int:
-    m = 0
-    for i, v in enumerate(values):
-        if pred(v):
-            m |= 1 << i
-    return m
+def _groups(values: Sequence[float]) -> tuple[list[float], list[int], list[int]]:
+    """The tie groups of X in ascending order: the distinct values d and the
+    bitmasks of the events ``X < d`` and ``X <= d``, from one stable sort."""
+    ds, below, upto = [], [], []
+    seen = 0
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        if not ds or values[i] != ds[-1]:
+            ds.append(values[i])
+            below.append(seen)
+            upto.append(seen)
+        seen |= 1 << i
+        upto[-1] = seen
+    return ds, below, upto
+
+
+def _lower(groups, t: float, strict: bool) -> int:
+    """Bitmask of ``X < t`` (strict) or ``X <= t``: the groups up to t."""
+    ds, _, upto = groups
+    g = (bisect_left if strict else bisect_right)(ds, t)
+    return upto[g - 1] if g else 0
 
 
 def survival(mu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> float:
     """Upper tail ``mu(X > t)``, or ``mu(X >= t)`` with ``strict=False``."""
     _check_same_ground(mu, x)
-    if strict:
-        return mu.table[_mask(x.values, lambda v: v > t)]
-    return mu.table[_mask(x.values, lambda v: v >= t)]
+    if math.isnan(t):
+        raise ValueError("threshold t is NaN")
+    return mu.table[x.ground.full ^ _lower(_groups(x.values), t, not strict)]
 
 
 def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> float:
     """Lower tail ``nu(X < t)``, or ``nu(X <= t)`` with ``strict=False``."""
     _check_same_ground(nu, x)
-    if strict:
-        return nu.table[_mask(x.values, lambda v: v < t)]
-    return nu.table[_mask(x.values, lambda v: v <= t)]
+    if math.isnan(t):
+        raise ValueError("threshold t is NaN")
+    return nu.table[_lower(_groups(x.values), t, strict)]
 
 
 def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable, strict_tails: bool = True) -> float:
     """Exact generalized Choquet integral of X with respect to (mu, nu).
 
     ``strict_tails`` selects which of the two (equal) tail conventions is
-    used when reading the step functions off the sorted distinct values:
+    used when reading the step functions off the tie groups of X:
     ``True`` evaluates ``mu(X > left endpoint)`` / ``nu(X < right endpoint)``
     on each constancy interval, ``False`` evaluates ``mu(X >= right)`` /
     ``nu(X <= left)``.  The two conventions select identical events between
@@ -138,28 +153,17 @@ def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable, strict_tails: boo
     so the equality can be asserted rather than assumed.
     """
     _check_same_ground(mu, nu, x)
-    vals = x.values
-
-    pos = sorted({v for v in vals if v > 0.0})
-    if strict_tails:
-        tails = [mu.table[_mask(vals, lambda v, d=d: v > d)] for d in [0.0] + pos[:-1]]
-    else:
-        tails = [mu.table[_mask(vals, lambda v, d=d: v >= d)] for d in pos]
-    tails.append(0.0)
-    total = 0.0
-    for j, d in enumerate(pos):
-        total += d * (tails[j] - tails[j + 1])
-
-    neg = sorted({v for v in vals if v < 0.0})
-    if strict_tails:
-        lowers = [nu.table[_mask(vals, lambda v, c=c: v < c)] for c in neg[1:] + [0.0]]
-    else:
-        lowers = [nu.table[_mask(vals, lambda v, c=c: v <= c)] for c in neg]
-    prev = 0.0
-    lower_part = 0.0
-    for j, c in enumerate(neg):
-        lower_part += c * (prev - lowers[j])
-        prev = lowers[j]
+    ds, below, upto = _groups(x.values)
+    full = x.ground.full
+    # at group g: the previous group's X <= mask and this group's X < mask
+    le, lt = [0, *upto], [*below, full]
+    gains, losses = (le, lt) if strict_tails else (lt, le)
+    total = lower_part = 0.0
+    for g, d in enumerate(ds):
+        if d > 0.0:
+            total += d * (mu.table[full ^ gains[g]] - mu.table[full ^ gains[g + 1]])
+        elif d < 0.0:
+            lower_part += d * (nu.table[losses[g]] - nu.table[losses[g + 1]])
     return total - lower_part
 
 
@@ -173,50 +177,58 @@ def _outcome_rows(ground: GroundSet, xs) -> np.ndarray:
     return xs
 
 
+def _plan(xs: np.ndarray):
+    """Sorted rows, tie-group starts, and the ``X < d`` and ``X <= d`` masks of each row."""
+    k, n = xs.shape
+    order = np.argsort(xs, axis=1, kind="stable")
+    srt = np.take_along_axis(xs, order, axis=1)
+    before = np.zeros((k, n + 1), dtype=np.int64)
+    np.cumsum(np.left_shift(1, order), axis=1, out=before[:, 1:])
+    starts = np.ones(srt.shape, dtype=bool)
+    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    # first column of the next tie group, n after the last one
+    first = np.where(starts, np.arange(n), n)
+    nxt = np.concatenate([first[:, 1:], np.full((k, 1), n)], axis=1)
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
+    return srt, starts, before[:, :n], np.take_along_axis(before, nxt, axis=1)
+
+
 def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
     """``gen_choquet`` of every row of a (K, n) array, bit-for-bit.
 
-    The plan depends only on the ordering of each row: a stable argsort, the
-    first column of each tie group, and the prefix bitmasks of the sorted
-    elements.  At the first column of a tie group with value d, the prefix
-    before the group is the event ``X < d`` and the prefix through it is
-    ``X <= d``; their complements are ``X >= d`` and ``X > d``.  These are
-    the events both tail conventions select, so one plan serves both.
+    The plan (``_plan``) depends only on the ordering of each row.  At the
+    first column of a tie group with value d it holds the events ``X < d``
+    and ``X <= d``; their complements are ``X >= d`` and ``X > d``.  These
+    are the events both tail conventions select, so one plan serves both.
     Evaluation gathers the capacity values at those masks, walks the columns
     in ascending order and adds the scalar loop's terms in its order, so
     every row equals the scalar integral under either convention.  Rows must
     be finite and have n columns, as for RandomVariable.
     """
     ground = _check_same_ground(mu, nu)
-    n = ground.n
-    xs = _outcome_rows(ground, xs)
-
-    # plan
-    order = np.argsort(xs, axis=1, kind="stable")
-    srt = np.take_along_axis(xs, order, axis=1)
-    before = np.zeros((len(xs), n + 1), dtype=np.int64)
-    np.cumsum(np.left_shift(1, order), axis=1, out=before[:, 1:])
-    starts = np.ones(srt.shape, dtype=bool)
-    starts[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    # first column of the next tie group, n after the last one
-    first = np.where(starts, np.arange(n), n)
-    nxt = np.concatenate([first[:, 1:], np.full((len(xs), 1), n)], axis=1)
-    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
-    below = before[:, :n]  # X < d at the first column of d's group
-    upto = np.take_along_axis(before, nxt, axis=1)  # X <= d
-
-    # evaluate
+    srt, starts, below, upto = _plan(_outcome_rows(ground, xs))
     mu_t, nu_t = np.asarray(mu.table, dtype=float), np.asarray(nu.table, dtype=float)
     full = ground.full
     tail, tail_next = mu_t[full ^ below], mu_t[full ^ upto]
     prev, low = nu_t[below], nu_t[upto]
-    total = np.zeros(len(xs))
-    lower = np.zeros(len(xs))
-    for j in range(n):
+    total = np.zeros(len(srt))
+    lower = np.zeros(len(srt))
+    for j in range(ground.n):
         d = srt[:, j]
         total = np.where(starts[:, j] & (d > 0.0), total + d * (tail[:, j] - tail_next[:, j]), total)
         lower = np.where(starts[:, j] & (d < 0.0), lower + d * (prev[:, j] - low[:, j]), lower)
     return total - lower
+
+
+def _collapse_points(mu: Capacity, nu: Capacity, xs) -> tuple[np.ndarray, np.ndarray]:
+    """``ax_bx`` of every row of a (K, n) array, read off the kernel's plan: b_X is the
+    largest d > 0 with ``mu(X >= d) >= 0.5``, a_X the least c < 0 with ``nu(X <= c) >= 0.5``."""
+    ground = _check_same_ground(mu, nu)
+    srt, starts, below, upto = _plan(_outcome_rows(ground, xs))
+    mu_t, nu_t = np.asarray(mu.table, dtype=float), np.asarray(nu.table, dtype=float)
+    b_hit = starts & (srt > 0.0) & (mu_t[ground.full ^ below] >= 0.5)
+    a_hit = starts & (srt < 0.0) & (nu_t[upto] >= 0.5)
+    return np.where(a_hit, srt, 0.0).min(axis=1), np.where(b_hit, srt, 0.0).max(axis=1)
 
 
 def choquet(mu: Capacity, x: RandomVariable) -> float:
@@ -323,9 +335,11 @@ def translation_gap(mu: Capacity, nu: Capacity, x: RandomVariable, a: float) -> 
     _check_same_ground(mu, nu, x)
     lhs = gen_choquet(mu, nu, x + a) - a - gen_choquet(mu, nu, x)
 
+    groups, full = _groups(x.values), x.ground.full
+
     def integrand(s: float) -> float:
-        # dual(nu)(X >= s) = 1 - nu(X < s)
-        return survival(mu, x, s) - (1.0 - lower_tail(nu, x, s))
+        # mu(X > s) - dual(nu)(X >= s), where dual(nu)(X >= s) = 1 - nu(X < s)
+        return mu.table[full ^ _lower(groups, s, False)] - (1.0 - nu.table[_lower(groups, s, True)])
 
     correction = step_integral(integrand, -a, 0.0, x.values)
     return TranslationGap(lhs, correction)
@@ -341,18 +355,8 @@ def ax_bx(mu: Capacity, nu: Capacity, x: RandomVariable) -> tuple[float, float]:
     _check_same_ground(mu, nu, x)
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("tail-collapse points require {0,1}-valued capacities")
-    vals = x.values
-    b = 0.0
-    for d in sorted({v for v in vals if v > 0.0}, reverse=True):
-        if mu.table[_mask(vals, lambda v, d=d: v >= d)] >= 0.5:
-            b = d
-            break
-    a = 0.0
-    for c in sorted({v for v in vals if v < 0.0}):
-        if nu.table[_mask(vals, lambda v, c=c: v <= c)] >= 0.5:
-            a = c
-            break
-    return a, b
+    a, b = _collapse_points(mu, nu, [x.values])
+    return float(a[0]), float(b[0])
 
 
 def in_l_class(mu: Capacity, nu: Capacity, x: RandomVariable, interval: IntervalI = REALS) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
 from .errors import NonDifferentiable, OutOfClass, ZeroDerivative, ZeroOneCapacity
-from .integral import RandomVariable, gen_choquet, lower_tail, step_integral, survival
+from .integral import RandomVariable, _groups, _lower, gen_choquet, step_integral
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
@@ -93,9 +93,12 @@ def premium(s: Scenario) -> float:
 def _tail_gap_integral(mu: Capacity, nu: Capacity, z: RandomVariable, upper: float) -> float:
     """Exact ``int_0^upper (dual(nu)(Z < t) - mu(Z < t)) dt``."""
 
+    groups = _groups(z.values)
+
     def integrand(t: float) -> float:
-        # dual(nu)(Z < t) = 1 - nu(Z >= t)
-        return (1.0 - survival(nu, z, t, strict=False)) - lower_tail(mu, z, t)
+        # dual(nu)(Z < t) = 1 - nu(Z >= t), and Z >= t is the complement of Z < t
+        below = _lower(groups, t, True)
+        return (1.0 - nu.table[z.ground.full ^ below]) - mu.table[below]
 
     return step_integral(integrand, 0.0, upper, z.values)
 

@@ -33,8 +33,8 @@ from .capacity import Capacity, GroundSet, _check_same_ground, coexistence_set, 
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
+    _collapse_points,
     _outcome_rows,
-    ax_bx,
     gen_choquet,
     gen_choquet_batch,
     translation_gap,
@@ -403,29 +403,19 @@ def zero_one_collapse_check(
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("collapse identity needs {0,1}-valued capacities")
     rng = np.random.default_rng(seed)
-    ground = mu.ground
-    checked = 0
-
-    dense = [
-        RandomVariable(ground, tuple(rng.uniform(min(values), max(values), ground.n)))
-        for _ in range(25)
-    ]
-    grid = two_point_grid(ground, values)
-    sampled = [RandomVariable(ground, tuple(row)) for row in grid[:: max(1, len(values) // 8)].tolist()]
-    for x in sampled + dense:
-        if not all(f.in_domain(v) for v in x.values):
-            continue
-        a_x, b_x = ax_bx(mu, nu, x)
-        lhs = gen_choquet(mu, nu, x.map(f.value))
-        rhs = f.value(a_x) + f.value(b_x)
-        checked += 1
-        if lhs != rhs:
-            return Verdict(
-                "collapse identity",
-                False,
-                checked,
-                {"f": f.spec(), "x": list(x.values), "lhs": lhs, "rhs": rhs},
-            )
+    dense = rng.uniform(min(values), max(values), (25, mu.ground.n))
+    grid = two_point_grid(mu.ground, values)
+    xs = np.concatenate([grid[:: max(1, len(values) // 8)], dense])
+    xs = xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
+    a_x, b_x = _collapse_points(mu, nu, xs)
+    lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
+    rhs = _per_distinct(f.value, a_x) + _per_distinct(f.value, b_x)
+    bad = np.flatnonzero(lhs != rhs)
+    if bad.size:
+        i = int(bad[0])
+        witness = {"f": f.spec(), "x": xs[i].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
+        return Verdict("collapse identity", False, i + 1, witness)
+    checked = len(xs)
 
     scan = jensen_holds(mu, nu, f, grid)
     checked += scan.checked

@@ -6,6 +6,7 @@ step 1e-5 before freezing.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued
+from choqrisk.integral import _collapse_points
+from choqrisk.premium import Scenario, risk_neutral_premium
+from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
 from choqrisk.theorems import zero_at_zero_gallery
 
@@ -389,3 +393,111 @@ def test_batch_rejects_bad_rows(mu_worked, nu_worked):
         with pytest.raises(ValueError):
             gen_choquet_batch(mu_worked, nu_worked, bad)
     assert gen_choquet_batch(mu_worked, nu_worked, np.empty((0, 2))).shape == (0,)
+
+
+# --- the tie-group walk against the threshold-mask definition ---------------------
+
+# both zeros in a small pool, so rows carry ties and signed zeros
+TIE_POOL = (-2.0, -0.5, -0.0, 0.0, 0.75, 3.0)
+
+
+def event(vals, pred):
+    """Bitmask of the elements whose value satisfies pred: the definition of an event."""
+    return sum(1 << i for i, v in enumerate(vals) if pred(v))
+
+
+def bits(v):
+    return struct.pack("<d", v)
+
+
+def reference_choquet(mu, nu, vals, strict):
+    """Summation by parts over the sorted distinct values, one mask per threshold."""
+    pos = sorted({v for v in vals if v > 0.0})
+    neg = sorted({v for v in vals if v < 0.0})
+    if strict:
+        tails = [mu.table[event(vals, lambda v: v > d)] for d in [0.0, *pos[:-1]]]
+        lowers = [nu.table[event(vals, lambda v: v < c)] for c in [*neg[1:], 0.0]]
+    else:
+        tails = [mu.table[event(vals, lambda v: v >= d)] for d in pos]
+        lowers = [nu.table[event(vals, lambda v: v <= c)] for c in neg]
+    total = 0.0
+    for d, t, t_next in zip(pos, tails, [*tails[1:], 0.0]):
+        total += d * (t - t_next)
+    lower = 0.0
+    for c, prev, low in zip(neg, [0.0, *lowers], lowers):
+        lower += c * (prev - low)
+    return total - lower
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_group_walk_matches_the_threshold_definition_bitwise(n, seed, data):
+    ground = GroundSet(n)
+    rng = rng_from_seed(seed)
+    mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+    vals = tuple(data.draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n)))
+    x = RandomVariable(ground, vals)
+    for strict in (True, False):
+        assert bits(gen_choquet(mu, nu, x, strict)) == bits(reference_choquet(mu, nu, vals, strict))
+
+    ts = sorted(set(vals))
+    for t in [*ts, *((a + b) / 2 for a, b in zip(ts, ts[1:])), ts[0] - 1.0, ts[-1] + 1.0]:
+        assert bits(survival(mu, x, t)) == bits(mu.table[event(vals, lambda v: v > t)])
+        assert bits(survival(mu, x, t, strict=False)) == bits(mu.table[event(vals, lambda v: v >= t)])
+        assert bits(lower_tail(nu, x, t)) == bits(nu.table[event(vals, lambda v: v < t)])
+        assert bits(lower_tail(nu, x, t, strict=False)) == bits(nu.table[event(vals, lambda v: v <= t)])
+
+    a = data.draw(st.sampled_from(TIE_POOL))
+    correction = step_integral(
+        lambda s: mu.table[event(vals, lambda v: v > s)] - (1.0 - nu.table[event(vals, lambda v: v < s)]),
+        -a,
+        0.0,
+        vals,
+    )
+    assert bits(translation_gap(mu, nu, x, a).correction) == bits(correction)
+
+    w = abs(data.draw(st.sampled_from(TIE_POOL)))
+    tail_gap = step_integral(
+        lambda t: (1.0 - nu.table[event(vals, lambda v: v >= t)]) - mu.table[event(vals, lambda v: v < t)],
+        0.0,
+        w,
+        vals,
+    )
+    pi0 = risk_neutral_premium(Scenario(w, x, mu, nu, Exponential(1.0)))
+    assert bits(pi0) == bits(reference_choquet(nu, mu, vals, True) + tail_gap)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_nan_threshold_is_rejected(mu_worked, nu_worked, x_worked, strict):
+    with pytest.raises(ValueError):
+        survival(mu_worked, x_worked, math.nan, strict)
+    with pytest.raises(ValueError):
+        lower_tail(nu_worked, x_worked, math.nan, strict)
+
+
+# --- collapse points off the kernel's plan -------------------------------------------
+
+def reference_collapse(mu, nu, vals):
+    """``a_X = sup{t <= 0 : nu(X < t) = 0}`` and ``b_X = inf{t >= 0 : mu(X > t) = 0}``,
+    attained on 0 or a value of X."""
+    cands = [0.0, *vals]
+    a = max(t for t in cands if t <= 0.0 and nu.table[event(vals, lambda v: v < t)] == 0.0)
+    b = min(t for t in cands if t >= 0.0 and mu.table[event(vals, lambda v: v > t)] == 0.0)
+    return a, b
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=100, deadline=None)
+def test_collapse_points_match_the_sup_inf_definitions(n, data):
+    ground = GroundSet(n)
+    masks = st.lists(st.integers(1, ground.full), min_size=1, max_size=3)
+    mu = zero_one_capacity(ground, data.draw(masks))
+    nu = zero_one_capacity(ground, data.draw(masks))
+    rows = data.draw(st.lists(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n), max_size=10))
+    # no positive value, no negative value, only zeros, ties across both signs
+    rows += [[-2.0] * n, [0.75] * n, [-0.0, 0.0] * n, [3.0, -0.5, -0.0] * n]
+    rows = [r[:n] for r in rows]
+    a, b = _collapse_points(mu, nu, rows)
+    for r, a_x, b_x in zip(rows, a.tolist(), b.tolist()):
+        assert (bits(a_x), bits(b_x)) == tuple(map(bits, reference_collapse(mu, nu, r)))
+        assert (a_x, b_x) == ax_bx(mu, nu, RandomVariable(ground, tuple(r)))

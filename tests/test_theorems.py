@@ -18,6 +18,7 @@ from choqrisk import (
     Power,
     RandomVariable,
     TabulatedUtility,
+    ax_bx,
     integral_property_checks,
     enumerate_capacities,
     gen_choquet,
@@ -514,3 +515,37 @@ def test_probe_matches_the_scalar_scan(g3, monkeypatch):
     verdict = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
     assert (verdict.check, verdict.holds, verdict.checked) == ("two-valued mixture form", False, 40)
     assert verdict.witness["integral"] == pytest.approx(verdict.witness["expected"] + 1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [0, 5, 70])
+def test_collapse_check_stops_at_the_first_perturbed_row(g2, mu_worked, monkeypatch, k):
+    from choqrisk import theorems
+
+    mu, nu = unanimity(g2, 0b01), unanimity(g2, 0b10)
+    f = Power(1.0, 0.5)  # domain x > -1 drops rows, so checked counts in-domain rows only
+    values = tuple(-3.0 + 0.5 * j for j in range(13))
+    # the rows the check samples, in its order: every grid row, then 25 dense draws
+    rng = np.random.default_rng(4)
+    dense = [rng.uniform(min(values), max(values), 2).tolist() for _ in range(25)]
+    grid = [r for r in two_point_grid(g2, values).tolist() if all(f.in_domain(v) for v in r)]
+    rows = grid + [r for r in dense if all(f.in_domain(v) for v in r)]
+    assert 5 < len(grid) < 70 < len(rows)  # k = 70 lands among the dense draws
+
+    exact = theorems.gen_choquet_batch
+    monkeypatch.setattr(
+        theorems, "gen_choquet_batch", lambda mu, nu, xs: exact(mu, nu, xs) + (np.arange(len(xs)) >= k)
+    )
+    verdict = zero_one_collapse_check(mu, nu, f, values, seed=4)
+    assert (verdict.check, verdict.holds, verdict.checked) == ("collapse identity", False, k + 1)
+    x = RandomVariable(g2, tuple(rows[k]))
+    a_x, b_x = ax_bx(mu, nu, x)
+    assert verdict.witness == {
+        "f": f.spec(),
+        "x": rows[k],
+        "lhs": gen_choquet(mu, nu, x.map(f.value)) + 1.0,
+        "rhs": f.value(a_x) + f.value(b_x),
+    }
+
+    # a pair with one side not {0,1}-valued is refused before any row is checked
+    with pytest.raises(NotZeroOneValued):
+        zero_one_collapse_check(mu, mu_worked, f, values)
