@@ -34,7 +34,7 @@ from .premium import (
 from .sampling import rng_from_seed
 from .theorems import THEOREM_IDS, run_full_report
 from .utility import parse_utility
-from .weighting import dominance_check, figure_data, parse_weighting
+from .weighting import _dominance_of, figure_data, parse_weighting
 
 PUBLISHED_FIGURES = (
     ("figure1.csv", "kt:0.61", "kt:0.69"),
@@ -204,7 +204,7 @@ def _cmd_figures(args) -> int:
         rows = figure_data(g, h, args.grid_size)
         path = outdir / name
         write_csv(path, "p,g,h_bar", rows)
-        scan = dominance_check(g, h, args.grid_size)
+        scan = _dominance_of(rows)
         status = "holds" if scan.holds else "FAILS"
         print(
             f"{path}: {len(rows)} rows; dominance g <= h_bar {status} "

@@ -45,8 +45,8 @@ class Scenario:
     u: UtilityFunction
 
     def __post_init__(self):
-        if self.w < 0.0:
-            raise ValueError(f"wealth must be nonnegative, got {self.w!r}")
+        if not 0.0 <= self.w < np.inf:
+            raise ValueError(f"wealth must be finite and nonnegative, got {self.w!r}")
         _check_same_ground(self.mu, self.nu, self.x)
 
     @property
@@ -126,7 +126,7 @@ def approx_premium(s: Scenario) -> float:
 
 @dataclass(frozen=True)
 class RiskAversionReport:
-    """Outcome of sweeping ``premium >= risk_neutral_premium - tol``.
+    """Outcome of sweeping ``premium >= risk_neutral_premium - PREMIUM_TOL``.
 
     ``witness`` is the first violating scenario; ``gap`` its shortfall
     ``pi0 - pi`` (positive at a violation).  Scenarios that fail the
@@ -148,7 +148,6 @@ def is_risk_averse(
     mu: Capacity,
     nu: Capacity,
     outcomes: Iterable[tuple[float, RandomVariable]],
-    tol: float = PREMIUM_TOL,
 ) -> RiskAversionReport:
     """Test the agent against the risk-neutral benchmark over sampled (w, X)."""
     checked = skipped = 0
@@ -160,7 +159,7 @@ def is_risk_averse(
             continue
         checked += 1
         shortfall = risk_neutral_premium(s) - pi
-        if shortfall > tol:
+        if shortfall > PREMIUM_TOL:
             return RiskAversionReport(False, checked, skipped, s, shortfall)
     return RiskAversionReport(True, checked, skipped, None, 0.0)
 
@@ -241,8 +240,6 @@ def compare_agents(
     mu: Capacity,
     nu: Capacity,
     outcomes: Iterable[tuple[float, RandomVariable]],
-    grid: Sequence[float] | None = None,
-    tol: float = PREMIUM_TOL,
 ) -> AgentComparison:
     """Compare premiums, Arrow-Pratt coefficients and composed curvature.
 
@@ -251,20 +248,19 @@ def compare_agents(
     """
     hypotheses = dominates_dual(mu, nu).holds and coexistence_set(mu, nu) is not None
 
-    if grid is None:
-        lo = max(u.domain_lo, v.domain_lo)
-        hi = min(u.domain_hi, v.domain_hi)
-        shrink = lambda t, s: t + s * max(1e-6, abs(t) * 1e-6)
-        glo = shrink(lo, 1.0) if lo > -np.inf else -10.0
-        ghi = shrink(hi, -1.0) if hi < np.inf else 10.0
-        grid = [glo + k * (ghi - glo) / 200 for k in range(201)]
+    lo = max(u.domain_lo, v.domain_lo)
+    hi = min(u.domain_hi, v.domain_hi)
+    shrink = lambda t, s: t + s * max(1e-6, abs(t) * 1e-6)
+    glo = shrink(lo, 1.0) if lo > -np.inf else -10.0
+    ghi = shrink(hi, -1.0) if hi < np.inf else 10.0
+    grid = [glo + k * (ghi - glo) / 200 for k in range(201)]
 
     r_order = all(
-        not ru < rv - tol
+        not ru < rv - PREMIUM_TOL
         for ru, rv in _where_differentiable(lambda x: (arrow_pratt(u, x), arrow_pratt(v, x)), grid)
     )
     comp = compose_via_inverse(u, v)
-    comp_concave = all(g2 <= tol for g2 in _where_differentiable(comp.second, comp.grid()))
+    comp_concave = all(g2 <= PREMIUM_TOL for g2 in _where_differentiable(comp.second, comp.grid()))
 
     premium_order = True
     witness = None
@@ -278,7 +274,7 @@ def compare_agents(
         if reason_v is not None:
             continue
         checked += 1
-        if pi_u < pi_v - tol:
+        if pi_u < pi_v - PREMIUM_TOL:
             premium_order = False
             witness = su
             break
@@ -307,7 +303,6 @@ def nonneg_loss_check(
     mu: Capacity,
     nu: Capacity,
     outcomes: Iterable[tuple[float, RandomVariable]],
-    tol: float = PREMIUM_TOL,
 ) -> NonnegLossReport:
     """Check risk aversion over scenarios with ``X <= w`` pointwise."""
     if mu.is_zero_one_valued():
@@ -320,7 +315,7 @@ def nonneg_loss_check(
                 raise ValueError("sampler must keep X <= w pointwise")
             yield w, x
 
-    scan = is_risk_averse(u, mu, nu, capped(), tol)
+    scan = is_risk_averse(u, mu, nu, capped())
     hi = min(u.domain_hi, 10.0)
     pts = 101
     eps = max(1e-9, hi * 1e-9)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ VIOLATION_TOL = 1e-9
 GAP_MATCH_TOL = 1e-12
 DEFAULT_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_VALUE_GRID = tuple(-5.0 + 0.25 * k for k in range(41))
+NONNEG_VALUE_GRID = tuple(0.25 * k for k in range(21))
 #: ids of the sweep's check families, in the order each pair runs them
 THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
@@ -200,9 +201,6 @@ class CapacityEnumerator:
 
         return fill(1)
 
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
 
 def enumerate_capacities(n: int, levels: Sequence[float] = DEFAULT_LEVELS) -> Iterator[Capacity]:
     """Iterator over ``CapacityEnumerator(n, levels)``."""
@@ -242,14 +240,6 @@ def two_point_grid(ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GR
     return grid.reshape(-1, ground.n)
 
 
-def two_point_variables(
-    ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GRID
-) -> Iterator[RandomVariable]:
-    """The rows of ``two_point_grid`` as random variables."""
-    for row in two_point_grid(ground, values).tolist():
-        yield RandomVariable(ground, tuple(row))
-
-
 def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
     """``fn`` at every entry of xs, called once per distinct float (by bit pattern)."""
     xs = np.ascontiguousarray(xs, dtype=float)
@@ -258,9 +248,26 @@ def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
     return out[inverse].reshape(xs.shape)
 
 
-def _jensen_gaps(mu: Capacity, nu: Capacity, f, xs: np.ndarray, integrals: np.ndarray) -> np.ndarray:
-    """``jensen_gap`` of every row of xs (all inside f's domain), given C of each row."""
-    return gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, integrals)
+def _in_domain(f, xs: np.ndarray) -> np.ndarray:
+    """The rows of xs whose every value lies in f's domain."""
+    return xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
+
+
+def _first_violation(
+    mu: Capacity, nu: Capacity, f, xs: np.ndarray, integrals: np.ndarray
+) -> tuple[int, dict | None]:
+    """First row of xs (all inside f's domain) whose Jensen gap exceeds VIOLATION_TOL.
+
+    ``integrals`` holds C of each row.  Returns the number of rows scanned
+    up to and including that row with its witness ``{"f", "x", "gap"}``, or
+    ``(len(xs), None)`` when no row violates.
+    """
+    gaps = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, integrals)
+    bad = np.flatnonzero(gaps > VIOLATION_TOL)
+    if not bad.size:
+        return len(xs), None
+    i = int(bad[0])
+    return i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
 
 
 def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
@@ -269,34 +276,39 @@ def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
     return lhs - f.value(gen_choquet(mu, nu, x))
 
 
-def jensen_holds(
-    mu: Capacity,
-    nu: Capacity,
-    f,
-    xs: np.ndarray | Iterable[RandomVariable],
-    tol: float = VIOLATION_TOL,
-) -> Verdict:
-    """Check ``C(f(X)) <= f(C(X))`` over supplied variables.
+def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
+    """Check ``C(f(X)) <= f(C(X))`` over a (K, n) array of outcomes.
 
-    ``xs`` is a (K, n) array of outcomes, or random variables.  Rows with a
-    value outside f's domain are skipped; the witness is the first violating
-    row, and ``checked`` counts the in-domain rows up to it.
+    Rows with a value outside f's domain are skipped; the witness is the
+    first violating row, and ``checked`` counts the in-domain rows up to it.
     """
     ground = _check_same_ground(mu, nu)
-    if not isinstance(xs, np.ndarray):
-        xs = list(xs)
-        _check_same_ground(mu, *xs)
-        xs = np.reshape([x.values for x in xs], (len(xs), ground.n))
-    xs = _outcome_rows(ground, xs)
-    xs = xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
-    gaps = _jensen_gaps(mu, nu, f, xs, gen_choquet_batch(mu, nu, xs))
-    bad = np.flatnonzero(gaps > tol)
-    if bad.size:
-        i = int(bad[0])
-        return Verdict(
-            "jensen", False, i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
-        )
-    return Verdict("jensen", True, len(xs))
+    xs = _in_domain(f, _outcome_rows(ground, xs))
+    checked, witness = _first_violation(mu, nu, f, xs, gen_choquet_batch(mu, nu, xs))
+    return Verdict("jensen", witness is None, checked, witness)
+
+
+def _against_certificate(
+    check: str, f, shape: str, values: Sequence[float], checked: int, violation: dict | None, detail: str
+) -> Verdict:
+    """Verdict that a Jensen scan found a violation exactly when f fails a grid certificate.
+
+    ``shape`` names the certificate: ``"concave"`` (is_concave_on) or ``"ws"``
+    (is_weakly_superadditive_on), run on the in-domain values at
+    VIOLATION_TOL, the scan's own tolerance, so the comparison is grid-exact.
+    ``detail`` may name ``{holds}`` (the certificate) and ``{found}``
+    (``none`` or ``found``).
+    """
+    certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
+    cert = certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL)
+    consistent = cert.holds == (violation is None)
+    return Verdict(
+        check,
+        consistent,
+        checked,
+        None if consistent else {"f": f.spec(), shape: cert.holds, "violation": violation},
+        detail=detail.format(holds=cert.holds, found="none" if violation is None else "found"),
+    )
 
 
 @dataclass(frozen=True)
@@ -405,8 +417,7 @@ def zero_one_collapse_check(
     rng = np.random.default_rng(seed)
     dense = rng.uniform(min(values), max(values), (25, mu.ground.n))
     grid = two_point_grid(mu.ground, values)
-    xs = np.concatenate([grid[:: max(1, len(values) // 8)], dense])
-    xs = xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
+    xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
     a_x, b_x = _collapse_points(mu, nu, xs)
     lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
     rhs = _per_distinct(f.value, a_x) + _per_distinct(f.value, b_x)
@@ -420,24 +431,10 @@ def zero_one_collapse_check(
     scan = jensen_holds(mu, nu, f, grid)
     checked += scan.checked
     if coexistence_set(mu, nu, both_one=True) is not None:
-        in_dom = [v for v in values if f.in_domain(v)]
-        # same tolerance on both sides so the equivalence is grid-exact
-        ws = is_weakly_superadditive_on(f, in_dom, tol=VIOLATION_TOL)
-        consistent = ws.holds == scan.holds
-        return Verdict(
-            "collapse equivalence",
-            consistent,
-            checked,
-            None if consistent else {"f": f.spec(), "ws": ws.holds, "violation": scan.witness},
-            detail="coexistence set present",
+        return _against_certificate(
+            "collapse equivalence", f, "ws", values, checked, scan.witness, "coexistence set present"
         )
-    return Verdict(
-        "collapse unconditional",
-        scan.holds,
-        checked,
-        scan.witness,
-        detail="no coexistence set",
-    )
+    return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
 
 
 def two_valued_concavity_probe(
@@ -459,8 +456,7 @@ def two_valued_concavity_probe(
 
     ground = mu.ground
     full = ground.full
-    in_dom = [v for v in values if f.in_domain(v)]
-    dom = np.asarray(in_dom, dtype=float)
+    dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
     alpha, beta = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
     alpha, beta = alpha[alpha < beta], beta[alpha < beta]
     variants = [v for b_set in _canonical_splits(ground) for v in (b_set, full ^ b_set)]
@@ -486,21 +482,9 @@ def two_valued_concavity_probe(
             i,
             {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])},
         )
-    checked = len(xs)
-    gaps = _jensen_gaps(mu, nu, f, xs, m)
-    bad = np.flatnonzero(gaps > VIOLATION_TOL)
-    violation = None
-    if bad.size:
-        i = int(bad[0])
-        violation = {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
-    concave = is_concave_on(f, in_dom, tol=VIOLATION_TOL)
-    consistent = concave.holds == (violation is None)
-    return Verdict(
-        "two-valued concavity probe",
-        consistent,
-        checked,
-        None if consistent else {"f": f.spec(), "concave": concave.holds, "violation": violation},
-        detail=f"concave={concave.holds}, violation={'none' if violation is None else 'found'}",
+    _, violation = _first_violation(mu, nu, f, xs, m)
+    return _against_certificate(
+        "two-valued concavity probe", f, "concave", values, len(xs), violation, "concave={holds}, violation={found}"
     )
 
 
@@ -508,15 +492,13 @@ def nonnegative_axis_check(
     mu: Capacity,
     nu: Capacity,
     f,
-    values: Sequence[float] | None = None,
+    values: Sequence[float] = NONNEG_VALUE_GRID,
 ) -> Verdict:
     """Nonnegative-variable Jensen scan against concavity on the right axis.
 
     For {0,1}-valued mu the inequality must hold for every increasing f;
     otherwise it must hold iff f is concave on the nonnegative grid.
     """
-    if values is None:
-        values = tuple(0.25 * k for k in range(21))
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
     scan = jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))
@@ -528,15 +510,8 @@ def nonnegative_axis_check(
             scan.witness,
             detail="{0,1}-valued gains capacity: unconditional",
         )
-    in_dom = [v for v in values if f.in_domain(v)]
-    concave = is_concave_on(f, in_dom, tol=VIOLATION_TOL)
-    consistent = concave.holds == scan.holds
-    return Verdict(
-        "nonnegative-axis probe",
-        consistent,
-        scan.checked,
-        None if consistent else {"f": f.spec(), "concave": concave.holds, "violation": scan.witness},
-        detail=f"concave on x>=0: {concave.holds}",
+    return _against_certificate(
+        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}"
     )
 
 
@@ -622,7 +597,6 @@ def run_full_report(
 
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
-    nonneg_values = tuple(0.25 * k for k in range(21))
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
     def lemma(mu, nu):
@@ -664,9 +638,7 @@ def run_full_report(
             "two-valued concavity", concavity_probe_gallery,
             partial(two_valued_concavity_probe, values=probe_values),
         )),
-        ("4", lambda d, z, c: True, over(
-            "nonnegative axis", axis_gallery, partial(nonnegative_axis_check, values=nonneg_values)
-        )),
+        ("4", lambda d, z, c: True, over("nonnegative axis", axis_gallery, nonnegative_axis_check)),
     )
     rows = [(applies, check) for tid, applies, check in table if tid in theorems]
 

@@ -400,23 +400,23 @@ class TabulatedUtility(UtilityFunction):
         lo, hi = self.range()
         return lo <= y <= hi
 
-    def _value(self, x: float) -> float:
+    def _segment(self, x: float) -> tuple[tuple[float, float], tuple[float, float]]:
+        """End knots of the segment holding x (the first or last one beyond the ends)."""
         ks = self.knots
         j = 1
         while j < len(ks) - 1 and ks[j][0] < x:
             j += 1
-        (x0, y0), (x1, y1) = ks[j - 1], ks[j]
+        return ks[j - 1], ks[j]
+
+    def _value(self, x: float) -> float:
+        (x0, y0), (x1, y1) = self._segment(x)
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def _prime(self, x: float) -> float:
         for kx, _ in self.knots:
             if x == kx:
                 raise NonDifferentiable(f"{self.spec()}: knot at {x}")
-        ks = self.knots
-        j = 1
-        while j < len(ks) - 1 and ks[j][0] < x:
-            j += 1
-        (x0, y0), (x1, y1) = ks[j - 1], ks[j]
+        (x0, y0), (x1, y1) = self._segment(x)
         return (y1 - y0) / (x1 - x0)
 
     def _second(self, x: float) -> float:

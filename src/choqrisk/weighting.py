@@ -206,6 +206,16 @@ class DominanceScan:
         return self.holds
 
 
+def _dominance_of(rows: list[tuple[float, float, float]]) -> DominanceScan:
+    """Dominance verdict over ``figure_data`` rows: the largest ``g(p) - dual_h(p)``."""
+    worst_p, worst_gap = 0.0, float("-inf")
+    for p, gp, hp in rows:
+        gap = gp - hp
+        if gap > worst_gap:
+            worst_p, worst_gap = p, gap
+    return DominanceScan(worst_gap <= DOMINANCE_TOL, worst_gap, worst_p, len(rows))
+
+
 def dominance_check(
     g: WeightingFunction, h: WeightingFunction, grid_size: int = GRID_POINTS
 ) -> DominanceScan:
@@ -214,15 +224,7 @@ def dominance_check(
     This is exactly conjugate dominance of the induced distorted capacities
     for every base probability, certified at grid resolution.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    worst_p, worst_gap = 0.0, float("-inf")
-    for k in range(grid_size):
-        p = k / (grid_size - 1)
-        gap = g.value(p) - h.dual_value(p)
-        if gap > worst_gap:
-            worst_p, worst_gap = p, gap
-    return DominanceScan(worst_gap <= DOMINANCE_TOL, worst_gap, worst_p, grid_size)
+    return _dominance_of(figure_data(g, h, grid_size))
 
 
 def figure_data(

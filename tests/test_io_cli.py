@@ -337,6 +337,14 @@ def test_cli_verify_report_digest(tmp_path, capsys):
     assert digest == "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"
 
 
+def test_cli_verify_default_levels_report_digest(tmp_path, capsys):
+    """The 625-pair sweep at the default five levels, pinned byte for byte (sha256)."""
+    out = tmp_path / "report.json"
+    main(["verify", "--n", "2", "--json", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"
+
+
 def test_cli_figures_byte_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["figures", "--family", "ge", "--out", str(a), "--grid-size", "201"])

@@ -89,8 +89,10 @@ def test_out_of_class_reports_reason(g2, mu_worked, nu_worked):
 
 
 def test_negative_wealth_rejected(g2, mu_worked, nu_worked, x_worked):
-    with pytest.raises(ValueError):
-        Scenario(-1.0, x_worked, mu_worked, nu_worked, Linear())
+    # NaN and infinity used to pass the nonnegativity test and price to nan
+    for w in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Scenario(w, x_worked, mu_worked, nu_worked, Linear())
 
 
 # --- risk-neutral benchmark ------------------------------------------------------

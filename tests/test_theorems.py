@@ -44,7 +44,6 @@ from choqrisk.theorems import (
     convex_increasing_gallery,
     jensen_gap,
     two_point_grid,
-    two_point_variables,
 )
 
 
@@ -127,7 +126,7 @@ def test_jensen_equality_for_constant_x(pl_pair):
 def test_jensen_holds_under_dominance(mu_worked):
     nu = mu_worked.dual()
     rng = rng_from_seed(9)
-    xs = [random_variable(rng, mu_worked.ground, -5, 5) for _ in range(200)]
+    xs = np.array([random_variable(rng, mu_worked.ground, -5, 5).values for _ in range(200)])
     verdict = jensen_holds(mu_worked, nu, Exponential(1.0), xs)
     assert verdict.holds and verdict.checked == 200
 
@@ -368,7 +367,7 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 # --- two point generator ------------------------------------------------------------------
 
 def test_two_point_variables_cover_both_orders(g2):
-    xs = {x.values for x in two_point_variables(g2, (-1.0, 2.0))}
+    xs = {tuple(r) for r in two_point_grid(g2, (-1.0, 2.0)).tolist()}
     assert (2.0, -1.0) in xs and (-1.0, 2.0) in xs
 
 
@@ -389,7 +388,6 @@ def test_two_point_grid_matches_the_variables_row_for_row(n):
     values = (-1.5, 0.0, 0.25, 2.0)
     want = reference_two_point_rows(ground, values)
     assert [tuple(r) for r in two_point_grid(ground, values).tolist()] == want
-    assert [x.values for x in two_point_variables(ground, values)] == want
     assert two_point_grid(ground, values).shape == (len(want), n)
 
 
@@ -405,9 +403,10 @@ def test_two_point_grids_refuse_more_than_the_cap():
 # --- batched jensen scan ---------------------------------------------------------------
 
 def reference_jensen(mu, nu, f, xs, tol=VIOLATION_TOL):
-    """The scalar scan: (checked, witness) at the first violation, else (checked, None)."""
+    """The scalar scan over rows: (checked, witness) at the first violation, else (checked, None)."""
     checked = 0
-    for x in xs:
+    for row in xs:
+        x = RandomVariable(mu.ground, tuple(row))
         if not all(f.in_domain(v) for v in x.values):
             continue
         checked += 1
@@ -419,9 +418,8 @@ def reference_jensen(mu, nu, f, xs, tol=VIOLATION_TOL):
 
 def test_jensen_holds_edge_cases_check_nothing(mu_worked, nu_worked):
     f = Exponential(1.0)
-    for xs in ([], np.empty((0, 2))):
-        verdict = jensen_holds(mu_worked, nu_worked, f, xs)
-        assert (verdict.holds, verdict.checked, verdict.witness) == (True, 0, None)
+    verdict = jensen_holds(mu_worked, nu_worked, f, np.empty((0, 2)))
+    assert (verdict.holds, verdict.checked, verdict.witness) == (True, 0, None)
     g1 = GroundSet(1)
     one = new_capacity(g1, [0.0, 1.0])
     grid = two_point_grid(g1)
@@ -430,6 +428,12 @@ def test_jensen_holds_edge_cases_check_nothing(mu_worked, nu_worked):
     negative = two_point_grid(mu_worked.ground, (-2.0, -1.0))
     verdict = jensen_holds(mu_worked, nu_worked, Power(0.0, 0.5), negative)
     assert (verdict.holds, verdict.checked) == (True, 0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2,), (3, 3), (2, 1), (1, 2, 2)])
+def test_jensen_holds_rejects_rows_of_the_wrong_shape(mu_worked, nu_worked, shape):
+    with pytest.raises(ValueError, match="rows of 2 values"):
+        jensen_holds(mu_worked, nu_worked, Exponential(1.0), np.zeros(shape))
 
 
 def test_jensen_holds_matches_the_scalar_scan(pl_pair):
@@ -443,11 +447,10 @@ def test_jensen_holds_matches_the_scalar_scan(pl_pair):
         values = DEFAULT_VALUE_GRID[::3]
         grid = two_point_grid(mu.ground, values)
         for f in maps:
-            checked, witness = reference_jensen(mu, nu, f, two_point_variables(mu.ground, values))
-            for xs in (grid, two_point_variables(mu.ground, values)):
-                verdict = jensen_holds(mu, nu, f, xs)
-                assert (verdict.checked, verdict.witness) == (checked, witness)
-                assert verdict.holds == (witness is None)
+            checked, witness = reference_jensen(mu, nu, f, reference_two_point_rows(mu.ground, values))
+            verdict = jensen_holds(mu, nu, f, grid)
+            assert (verdict.checked, verdict.witness) == (checked, witness)
+            assert verdict.holds == (witness is None)
             if witness is not None:
                 violations += 1
                 assert all(type(v) is float for v in verdict.witness["x"] + [verdict.witness["gap"]])
