@@ -4,7 +4,9 @@ A ground set holds n elements (1 <= n <= 20).  Subsets are encoded as
 bitmasks in ``[0, 2**n)``: bit ``i`` set means element ``i`` belongs to the
 subset.  A capacity assigns a value in [0, 1] to every subset, with
 ``table[0] == 0.0`` and ``table[full] == 1.0`` exactly, and values
-nondecreasing along subset inclusion.  Additivity is never assumed.
+nondecreasing along subset inclusion.  Additivity is never assumed.  Over
+ascending A the complements ``full ^ A`` descend, so the table of
+complements is the table reversed.
 
 Two tolerance tiers are used throughout the package:
 
@@ -113,21 +115,21 @@ class Capacity:
     def __post_init__(self):
         table = tuple(float(v) for v in self.table)
         object.__setattr__(self, "table", table)
-        n, size = self.ground.n, self.ground.size
+        size = self.ground.size
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
         arr = np.asarray(table, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite")
         # monotonicity first: the witness pair is the more useful diagnostic
-        # when both it and normalization fail.
-        masks = np.arange(size)
-        for i in range(n):
-            without = masks[(masks >> i) & 1 == 0]
-            bad = arr[without] > arr[without | (1 << i)] + STRUCT_TOL
+        # when both it and normalization fail.  The first witness has the
+        # lowest element i, then the smallest A.
+        for i, pair in _pairs(arr):
+            bad = (pair[:, 0] > pair[:, 1] + STRUCT_TOL).ravel()
             if bad.any():
-                a = int(without[bad][0])
-                raise NotMonotone(a, a | (1 << i), table[a], table[a | (1 << i)])
+                high, low = divmod(int(bad.argmax()), 1 << i)
+                a = high << (i + 1) | low
+                raise NotMonotone(a, a | 1 << i, table[a], table[a | 1 << i])
         if table[0] != 0.0 or table[size - 1] != 1.0:
             raise NotNormalized(
                 f"table[empty]={table[0]!r}, table[full]={table[size - 1]!r}; expected exactly 0.0 and 1.0"
@@ -138,8 +140,7 @@ class Capacity:
 
     def dual(self) -> "Capacity":
         """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``."""
-        full = self.ground.full
-        return Capacity(self.ground, tuple(1.0 - self.table[full ^ a] for a in self.ground.subsets()))
+        return Capacity(self.ground, (1.0 - np.asarray(self.table)[::-1]).tolist())
 
     def isclose(self, other: "Capacity", atol: float = STRUCT_TOL) -> bool:
         """Entrywise equality within ``atol``."""
@@ -152,12 +153,9 @@ class Capacity:
 
     def is_additive(self, atol: float = STRUCT_TOL) -> bool:
         """True iff every value is the sum of its singleton values."""
-        singles = [self.table[1 << i] for i in range(self.ground.n)]
-        for a in self.ground.subsets():
-            s = sum(singles[i] for i in range(self.ground.n) if a >> i & 1)
-            if abs(self.table[a] - s) > atol:
-                return False
-        return True
+        table = np.asarray(self.table)
+        sums = _zeta(_on_singletons(self.ground, table[1 << np.arange(self.ground.n)]))
+        return not (np.abs(table - sums) > atol).any()
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -171,20 +169,43 @@ def new_capacity(ground: GroundSet, table: Sequence[float]) -> Capacity:
     return Capacity(ground, tuple(table))
 
 
-def _snap_endpoints(ground: GroundSet, table: list[float], what: str) -> list[float]:
-    """Require computed endpoints to sit within STRUCT_TOL of (0, 1), then pin them.
+def _pairs(table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Per element i, low to high: a view pairing each set without i ([:, 0]) with it plus i ([:, 1])."""
+    for i in range(table.size.bit_length() - 1):
+        yield i, table.reshape(-1, 2, 1 << i)
+
+
+def _zeta(values: Sequence[float], op: np.ufunc = np.add) -> np.ndarray:
+    """Subset (zeta) transform in O(n 2^n): entry A becomes ``op`` over the entries of A's subsets.
+
+    ``np.add`` sums them from the lowest element up; ``np.maximum`` takes their max.
+    """
+    out = np.array(values, dtype=float)
+    for _, pair in _pairs(out):
+        op(pair[:, 1], pair[:, 0], out=pair[:, 1])
+    return out
+
+
+def _on_singletons(ground: GroundSet, values) -> np.ndarray:
+    """Table holding ``values[i]`` on the singleton ``{i}`` and 0 elsewhere."""
+    out = np.zeros(ground.size)
+    out[1 << np.arange(ground.n)] = values
+    return out
+
+
+def _snap_endpoints(ground: GroundSet, table: Sequence[float], what: str) -> Capacity:
+    """Require computed endpoints to sit within STRUCT_TOL of (0, 1), pin them and wrap the table.
 
     Constructors go through here so arithmetic dust cannot leak into the
-    exact-endpoint invariant.
+    exact-endpoint invariant.  A NaN endpoint fails the test.
     """
-    full = ground.full
-    if abs(table[0]) > STRUCT_TOL or abs(table[full] - 1.0) > STRUCT_TOL:
+    table = np.array(table, dtype=float)
+    if not (abs(table[0]) <= STRUCT_TOL and abs(table[-1] - 1.0) <= STRUCT_TOL):
         raise NotNormalized(
-            f"{what}: computed endpoints ({table[0]!r}, {table[full]!r}) are not (0, 1)"
+            f"{what}: computed endpoints ({float(table[0])!r}, {float(table[-1])!r}) are not (0, 1)"
         )
-    table[0] = 0.0
-    table[full] = 1.0
-    return table
+    table[0], table[-1] = 0.0, 1.0
+    return Capacity(ground, table.tolist())
 
 
 def from_probability(ground: GroundSet, weights: Sequence[float]) -> Capacity:
@@ -195,13 +216,9 @@ def from_probability(ground: GroundSet, weights: Sequence[float]) -> Capacity:
     if any(x < 0.0 for x in w):
         raise BadWeights(f"weights must be nonnegative, got {w}")
     total = sum(w)
-    if abs(total - 1.0) > STRUCT_TOL:
+    if not abs(total - 1.0) <= STRUCT_TOL:  # written so that a NaN sum fails
         raise BadWeights(f"weights sum to {total!r}, expected 1")
-    table = [0.0] * ground.size
-    for a in range(1, ground.size):
-        low = a & -a
-        table[a] = table[a ^ low] + w[low.bit_length() - 1]
-    return Capacity(ground, tuple(_snap_endpoints(ground, table, "from_probability")))
+    return _snap_endpoints(ground, _zeta(_on_singletons(ground, w)), "from_probability")
 
 
 def distort(p: Capacity, g: Callable[[float], float]) -> Capacity:
@@ -213,8 +230,7 @@ def distort(p: Capacity, g: Callable[[float], float]) -> Capacity:
     if not p.is_additive():
         raise NotAdditive("distortion requires an additive base capacity")
     fn = getattr(g, "value", g)
-    table = [float(fn(v)) for v in p.table]
-    return Capacity(p.ground, tuple(_snap_endpoints(p.ground, table, "distort")))
+    return _snap_endpoints(p.ground, [float(fn(v)) for v in p.table], "distort")
 
 
 def hurwicz(family: Sequence[Capacity], theta: float) -> Capacity:
@@ -231,11 +247,9 @@ def hurwicz(family: Sequence[Capacity], theta: float) -> Capacity:
     for k, p in enumerate(family):
         if not p.is_additive():
             raise NotAdditive(f"family member {k} is not additive")
-    table = []
-    for a in ground.subsets():
-        vals = [p.table[a] for p in family]
-        table.append(theta * min(vals) + (1.0 - theta) * max(vals))
-    return Capacity(ground, tuple(_snap_endpoints(ground, table, "hurwicz")))
+    tables = np.array([p.table for p in family])
+    table = theta * tables.min(axis=0) + (1.0 - theta) * tables.max(axis=0)
+    return _snap_endpoints(ground, table, "hurwicz")
 
 
 def possibility(ground: GroundSet, psi: Sequence[float]) -> Capacity:
@@ -247,10 +261,7 @@ def possibility(ground: GroundSet, psi: Sequence[float]) -> Capacity:
         raise BadPsi(f"psi values must lie in [0, 1], got {vals}")
     if abs(max(vals) - 1.0) > STRUCT_TOL:
         raise BadPsi(f"max(psi) must be 1, got {max(vals)!r}")
-    table = [0.0]
-    for a in range(1, ground.size):
-        table.append(max(vals[i] for i in range(ground.n) if a >> i & 1))
-    return Capacity(ground, tuple(_snap_endpoints(ground, table, "possibility")))
+    return _snap_endpoints(ground, _zeta(_on_singletons(ground, vals), np.maximum), "possibility")
 
 
 def necessity(ground: GroundSet, psi: Sequence[float]) -> Capacity:
@@ -285,28 +296,16 @@ class MassFunction:
         if any(v < 0.0 for v in mass):
             raise ValueError("masses must be nonnegative")
         total = sum(mass)
-        if abs(total - 1.0) > STRUCT_TOL:
+        if not abs(total - 1.0) <= STRUCT_TOL:  # written so that a NaN sum fails
             raise ValueError(f"masses sum to {total!r}, expected 1")
 
     def focal_sets(self) -> list[int]:
         return [a for a, v in enumerate(self.mass) if v > 0.0]
 
 
-def _zeta(m: MassFunction) -> list[float]:
-    """Subset-sum (zeta) transform: entry A is the mass inside A, in O(n 2^n)."""
-    acc = list(m.mass)
-    for i in range(m.ground.n):
-        bit = 1 << i
-        for a in m.ground.subsets():
-            if a & bit:
-                acc[a] += acc[a ^ bit]
-    return acc
-
-
 def belief(m: MassFunction) -> Capacity:
     """Lower set function ``Bel(A) = sum of m(B) over B inside A``."""
-    ground = m.ground
-    return Capacity(ground, tuple(_snap_endpoints(ground, _zeta(m), "belief")))
+    return _snap_endpoints(m.ground, _zeta(m.mass), "belief")
 
 
 def plausibility(m: MassFunction) -> Capacity:
@@ -316,11 +315,8 @@ def plausibility(m: MassFunction) -> Capacity:
     ``Pl = dual(Bel)`` holds within STRUCT_TOL and is asserted by tests
     against the direct double-sum definition.
     """
-    ground = m.ground
-    sub = _zeta(m)
-    total = sub[ground.full]
-    table = [total - sub[ground.full ^ a] for a in ground.subsets()]
-    return Capacity(ground, tuple(_snap_endpoints(ground, table, "plausibility")))
+    inside = _zeta(m.mass)
+    return _snap_endpoints(m.ground, inside[-1] - inside[::-1], "plausibility")
 
 
 def credibility(ground: GroundSet, v: Sequence[float]) -> Capacity:
@@ -340,9 +336,8 @@ def credibility(ground: GroundSet, v: Sequence[float]) -> Capacity:
         raise NotNormalized(
             f"credibility profile with max {max(vals)!r} < 1 gives Cr(full) < 1; rejected"
         )
-    sup = possibility(ground, vals).table
-    table = [(sup[a] + 1.0 - sup[ground.full ^ a]) / 2.0 for a in ground.subsets()]
-    return Capacity(ground, tuple(_snap_endpoints(ground, table, "credibility")))
+    sup = np.asarray(possibility(ground, vals).table)
+    return _snap_endpoints(ground, (sup + 1.0 - sup[::-1]) / 2.0, "credibility")
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +349,8 @@ def credibility(ground: GroundSet, v: Sequence[float]) -> Capacity:
 class DominanceCheck:
     """Result of the conjugate-dominance test ``mu <= dual(nu)``.
 
-    ``worst_set`` maximizes ``mu(A) - dual(nu)(A)`` and ``gap`` is that
-    maximum (positive iff dominance fails beyond tolerance).
+    ``worst_set`` is the smallest A maximizing ``mu(A) - dual(nu)(A)`` and
+    ``gap`` is that maximum (positive iff dominance fails beyond tolerance).
     """
 
     holds: bool
@@ -368,13 +363,10 @@ class DominanceCheck:
 
 def dominates_dual(mu: Capacity, nu: Capacity, atol: float = STRUCT_TOL) -> DominanceCheck:
     """Check ``mu(A) <= 1 - nu(A^c)`` for every subset A."""
-    ground = _check_same_ground(mu, nu)
-    full = ground.full
-    worst_set, worst_gap = 0, float("-inf")
-    for a in ground.subsets():
-        gap = mu.table[a] - (1.0 - nu.table[full ^ a])
-        if gap > worst_gap:
-            worst_set, worst_gap = a, gap
+    _check_same_ground(mu, nu)
+    gaps = np.asarray(mu.table) - (1.0 - np.asarray(nu.table)[::-1])
+    worst_set = int(gaps.argmax())
+    worst_gap = float(gaps[worst_set])
     return DominanceCheck(worst_gap <= atol, worst_set, worst_gap)
 
 
@@ -461,9 +453,11 @@ def is_uncertainty_measure(m: Capacity, atol: float = STRUCT_TOL) -> Uncertainty
     ground = m.ground
     if m.table[ground.full] != 1.0:
         return UncertaintyCheck(False, "normalization", (ground.full,))
-    for a in ground.subsets():
-        if abs(m.table[a] + m.table[ground.full ^ a] - 1.0) > atol:
-            return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
+    table = np.asarray(m.table)
+    unpaired = np.flatnonzero(np.abs(table + table[::-1] - 1.0) > atol)
+    if unpaired.size:
+        a = int(unpaired[0])
+        return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
     for a, b in _disjoint_pairs(ground):
         if m.table[a | b] > m.table[a] + m.table[b] + atol:
             return UncertaintyCheck(False, "subadditivity", (a, b))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, MassFunction, belief, dominates_dual, from_probability
+from .capacity import Capacity, GroundSet, MassFunction, _zeta, belief, dominates_dual, from_probability
 from .integral import RandomVariable
 
 
@@ -40,17 +40,7 @@ def random_capacity(rng: np.random.Generator, ground: GroundSet, style: str | No
         raise ValueError(f"unknown style {style!r}")
     raw[0] = 0.0
     raw[size - 1] = 1.0
-    table = raw.copy()
-    for a in range(1, size):
-        best = raw[a]
-        for i in range(n):
-            if a >> i & 1:
-                prev = table[a ^ (1 << i)]
-                if prev > best:
-                    best = prev
-        table[a] = best
-    table[size - 1] = 1.0
-    return Capacity(ground, tuple(float(v) for v in table))
+    return Capacity(ground, _zeta(raw, np.maximum).tolist())
 
 
 def random_dominant_pair(rng: np.random.Generator, ground: GroundSet) -> tuple[Capacity, Capacity]:

@@ -58,6 +58,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs, at
+#: five levels 3,549,456 (about 19 h at 19.5 ms per pair)
+SWEEP_MAX_PAIRS = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,8 @@ def run_full_report(
 
     ``theorems`` selects check families by id (see THEOREM_IDS); an unknown
     id raises ValueError.  Anything contradicting a theorem lands in
-    ``report.unexpected``; a clean report has none.  Deterministic for fixed
+    ``report.unexpected``; a clean report has none.  Raises TooLarge above
+    SWEEP_MAX_PAIRS pairs, before any check runs.  Deterministic for fixed
     arguments.
     """
     theorems = tuple(theorems)
@@ -592,6 +596,8 @@ def run_full_report(
             f"unknown theorem id {', '.join(map(repr, unknown))}; valid ids: {', '.join(THEOREM_IDS)}"
         )
     caps = list(enumerate_capacities(n, levels))
+    if len(caps) ** 2 > SWEEP_MAX_PAIRS:
+        raise TooLarge(f"the sweep has {len(caps) ** 2} capacity pairs, above SWEEP_MAX_PAIRS = {SWEEP_MAX_PAIRS}")
     report = SweepReport(n=n, levels=tuple(sorted(set(float(v) for v in levels))), seed=seed)
     report.capacity_count = len(caps)
 

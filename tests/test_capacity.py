@@ -4,6 +4,9 @@ Belief/plausibility are pinned against literal double-sum oracles computed
 here, independent of the package's zeta-transform route.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from choqrisk import (
     possibility,
     unanimity,
 )
+from choqrisk.capacity import _zeta
 from choqrisk.errors import (
     BadPsi,
     BadWeights,
@@ -69,6 +73,100 @@ def mass_functions(n: int):
     return st.lists(
         st.floats(0.0, 1.0, allow_nan=False), min_size=size - 1, max_size=size - 1
     ).map(build)
+
+
+def tables():
+    """Hypothesis strategy for (n, 2^n-entry table) with zeros and ties, n in 1..8."""
+    values = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.25, 0.5, 0.75, 1.0])
+
+    def build(n):
+        size = 1 << n
+        return st.lists(values, min_size=size, max_size=size).map(lambda t: (n, t))
+
+    return st.integers(1, 8).flatmap(build)
+
+
+def first_monotonicity_witness(table, n):
+    """Reference: the first (A, A | {i}) breaking monotonicity, lowest i, then smallest A."""
+    for i in range(n):
+        for a in range(1 << n):
+            if not a >> i & 1 and table[a] > table[a | 1 << i] + STRUCT_TOL:
+                return a, a | 1 << i
+    return None
+
+
+# --- the subset transform -------------------------------------------------
+
+@given(tables())
+@settings(max_examples=80, deadline=None)
+def test_zeta_is_the_sum_and_the_max_over_subsets(case):
+    n, table = case
+    sums, maxes = _zeta(table), _zeta(table, np.maximum)
+    for a in range(1 << n):
+        inside = [table[b] for b in range(1 << n) if b & ~a == 0]
+        # the values are dyadic, so every order of summation is exact
+        assert sums[a] == sum(inside)
+        assert maxes[a] == max(inside)
+
+
+@given(tables())
+@settings(max_examples=80, deadline=None)
+def test_first_not_monotone_witness_matches_reference(case):
+    n, table = case
+    table = [0.0] + table[1:-1] + [1.0]
+    want = first_monotonicity_witness(table, n)
+    if want is None:
+        new_capacity(GroundSet(n), table)
+        return
+    with pytest.raises(NotMonotone) as info:
+        new_capacity(GroundSet(n), table)
+    assert (info.value.subset, info.value.superset) == want
+    a, b = want
+    assert str(info.value) == (
+        f"monotonicity violated: table[{a:#b}]={table[a]!r} > table[{b:#b}]={table[b]!r}"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_dominates_dual_matches_reference_loop(n):
+    from choqrisk.sampling import random_capacity, rng_from_seed
+
+    rng, g = rng_from_seed(n), GroundSet(n)
+    for k in range(60):
+        mu = random_capacity(rng, g, ("fill", "zero-one", "belief")[k % 3])
+        nu = random_capacity(rng, g, ("zero-one", "fill")[k % 2])
+        worst, worst_gap = 0, -math.inf
+        for a in g.subsets():
+            gap = mu.table[a] - (1.0 - nu.table[g.full ^ a])
+            if gap > worst_gap:
+                worst, worst_gap = a, gap
+        check = dominates_dual(mu, nu)
+        assert (check.worst_set, check.gap, check.holds) == (worst, worst_gap, worst_gap <= STRUCT_TOL)
+
+
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_from_probability_adds_members_from_the_lowest_up(n, seed):
+    g = GroundSet(n)
+    w = np.random.default_rng(seed).dirichlet(np.ones(n)).tolist()
+    table = from_probability(g, w).table
+    assert (table[0], table[g.full]) == (0.0, 1.0)
+    for a in range(1, g.full):
+        assert table[a] == sum(w[i] for i in range(n) if a >> i & 1)
+
+
+def test_nan_fails_the_sum_and_endpoint_checks(g2):
+    nan = float("nan")
+    with pytest.raises(ValueError, match="sum"):
+        MassFunction(GroundSet(1), (0.0, nan))
+    with pytest.raises(ValueError, match="sum"):
+        MassFunction(g2, (0.0, 0.5, nan, 0.5))
+    with pytest.raises(BadWeights):
+        from_probability(GroundSet(1), [nan])
+    with pytest.raises(BadWeights):
+        from_probability(g2, [nan, 1.0])
+    with pytest.raises(NotNormalized):
+        distort(from_probability(GroundSet(1), [1.0]), lambda p: nan)
 
 
 # --- construction and validation ---------------------------------------

@@ -90,6 +90,9 @@ def test_mass_document():
         mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.5]})
     with pytest.raises(SchemaError, match="numbers"):
         mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.0, True]})
+    # Python's json reads NaN; it must fail the sum check
+    with pytest.raises(SchemaError, match="sum"):
+        mass_from_dict(json.loads('{"n": 1, "mass": [0, NaN]}'))
 
 
 def test_values_array_inline_and_file(tmp_path):
@@ -326,6 +329,14 @@ def test_cli_verify_rejects_unknown_theorem(capsys):
     assert main(["verify", "--n", "2", "--levels", "0,1", "--theorem", "5", "--expect-clean"]) == 1
     captured = capsys.readouterr()
     assert "lemma, 1, 2, 3, 4" in captured.err
+    assert "verdicts" not in captured.out
+
+
+def test_cli_verify_refuses_a_sweep_above_the_pair_cap(capsys):
+    # n = 3 at the five default levels is 3,549,456 pairs, about 19 h of checks
+    assert main(["verify", "--n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "3549456" in captured.err and "100000" in captured.err
     assert "verdicts" not in captured.out
 
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from choqrisk.theorems import (
     DEFAULT_VALUE_GRID,
+    SWEEP_MAX_PAIRS,
     VIOLATION_TOL,
     AffineMap,
     PlainMap,
@@ -389,6 +390,14 @@ def test_two_point_grid_matches_the_variables_row_for_row(n):
     want = reference_two_point_rows(ground, values)
     assert [tuple(r) for r in two_point_grid(ground, values).tolist()] == want
     assert two_point_grid(ground, values).shape == (len(want), n)
+
+
+def test_sweeps_refuse_more_pairs_than_the_cap():
+    # 324 capacities on two elements at 18 levels give 104,976 pairs
+    levels = [k / 17 for k in range(18)]
+    assert len(list(enumerate_capacities(2, levels))) ** 2 > SWEEP_MAX_PAIRS
+    with pytest.raises(TooLarge, match="104976"):
+        run_full_report(n=2, levels=levels)
 
 
 def test_two_point_grids_refuse_more_than_the_cap():
