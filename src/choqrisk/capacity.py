@@ -79,9 +79,6 @@ class GroundSet:
     def subsets(self) -> range:
         return range(1 << self.n)
 
-    def complement(self, mask: int) -> int:
-        return self.full ^ mask
-
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i + 1)
 
@@ -148,14 +145,14 @@ class Capacity:
             return False
         return all(abs(a - b) <= atol for a, b in zip(self.table, other.table))
 
-    def is_zero_one_valued(self, atol: float = STRUCT_TOL) -> bool:
-        return all(v <= atol or v >= 1.0 - atol for v in self.table)
+    def is_zero_one_valued(self) -> bool:
+        return all(v <= STRUCT_TOL or v >= 1.0 - STRUCT_TOL for v in self.table)
 
-    def is_additive(self, atol: float = STRUCT_TOL) -> bool:
+    def is_additive(self) -> bool:
         """True iff every value is the sum of its singleton values."""
         table = np.asarray(self.table)
         sums = _zeta(_on_singletons(self.ground, table[1 << np.arange(self.ground.n)]))
-        return not (np.abs(table - sums) > atol).any()
+        return not (np.abs(table - sums) > STRUCT_TOL).any()
 
     def __repr__(self) -> str:
         entries = ", ".join(
@@ -299,9 +296,6 @@ class MassFunction:
         if not abs(total - 1.0) <= STRUCT_TOL:  # written so that a NaN sum fails
             raise ValueError(f"masses sum to {total!r}, expected 1")
 
-    def focal_sets(self) -> list[int]:
-        return [a for a, v in enumerate(self.mass) if v > 0.0]
-
 
 def belief(m: MassFunction) -> Capacity:
     """Lower set function ``Bel(A) = sum of m(B) over B inside A``."""
@@ -361,13 +355,13 @@ class DominanceCheck:
         return self.holds
 
 
-def dominates_dual(mu: Capacity, nu: Capacity, atol: float = STRUCT_TOL) -> DominanceCheck:
+def dominates_dual(mu: Capacity, nu: Capacity) -> DominanceCheck:
     """Check ``mu(A) <= 1 - nu(A^c)`` for every subset A."""
     _check_same_ground(mu, nu)
     gaps = np.asarray(mu.table) - (1.0 - np.asarray(nu.table)[::-1])
     worst_set = int(gaps.argmax())
     worst_gap = float(gaps[worst_set])
-    return DominanceCheck(worst_gap <= atol, worst_set, worst_gap)
+    return DominanceCheck(worst_gap <= STRUCT_TOL, worst_set, worst_gap)
 
 
 def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int | None:
@@ -409,7 +403,7 @@ class SuperadditivityCheck:
         return self.holds
 
 
-def is_superadditive(mu: Capacity, atol: float = STRUCT_TOL) -> SuperadditivityCheck:
+def is_superadditive(mu: Capacity) -> SuperadditivityCheck:
     """Check ``mu(A) + mu(B) <= mu(A | B)`` over all disjoint pairs.
 
     Enumerates all 3^n disjoint pairs; raises TooLarge above
@@ -422,7 +416,8 @@ def is_superadditive(mu: Capacity, atol: float = STRUCT_TOL) -> SuperadditivityC
         gap = t[a] + t[b] - t[a | b]
         if gap > worst_gap:
             worst, worst_gap = (a, b), gap
-    return SuperadditivityCheck(worst_gap <= atol, None if worst_gap <= atol else worst, worst_gap)
+    holds = worst_gap <= STRUCT_TOL
+    return SuperadditivityCheck(holds, None if holds else worst, worst_gap)
 
 
 @dataclass(frozen=True)
@@ -441,7 +436,7 @@ class UncertaintyCheck:
         return self.holds
 
 
-def is_uncertainty_measure(m: Capacity, atol: float = STRUCT_TOL) -> UncertaintyCheck:
+def is_uncertainty_measure(m: Capacity) -> UncertaintyCheck:
     """Check the three uncertainty-measure axioms on a finite ground set.
 
     Countable subadditivity reduces to pairwise subadditivity here: any
@@ -454,11 +449,11 @@ def is_uncertainty_measure(m: Capacity, atol: float = STRUCT_TOL) -> Uncertainty
     if m.table[ground.full] != 1.0:
         return UncertaintyCheck(False, "normalization", (ground.full,))
     table = np.asarray(m.table)
-    unpaired = np.flatnonzero(np.abs(table + table[::-1] - 1.0) > atol)
+    unpaired = np.flatnonzero(np.abs(table + table[::-1] - 1.0) > STRUCT_TOL)
     if unpaired.size:
         a = int(unpaired[0])
         return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
     for a, b in _disjoint_pairs(ground):
-        if m.table[a | b] > m.table[a] + m.table[b] + atol:
+        if m.table[a | b] > m.table[a] + m.table[b] + STRUCT_TOL:
             return UncertaintyCheck(False, "subadditivity", (a, b))
     return UncertaintyCheck(True, None, None)

@@ -56,7 +56,7 @@ class NotZeroOneValued(ChoqriskError, ValueError):
 
 
 class TooLarge(ChoqriskError, ValueError):
-    """Work requested beyond a documented size bound (enumeration, oracle cells, pair walks)."""
+    """Work requested beyond a documented size bound (sweeps, oracle cells, pair walks, samples, grids)."""
 
 
 class DomainError(ChoqriskError, ValueError):

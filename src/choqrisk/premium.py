@@ -27,11 +27,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
-from .errors import NonDifferentiable, OutOfClass, ZeroDerivative, ZeroOneCapacity
+from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, ZeroOneCapacity
 from .integral import RandomVariable, _groups, _lower, gen_choquet, step_integral
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
+#: cap on one sample_outcomes batch (the CLI defaults draw 200 and 500)
+_MAX_SAMPLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,9 @@ def sample_outcomes(
     x_range: tuple[float, float] = (-2.0, 2.0),
     x_below_w: bool = False,
 ) -> list[tuple[float, RandomVariable]]:
-    """Seeded batch of (w, X) pairs; ``x_below_w`` caps X at w pointwise."""
+    """Seeded batch of at most _MAX_SAMPLES (w, X) pairs; ``x_below_w`` caps X at w pointwise."""
+    if count > _MAX_SAMPLES:
+        raise TooLarge(f"{count} samples requested, above the cap of {_MAX_SAMPLES}")
     out = []
     for _ in range(count):
         w = float(rng.uniform(*w_range))

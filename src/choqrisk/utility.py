@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NonDifferentiable, NotInRange, ZeroDerivative
 
@@ -29,7 +29,12 @@ BISECTION_MAX_ITER = 200
 
 
 class UtilityFunction:
-    """Base class for strictly increasing utilities vanishing at 0."""
+    """Base class for strictly increasing utilities vanishing at 0.
+
+    Families define ``_value``, ``_prime``, ``_second`` and ``_inverse`` on
+    checked arguments, ``range()`` (the endpoints of the image of the
+    domain; ``in_range`` says which are included) and ``spec()``.
+    """
 
     #: open domain endpoints; subclasses override
     domain_lo: float = -INF
@@ -70,44 +75,23 @@ class UtilityFunction:
             raise NotInRange(f"{self.spec()}: {y!r} outside the range from {lo} to {hi}")
         return self._inverse(float(y))
 
-    def range(self) -> tuple[float, float]:
-        """Endpoints of the image of the domain; ``in_range`` says which are included."""
-        raise NotImplementedError
-
-    def _value(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _prime(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _second(self, x: float) -> float:
-        raise NotImplementedError
-
-    def _inverse(self, y: float) -> float:
-        raise NotImplementedError
-
-    def spec(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.spec()!r})"
-
     def _validate_shape(self):
         # u(0) = 0 and monotone growth, certified on a grid.  Bounded
         # families saturate in floating point far from 0 (1 - exp(-...)
         # rounds to 1), so strictness is only demanded on a central window
         # where values stay resolvable; elsewhere nondecreasing suffices.
-        if abs(self.value(0.0)) > 1e-12:
+        # Every test is written so that a NaN value fails it.
+        if not abs(self.value(0.0)) <= 1e-12:
             raise ValueError(f"{self.spec()}: u(0) = {self.value(0.0)!r}, expected 0")
         grid = default_grid(self)
         vals = [self.value(x) for x in grid]
         for (x0, v0), (x1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-            if v1 < v0:
+            if not v1 >= v0:
                 raise ValueError(f"{self.spec()}: decreasing between {x0} and {x1}")
         central = default_grid(self, 41, (-1.0, 1.0))
         cvals = [self.value(x) for x in central]
         for (x0, v0), (x1, v1) in zip(zip(central, cvals), zip(central[1:], cvals[1:])):
-            if v1 <= v0:
+            if not v1 > v0:
                 raise ValueError(f"{self.spec()}: not strictly increasing between {x0} and {x1}")
 
 
@@ -140,8 +124,8 @@ class Exponential(UtilityFunction):
     a: float
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"a must be positive, got {self.a!r}")
+        if not 0.0 < self.a < INF:
+            raise ValueError(f"a must be positive and finite, got {self.a!r}")
         self._validate_shape()
 
     def _value(self, x: float) -> float:
@@ -176,8 +160,8 @@ class Power(UtilityFunction):
     b: float
 
     def __post_init__(self):
-        if self.a < 0.0 or self.b <= 0.0:
-            raise ValueError(f"need a >= 0 and b > 0, got ({self.a!r}, {self.b!r})")
+        if not (0.0 <= self.a < INF and 0.0 < self.b < INF):
+            raise ValueError(f"need finite a >= 0 and b > 0, got ({self.a!r}, {self.b!r})")
         object.__setattr__(self, "domain_lo", -self.a)
         if self.a == 0.0:
             object.__setattr__(self, "closed_at_lo", True)
@@ -213,8 +197,8 @@ class Logarithmic(UtilityFunction):
     a: float
 
     def __post_init__(self):
-        if self.a < 1.0:
-            raise ValueError(f"a must be >= 1, got {self.a!r}")
+        if not 1.0 <= self.a < INF:
+            raise ValueError(f"a must be finite and >= 1, got {self.a!r}")
         object.__setattr__(self, "domain_lo", -self.a)
         self._validate_shape()
 
@@ -254,8 +238,8 @@ class PowerExpo(UtilityFunction):
     closed_at_lo = True
 
     def __post_init__(self):
-        if self.b <= 0.0 or self.c <= 0.0:
-            raise ValueError(f"parameters must be positive, got ({self.b!r}, {self.c!r})")
+        if not (0.0 < self.b < INF and 0.0 < self.c < INF):
+            raise ValueError(f"parameters must be positive and finite, got ({self.b!r}, {self.c!r})")
         self._validate_shape()
 
     def _value(self, x: float) -> float:
@@ -366,6 +350,20 @@ class PiecewiseLinearKink(UtilityFunction):
         return "kink"
 
 
+def _segment(knots: Sequence[tuple[float, float]], x: float) -> Sequence[tuple[float, float]]:
+    """End knots of the segment holding x (the first or last one beyond the ends)."""
+    j = 1
+    while j < len(knots) - 1 and knots[j][0] < x:
+        j += 1
+    return knots[j - 1], knots[j]
+
+
+def _interpolate(knots: Sequence[tuple[float, float]], x: float) -> float:
+    """Piecewise-linear value through ``knots`` (sorted by abscissa) at x."""
+    (x0, y0), (x1, y1) = _segment(knots, x)
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
 @dataclass(frozen=True)
 class TabulatedUtility(UtilityFunction):
     """Strictly increasing piecewise-linear utility through knots.
@@ -387,8 +385,8 @@ class TabulatedUtility(UtilityFunction):
         if (0.0, 0.0) not in knots:
             raise ValueError("a knot at (0, 0) is required")
         for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if x1 <= x0 or y1 <= y0:
-                raise ValueError("knots must be strictly increasing in both coordinates")
+            if not (-INF < x0 < x1 < INF and -INF < y0 < y1 < INF):
+                raise ValueError("knots must be finite and strictly increasing in both coordinates")
         object.__setattr__(self, "domain_lo", knots[0][0])
         object.__setattr__(self, "domain_hi", knots[-1][0])
         object.__setattr__(self, "closed_at_lo", True)
@@ -400,23 +398,14 @@ class TabulatedUtility(UtilityFunction):
         lo, hi = self.range()
         return lo <= y <= hi
 
-    def _segment(self, x: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        """End knots of the segment holding x (the first or last one beyond the ends)."""
-        ks = self.knots
-        j = 1
-        while j < len(ks) - 1 and ks[j][0] < x:
-            j += 1
-        return ks[j - 1], ks[j]
-
     def _value(self, x: float) -> float:
-        (x0, y0), (x1, y1) = self._segment(x)
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return _interpolate(self.knots, x)
 
     def _prime(self, x: float) -> float:
         for kx, _ in self.knots:
             if x == kx:
                 raise NonDifferentiable(f"{self.spec()}: knot at {x}")
-        (x0, y0), (x1, y1) = self._segment(x)
+        (x0, y0), (x1, y1) = _segment(self.knots, x)
         return (y1 - y0) / (x1 - x0)
 
     def _second(self, x: float) -> float:
@@ -453,10 +442,6 @@ def arrow_pratt(u: UtilityFunction, x: float) -> float:
     return -u.second(x) / d1
 
 
-def _as_callable(f) -> Callable[[float], float]:
-    return f.value if hasattr(f, "value") else f
-
-
 @dataclass(frozen=True)
 class ShapeCheck:
     """Grid certificate; ``witness`` is the offending pair when it fails."""
@@ -471,7 +456,7 @@ class ShapeCheck:
 
 def is_concave_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeCheck:
     """Midpoint concavity ``f((x+y)/2) >= (f(x)+f(y))/2 - tol`` over grid pairs."""
-    fn = _as_callable(f)
+    fn = f.value
     xs = sorted(set(float(x) for x in grid))
     vals = [fn(x) for x in xs]
     worst, worst_gap = None, float("-inf")
@@ -488,17 +473,16 @@ def is_weakly_superadditive_on(f, grid: Sequence[float], tol: float = SHAPE_TOL)
 
     Pairs whose sum leaves the evaluation domain are skipped.
     """
-    fn = _as_callable(f)
+    fn = f.value
     xs = sorted(set(float(x) for x in grid))
     neg = [x for x in xs if x <= 0.0]
     pos = [x for x in xs if x >= 0.0]
     if not neg or not pos:
         raise ValueError("grid must straddle 0")
-    in_dom = f.in_domain if hasattr(f, "in_domain") else (lambda _x: True)
     worst, worst_gap = None, float("-inf")
     for a in neg:
         for b in pos:
-            if not in_dom(a + b):
+            if not f.in_domain(a + b):
                 continue
             gap = fn(a) + fn(b) - fn(a + b)
             if gap > worst_gap:
@@ -540,6 +524,37 @@ def compose_via_inverse(u: UtilityFunction, v: UtilityFunction) -> ComposedMap:
     return ComposedMap(u, v)
 
 
+def _parse_spec(spec: str, families: dict, what: str):
+    """Build ``kind``, ``kind:p1,p2,...`` or ``kind:x,y;x,y;...`` from ``families``.
+
+    ``families`` maps a kind to its class and parameter count (None: a knot
+    table).  Bare kinds match exactly, kinds before a colon in any case.
+    """
+    spec = spec.strip()
+    kind, colon, args = spec.partition(":")
+    kind = kind.lower() if colon else kind
+    if kind not in families:
+        raise ValueError(f"unknown {what} family {kind!r}" if colon else f"cannot parse {what} spec {spec!r}")
+    cls, count = families[kind]
+    try:
+        if count is None:
+            return cls(tuple(tuple(float(t) for t in knot.split(",")) for knot in args.split(";")))
+        params = [float(t) for t in args.split(",")] if colon else []
+        if len(params) != count:
+            raise ValueError(f"{what} family {kind!r} takes {count} parameter(s), got {len(params)}")
+        return cls(*params)
+    except ArithmeticError as exc:  # e.g. an overflow in the shape check
+        raise ValueError(f"cannot parse {what} spec {spec!r}: {exc}") from exc
+
+
+#: kind -> (class, parameter count), None for a knot table
+_UTILITY_FAMILIES = {
+    "linear": (Linear, 0), "negsqrt": (NegSqrtKink, 0), "kink": (PiecewiseLinearKink, 0),
+    "exp": (Exponential, 1), "log": (Logarithmic, 1), "power": (Power, 2), "powerexpo": (PowerExpo, 2),
+    "utable": (TabulatedUtility, None),
+}
+
+
 def parse_utility(spec: str) -> UtilityFunction:
     """Build a utility from a CLI spec string.
 
@@ -547,32 +562,4 @@ def parse_utility(spec: str) -> UtilityFunction:
     ``powerexpo:1,2``, ``negsqrt``, ``kink``,
     ``utable:-1,-2;0,0;1,0.5``.
     """
-    spec = spec.strip()
-    plain = {"linear": Linear, "negsqrt": NegSqrtKink, "kink": PiecewiseLinearKink}
-    if spec in plain:
-        return plain[spec]()
-    if ":" not in spec:
-        raise ValueError(f"cannot parse utility spec {spec!r}")
-    kind, _, args = spec.partition(":")
-    kind = kind.lower()
-    try:
-        if kind == "exp":
-            return Exponential(float(args))
-        if kind == "power":
-            a, b = (float(t) for t in args.split(","))
-            return Power(a, b)
-        if kind == "log":
-            return Logarithmic(float(args))
-        if kind == "powerexpo":
-            b, c = (float(t) for t in args.split(","))
-            return PowerExpo(b, c)
-        if kind == "utable":
-            knots = tuple(
-                tuple(float(t) for t in pair.split(",")) for pair in args.split(";")
-            )
-            return TabulatedUtility(knots)  # type: ignore[arg-type]
-    except ValueError:
-        raise
-    except Exception as exc:
-        raise ValueError(f"cannot parse utility spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown utility family {kind!r}")
+    return _parse_spec(spec, _UTILITY_FAMILIES, "utility")

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TooLarge
+from .utility import _interpolate, _parse_spec
 
 GRID_POINTS = 1001
+#: cap on the rows of one figure_data grid (the published figures use 1001)
+_MAX_GRID_POINTS = 10**6
 DOMINANCE_TOL = 1e-12
 
 # Empirically the inverse-S family below loses monotonicity once its
@@ -49,15 +52,12 @@ class WeightingFunction:
         """Conjugate weighting ``1 - value(1 - p)``."""
         return 1.0 - self.value(1.0 - _check_p(p))
 
-    def _raw(self, p: float) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _validate_shape(self):
         grid = np.linspace(0.0, 1.0, GRID_POINTS)
         vals = np.array([self.value(float(p)) for p in grid])
-        if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
+        if not (abs(vals[0]) <= 1e-12 and abs(vals[-1] - 1.0) <= 1e-12):
             raise ValueError(f"{self!r}: endpoints map to ({vals[0]}, {vals[-1]}), expected (0, 1)")
-        drops = np.nonzero(np.diff(vals) < -1e-12)[0]
+        drops = np.nonzero(~(np.diff(vals) >= -1e-12))[0]  # written so that a NaN step fails
         if drops.size:
             k = int(drops[0])
             raise ValueError(
@@ -87,8 +87,8 @@ class KahnemanTversky(WeightingFunction):
     allow_out_of_range: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not KT_GAMMA_MIN < self.gamma <= 1.0:
             if not self.allow_out_of_range:
                 raise ValueError(
@@ -119,8 +119,8 @@ class GoldsteinEinhorn(WeightingFunction):
     gamma: float
 
     def __post_init__(self):
-        if self.delta <= 0.0 or self.gamma <= 0.0:
-            raise ValueError(f"parameters must be positive, got ({self.delta!r}, {self.gamma!r})")
+        if not (0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError(f"parameters must be positive and finite, got ({self.delta!r}, {self.gamma!r})")
         self._validate_shape()
 
     def _raw(self, p: float) -> float:
@@ -143,8 +143,8 @@ class Prelec(WeightingFunction):
     gamma: float
 
     def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         self._validate_shape()
@@ -173,21 +173,15 @@ class TabulatedWeighting(WeightingFunction):
             raise ValueError("need at least the two endpoint knots")
         if knots[0] != (0.0, 0.0) or knots[-1] != (1.0, 1.0):
             raise ValueError("knots must start at (0, 0) and end at (1, 1)")
+        # between the finite ends these comparisons also refuse NaN and infinity
         for (p0, w0), (p1, w1) in zip(knots, knots[1:]):
-            if p1 <= p0:
-                raise ValueError("knot abscissae must be strictly increasing")
-            if w1 < w0 - 1e-12:
-                raise ValueError("knot ordinates must be nondecreasing")
+            if not p1 > p0:
+                raise ValueError("knot abscissae must be finite and strictly increasing")
+            if not w1 >= w0 - 1e-12:
+                raise ValueError("knot ordinates must be finite and nondecreasing")
 
     def _raw(self, p: float) -> float:
-        ps = [k[0] for k in self.knots]
-        ws = [k[1] for k in self.knots]
-        j = 1
-        while ps[j] < p:
-            j += 1
-        p0, p1 = ps[j - 1], ps[j]
-        w0, w1 = ws[j - 1], ws[j]
-        return w0 + (w1 - w0) * (p - p0) / (p1 - p0)
+        return _interpolate(self.knots, p)
 
     def spec(self) -> str:
         return "table:" + ";".join(f"{p:g},{w:g}" for p, w in self.knots)
@@ -230,13 +224,22 @@ def dominance_check(
 def figure_data(
     g: WeightingFunction, h: WeightingFunction, grid_size: int = GRID_POINTS
 ) -> list[tuple[float, float, float]]:
-    """Rows ``(p, g(p), dual_h(p))`` on a uniform grid, ready for CSV."""
+    """Rows ``(p, g(p), dual_h(p))`` on a uniform grid of at most _MAX_GRID_POINTS, ready for CSV."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    if grid_size > _MAX_GRID_POINTS:
+        raise TooLarge(f"grid_size {grid_size} is above the cap of {_MAX_GRID_POINTS} rows")
     return [
         (p, g.value(p), h.dual_value(p))
         for p in (k / (grid_size - 1) for k in range(grid_size))
     ]
+
+
+#: kind -> (class, parameter count), None for a knot table
+_WEIGHTING_FAMILIES = {
+    "identity": (Identity, 0), "kt": (KahnemanTversky, 1), "ge": (GoldsteinEinhorn, 2),
+    "prelec": (Prelec, 2), "table": (TabulatedWeighting, None),
+}
 
 
 def parse_weighting(spec: str) -> WeightingFunction:
@@ -245,29 +248,4 @@ def parse_weighting(spec: str) -> WeightingFunction:
     Formats: ``identity``, ``kt:0.61``, ``ge:0.65,0.60``, ``prelec:1,0.74``,
     ``table:0,0;0.4,0.5;1,1``.
     """
-    spec = spec.strip()
-    if spec == "identity":
-        return Identity()
-    if ":" not in spec:
-        raise ValueError(f"cannot parse weighting spec {spec!r}")
-    kind, _, args = spec.partition(":")
-    kind = kind.lower()
-    try:
-        if kind == "kt":
-            return KahnemanTversky(float(args))
-        if kind == "ge":
-            d, g = (float(t) for t in args.split(","))
-            return GoldsteinEinhorn(d, g)
-        if kind == "prelec":
-            d, g = (float(t) for t in args.split(","))
-            return Prelec(d, g)
-        if kind == "table":
-            knots = tuple(
-                tuple(float(t) for t in pair.split(",")) for pair in args.split(";")
-            )
-            return TabulatedWeighting(knots)  # type: ignore[arg-type]
-    except ValueError:
-        raise
-    except Exception as exc:  # malformed arg lists
-        raise ValueError(f"cannot parse weighting spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown weighting family {kind!r}")
+    return _parse_spec(spec, _WEIGHTING_FAMILIES, "weighting")

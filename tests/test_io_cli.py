@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 from choqrisk import GroundSet, new_capacity
 from choqrisk.cli import main
 from choqrisk.errors import SchemaError
+from choqrisk.utility import parse_utility
+from choqrisk.weighting import parse_weighting
 from choqrisk.io import (
     capacity_from_dict,
     fmt17,
@@ -277,6 +280,63 @@ def test_cli_comparisons_reject_samples_below_one(tmp_path, mu_file, nu_file, ca
     ):
         assert main(argv + ["--samples", samples]) == 1
         assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_comparisons_refuse_samples_above_the_cap(tmp_path, mu_file, nu_file, capsys):
+    from choqrisk.premium import _MAX_SAMPLES
+
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"w": 1.0, "X": [0.5, -0.5], "mu_file": "mu.json",
+                              "nu_file": "nu.json", "utility": "exp:2"}))
+    for argv in (
+        ["compare", "--u", "exp:2", "--v", "exp:1", "--mu", str(mu_file), "--nu", str(nu_file)],
+        ["premium", str(sc), "--compare", "exp:1"],
+    ):
+        assert main(argv + ["--samples", str(_MAX_SAMPLES + 1)]) == 1
+        assert f"above the cap of {_MAX_SAMPLES}" in capsys.readouterr().err
+
+
+def test_cli_figures_refuse_a_grid_above_the_cap(tmp_path, capsys):
+    from choqrisk.weighting import _MAX_GRID_POINTS
+
+    assert main(["figures", "--out", str(tmp_path), "--grid-size", str(_MAX_GRID_POINTS + 1)]) == 1
+    assert f"above the cap of {_MAX_GRID_POINTS} rows" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_refuses_nan_utility_parameters(mu_file, nu_file, capsys):
+    argv = ["compare", "--u", "exp:nan", "--v", "exp:1", "--mu", str(mu_file), "--nu", str(nu_file)]
+    assert main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_readme_spec_forms_match_the_readers():
+    """Every kind README names parses, with the parameter count README shows."""
+    from choqrisk.utility import _UTILITY_FAMILIES
+    from choqrisk.weighting import _WEIGHTING_FAMILIES
+
+    examples = {
+        "linear": "linear", "exp": "exp:1", "power": "power:4,0.5", "log": "log:1",
+        "powerexpo": "powerexpo:1,0.5", "negsqrt": "negsqrt", "kink": "kink",
+        "utable": "utable:-1,-2;0,0;1,0.5", "identity": "identity", "kt": "kt:0.61",
+        "ge": "ge:0.65,0.6", "prelec": "prelec:1,0.74", "table": "table:0,0;0.4,0.5;1,1",
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    utility_text, _, weighting_text = readme.partition("Utility specs:")[2].partition("Weighting specs:")
+    weighting_text = weighting_text.partition("\n\n")[0]
+    for text, families, parse in (
+        (utility_text, _UTILITY_FAMILIES, parse_utility),
+        (weighting_text, _WEIGHTING_FAMILIES, parse_weighting),
+    ):
+        forms = dict(form.partition(":")[::2] for form in re.findall(r"`([^`]+)`", text))
+        assert set(forms) == set(families)
+        for kind, params in forms.items():
+            count = families[kind][1]
+            if count is None:
+                assert ";" in params
+            else:
+                assert (len(params.split(",")) if params else 0) == count, kind
+            assert parse(examples[kind]).spec().partition(":")[0] == kind
 
 
 def test_cli_figures_all(tmp_path, capsys):

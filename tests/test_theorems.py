@@ -400,6 +400,25 @@ def test_sweeps_refuse_more_pairs_than_the_cap():
         run_full_report(n=2, levels=levels)
 
 
+def test_sweeps_refuse_a_large_grid_after_a_bounded_enumeration(monkeypatch):
+    from choqrisk import theorems
+
+    built = 0
+    enumerate_all = theorems.enumerate_capacities
+
+    def counting(n, levels):
+        nonlocal built
+        for cap in enumerate_all(n, levels):
+            built += 1
+            yield cap
+
+    monkeypatch.setattr(theorems, "enumerate_capacities", counting)
+    # 360,000 capacities on two elements at 600 levels; the refusal builds a bounded few
+    with pytest.raises(TooLarge, match="at least"):
+        run_full_report(n=2, levels=[k / 599 for k in range(600)])
+    assert built == theorems._SWEEP_MAX_BUILT + 1
+
+
 def test_two_point_grids_refuse_more_than_the_cap():
     with pytest.raises(TooLarge):
         two_point_grid(GroundSet(9))  # 255 splits x 41^2 values x 9 > 2e6 cells

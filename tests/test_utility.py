@@ -18,6 +18,7 @@ from choqrisk import (
     Power,
     PowerExpo,
     TabulatedUtility,
+    TabulatedWeighting,
     arrow_pratt,
     compose_via_inverse,
     is_concave_on,
@@ -312,7 +313,8 @@ def test_tabulated_value_and_domain():
 # --- spec parsing ----------------------------------------------------------------------------
 
 def test_parse_round_trip():
-    for spec in ("linear", "exp:1.5", "power:4,0.5", "log:2", "powerexpo:1,0.5", "negsqrt", "kink"):
+    for spec in ("linear", "exp:1.5", "power:4,0.5", "log:2", "powerexpo:1,0.5", "negsqrt", "kink",
+                 "utable:-1,-2;0,0;1,0.5"):
         u = parse_utility(spec)
         assert parse_utility(u.spec()).spec() == u.spec()
 
@@ -320,3 +322,57 @@ def test_parse_round_trip():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_utility("nope:1")
+    for spec in ("power:1", "exp:1,2", "utable:-1,-2;0,0,0;1,0.5"):
+        with pytest.raises(ValueError):
+            parse_utility(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, build",
+    [
+        ("exp:nan", lambda: Exponential(math.nan)),
+        ("exp:inf", lambda: Exponential(math.inf)),
+        ("power:nan,1", lambda: Power(math.nan, 1.0)),
+        ("power:1,inf", lambda: Power(1.0, math.inf)),
+        ("log:nan", lambda: Logarithmic(math.nan)),
+        ("powerexpo:nan,1", lambda: PowerExpo(math.nan, 1.0)),
+        ("powerexpo:1,nan", lambda: PowerExpo(1.0, math.nan)),
+        ("utable:0,0;1,nan", lambda: TabulatedUtility(((0.0, 0.0), (1.0, math.nan)))),
+        ("utable:0,0;inf,1", lambda: TabulatedUtility(((0.0, 0.0), (math.inf, 1.0)))),
+    ],
+)
+def test_nan_and_infinite_parameters_are_refused(spec, build):
+    # the rule sits in the constructors, so a spec and a direct call fail alike
+    for make in (lambda: parse_utility(spec), build):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
+def test_knot_interpolation_is_bitwise_the_per_family_formula():
+    def utility_formula(knots, x):
+        j = 1
+        while j < len(knots) - 1 and knots[j][0] < x:
+            j += 1
+        (x0, y0), (x1, y1) = knots[j - 1], knots[j]
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def weighting_formula(knots, p):
+        ps = [k[0] for k in knots]
+        ws = [k[1] for k in knots]
+        j = 1
+        while ps[j] < p:
+            j += 1
+        return ws[j - 1] + (ws[j] - ws[j - 1]) * (p - ps[j - 1]) / (ps[j] - ps[j - 1])
+
+    u = TabulatedUtility(((-3.0, -6.0), (-1.0, -1.5), (0.0, 0.0), (1.0, 0.8), (2.0, 1.4), (6.0, 2.8)))
+    w = TabulatedWeighting(((0.0, 0.0), (0.1, 0.3), (0.4, 0.5), (0.7, 0.5), (1.0, 1.0)))
+    # the weighting's ends 0 and 1 are answered by value() itself, so _raw is probed there
+    for knots, fn, formula in ((u.knots, u.value, utility_formula), (w.knots, w._raw, weighting_formula)):
+        xs = [x for x, _ in knots]
+        lo, hi = xs[0], xs[-1]
+        points = xs + [(a + b) / 2.0 for a, b in zip(xs, xs[1:])]
+        points += [lo + (hi - lo) * k / 97.0 for k in range(98)]
+        points += [math.nextafter(lo, hi), math.nextafter(hi, lo)]
+        for x in points:
+            got, want = fn(x), formula(knots, x)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x

@@ -228,7 +228,7 @@ def test_figure_row_count():
 # --- spec parsing ------------------------------------------------------------------
 
 def test_parse_round_trip():
-    for spec in ("identity", "kt:0.61", "ge:0.65,0.6", "prelec:1,0.74"):
+    for spec in ("identity", "kt:0.61", "ge:0.65,0.6", "prelec:1,0.74", "table:0,0;0.4,0.5;1,1"):
         fn = parse_weighting(spec)
         assert parse_weighting(fn.spec()).value(0.3) == fn.value(0.3)
 
@@ -238,3 +238,23 @@ def test_parse_rejects_unknown():
         parse_weighting("zzz:1")
     with pytest.raises(ValueError):
         parse_weighting("identity-ish")
+    for spec in ("kt:", "kt:0.5,0.5", "ge:1", "table:0,0;0.4,0.5,0.6;1,1"):
+        with pytest.raises(ValueError):
+            parse_weighting(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, build",
+    [
+        ("kt:nan", lambda: KahnemanTversky(math.nan, allow_out_of_range=True)),
+        ("ge:nan,1", lambda: GoldsteinEinhorn(math.nan, 1.0)),
+        ("ge:inf,1", lambda: GoldsteinEinhorn(math.inf, 1.0)),
+        ("prelec:nan,0.5", lambda: Prelec(math.nan, 0.5)),
+        ("table:0,0;0.5,nan;1,1", lambda: TabulatedWeighting(((0.0, 0.0), (0.5, math.nan), (1.0, 1.0)))),
+    ],
+)
+def test_nan_and_infinite_parameters_are_refused(spec, build):
+    # the rule sits in the constructors, so a spec and a direct call fail alike
+    for make in (lambda: parse_weighting(spec), build):
+        with pytest.raises(ValueError, match="finite"):
+            make()
