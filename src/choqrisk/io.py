@@ -172,7 +172,8 @@ def load_scenario_doc(path: str | Path) -> dict:
 
 
 def write_csv(path: str | Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(fmt17(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``header`` and one line per row of ``fmt17`` values, each line as it is formatted."""
+    with open(path, "w") as out:
+        out.write(header + "\n")
+        for row in rows:
+            out.write(",".join(fmt17(v) for v in row) + "\n")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -59,8 +59,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs, at
-#: five levels 3,549,456 (about 19 h at 19.5 ms per pair)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (30 s,
+#: 1.8 ms per pair, most of it the lemma trials), at five levels 3,549,456
+#: (about 1.8 h at that rate)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -295,19 +296,63 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     return Verdict("jensen", witness is None, checked, witness)
 
 
+def _direct(key, compute):
+    """``once`` for a check run on its own: keeps nothing and returns ``compute()``.
+
+    A ``once(key, compute)`` returns ``compute()`` or the value it kept for
+    an equal key; the key names everything the value depends on.
+    """
+    return compute()
+
+
+def _per_split(mu: Capacity, nu: Capacity, f, tag: tuple, blocks: list, scan, once) -> Iterator:
+    """``(rows, scan(b, rows))`` for each ``(b, rows)`` of blocks, in order and lazily.
+
+    Every row of a block takes one value on the split B and one off it, so
+    its integral reads mu and nu only at B and at the complement of B (its
+    other events are the empty and the whole set).  ``once`` keys each scan
+    on those four entries, ``tag`` (the scan and its value grid) and f.
+    """
+    full = mu.ground.full
+    for b, rows in blocks:
+        key = (tag, b, mu.table[b], mu.table[full ^ b], nu.table[b], nu.table[full ^ b], f)
+        yield rows, once(key, lambda: scan(b, rows))
+
+
+def _two_point_jensen(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
+    """``jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))``, one split at a time."""
+    ground = mu.ground
+
+    def split_rows():
+        grid, size = two_point_grid(ground, values), len(values) ** 2
+        return [(b, _in_domain(f, grid[k * size : (k + 1) * size])) for k, b in enumerate(_canonical_splits(ground))]
+
+    def scan(b, rows):
+        return _first_violation(mu, nu, f, rows, gen_choquet_batch(mu, nu, rows))
+
+    checked, witness = 0, None
+    blocks = once(("jensen rows", ground.n, f, values), split_rows)
+    for _, (seen, witness) in _per_split(mu, nu, f, ("jensen", values), blocks, scan, once):
+        checked += seen
+        if witness is not None:
+            break
+    return Verdict("jensen", witness is None, checked, witness)
+
+
 def _against_certificate(
-    check: str, f, shape: str, values: Sequence[float], checked: int, violation: dict | None, detail: str
+    check: str, f, shape: str, values: Sequence[float], checked: int, violation: dict | None, detail: str, once
 ) -> Verdict:
     """Verdict that a Jensen scan found a violation exactly when f fails a grid certificate.
 
     ``shape`` names the certificate: ``"concave"`` (is_concave_on) or ``"ws"``
     (is_weakly_superadditive_on), run on the in-domain values at
     VIOLATION_TOL, the scan's own tolerance, so the comparison is grid-exact.
+    The certificate reads no capacity; ``once`` keys it on (shape, f, values).
     ``detail`` may name ``{holds}`` (the certificate) and ``{found}``
     (``none`` or ``found``).
     """
     certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
-    cert = certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL)
+    cert = once((shape, f, values), lambda: certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL))
     consistent = cert.holds == (violation is None)
     return Verdict(
         check,
@@ -421,10 +466,18 @@ def zero_one_collapse_check(
     """
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("collapse identity needs {0,1}-valued capacities")
-    rng = np.random.default_rng(seed)
-    dense = rng.uniform(min(values), max(values), (25, mu.ground.n))
-    grid = two_point_grid(mu.ground, values)
-    xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
+    return _collapse(mu, nu, f, tuple(values), seed, _direct)
+
+
+def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, seed: int, once) -> Verdict:
+    """``zero_one_collapse_check`` of a {0,1}-valued pair, its capacity-free parts through ``once``."""
+
+    def rows():
+        dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, mu.ground.n))
+        grid = two_point_grid(mu.ground, values)
+        return _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
+
+    xs = once(("collapse rows", mu.ground.n, f, values, seed), rows)
     a_x, b_x = _collapse_points(mu, nu, xs)
     lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
     rhs = _per_distinct(f.value, a_x) + _per_distinct(f.value, b_x)
@@ -435,11 +488,11 @@ def zero_one_collapse_check(
         return Verdict("collapse identity", False, i + 1, witness)
     checked = len(xs)
 
-    scan = jensen_holds(mu, nu, f, grid)
+    scan = _two_point_jensen(mu, nu, f, values, once)
     checked += scan.checked
     if coexistence_set(mu, nu, both_one=True) is not None:
         return _against_certificate(
-            "collapse equivalence", f, "ws", values, checked, scan.witness, "coexistence set present"
+            "collapse equivalence", f, "ws", values, checked, scan.witness, "coexistence set present", once
         )
     return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
 
@@ -460,38 +513,59 @@ def two_valued_concavity_probe(
         raise HypothesisFailure("conjugate dominance fails")
     if coexistence_set(mu, nu) is None:
         raise HypothesisFailure("no set with mu(B) > 0 and nu(B^c) > 0")
+    return _concavity_probe(mu, nu, f, tuple(values), _direct)
 
+
+def _concavity_probe(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
+    """``two_valued_concavity_probe`` of a pair meeting its hypotheses, one split at a time.
+
+    A split B contributes the rows alpha < beta with beta on B, then those
+    with beta off B; their closed mixture forms read the same four entries
+    as their integrals.
+    """
     ground = mu.ground
-    full = ground.full
-    dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
-    alpha, beta = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
-    alpha, beta = alpha[alpha < beta], beta[alpha < beta]
-    variants = [v for b_set in _canonical_splits(ground) for v in (b_set, full ^ b_set)]
-    _check_grid_size(ground, len(variants) * len(alpha))
-    on_beta = np.array([[v >> i & 1 for i in range(ground.n)] for v in variants], dtype=bool)
-    xs = np.where(on_beta[:, None, :], beta[:, None], alpha[:, None]).reshape(-1, ground.n)
-    p = np.repeat([mu.table[v] for v in variants], len(alpha))
-    q = np.repeat([nu.table[full ^ v] for v in variants], len(alpha))
-    alpha, beta = np.tile(alpha, len(variants)), np.tile(beta, len(variants))
-    m = gen_choquet_batch(mu, nu, xs)
-    # closed two-valued mixture forms
-    expect = np.where(
-        alpha >= 0.0,
-        alpha * (1 - p) + beta * p,
-        np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
-    )
-    off = np.flatnonzero(np.abs(m - expect) > 1e-9)
-    if off.size:
-        i = int(off[0])
-        return Verdict(
-            "two-valued mixture form",
-            False,
-            i,
-            {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])},
+
+    def split_rows():
+        dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
+        alpha, beta = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
+        alpha, beta = alpha[alpha < beta], beta[alpha < beta]
+        splits = _canonical_splits(ground)
+        _check_grid_size(ground, 2 * len(splits) * len(alpha))
+        out = []
+        for b_set in splits:
+            on_beta = np.array([[v >> i & 1 for i in range(ground.n)] for v in (b_set, ground.full ^ b_set)], dtype=bool)
+            xs = np.where(on_beta[:, None, :], beta[:, None], alpha[:, None]).reshape(-1, ground.n)
+            out.append((b_set, (xs, np.tile(alpha, 2), np.tile(beta, 2))))
+        return out
+
+    def scan(b_set, rows):
+        xs, alpha, beta = rows
+        c_set = ground.full ^ b_set
+        p = np.repeat([mu.table[b_set], mu.table[c_set]], len(xs) // 2)
+        q = np.repeat([nu.table[c_set], nu.table[b_set]], len(xs) // 2)
+        m = gen_choquet_batch(mu, nu, xs)
+        # closed two-valued mixture forms
+        expect = np.where(
+            alpha >= 0.0,
+            alpha * (1 - p) + beta * p,
+            np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
         )
-    _, violation = _first_violation(mu, nu, f, xs, m)
+        off = np.flatnonzero(np.abs(m - expect) > 1e-9)
+        if off.size:
+            i = int(off[0])
+            return i, {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])}
+        return None, _first_violation(mu, nu, f, xs, m)[1]
+
+    checked, violation = 0, None
+    blocks = once(("probe rows", ground.n, f, values), split_rows)
+    for (xs, _, _), (off, found) in _per_split(mu, nu, f, ("probe", values), blocks, scan, once):
+        if off is not None:
+            return Verdict("two-valued mixture form", False, checked + off, found)
+        checked += len(xs)
+        violation = found if violation is None else violation
     return _against_certificate(
-        "two-valued concavity probe", f, "concave", values, len(xs), violation, "concave={holds}, violation={found}"
+        "two-valued concavity probe", f, "concave", values, checked, violation,
+        "concave={holds}, violation={found}", once,
     )
 
 
@@ -518,7 +592,8 @@ def nonnegative_axis_check(
             detail="{0,1}-valued gains capacity: unconditional",
         )
     return _against_certificate(
-        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}"
+        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}",
+        _direct,
     )
 
 
@@ -606,6 +681,37 @@ def run_full_report(
         raise TooLarge(f"the sweep has {pairs} capacity pairs, above SWEEP_MAX_PAIRS = {SWEEP_MAX_PAIRS}")
     report = SweepReport(n=n, levels=tuple(sorted(set(float(v) for v in levels))), seed=seed)
     report.capacity_count = len(caps)
+    pairs = product(caps, caps)
+    for mu, nu, ck, verdicts in _sweep_verdicts(pairs, theorems, seed, tuple(values), property_samples):
+        report.pair_count += 1
+        report.class_counts[ck] = report.class_counts.get(ck, 0) + 1
+        for name, ok, witness in verdicts:
+            good, total = report.verdict_counts.get(name, (0, 0))
+            report.verdict_counts[name] = (good + (1 if ok else 0), total + 1)
+            if not ok:
+                report.unexpected.append(
+                    {"check": name, "mu": list(mu.table), "nu": list(nu.table), "witness": witness}
+                )
+
+    # a converse verdict is as expected exactly when its counterexample verified
+    report.counterexamples = report.verdict_counts.get("jensen converse", (0, 0))[0]
+    return report
+
+
+def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
+    """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
+
+    One memo serves the whole call and no other: a check whose table row
+    names a key runs once per distinct key and map, and the two-point scans
+    and certificates run once per distinct entries read (``_per_split``,
+    ``_against_certificate``).
+    """
+    memo: dict = {}
+
+    def once(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
@@ -625,54 +731,42 @@ def run_full_report(
         )
         yield "jensen converse", ok, None if wit is None else {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
 
-    def forward(mu, nu, f):
-        return jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))
-
-    def over(name, gallery, check):
+    def over(name, gallery, check, key=None):
         def run(mu, nu):
             for f in gallery:
-                verdict = check(mu, nu, f)
+                verdict = check(mu, nu, f) if key is None else once((name, key(mu, nu), f), partial(check, mu, nu, f))
                 yield name, verdict.holds, verdict.witness
 
         return run
 
     # (theorem id, applies to the pair class (dominant, zero_one, coexistence), check);
-    # each check yields (check name, ok, witness)
+    # each check yields (check name, ok, witness).  A ``key`` names what a
+    # verdict reads, without one it reads both whole tables; the two-point
+    # scans key each split themselves.  Theorem 4 reads mu alone: its X are
+    # nonnegative and its maps send [0, inf) into [0, inf), so the loss tail,
+    # the one part of the integral that reads nu, is empty.
     table = (
         ("lemma", lambda d, z, c: True, lemma),
-        ("1", lambda d, z, c: d, over("jensen forward", concave_increasing_gallery(), forward)),
+        ("1", lambda d, z, c: d, over(
+            "jensen forward", concave_increasing_gallery(), partial(_two_point_jensen, values=values, once=once),
+        )),
         ("1", lambda d, z, c: not d, converse),
         ("2", lambda d, z, c: z, over(
-            "collapse", zero_at_zero_gallery(),
-            partial(zero_one_collapse_check, values=probe_values, seed=seed),
+            "collapse", zero_at_zero_gallery(), partial(_collapse, values=probe_values, seed=seed, once=once),
         )),
         ("3", lambda d, z, c: d and c, over(
             "two-valued concavity", concavity_probe_gallery,
-            partial(two_valued_concavity_probe, values=probe_values),
+            partial(_concavity_probe, values=probe_values, once=once),
         )),
-        ("4", lambda d, z, c: True, over("nonnegative axis", axis_gallery, nonnegative_axis_check)),
+        ("4", lambda d, z, c: True, over(
+            "nonnegative axis", axis_gallery, nonnegative_axis_check, key=lambda mu, nu: mu.table,
+        )),
     )
     rows = [(applies, check) for tid, applies, check in table if tid in theorems]
 
-    for mu in caps:
-        for nu in caps:
-            report.pair_count += 1
-            dom = dominates_dual(mu, nu).holds
-            zero_one = mu.is_zero_one_valued() and nu.is_zero_one_valued()
-            coex = coexistence_set(mu, nu) is not None
-            ck = f"dominant={dom}, zero_one={zero_one}, coexistence={coex}"
-            report.class_counts[ck] = report.class_counts.get(ck, 0) + 1
-            for applies, check in rows:
-                if not applies(dom, zero_one, coex):
-                    continue
-                for name, ok, witness in check(mu, nu):
-                    good, total = report.verdict_counts.get(name, (0, 0))
-                    report.verdict_counts[name] = (good + (1 if ok else 0), total + 1)
-                    if not ok:
-                        report.unexpected.append(
-                            {"check": name, "mu": list(mu.table), "nu": list(nu.table), "witness": witness}
-                        )
-
-    # a converse verdict is as expected exactly when its counterexample verified
-    report.counterexamples = report.verdict_counts.get("jensen converse", (0, 0))[0]
-    return report
+    for mu, nu in pairs:
+        dom = dominates_dual(mu, nu).holds
+        zero_one = mu.is_zero_one_valued() and nu.is_zero_one_valued()
+        coex = coexistence_set(mu, nu) is not None
+        ck = f"dominant={dom}, zero_one={zero_one}, coexistence={coex}"
+        yield mu, nu, ck, [verdict for applies, check in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu)]

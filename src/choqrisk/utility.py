@@ -81,15 +81,21 @@ class UtilityFunction:
         # rounds to 1), so strictness is only demanded on a central window
         # where values stay resolvable; elsewhere nondecreasing suffices.
         # Every test is written so that a NaN value fails it.
-        if not abs(self.value(0.0)) <= 1e-12:
-            raise ValueError(f"{self.spec()}: u(0) = {self.value(0.0)!r}, expected 0")
+        def value(x):
+            try:
+                return self.value(x)
+            except OverflowError:
+                raise ValueError(f"{self.spec()}: u({x!r}) is not a finite float (overflow)") from None
+
+        if not abs(value(0.0)) <= 1e-12:
+            raise ValueError(f"{self.spec()}: u(0) = {value(0.0)!r}, expected 0")
         grid = default_grid(self)
-        vals = [self.value(x) for x in grid]
+        vals = [value(x) for x in grid]
         for (x0, v0), (x1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
             if not v1 >= v0:
                 raise ValueError(f"{self.spec()}: decreasing between {x0} and {x1}")
         central = default_grid(self, 41, (-1.0, 1.0))
-        cvals = [self.value(x) for x in central]
+        cvals = [value(x) for x in central]
         for (x0, v0), (x1, v1) in zip(zip(central, cvals), zip(central[1:], cvals[1:])):
             if not v1 > v0:
                 raise ValueError(f"{self.spec()}: not strictly increasing between {x0} and {x1}")

@@ -310,6 +310,12 @@ def test_cli_refuses_nan_utility_parameters(mu_file, nu_file, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_cli_names_a_utility_whose_shape_check_overflows(mu_file, nu_file, capsys):
+    argv = ["compare", "--u", "exp:100", "--v", "exp:1", "--mu", str(mu_file), "--nu", str(nu_file)]
+    assert main(argv) == 1
+    assert "exp:100: u(-10.0) is not a finite float (overflow)" in capsys.readouterr().err
+
+
 def test_readme_spec_forms_match_the_readers():
     """Every kind README names parses, with the parameter count README shows."""
     from choqrisk.utility import _UTILITY_FAMILIES

@@ -32,7 +32,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import HypothesisFailure, NotZeroOneValued, TooLarge
-from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
+from choqrisk.sampling import random_capacity, random_dominant_pair, random_variable, rng_from_seed
 import numpy as np
 
 from choqrisk.theorems import (
@@ -365,6 +365,139 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     assert digest == "d13bcf2bb1df578a8b23d4d9a2561a97f7dc194e8130eb07f7f12c23269c572b"
 
 
+# --- the keyed sweep against a per-pair reference loop ------------------------------------
+
+def reference_verdicts(mu, nu, values, seed=42, property_samples=12):
+    """The sweep's class key and checks of one pair, each public check called directly, no memo."""
+    from choqrisk import theorems
+
+    probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
+    dom = theorems.dominates_dual(mu, nu).holds
+    zero_one = mu.is_zero_one_valued() and nu.is_zero_one_valued()
+    coex = theorems.coexistence_set(mu, nu) is not None
+    out = [
+        (f"property {name}", v.holds, v.witness)
+        for name, v in theorems.integral_property_checks(mu, nu, samples=property_samples, seed=seed).items()
+    ]
+    checks = []
+    if dom:
+        grid = two_point_grid(mu.ground, values)
+        checks += [("jensen forward", jensen_holds(mu, nu, f, grid)) for f in theorems.concave_increasing_gallery()]
+    else:
+        wit = jensen_counterexample(mu, nu)
+        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= theorems.GAP_MATCH_TOL
+        out.append(("jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}))
+    if zero_one:
+        checks += [
+            ("collapse", zero_one_collapse_check(mu, nu, f, probe_values, seed))
+            for f in theorems.zero_at_zero_gallery()
+        ]
+    if dom and coex:
+        gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
+        checks += [("two-valued concavity", two_valued_concavity_probe(mu, nu, f, probe_values)) for f in gallery]
+    checks += [
+        ("nonnegative axis", nonnegative_axis_check(mu, nu, f))
+        for f in (Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5))
+    ]
+    out += [(name, v.holds, v.witness) for name, v in checks]
+    return f"dominant={dom}, zero_one={zero_one}, coexistence={coex}", out
+
+
+def reference_report(n, levels, values, seed=42):
+    """``run_full_report(...).to_json_dict()`` assembled from reference_verdicts."""
+    caps = list(enumerate_capacities(n, levels))
+    classes, counts, unexpected = {}, {}, []
+    for mu, nu in product(caps, caps):
+        ck, verdicts = reference_verdicts(mu, nu, values, seed)
+        classes[ck] = classes.get(ck, 0) + 1
+        for name, ok, witness in verdicts:
+            good, total = counts.get(name, (0, 0))
+            counts[name] = (good + ok, total + 1)
+            if not ok:
+                unexpected.append({"check": name, "mu": list(mu.table), "nu": list(nu.table), "witness": witness})
+    return {
+        "n": n, "levels": sorted(levels), "seed": seed, "capacity_count": len(caps), "pair_count": len(caps) ** 2,
+        "class_counts": dict(sorted(classes.items())), "verdict_counts": dict(sorted(counts.items())),
+        "unexpected": unexpected, "clean": not unexpected,
+    }
+
+
+def inject_witness_faults(monkeypatch):
+    """Flipped shape certificates and a convex map in the concave gallery: most checks then
+    fail with a witness that carries the rows and capacity entries they read."""
+    from dataclasses import replace
+
+    from choqrisk import theorems
+
+    def flipped(check):
+        def run(*args, **kwargs):
+            cert = check(*args, **kwargs)
+            return replace(cert, holds=not cert.holds)
+
+        return run
+
+    gallery = theorems.concave_increasing_gallery
+    monkeypatch.setattr(theorems, "is_concave_on", flipped(theorems.is_concave_on))
+    monkeypatch.setattr(theorems, "is_weakly_superadditive_on", flipped(theorems.is_weakly_superadditive_on))
+    monkeypatch.setattr(
+        theorems, "concave_increasing_gallery", lambda: gallery() + [PlainMap("expm1", math.expm1)]
+    )
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+def test_keyed_sweep_matches_a_per_pair_reference_loop(monkeypatch, faults):
+    """200 seeded n = 3 pairs, 20 of each pair class and 100 drawn from all, in a shuffled order.
+
+    Every (check name, ok, witness) of the memoised driver equals the public
+    checks run pair by pair.  Theorem 4 is keyed on mu alone and the pairs
+    repeat mu with different nu, so a check that read nu would show here.
+    """
+    from choqrisk import theorems
+
+    if faults:
+        inject_witness_faults(monkeypatch)
+    caps = list(enumerate_capacities(3, (0.0, 0.5, 1.0)))
+    by_class = {}
+    for mu, nu in product(caps, caps):
+        key = (theorems.dominates_dual(mu, nu).holds, mu.is_zero_one_valued() and nu.is_zero_one_valued(),
+               theorems.coexistence_set(mu, nu) is not None)
+        by_class.setdefault(key, []).append((mu, nu))
+    assert len(by_class) == 5
+    rng = np.random.default_rng(2016)
+    everyone = [p for members in by_class.values() for p in members]
+    pairs = [members[i] for members in by_class.values() for i in rng.choice(len(members), 20, replace=False)]
+    pairs += [everyone[i] for i in rng.choice(len(everyone), 100, replace=False)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+    assert len({mu.table for mu, _ in pairs}) < len(pairs)
+
+    values = tuple(-4.0 + k for k in range(9))  # not the probes' grid, which the sweep fixes
+    got = list(theorems._sweep_verdicts(pairs, theorems.THEOREM_IDS, 42, values, 12))
+    assert len(got) == len(pairs)
+    for (mu, nu), (mu_got, nu_got, ck, verdicts) in zip(pairs, got):
+        assert (mu_got, nu_got) == (mu, nu)
+        assert (ck, verdicts) == reference_verdicts(mu, nu, values)
+    if faults:
+        assert sum(not ok for _, _, _, verdicts in got for _, ok, _ in verdicts) > 400
+
+
+def test_sweep_memo_lives_for_one_call(monkeypatch):
+    """Value grid A, then B, then A in one process, after a clean run and under injected faults.
+
+    A memo kept past a call would hand the faulted runs the clean run's
+    certificates, or grid A's witnesses to grid B."""
+    grid_a, grid_b = tuple(-4.0 + k for k in range(9)), (-2.0, -0.5, 0.0, 1.0, 3.0)
+    levels = (0.0, 0.5, 1.0)
+    clean = run_full_report(n=2, levels=levels, values=grid_a).to_json_dict()
+    assert clean == reference_report(2, levels, grid_a)
+    inject_witness_faults(monkeypatch)
+    first_a, b, second_a = (
+        run_full_report(n=2, levels=levels, values=v).to_json_dict() for v in (grid_a, grid_b, grid_a)
+    )
+    assert first_a == second_a == reference_report(2, levels, grid_a)
+    assert b == reference_report(2, levels, grid_b)
+    assert first_a != b and first_a != clean
+
+
 # --- two point generator ------------------------------------------------------------------
 
 def test_two_point_variables_cover_both_orders(g2):
@@ -528,15 +661,17 @@ def test_probe_matches_the_scalar_scan(g3, monkeypatch):
     # every map passes as concave, so a violation lands in the witness
     monkeypatch.setattr(theorems, "is_concave_on", lambda f, xs, tol: ShapeCheck(True, None, 0.0))
     violations = 0
-    for f in (Exponential(1.0), PlainMap("expm1", math.expm1), Power(0.0, 2.0)):
-        checked, violation = reference_probe_scan(mu, nu, f, values)
-        verdict = two_valued_concavity_probe(mu, nu, f, values)
-        assert verdict.checked == checked
-        assert verdict.witness == (
-            None if violation is None else {"f": f.spec(), "concave": True, "violation": violation}
-        )
-        violations += violation is not None
-    assert violations == 2
+    # the second pair violates on every split, so the witness must come from the first
+    for pair in ((mu, nu), random_dominant_pair(rng_from_seed(2), g3)):
+        for f in (Exponential(1.0), PlainMap("expm1", math.expm1), Power(0.0, 2.0)):
+            checked, violation = reference_probe_scan(*pair, f, values)
+            verdict = two_valued_concavity_probe(*pair, f, values)
+            assert verdict.checked == checked
+            assert verdict.witness == (
+                None if violation is None else {"f": f.spec(), "concave": True, "violation": violation}
+            )
+            violations += violation is not None
+    assert violations == 4
 
     # a kernel off from row 40 on: the probe stops there, as the scalar loop would
     exact = theorems.gen_choquet_batch

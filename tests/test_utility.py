@@ -6,6 +6,7 @@ closed-form derivative; step 1e-4, tolerance 1e-5 at interior points.
 """
 
 import math
+import re
 
 import pytest
 
@@ -346,6 +347,21 @@ def test_nan_and_infinite_parameters_are_refused(spec, build):
     for make in (lambda: parse_utility(spec), build):
         with pytest.raises(ValueError, match="finite"):
             make()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Exponential(100.0), "u(-10.0) is not a finite float"),
+        (lambda: PowerExpo(1.0, 400.0), "is not a finite float"),
+        (lambda: parse_utility("exp:100"), "u(-10.0) is not a finite float"),
+    ],
+    ids=["Exponential(100)", "PowerExpo(1,400)", "exp:100"],
+)
+def test_shape_check_overflow_is_a_value_error(build, message):
+    # the [-10, 10] shape grid overflows a float for large parameters
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_knot_interpolation_is_bitwise_the_per_family_formula():
