@@ -47,6 +47,8 @@ DERIVED_TOL = 1e-9
 MAX_ELEMENTS = 20
 #: largest n whose 3^n disjoint pairs are walked (3^16 is about 4.3e7)
 PAIR_WALK_MAX_N = 16
+#: the pair walk scores 3^PAIR_BLOCK_N (about 5.3e5) pairs per numpy block
+PAIR_BLOCK_N = 12
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,13 @@ class Capacity:
     table: tuple[float, ...]
 
     def __post_init__(self):
-        table = tuple(float(v) for v in self.table)
+        # float() per entry at C speed; an exact float passes through as the same object
+        table = tuple(map(float, self.table))
         object.__setattr__(self, "table", table)
         size = self.ground.size
         if len(table) != size:
             raise ValueError(f"table must have {size} entries, got {len(table)}")
-        arr = np.asarray(table, dtype=float)
+        arr = _values(self)
         if not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite")
         # monotonicity first: the witness pair is the more useful diagnostic
@@ -137,7 +140,7 @@ class Capacity:
 
     def dual(self) -> "Capacity":
         """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``."""
-        return Capacity(self.ground, (1.0 - np.asarray(self.table)[::-1]).tolist())
+        return Capacity(self.ground, (1.0 - _values(self)[::-1]).tolist())
 
     def isclose(self, other: "Capacity", atol: float = STRUCT_TOL) -> bool:
         """Entrywise equality within ``atol``."""
@@ -150,7 +153,7 @@ class Capacity:
 
     def is_additive(self) -> bool:
         """True iff every value is the sum of its singleton values."""
-        table = np.asarray(self.table)
+        table = _values(self)
         sums = _zeta(_on_singletons(self.ground, table[1 << np.arange(self.ground.n)]))
         return not (np.abs(table - sums) > STRUCT_TOL).any()
 
@@ -159,6 +162,11 @@ class Capacity:
             f"{self.ground.describe(a)}: {self.table[a]:g}" for a in self.ground.subsets()
         )
         return f"Capacity(n={self.ground.n}, {{{entries}}})"
+
+
+def _values(c: Capacity) -> np.ndarray:
+    """The table as a fresh float64 array, read from the tuple in one pass."""
+    return np.fromiter(c.table, float, len(c.table))
 
 
 def new_capacity(ground: GroundSet, table: Sequence[float]) -> Capacity:
@@ -330,7 +338,7 @@ def credibility(ground: GroundSet, v: Sequence[float]) -> Capacity:
         raise NotNormalized(
             f"credibility profile with max {max(vals)!r} < 1 gives Cr(full) < 1; rejected"
         )
-    sup = np.asarray(possibility(ground, vals).table)
+    sup = _values(possibility(ground, vals))
     return _snap_endpoints(ground, (sup + 1.0 - sup[::-1]) / 2.0, "credibility")
 
 
@@ -358,7 +366,7 @@ class DominanceCheck:
 def dominates_dual(mu: Capacity, nu: Capacity) -> DominanceCheck:
     """Check ``mu(A) <= 1 - nu(A^c)`` for every subset A."""
     _check_same_ground(mu, nu)
-    gaps = np.asarray(mu.table) - (1.0 - np.asarray(nu.table)[::-1])
+    gaps = _values(mu) - (1.0 - _values(nu)[::-1])
     worst_set = int(gaps.argmax())
     worst_gap = float(gaps[worst_set])
     return DominanceCheck(worst_gap <= STRUCT_TOL, worst_set, worst_gap)
@@ -379,18 +387,44 @@ def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int |
     return None
 
 
-def _disjoint_pairs(ground: GroundSet) -> Iterator[tuple[int, int]]:
-    """The 3^n disjoint pairs (A, B): A ascending, B over the subsets of A's complement, descending."""
-    if ground.n > PAIR_WALK_MAX_N:
-        raise TooLarge(f"the walk over 3^{ground.n} disjoint pairs is capped at n = {PAIR_WALK_MAX_N}")
-    for a in ground.subsets():
-        rest = ground.full ^ a
-        b = rest
-        while True:
-            yield a, b
-            if b == 0:
-                break
-            b = (b - 1) & rest
+def _disjoint_assignments(n_low: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every disjoint pair (A, B) of subsets of the elements n_low..n-1: each goes to A, B or neither."""
+    a = b = np.zeros(1, dtype=np.int64)
+    for i in range(n_low, n):
+        a, b = np.concatenate((a, a | 1 << i, a)), np.concatenate((b, b, b | 1 << i))
+    return a, b
+
+
+def _disjoint_scan(c: Capacity, score: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    """Largest ``score(t[A] + t[B], t[A | B])`` over the 3^n disjoint pairs (A, B) and, when it is
+    positive, the first pair reaching it in the walk order A ascending, then B descending.
+
+    The pairs are scored in numpy blocks of 3^PAIR_BLOCK_N, one block per assignment of the
+    elements above PAIR_BLOCK_N; raises TooLarge above PAIR_WALK_MAX_N elements.
+    """
+    n, full = c.ground.n, c.ground.full
+    if n > PAIR_WALK_MAX_N:
+        raise TooLarge(f"the walk over 3^{n} disjoint pairs is capped at n = {PAIR_WALK_MAX_N}")
+    t = _values(c)
+    split = min(n, PAIR_BLOCK_N)
+    a_low, b_low = _disjoint_assignments(0, split)
+    union_low = a_low | b_low
+    best, first = -np.inf, None
+    for a_high, b_high in zip(*map(np.ndarray.tolist, _disjoint_assignments(split, n))):
+        # high and low bits are disjoint, so an offset view reads t[high | low] at low
+        scores = score(t[a_high:][a_low] + t[b_high:][b_low], t[a_high | b_high:][union_low])
+        top = scores.max()
+        if top > best:
+            best, first = top, None
+        if top == best and top > 0:  # only a positive score is reported with its pair
+            hit = scores == top
+            # rank in the walk order; smaller comes first
+            key = int((((a_low[hit] | a_high) << n) + (full - (b_low[hit] | b_high))).min())
+            first = key if first is None else min(first, key)
+    if first is None:
+        return best, None
+    a, rest = divmod(first, 1 << n)
+    return best, (a, full - rest)
 
 
 @dataclass(frozen=True)
@@ -406,16 +440,12 @@ class SuperadditivityCheck:
 def is_superadditive(mu: Capacity) -> SuperadditivityCheck:
     """Check ``mu(A) + mu(B) <= mu(A | B)`` over all disjoint pairs.
 
-    Enumerates all 3^n disjoint pairs; raises TooLarge above
-    PAIR_WALK_MAX_N elements.
+    Scans all 3^n disjoint pairs; the witness is the first pair, A
+    ascending then B descending, with the largest gap.  Raises TooLarge
+    above PAIR_WALK_MAX_N elements.
     """
-    t = mu.table
-    worst: tuple[int, int] | None = None
-    worst_gap = float("-inf")
-    for a, b in _disjoint_pairs(mu.ground):
-        gap = t[a] + t[b] - t[a | b]
-        if gap > worst_gap:
-            worst, worst_gap = (a, b), gap
+    worst_gap, worst = _disjoint_scan(mu, np.subtract)
+    worst_gap = float(worst_gap)
     holds = worst_gap <= STRUCT_TOL
     return SuperadditivityCheck(holds, None if holds else worst, worst_gap)
 
@@ -448,12 +478,12 @@ def is_uncertainty_measure(m: Capacity) -> UncertaintyCheck:
     ground = m.ground
     if m.table[ground.full] != 1.0:
         return UncertaintyCheck(False, "normalization", (ground.full,))
-    table = np.asarray(m.table)
+    table = _values(m)
     unpaired = np.flatnonzero(np.abs(table + table[::-1] - 1.0) > STRUCT_TOL)
     if unpaired.size:
         a = int(unpaired[0])
         return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
-    for a, b in _disjoint_pairs(ground):
-        if m.table[a | b] > m.table[a] + m.table[b] + STRUCT_TOL:
-            return UncertaintyCheck(False, "subadditivity", (a, b))
+    violated, first = _disjoint_scan(m, lambda pair_sum, union: union > pair_sum + STRUCT_TOL)
+    if violated:
+        return UncertaintyCheck(False, "subadditivity", first)
     return UncertaintyCheck(True, None, None)

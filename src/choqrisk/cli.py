@@ -34,7 +34,7 @@ from .premium import (
 from .sampling import rng_from_seed
 from .theorems import THEOREM_IDS, run_full_report
 from .utility import parse_utility
-from .weighting import _dominance_of, figure_data, parse_weighting
+from .weighting import _DominanceTally, _figure_rows, parse_weighting
 
 PUBLISHED_FIGURES = (
     ("figure1.csv", "kt:0.61", "kt:0.69"),
@@ -201,13 +201,14 @@ def _cmd_figures(args) -> int:
     for name, g_spec, h_spec in jobs:
         g = parse_weighting(g_spec)
         h = parse_weighting(h_spec)
-        rows = figure_data(g, h, args.grid_size)
+        rows = _figure_rows(g, h, args.grid_size)
         path = outdir / name
-        write_csv(path, "p,g,h_bar", rows)
-        scan = _dominance_of(rows)
+        tally = _DominanceTally()
+        write_csv(path, "p,g,h_bar", tally.watch(rows))
+        scan = tally.scan()
         status = "holds" if scan.holds else "FAILS"
         print(
-            f"{path}: {len(rows)} rows; dominance g <= h_bar {status} "
+            f"{path}: {scan.grid_size} rows; dominance g <= h_bar {status} "
             f"(max gap {fmt17(scan.max_gap)} at p={scan.argmax:g})"
         )
     return 0

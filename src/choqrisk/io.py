@@ -6,8 +6,13 @@ Capacity document::
 
 Table keys are either decimal bitmask strings (bit i = element i) or
 comma-joined label sets ("" for the empty set); every subset must be
-present.  Mass-function documents carry a dense ``"mass"`` array of length
-2^n indexed by bitmask.  Scenario documents::
+present.  The table may instead be dense, ``"table": [0.0, 0.3, 0.5, 1.0]``,
+one number per bitmask.  The reader takes one numpy pass when every key is
+an ASCII decimal bitmask given once and every value an int or float, and
+otherwise reads entry by entry, which is where every schema error is
+raised.  The writer always emits the keyed form.  Mass-function documents
+carry a dense ``"mass"`` array of length 2^n indexed by bitmask.  An
+integer too large for a float is refused by entry.  Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
 
@@ -20,6 +25,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .capacity import Capacity, GroundSet, MassFunction
 from .errors import SchemaError
@@ -38,6 +45,11 @@ def _require(cond: bool, msg: str):
 def _is_number(v: Any) -> bool:
     """True for JSON numbers; ``true``/``false`` load as bool, an int subclass, and are not."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _all_numbers(values: list) -> bool:
+    """``_is_number`` of every entry; one pass over the exact types settles a parsed JSON array."""
+    return set(map(type, values)) <= {int, float} or all(map(_is_number, values))
 
 
 def _parse_ground(doc: dict, what: str) -> GroundSet:
@@ -80,22 +92,95 @@ def _mask_from_key(key: str, size: int, index: dict[str, int] | None, what: str)
     return mask
 
 
-def capacity_from_dict(doc: dict, what: str = "capacity") -> Capacity:
-    ground = _parse_ground(doc, what)
-    _require("table" in doc and isinstance(doc["table"], dict), f"{what}: missing 'table' object")
+def _float(v: int | float, entry: str) -> float:
+    """``float(v)`` of a JSON number; an integer beyond the float range is refused as ``entry``."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(f"{entry} is too large for a float") from None
+
+
+def _floats(values: list, entry: str) -> list[float]:
+    """``float`` of every JSON number in ``values`` at C speed; an integer beyond the float range
+    is refused as ``entry`` and its index."""
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        return [_float(v, f"{entry} {i}") for i, v in enumerate(values)]
+
+
+def _keyed_table(entries: dict, size: int) -> list[float] | None:
+    """The table of a keyed document read in numpy, or None unless its 2^n keys are ASCII decimal
+    bitmasks below 2^n, each given once, and its values exact ints or floats.
+
+    The values stay the parsed float objects, put in bitmask order by one object-array scatter.
+    """
+    if len(entries) != size:
+        return None
+    try:
+        text = " ".join(entries).encode("ascii")
+    except (TypeError, UnicodeEncodeError):  # a key that is not an ASCII string
+        return None
+    chars = np.frombuffer(text, np.uint8)
+    spaces = np.flatnonzero(chars == ord(" "))
+    if spaces.size != size - 1 or np.count_nonzero(chars - ord("0") < 10) != chars.size - spaces.size:
+        return None
+    # 1 to 18 digits per key, so that every mask parses into an int64
+    lengths = np.diff(spaces, prepend=-1, append=chars.size) - 1
+    values = list(entries.values())
+    kinds = set(map(type, values))
+    if lengths.min() < 1 or lengths.max() > 18 or not kinds <= {int, float}:
+        return None
+    if int in kinds:
+        try:
+            values = list(map(float, values))
+        except OverflowError:
+            return None
+    masks = np.fromstring(text, dtype=np.int64, sep=" ")
+    if masks.max() >= size or np.bincount(masks, minlength=size).max() != 1:
+        return None
+    table = np.empty(size, dtype=object)
+    table[masks] = values
+    return table.tolist()
+
+
+def _keyed_loop(entries: dict, ground: GroundSet, what: str) -> list[float]:
+    """Read a keyed table entry by entry; raises the first schema violation met in key order."""
     index = None if ground.labels is None else {lab: i for i, lab in enumerate(ground.labels)}
     table = [None] * ground.size
     # 2^n entries: raise directly, not via _require, to build messages only on failure
-    for key, val in doc["table"].items():
+    for key, val in entries.items():
         if not _is_number(val):
             raise SchemaError(f"{what}: value for key {key!r} is not a number")
         mask = _mask_from_key(str(key), ground.size, index, what)
         if table[mask] is not None:
             raise SchemaError(f"{what}: subset {key!r} given twice")
-        table[mask] = float(val)
+        try:
+            table[mask] = float(val)
+        except OverflowError:
+            raise SchemaError(f"{what}: value for key {key!r} is too large for a float") from None
     missing = [m for m, v in enumerate(table) if v is None]
     _require(not missing, f"{what}: missing entries for subsets {missing[:5]} (omitted entries are disallowed)")
-    return Capacity(ground, tuple(table))
+    return table
+
+
+def _dense_table(values: list, size: int, what: str) -> list[float]:
+    _require(len(values) == size, f"{what}: 'table' must have 2^n = {size} entries")
+    if not _all_numbers(values):
+        bad = next(i for i, v in enumerate(values) if not _is_number(v))
+        raise SchemaError(f"{what}: table entry {bad} is not a number")
+    return _floats(values, f"{what}: table entry")
+
+
+def capacity_from_dict(doc: dict, what: str = "capacity") -> Capacity:
+    """Read a capacity document whose table is keyed by subset or dense by bitmask."""
+    ground = _parse_ground(doc, what)
+    entries = doc.get("table")
+    if isinstance(entries, list):
+        return Capacity(ground, _dense_table(entries, ground.size, what))
+    _require(isinstance(entries, dict), f"{what}: missing 'table' object or array")
+    table = _keyed_table(entries, ground.size)
+    return Capacity(ground, _keyed_loop(entries, ground, what) if table is None else table)
 
 
 def capacity_to_dict(c: Capacity) -> dict:
@@ -127,9 +212,9 @@ def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
     _require("mass" in doc and isinstance(doc["mass"], list), f"{what}: missing 'mass' array")
     mass = doc["mass"]
     _require(len(mass) == ground.size, f"{what}: 'mass' must have 2^n = {ground.size} entries")
-    _require(all(_is_number(v) for v in mass), f"{what}: masses must be numbers")
+    _require(_all_numbers(mass), f"{what}: masses must be numbers")
     try:
-        return MassFunction(ground, tuple(float(v) for v in mass))
+        return MassFunction(ground, tuple(_floats(mass, f"{what}: mass entry")))
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
@@ -151,9 +236,8 @@ def load_values_array(text_or_path: str) -> list[float]:
         arr = json.loads(s)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON array: {exc}") from exc
-    _require(isinstance(arr, list) and all(_is_number(v) for v in arr),
-             "expected a JSON array of numbers")
-    return [float(v) for v in arr]
+    _require(isinstance(arr, list) and _all_numbers(arr), "expected a JSON array of numbers")
+    return _floats(arr, "array entry")
 
 
 def load_scenario_doc(path: str | Path) -> dict:
@@ -164,9 +248,11 @@ def load_scenario_doc(path: str | Path) -> dict:
         _require(key in doc, f"{path}: missing {key!r}")
     _require(_is_number(doc["w"]), f"{path}: 'w' must be a number")
     _require(
-        isinstance(doc["X"], list) and all(_is_number(v) for v in doc["X"]),
+        isinstance(doc["X"], list) and _all_numbers(doc["X"]),
         f"{path}: 'X' must be an array of numbers",
     )
+    doc["w"] = _float(doc["w"], f"{path}: 'w'")
+    doc["X"] = _floats(doc["X"], f"{path}: 'X' entry")
     doc["_dir"] = path.parent
     return doc
 

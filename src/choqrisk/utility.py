@@ -80,6 +80,8 @@ class UtilityFunction:
         # families saturate in floating point far from 0 (1 - exp(-...)
         # rounds to 1), so strictness is only demanded on a central window
         # where values stay resolvable; elsewhere nondecreasing suffices.
+        # A steep bounded family saturates inside that window too, so a tie
+        # at the top of its range counts as saturation, not as a flat piece.
         # Every test is written so that a NaN value fails it.
         def value(x):
             try:
@@ -96,8 +98,9 @@ class UtilityFunction:
                 raise ValueError(f"{self.spec()}: decreasing between {x0} and {x1}")
         central = default_grid(self, 41, (-1.0, 1.0))
         cvals = [value(x) for x in central]
+        top = self.range()[1]
         for (x0, v0), (x1, v1) in zip(zip(central, cvals), zip(central[1:], cvals[1:])):
-            if not v1 > v0:
+            if not (v1 > v0 or v0 == v1 == top):
                 raise ValueError(f"{self.spec()}: not strictly increasing between {x0} and {x1}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -200,14 +201,24 @@ class DominanceScan:
         return self.holds
 
 
-def _dominance_of(rows: list[tuple[float, float, float]]) -> DominanceScan:
-    """Dominance verdict over ``figure_data`` rows: the largest ``g(p) - dual_h(p)``."""
-    worst_p, worst_gap = 0.0, float("-inf")
-    for p, gp, hp in rows:
-        gap = gp - hp
-        if gap > worst_gap:
-            worst_p, worst_gap = p, gap
-    return DominanceScan(worst_gap <= DOMINANCE_TOL, worst_gap, worst_p, len(rows))
+class _DominanceTally:
+    """The largest ``g(p) - dual_h(p)`` over figure rows, kept while the rows stream past."""
+
+    def __init__(self):
+        self.rows, self.argmax, self.max_gap = 0, 0.0, float("-inf")
+
+    def watch(self, rows: Iterable[tuple[float, float, float]]) -> Iterator[tuple[float, float, float]]:
+        """Yield ``rows`` unchanged, tallying each one."""
+        for row in rows:
+            p, gp, hp = row
+            gap = gp - hp
+            if gap > self.max_gap:
+                self.argmax, self.max_gap = p, gap
+            self.rows += 1
+            yield row
+
+    def scan(self) -> DominanceScan:
+        return DominanceScan(self.max_gap <= DOMINANCE_TOL, self.max_gap, self.argmax, self.rows)
 
 
 def dominance_check(
@@ -218,21 +229,29 @@ def dominance_check(
     This is exactly conjugate dominance of the induced distorted capacities
     for every base probability, certified at grid resolution.
     """
-    return _dominance_of(figure_data(g, h, grid_size))
+    tally = _DominanceTally()
+    for _ in tally.watch(_figure_rows(g, h, grid_size)):
+        pass
+    return tally.scan()
+
+
+def _figure_rows(
+    g: WeightingFunction, h: WeightingFunction, grid_size: int
+) -> Iterator[tuple[float, float, float]]:
+    """Rows ``(p, g(p), dual_h(p))`` on a uniform grid of at most _MAX_GRID_POINTS, made one at a
+    time; the grid size is checked on the call, before any row."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    if grid_size > _MAX_GRID_POINTS:
+        raise TooLarge(f"grid_size {grid_size} is above the cap of {_MAX_GRID_POINTS} rows")
+    return ((p, g.value(p), h.dual_value(p)) for p in (k / (grid_size - 1) for k in range(grid_size)))
 
 
 def figure_data(
     g: WeightingFunction, h: WeightingFunction, grid_size: int = GRID_POINTS
 ) -> list[tuple[float, float, float]]:
     """Rows ``(p, g(p), dual_h(p))`` on a uniform grid of at most _MAX_GRID_POINTS, ready for CSV."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    if grid_size > _MAX_GRID_POINTS:
-        raise TooLarge(f"grid_size {grid_size} is above the cap of {_MAX_GRID_POINTS} rows")
-    return [
-        (p, g.value(p), h.dual_value(p))
-        for p in (k / (grid_size - 1) for k in range(grid_size))
-    ]
+    return list(_figure_rows(g, h, grid_size))
 
 
 #: kind -> (class, parameter count), None for a knot table

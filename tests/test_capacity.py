@@ -29,7 +29,7 @@ from choqrisk import (
     possibility,
     unanimity,
 )
-from choqrisk.capacity import _zeta
+from choqrisk.capacity import UncertaintyCheck, _zeta
 from choqrisk.errors import (
     BadPsi,
     BadWeights,
@@ -523,6 +523,83 @@ def test_pair_walks_refuse_n_above_the_cap():
         is_superadditive(p)
     with pytest.raises(TooLarge):
         is_uncertainty_measure(p)
+
+
+def disjoint_walk(n: int):
+    """The 3^n disjoint pairs (A, B) one at a time: A ascending, B over the subsets of A's
+    complement, descending."""
+    full = (1 << n) - 1
+    for a in range(1 << n):
+        rest = full ^ a
+        b = rest
+        while True:
+            yield a, b
+            if b == 0:
+                break
+            b = (b - 1) & rest
+
+
+def tied_capacities(rng, n: int):
+    """Monotone tables on a coarse value grid (many exact ties), their self-dual averages, and a belief."""
+    for _ in range(6):
+        masses = rng.random(1 << n)
+        masses[0] = 0.0
+        table = _zeta(masses)
+        levels = int(rng.integers(2, 7))
+        table = np.round(table / table[-1] * levels) / levels
+        table[0], table[-1] = 0.0, 1.0
+        yield table.tolist()
+        yield ((table + 1.0 - table[::-1]) / 2.0).tolist()
+    masses = rng.random(1 << n)
+    masses[0] = 0.0
+    yield (_zeta(masses / masses.sum())).tolist()
+
+
+@pytest.mark.parametrize("block_n", [12, 2], ids=["one-block", "blocks-of-9"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pair_scan_matches_the_walk_bit_for_bit(n, block_n, monkeypatch):
+    from choqrisk import capacity
+
+    monkeypatch.setattr(capacity, "PAIR_BLOCK_N", block_n)
+    rng = np.random.default_rng(700 + n)
+    for table in tied_capacities(rng, n):
+        table[0], table[-1] = 0.0, 1.0
+        c = new_capacity(GroundSet(n), table)
+        t = c.table
+        worst, worst_gap = None, float("-inf")
+        for a, b in disjoint_walk(n):
+            gap = t[a] + t[b] - t[a | b]
+            if gap > worst_gap:
+                worst, worst_gap = (a, b), gap
+        holds = worst_gap <= STRUCT_TOL
+        got = is_superadditive(c)
+        assert (got.holds, got.witness, got.gap.hex()) == (holds, None if holds else worst, worst_gap.hex())
+
+        want = UncertaintyCheck(True, None, None)
+        if t[-1] != 1.0:
+            want = UncertaintyCheck(False, "normalization", ((1 << n) - 1,))
+        elif any(abs(t[a] + t[-1 - a] - 1.0) > STRUCT_TOL for a in range(1 << n)):
+            a = next(a for a in range(1 << n) if abs(t[a] + t[-1 - a] - 1.0) > STRUCT_TOL)
+            want = UncertaintyCheck(False, "self-duality", (a, (1 << n) - 1 - a))
+        else:
+            for a, b in disjoint_walk(n):
+                if t[a | b] > t[a] + t[b] + STRUCT_TOL:
+                    want = UncertaintyCheck(False, "subadditivity", (a, b))
+                    break
+        assert is_uncertainty_measure(c) == want
+
+
+def test_pair_scan_refuses_n_17_before_building_its_blocks(monkeypatch):
+    from choqrisk import capacity
+
+    def unreachable(*args):
+        raise AssertionError("the pair scan allocated before checking n")
+
+    p = from_probability(GroundSet(17), [2.0**-k for k in range(1, 17)] + [2.0**-16])
+    monkeypatch.setattr(capacity, "_disjoint_assignments", unreachable)
+    monkeypatch.setattr(capacity, "_values", unreachable)
+    with pytest.raises(TooLarge):
+        is_superadditive(p)
 
 
 def test_capacity_repr_uses_labels():

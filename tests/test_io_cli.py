@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from choqrisk import GroundSet, new_capacity
+from choqrisk import io as choqrisk_io
+from choqrisk.capacity import _zeta
 from choqrisk.cli import main
 from choqrisk.errors import SchemaError
 from choqrisk.utility import parse_utility
@@ -19,6 +22,7 @@ from choqrisk.io import (
     capacity_from_dict,
     fmt17,
     load_capacity,
+    load_scenario_doc,
     load_values_array,
     mass_from_dict,
     save_capacity,
@@ -448,3 +452,122 @@ def test_cli_reports_malformed_json(tmp_path, capsys):
 def test_cli_rejects_unknown_flags(mu_file):
     with pytest.raises(SystemExit):
         main(["check-capacity", str(mu_file), "--bogus"])
+
+
+# --- dense tables, the numpy keyed read and oversized integers ----------------
+
+HUGE = 10**400  # a JSON integer above the float range
+
+
+def _tied_table(rng, n):
+    """Monotone table on n elements with values on a coarse grid, so many entries tie."""
+    masses = rng.random(1 << n)
+    masses[0] = 0.0
+    table = _zeta(masses)
+    levels = int(rng.integers(2, 9))
+    table = [round(v / table[-1] * levels) / levels for v in table]
+    table[0], table[-1] = 0.0, 1.0
+    return table
+
+
+def test_dense_table_equals_the_keyed_table_bitwise(tmp_path):
+    rng = np.random.default_rng(3)
+    table = (_zeta(rng.random(32)) / 7.0).tolist()  # sums with rounding error in the last bits
+    table = [0.0] + [v / table[-1] for v in table[1:-1]] + [1.0]
+    dense = capacity_from_dict({"n": 5, "table": table})
+    keyed = capacity_from_dict({"n": 5, "table": {str(m): v for m, v in enumerate(table)}})
+    assert [v.hex() for v in dense.table] == [v.hex() for v in keyed.table]
+    # the writer stays keyed
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n": 5, "table": table}))
+    out = tmp_path / "rewritten.json"
+    assert main(["check-capacity", str(path), "--rewrite", str(out)]) == 0
+    assert json.loads(out.read_text())["table"] == {str(m): v for m, v in enumerate(table)}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([0.0, 0.5, 1.0], "'table' must have 2^n = 4 entries"),
+        ([0.0, 0.5, True, 1.0], "table entry 2 is not a number"),
+        ([0.0, "0.5", 0.5, 1.0], "table entry 1 is not a number"),
+        ([0.0, None, 0.5, 1.0], "table entry 1 is not a number"),
+        ([0, 0.5, 0.5, HUGE], "table entry 3 is too large for a float"),
+    ],
+)
+def test_dense_table_refusals(table, message):
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        capacity_from_dict({"n": 2, "table": table})
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_numpy_keyed_read_matches_the_entry_loop(n):
+    rng = np.random.default_rng(100 + n)
+    table = _tied_table(rng, n)
+    # exact integers where a value is integral, on about half of those entries
+    values = [int(v) if v in (0.0, 1.0) and rng.random() < 0.5 else v for v in table]
+    order = rng.permutation(1 << n)
+    entries = {str(int(m)): values[m] for m in order}
+    doc = {"n": n, "table": entries}
+    assert choqrisk_io._keyed_table(entries, 1 << n) is not None  # the numpy path reads it
+    loop = choqrisk_io._keyed_loop(entries, GroundSet(n), "capacity")
+    fast = capacity_from_dict(doc).table
+    assert [v.hex() for v in fast] == [v.hex() for v in loop] == [float(v).hex() for v in table]
+    assert all(type(v) is float for v in fast)
+    # a label-set key sends the same document through the loop
+    labels = [f"e{i}" for i in range(n)]
+    labelled = {"" if key == "0" else key: v for key, v in entries.items()}
+    assert choqrisk_io._keyed_table(labelled, 1 << n) is None
+    assert capacity_from_dict({"n": n, "labels": labels, "table": labelled}).table == fast
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"0": 0.0, "1": 0.3, "01": 0.3, "3": 1.0}, "capacity: subset '01' given twice"),
+        ({"0": 0.0, "1": 0.3, "2": 0.5, "4": 1.0}, "capacity: subset key '4' out of range"),
+        ({"0": 0.0, "1": 0.3, "3": 1.0},
+         "capacity: missing entries for subsets [2] (omitted entries are disallowed)"),
+        ({"0": 0.0, "1": 0.3, "2": True, "3": 1.0}, "capacity: value for key '2' is not a number"),
+        ({"0": 0.0, "1": 0.3, "2": 0.5, "3": HUGE}, "capacity: value for key '3' is too large for a float"),
+    ],
+    ids=["given-twice", "out-of-range", "missing", "bool", "huge-int"],
+)
+def test_keyed_read_keeps_the_loop_messages(entries, message):
+    with pytest.raises(SchemaError) as info:
+        capacity_from_dict({"n": 2, "table": entries})
+    assert str(info.value) == message
+
+
+def test_keyed_read_takes_a_non_ascii_digit_key_as_its_mask():
+    cap = capacity_from_dict({"n": 2, "table": {"0": 0.0, "١": 0.3, "2": 0.5, "3": 1.0}})
+    assert cap.table == (0.0, 0.3, 0.5, 1.0)
+
+
+def test_oversized_integers_are_named_schema_errors(tmp_path):
+    with pytest.raises(SchemaError, match=re.escape("mass entry 1 is too large for a float")):
+        mass_from_dict({"n": 1, "mass": [0, HUGE]})
+    with pytest.raises(SchemaError, match=re.escape("array entry 1 is too large for a float")):
+        load_values_array(json.dumps([1, HUGE]))
+    for field, value, message in [("w", HUGE, "'w' is too large"), ("X", [0.5, HUGE], "'X' entry 1 is too large")]:
+        doc = {"w": 1.0, "X": [0.5, -0.5], "mu_file": "mu.json", "nu_file": "nu.json",
+               "utility": "linear", field: value}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_scenario_doc(path)
+
+
+def test_cli_reports_oversized_integers(tmp_path, mu_file, nu_file, capsys):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"n": 1, "table": {"0": 0, "1": HUGE}}))
+    assert main(["check-capacity", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: value for key '1' is too large for a float")
+    x = json.dumps([HUGE, 1])
+    assert main(["integrate", "--mu", str(mu_file), "--nu", str(nu_file), "--x", x]) == 1
+    assert capsys.readouterr().err.startswith("error: array entry 0 is too large for a float")
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps({"w": HUGE, "X": [0.5, -0.5], "mu_file": "mu.json",
+                              "nu_file": "nu.json", "utility": "linear"}))
+    assert main(["premium", str(sc)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {sc}: 'w' is too large for a float")

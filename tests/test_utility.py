@@ -27,7 +27,7 @@ from choqrisk import (
     parse_utility,
 )
 from choqrisk.errors import DomainError, NonDifferentiable, NotInRange
-from choqrisk.utility import default_grid
+from choqrisk.utility import UtilityFunction, default_grid
 
 FD_STEP = 1e-4
 FD_TOL = 1e-5
@@ -362,6 +362,36 @@ def test_shape_check_overflow_is_a_value_error(build, message):
     # the [-10, 10] shape grid overflows a float for large parameters
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("spec", ["exp:40", "exp:60", "exp:70"])
+def test_steep_cara_saturates_at_its_range_top_and_prices(spec, g2, mu_worked, nu_worked):
+    # 1 - exp(-a x) rounds to 1.0 inside [-1, 1] for these a; that tie is saturation
+    from choqrisk import RandomVariable, Scenario, gen_choquet, premium
+
+    u = parse_utility(spec)
+    w, x = 0.1, (0.05, -0.05)
+    pi = premium(Scenario(w, RandomVariable(g2, x), mu_worked, nu_worked, u))
+    utilities = RandomVariable(g2, tuple(u.value(w - v) for v in x))
+    assert math.isfinite(pi)
+    assert pi == w - u.inverse(gen_choquet(mu_worked, nu_worked, utilities))
+
+
+def test_shape_check_refuses_a_flat_piece_below_the_range_top():
+    class FlatPiece(UtilityFunction):
+        """Identity below 0.5, flat at 0.5 on [0.5, 0.8], then rising towards 1."""
+
+        def _value(self, x):
+            return x if x < 0.5 else 0.5 if x <= 0.8 else 1.0 - 0.5 * math.exp(-(x - 0.8))
+
+        def range(self):
+            return (-math.inf, 1.0)
+
+        def spec(self):
+            return "flat-piece"
+
+    with pytest.raises(ValueError, match="flat-piece: not strictly increasing between 0.5 and 0.55"):
+        FlatPiece()._validate_shape()
 
 
 def test_knot_interpolation_is_bitwise_the_per_family_formula():

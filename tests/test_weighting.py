@@ -225,6 +225,22 @@ def test_figure_row_count():
     assert len(rows) == 501
 
 
+def test_cli_figures_stream_the_rows_of_figure_data(tmp_path, capsys):
+    # the CSV and the verdict come from one pass over a row generator; both match the list
+    from choqrisk.cli import main
+    from choqrisk.io import fmt17
+
+    g, h = KahnemanTversky(0.61), KahnemanTversky(0.69)
+    assert main(["figures", "--family", "kt", "--grid-size", "501", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "figure1.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(map(fmt17, row)) for row in figure_data(g, h, 501)]
+    scan = dominance_check(g, h, 501)
+    assert capsys.readouterr().out == (
+        f"{tmp_path / 'figure1.csv'}: 501 rows; dominance g <= h_bar FAILS "
+        f"(max gap {fmt17(scan.max_gap)} at p={scan.argmax:g})\n"
+    )
+
+
 # --- spec parsing ------------------------------------------------------------------
 
 def test_parse_round_trip():
