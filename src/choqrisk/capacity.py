@@ -395,32 +395,39 @@ def _disjoint_assignments(n_low: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _disjoint_scan(c: Capacity, score: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+def _disjoint_scan(ground: GroundSet, t: np.ndarray, score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   first_hit: bool = False):
     """Largest ``score(t[A] + t[B], t[A | B])`` over the 3^n disjoint pairs (A, B) and, when it is
     positive, the first pair reaching it in the walk order A ascending, then B descending.
 
     The pairs are scored in numpy blocks of 3^PAIR_BLOCK_N, one block per assignment of the
-    elements above PAIR_BLOCK_N; raises TooLarge above PAIR_WALK_MAX_N elements.
+    elements above PAIR_BLOCK_N, grouped by A's part of them in ascending order: a group's pairs
+    all come before the next group's in the walk.  With ``first_hit`` the scan stops after the
+    first group holding a positive score, which settles a yes/no score.  Raises TooLarge above
+    PAIR_WALK_MAX_N elements.
     """
-    n, full = c.ground.n, c.ground.full
+    n, full = ground.n, ground.full
     if n > PAIR_WALK_MAX_N:
         raise TooLarge(f"the walk over 3^{n} disjoint pairs is capped at n = {PAIR_WALK_MAX_N}")
-    t = _values(c)
     split = min(n, PAIR_BLOCK_N)
     a_low, b_low = _disjoint_assignments(0, split)
     union_low = a_low | b_low
+    a_highs, b_highs = _disjoint_assignments(split, n)
     best, first = -np.inf, None
-    for a_high, b_high in zip(*map(np.ndarray.tolist, _disjoint_assignments(split, n))):
-        # high and low bits are disjoint, so an offset view reads t[high | low] at low
-        scores = score(t[a_high:][a_low] + t[b_high:][b_low], t[a_high | b_high:][union_low])
-        top = scores.max()
-        if top > best:
-            best, first = top, None
-        if top == best and top > 0:  # only a positive score is reported with its pair
-            hit = scores == top
-            # rank in the walk order; smaller comes first
-            key = int((((a_low[hit] | a_high) << n) + (full - (b_low[hit] | b_high))).min())
-            first = key if first is None else min(first, key)
+    for a_high in np.unique(a_highs).tolist():
+        if first_hit and first is not None:
+            break
+        for b_high in b_highs[a_highs == a_high].tolist():
+            # high and low bits are disjoint, so an offset view reads t[high | low] at low
+            scores = score(t[a_high:][a_low] + t[b_high:][b_low], t[a_high | b_high:][union_low])
+            top = scores.max()
+            if top > best:
+                best, first = top, None
+            if top == best and top > 0:  # only a positive score is reported with its pair
+                hit = scores == top
+                # rank in the walk order; smaller comes first
+                key = int((((a_low[hit] | a_high) << n) + (full - (b_low[hit] | b_high))).min())
+                first = key if first is None else min(first, key)
     if first is None:
         return best, None
     a, rest = divmod(first, 1 << n)
@@ -444,7 +451,7 @@ def is_superadditive(mu: Capacity) -> SuperadditivityCheck:
     ascending then B descending, with the largest gap.  Raises TooLarge
     above PAIR_WALK_MAX_N elements.
     """
-    worst_gap, worst = _disjoint_scan(mu, np.subtract)
+    worst_gap, worst = _disjoint_scan(mu.ground, _values(mu), np.subtract)
     worst_gap = float(worst_gap)
     holds = worst_gap <= STRUCT_TOL
     return SuperadditivityCheck(holds, None if holds else worst, worst_gap)
@@ -483,7 +490,9 @@ def is_uncertainty_measure(m: Capacity) -> UncertaintyCheck:
     if unpaired.size:
         a = int(unpaired[0])
         return UncertaintyCheck(False, "self-duality", (a, ground.full ^ a))
-    violated, first = _disjoint_scan(m, lambda pair_sum, union: union > pair_sum + STRUCT_TOL)
+    violated, first = _disjoint_scan(
+        ground, table, lambda pair_sum, union: union > pair_sum + STRUCT_TOL, first_hit=True
+    )
     if violated:
         return UncertaintyCheck(False, "subadditivity", first)
     return UncertaintyCheck(True, None, None)

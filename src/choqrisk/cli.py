@@ -136,8 +136,8 @@ def _load_scenario(args) -> Scenario:
     mu = load_capacity(base / doc["mu_file"])
     nu = load_capacity(base / doc["nu_file"])
     u = parse_utility(doc["utility"])
-    x = RandomVariable(mu.ground, tuple(float(v) for v in doc["X"]))
-    return Scenario(float(doc["w"]), x, mu, nu, u)
+    x = RandomVariable(mu.ground, tuple(doc["X"]))
+    return Scenario(doc["w"], x, mu, nu, u)
 
 
 def _cmd_premium(args) -> int:

@@ -47,11 +47,6 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _all_numbers(values: list) -> bool:
-    """``_is_number`` of every entry; one pass over the exact types settles a parsed JSON array."""
-    return set(map(type, values)) <= {int, float} or all(map(_is_number, values))
-
-
 def _parse_ground(doc: dict, what: str) -> GroundSet:
     _require(isinstance(doc, dict), f"{what}: document must be a JSON object")
     _require("n" in doc, f"{what}: missing 'n'")
@@ -166,9 +161,8 @@ def _keyed_loop(entries: dict, ground: GroundSet, what: str) -> list[float]:
 
 def _dense_table(values: list, size: int, what: str) -> list[float]:
     _require(len(values) == size, f"{what}: 'table' must have 2^n = {size} entries")
-    if not _all_numbers(values):
-        bad = next(i for i, v in enumerate(values) if not _is_number(v))
-        raise SchemaError(f"{what}: table entry {bad} is not a number")
+    bad = next((i for i, v in enumerate(values) if not _is_number(v)), None)
+    _require(bad is None, f"{what}: table entry {bad} is not a number")
     return _floats(values, f"{what}: table entry")
 
 
@@ -212,7 +206,7 @@ def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
     _require("mass" in doc and isinstance(doc["mass"], list), f"{what}: missing 'mass' array")
     mass = doc["mass"]
     _require(len(mass) == ground.size, f"{what}: 'mass' must have 2^n = {ground.size} entries")
-    _require(_all_numbers(mass), f"{what}: masses must be numbers")
+    _require(all(map(_is_number, mass)), f"{what}: masses must be numbers")
     try:
         return MassFunction(ground, tuple(_floats(mass, f"{what}: mass entry")))
     except ValueError as exc:
@@ -236,7 +230,7 @@ def load_values_array(text_or_path: str) -> list[float]:
         arr = json.loads(s)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON array: {exc}") from exc
-    _require(isinstance(arr, list) and _all_numbers(arr), "expected a JSON array of numbers")
+    _require(isinstance(arr, list) and all(map(_is_number, arr)), "expected a JSON array of numbers")
     return _floats(arr, "array entry")
 
 
@@ -248,7 +242,7 @@ def load_scenario_doc(path: str | Path) -> dict:
         _require(key in doc, f"{path}: missing {key!r}")
     _require(_is_number(doc["w"]), f"{path}: 'w' must be a number")
     _require(
-        isinstance(doc["X"], list) and _all_numbers(doc["X"]),
+        isinstance(doc["X"], list) and all(map(_is_number, doc["X"])),
         f"{path}: 'X' must be an array of numbers",
     )
     doc["w"] = _float(doc["w"], f"{path}: 'w'")

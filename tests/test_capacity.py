@@ -597,7 +597,6 @@ def test_pair_scan_refuses_n_17_before_building_its_blocks(monkeypatch):
 
     p = from_probability(GroundSet(17), [2.0**-k for k in range(1, 17)] + [2.0**-16])
     monkeypatch.setattr(capacity, "_disjoint_assignments", unreachable)
-    monkeypatch.setattr(capacity, "_values", unreachable)
     with pytest.raises(TooLarge):
         is_superadditive(p)
 
