@@ -139,8 +139,17 @@ class Capacity:
         return self.table[mask]
 
     def dual(self) -> "Capacity":
-        """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``."""
-        return Capacity(self.ground, (1.0 - _values(self)[::-1]).tolist())
+        """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``.
+
+        Built without the checks of ``__post_init__``: the table is finite, its
+        ends are exactly ``1.0 - 1.0`` and ``1.0 - 0.0``, and it is monotone up
+        to the rounding of ``1.0 - x``, which can turn a tolerated dip of
+        STRUCT_TOL into one a few ulps wider.
+        """
+        dual = object.__new__(Capacity)
+        object.__setattr__(dual, "ground", self.ground)
+        object.__setattr__(dual, "table", tuple((1.0 - _values(self)[::-1]).tolist()))
+        return dual
 
     def isclose(self, other: "Capacity", atol: float = STRUCT_TOL) -> bool:
         """Entrywise equality within ``atol``."""

@@ -7,12 +7,17 @@ Capacity document::
 Table keys are either decimal bitmask strings (bit i = element i) or
 comma-joined label sets ("" for the empty set); every subset must be
 present.  The table may instead be dense, ``"table": [0.0, 0.3, 0.5, 1.0]``,
-one number per bitmask.  The reader takes one numpy pass when every key is
-an ASCII decimal bitmask given once and every value an int or float, and
-otherwise reads entry by entry, which is where every schema error is
-raised.  The writer always emits the keyed form.  Mass-function documents
-carry a dense ``"mass"`` array of length 2^n indexed by bitmask.  An
-integer too large for a float is refused by entry.  Scenario documents::
+one number per bitmask.  ``load_capacity`` first tries the file as text: an
+ASCII document without backslashes whose one ``"table"`` object holds only
+``"digits": number`` entries is rewritten as a flat ``[mask, value, ...]``
+array and parsed by one ``json.loads``, with no 2^n-key dict.  Any other
+document is parsed as it stands.  A keyed table then takes one numpy pass
+when every key is an ASCII decimal bitmask given once and every value an int
+or float, and otherwise is read entry by entry, which is where every schema
+error is raised.  Files are decoded as UTF-8.  The writer always emits the
+keyed form.  Mass-function documents carry a dense ``"mass"`` array of
+length 2^n indexed by bitmask.  An integer too large for a float is refused
+by entry.  Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
 
@@ -23,6 +28,8 @@ floats use shortest round-trip form; both reparse to the identical float.
 from __future__ import annotations
 
 import json
+import re
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -106,10 +113,7 @@ def _floats(values: list, entry: str) -> list[float]:
 
 def _keyed_table(entries: dict, size: int) -> list[float] | None:
     """The table of a keyed document read in numpy, or None unless its 2^n keys are ASCII decimal
-    bitmasks below 2^n, each given once, and its values exact ints or floats.
-
-    The values stay the parsed float objects, put in bitmask order by one object-array scatter.
-    """
+    bitmasks below 2^n, each given once, and its values exact ints or floats."""
     if len(entries) != size:
         return None
     try:
@@ -122,18 +126,25 @@ def _keyed_table(entries: dict, size: int) -> list[float] | None:
         return None
     # 1 to 18 digits per key, so that every mask parses into an int64
     lengths = np.diff(spaces, prepend=-1, append=chars.size) - 1
-    values = list(entries.values())
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    return _scatter(np.fromstring(text, dtype=np.int64, sep=" "), list(entries.values()), size)
+
+
+def _scatter(masks: np.ndarray, values: list, size: int) -> list[float] | None:
+    """``values`` put in bitmask order by one object-array scatter, or None unless the ``size``
+    nonnegative ``masks`` hold every bitmask below ``size`` once and the ``size`` ``values`` are
+    exact ints and floats, the ints within the float range.  A float value stays the parsed object."""
     kinds = set(map(type, values))
-    if lengths.min() < 1 or lengths.max() > 18 or not kinds <= {int, float}:
+    if not kinds <= {int, float} or masks.max() >= size:
+        return None
+    if np.bincount(masks, minlength=size).max() != 1:
         return None
     if int in kinds:
         try:
             values = list(map(float, values))
         except OverflowError:
             return None
-    masks = np.fromstring(text, dtype=np.int64, sep=" ")
-    if masks.max() >= size or np.bincount(masks, minlength=size).max() != 1:
-        return None
     table = np.empty(size, dtype=object)
     table[masks] = values
     return table.tolist()
@@ -187,14 +198,87 @@ def capacity_to_dict(c: Capacity) -> dict:
 
 def _read_json(path: Path) -> Any:
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path}: malformed JSON: {exc}") from exc
 
 
+_TABLE_OBJECT = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\{')
+_NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
+_DIGITS = b"0123456789"
+_KEYS_TO_ARRAY = bytes.maketrans(b'":', b" ,")
+
+
+def _flat_keyed_text(path: Path) -> str | None:
+    """The capacity document at ``path`` with its keyed table rewritten as one flat
+    ``[mask, value, ...]`` array, or None unless the document is plain enough to rewrite.
+
+    That is an ASCII document without backslashes, so that every quote delimits a
+    string and ``"table"`` is the key itself, with one ``"table"`` object whose body
+    holds only number characters, JSON whitespace, quotes, colons and commas.  Three
+    byte passes check the body: its quotes and separators run ``"":,`` repeated,
+    ending in ``"":`` (any other character survives the deletion and fails this),
+    every key is digits only, and no key is empty.  Quotes become spaces, not nothing,
+    so that a number character outside a key cannot join it; ``json.loads`` still
+    checks the grammar and parses every number.
+    """
+    data = path.read_bytes()
+    found = _TABLE_OBJECT.search(data) if data.isascii() and b"\\" not in data else None
+    if found is None:
+        return None
+    start = found.end()
+    end = data.find(b"}", start)
+    if end < 0 or data.count(b'"table"', 0, start) != 1 or data.find(b'"table"', end) >= 0:
+        return None
+    head, body, tail = data[: start - 1], data[start:end], data[end + 1 :]
+    del data
+    skeleton = body.translate(None, _NUMBER_OR_SPACE)
+    keys = len(skeleton) // 4 + 1
+    if (
+        skeleton != b'"":,' * (keys - 1) + b'"":'
+        or body.translate(None, _DIGITS).count(b'""') != keys
+        or b'""' in body
+    ):
+        return None
+    text = b"".join((head, b"[", body.translate(_KEYS_TO_ARRAY), b"]", tail))
+    del body
+    return text.decode("ascii")
+
+
+def _flat_keyed_capacity(path: Path) -> Capacity | None:
+    """Read the capacity document at ``path`` through ``_flat_keyed_text`` and one ``json.loads``,
+    or None where that path does not apply or the array is not one entry per subset."""
+    text = _flat_keyed_text(path)
+    if text is None:
+        return None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    del text
+    flat = doc.get("table") if isinstance(doc, dict) else None
+    if not isinstance(flat, list):  # the rewritten object was not the top-level table
+        return None
+    ground = _parse_ground(doc, str(path))
+    if len(flat) != 2 * ground.size:
+        return None
+    try:
+        masks = np.fromiter(islice(flat, 0, None, 2), np.int64, ground.size)
+    except OverflowError:  # a key of 20 or more digits
+        return None
+    table = _scatter(masks, flat[1::2], ground.size)
+    return None if table is None else Capacity(ground, table)
+
+
 def load_capacity(path: str | Path) -> Capacity:
+    """Read a capacity document; a plain keyed one through ``_flat_keyed_capacity``.
+
+    Any other document, or one that path declines, is read again by ``_read_json``
+    and ``capacity_from_dict``, which raise every schema error.
+    """
     path = Path(path)
-    return capacity_from_dict(_read_json(path), what=str(path))
+    cap = _flat_keyed_capacity(path)
+    return capacity_from_dict(_read_json(path), what=str(path)) if cap is None else cap
 
 
 def save_capacity(c: Capacity, path: str | Path):

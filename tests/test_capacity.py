@@ -233,6 +233,21 @@ def test_dual_involution(seed):
     assert all(abs(a - b) <= 1e-15 for a, b in zip(cap.table, back.table))
 
 
+def test_dual_skips_the_checks_and_keeps_a_tolerated_dip(monkeypatch):
+    from choqrisk import capacity
+
+    # {0} sits STRUCT_TOL above {0,1}, which the constructor tolerates; 1 - x rounds
+    # both halfway values apart, so the conjugate's dip is one ulp wider than STRUCT_TOL
+    x, y = 0.2860399031799084, 0.2860399031809084
+    cap = Capacity(GroundSet(3), [0.0, y, 0.0, x, 0.0, y, x, 1.0])
+    t = np.array(cap.table)
+    monkeypatch.setattr(capacity, "_pairs", lambda table: pytest.fail("dual() ran the monotonicity scan"))
+    dual = cap.dual()
+    assert [v.hex() for v in dual.table] == [v.hex() for v in (1.0 - t[::-1]).tolist()]
+    assert all(type(v) is float for v in dual.table) and dual.ground is cap.ground
+    assert dual.table[0] == 0.0 and dual.table[-1] == 1.0
+
+
 # --- additive construction ----------------------------------------------
 
 def test_from_probability_point_mass(g3):

@@ -15,7 +15,7 @@ from choqrisk import GroundSet, new_capacity
 from choqrisk import io as choqrisk_io
 from choqrisk.capacity import _zeta
 from choqrisk.cli import main
-from choqrisk.errors import SchemaError
+from choqrisk.errors import ChoqriskError, SchemaError
 from choqrisk.utility import parse_utility
 from choqrisk.weighting import parse_weighting
 from choqrisk.io import (
@@ -571,3 +571,122 @@ def test_cli_reports_oversized_integers(tmp_path, mu_file, nu_file, capsys):
                               "nu_file": "nu.json", "utility": "linear"}))
     assert main(["premium", str(sc)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {sc}: 'w' is too large for a float")
+
+
+# --- the flat keyed-text read ---------------------------------------------------
+
+TEXT_TABLE = [0.0, 1e-05, 0.1, 1 / 3, 0.2, 0.30000000000000004, 2 / 3, 1.0]
+TEXT_DOC = {"n": 3, "table": {str(m): v for m, v in enumerate(TEXT_TABLE)}}
+PLAIN = json.dumps(TEXT_DOC)
+
+
+def _outcome(read, *args):
+    """The table ``read`` returns, as hex strings, or the type and text of its error."""
+    try:
+        table = read(*args).table
+    except (ChoqriskError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    assert all(type(v) is float for v in table)
+    return [v.hex() for v in table]
+
+
+def _saved_text(tmp_path):
+    path = tmp_path / "saved.json"
+    save_capacity(new_capacity(GroundSet(3), TEXT_TABLE), path)
+    return path.read_text()
+
+
+def _shuffled_text(tmp_path):
+    order = np.random.default_rng(5).permutation(8)
+    return json.dumps({"n": 3, "table": {str(m): TEXT_TABLE[m] for m in order}})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        PLAIN,
+        json.dumps(TEXT_DOC, separators=(",", ":")),
+        _saved_text,
+        _shuffled_text,
+        PLAIN.replace('"0": 0.0', '"0": 0').replace('"7": 1.0', '"7": 1'),
+        PLAIN.replace('"0": 0.0', '"0": -0.0'),
+        PLAIN.replace('"1": 1e-05', '"1": 1E-5'),
+        PLAIN.replace('"1": 1e-05', '"1":1e-5').replace("{", "{\r\n\t").replace(", ", " ,\r\n\t "),
+        json.dumps({"n": 3, "labels": ["a", "b", "c"], **TEXT_DOC}),
+    ],
+    ids=["default", "compact", "save_capacity", "shuffled", "ints", "negative-zero", "1E-5", "crlf-tabs",
+         "labels"],
+)
+def test_flat_keyed_read_matches_the_dict_read(text, tmp_path, monkeypatch):
+    if callable(text):
+        text = text(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode())
+    want = _outcome(capacity_from_dict, json.loads(text), str(path))
+    assert isinstance(want, list)
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("the document was parsed as a dict"))
+    assert _outcome(load_capacity, path) == want
+
+
+BASE = '{"n": 2, "table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        BASE.replace('"1"', '"01"'),
+        BASE.replace('"1"', '" 1"'),
+        BASE.replace('"1"', '""'),
+        BASE.replace('"2"', '"1"'),
+        BASE.replace("0.3", '"0.3"'),
+        BASE.replace("0.3", "NaN"),
+        BASE.replace("0.3", "Infinity"),
+        BASE.replace("0.3", "+0.3"),
+        BASE.replace("0.3", ".5"),
+        BASE.replace("0.3", "1."),
+        BASE.replace('"1":', '"1",'),
+        BASE.replace('0.3, "2"', '0.3: "2"'),
+        BASE.replace("1.0}", "1.0,}"),
+        BASE.replace('"3": 1.0', '"3": {"x": 1.0}'),
+        BASE[:-1] + ', "table": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}}',
+        BASE.replace('"n": 2,', '"n": 2, "labels": ["table\\": {", "b"],'),
+        BASE.replace('"n": 2,', '"n": 2, "labels": ["é", "b"],'),
+        "\ufeff" + BASE,
+        BASE.replace("1.0", "1" + "0" * 400),
+        BASE.replace('"1"', '"1000000000000000001"'),
+        BASE.replace('"1"', '"10000000000000000001"'),
+        BASE[:-12],
+        # number characters beside a key, which would join it if its quotes were dropped
+        BASE.replace('"1"', '"1"2'),
+        BASE.replace('"1"', '1""'),
+        # a key that is "table" only once unescaped
+        '{"n": 2, "\\"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}, "\\u0074able": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]}',
+        # a nested "table" object beside a top-level array
+        '{"n": 2, "x": {"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}, "table": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]}',
+        '{"n": 2, "table": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0], "x": {"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}}',
+        BASE.replace('"2": 0.5, ', ""),
+        BASE.replace('"3": 1.0', '"3": 1.0, "4": 1.0'),
+    ],
+    ids=["key-01", "key-space-1", "key-empty", "duplicate", "string-value", "NaN", "Infinity", "+0.3", ".5",
+         "1.", "comma-for-colon", "colon-for-comma", "trailing-comma", "nested-object", "second-table",
+         "table-label", "non-ascii-label", "bom", "huge-int", "key-19-digits", "key-20-digits", "truncated",
+         "digit-after-key", "digit-before-empty-key", "escaped-table-key", "nested-table-first",
+         "nested-table-last", "missing-entry", "extra-entry"],
+)
+def test_declined_documents_read_as_the_dict_read(text, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode())
+    assert choqrisk_io._flat_keyed_capacity(path) is None
+    dict_read = _outcome(lambda p: capacity_from_dict(choqrisk_io._read_json(p), what=str(p)), path)
+    assert _outcome(load_capacity, path) == dict_read
+
+
+def test_undecodable_bytes_name_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    raw = BASE.replace('"n": 2,', '"n": 2, "labels": ["\xff", "b"],').encode("latin-1")
+    path.write_bytes(raw)
+    assert main(["check-capacity", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: malformed JSON: 'utf-8' codec can't decode byte 0xff in position "
+        f"{raw.index(0xFF)}: invalid start byte\n"
+    )
