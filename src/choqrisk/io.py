@@ -219,8 +219,9 @@ def _flat_keyed_text(path: Path) -> str | None:
     byte passes check the body: its quotes and separators run ``"":,`` repeated,
     ending in ``"":`` (any other character survives the deletion and fails this),
     every key is digits only, and no key is empty.  Quotes become spaces, not nothing,
-    so that a number character outside a key cannot join it; ``json.loads`` still
-    checks the grammar and parses every number.
+    so that a number character outside a key cannot join it (beside an empty key it
+    would stand in for it); ``json.loads`` still checks the grammar and parses every
+    number.
     """
     data = path.read_bytes()
     found = _TABLE_OBJECT.search(data) if data.isascii() and b"\\" not in data else None
@@ -247,7 +248,8 @@ def _flat_keyed_text(path: Path) -> str | None:
 
 def _flat_keyed_capacity(path: Path) -> Capacity | None:
     """Read the capacity document at ``path`` through ``_flat_keyed_text`` and one ``json.loads``,
-    or None where that path does not apply or the array is not one entry per subset."""
+    or None where that path does not apply or the array is not one entry per subset.  A bad
+    ``n`` or ``labels`` raises the ``SchemaError`` that ``capacity_from_dict`` raises."""
     text = _flat_keyed_text(path)
     if text is None:
         return None

@@ -578,6 +578,7 @@ def test_cli_reports_oversized_integers(tmp_path, mu_file, nu_file, capsys):
 TEXT_TABLE = [0.0, 1e-05, 0.1, 1 / 3, 0.2, 0.30000000000000004, 2 / 3, 1.0]
 TEXT_DOC = {"n": 3, "table": {str(m): v for m, v in enumerate(TEXT_TABLE)}}
 PLAIN = json.dumps(TEXT_DOC)
+SHUFFLED = np.random.default_rng(5).permutation(8)
 
 
 def _outcome(read, *args):
@@ -596,18 +597,13 @@ def _saved_text(tmp_path):
     return path.read_text()
 
 
-def _shuffled_text(tmp_path):
-    order = np.random.default_rng(5).permutation(8)
-    return json.dumps({"n": 3, "table": {str(m): TEXT_TABLE[m] for m in order}})
-
-
 @pytest.mark.parametrize(
     "text",
     [
         PLAIN,
         json.dumps(TEXT_DOC, separators=(",", ":")),
         _saved_text,
-        _shuffled_text,
+        json.dumps({"n": 3, "table": {str(m): TEXT_TABLE[m] for m in SHUFFLED}}),
         PLAIN.replace('"0": 0.0', '"0": 0').replace('"7": 1.0', '"7": 1'),
         PLAIN.replace('"0": 0.0', '"0": -0.0'),
         PLAIN.replace('"1": 1e-05', '"1": 1E-5'),
@@ -624,11 +620,13 @@ def test_flat_keyed_read_matches_the_dict_read(text, tmp_path, monkeypatch):
     path.write_bytes(text.encode())
     want = _outcome(capacity_from_dict, json.loads(text), str(path))
     assert isinstance(want, list)
-    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("the document was parsed as a dict"))
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("parsed as a dict"))
     assert _outcome(load_capacity, path) == want
 
 
-BASE = '{"n": 2, "table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}'
+TABLE_OBJECT = '{"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}'
+BASE = '{"n": 2, "table": ' + TABLE_OBJECT + "}"
+FLAT = "[0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]"  # the flat form of TABLE_OBJECT, a dense table of the wrong length
 
 
 @pytest.mark.parametrize(
@@ -660,10 +658,10 @@ BASE = '{"n": 2, "table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}'
         BASE.replace('"1"', '"1"2'),
         BASE.replace('"1"', '1""'),
         # a key that is "table" only once unescaped
-        '{"n": 2, "\\"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}, "\\u0074able": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]}',
+        '{"n": 2, "\\"table": ' + TABLE_OBJECT + ', "\\u0074able": ' + FLAT + "}",
         # a nested "table" object beside a top-level array
-        '{"n": 2, "x": {"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}, "table": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]}',
-        '{"n": 2, "table": [0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0], "x": {"table": {"0": 0.0, "1": 0.3, "2": 0.5, "3": 1.0}}}',
+        '{"n": 2, "x": {"table": ' + TABLE_OBJECT + '}, "table": ' + FLAT + "}",
+        '{"n": 2, "table": ' + FLAT + ', "x": {"table": ' + TABLE_OBJECT + "}}",
         BASE.replace('"2": 0.5, ', ""),
         BASE.replace('"3": 1.0', '"3": 1.0, "4": 1.0'),
     ],
