@@ -193,31 +193,43 @@ def _plan(xs: np.ndarray):
     return srt, starts, before[:, :n], np.take_along_axis(before, nxt, axis=1)
 
 
-def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
-    """``gen_choquet`` of every row of a (K, n) array, bit-for-bit.
+def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gains and loss halves of the integral of every row of xs under every table of a stack.
+
+    ``tables`` is a (C, 2ⁿ) stack and xs a finite (K, n) array.  Returns
+    ``(gains, losses)``, each (C, K): ``gains[i]`` is the scalar loop's
+    ``total`` with table i as mu and ``losses[j]`` its ``lower_part`` with
+    table j as nu, so ``gains[i] - losses[j]`` is ``gen_choquet`` of the pair
+    bit-for-bit.
 
     The plan (``_plan``) depends only on the ordering of each row.  At the
     first column of a tie group with value d it holds the events ``X < d``
     and ``X <= d``; their complements are ``X >= d`` and ``X > d``.  These
     are the events both tail conventions select, so one plan serves both.
-    Evaluation gathers the capacity values at those masks, walks the columns
-    in ascending order and adds the scalar loop's terms in its order, so
-    every row equals the scalar integral under either convention.  Rows must
-    be finite and have n columns, as for RandomVariable.
+    Evaluation gathers the table values at those masks, walks the columns
+    in ascending order and adds the scalar loop's terms in its order.
+    """
+    tables = np.asarray(tables, dtype=float)
+    srt, starts, below, upto = _plan(xs)
+    full = tables.shape[1] - 1
+    gains = np.zeros((len(tables), len(srt)))
+    losses = np.zeros((len(tables), len(srt)))
+    for j in range(srt.shape[1]):
+        d, lt, le = srt[:, j], below[:, j], upto[:, j]
+        gains = np.where(starts[:, j] & (d > 0.0), gains + d * (tables[:, full ^ lt] - tables[:, full ^ le]), gains)
+        losses = np.where(starts[:, j] & (d < 0.0), losses + d * (tables[:, lt] - tables[:, le]), losses)
+    return gains, losses
+
+
+def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
+    """``gen_choquet`` of every row of a (K, n) array, bit-for-bit under either tail convention.
+
+    The call of ``_halves`` on the stack (mu, nu).  Rows must be finite and
+    have n columns, as for RandomVariable.
     """
     ground = _check_same_ground(mu, nu)
-    srt, starts, below, upto = _plan(_outcome_rows(ground, xs))
-    mu_t, nu_t = np.asarray(mu.table, dtype=float), np.asarray(nu.table, dtype=float)
-    full = ground.full
-    tail, tail_next = mu_t[full ^ below], mu_t[full ^ upto]
-    prev, low = nu_t[below], nu_t[upto]
-    total = np.zeros(len(srt))
-    lower = np.zeros(len(srt))
-    for j in range(ground.n):
-        d = srt[:, j]
-        total = np.where(starts[:, j] & (d > 0.0), total + d * (tail[:, j] - tail_next[:, j]), total)
-        lower = np.where(starts[:, j] & (d < 0.0), lower + d * (prev[:, j] - low[:, j]), lower)
-    return total - lower
+    gains, losses = _halves((mu.table, nu.table), _outcome_rows(ground, xs))
+    return gains[0] - losses[1]
 
 
 def _collapse_points(mu: Capacity, nu: Capacity, xs) -> tuple[np.ndarray, np.ndarray]:

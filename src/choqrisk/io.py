@@ -306,16 +306,20 @@ def load_mass_function(path: str | Path) -> MassFunction:
 
 def load_values_array(text_or_path: str) -> list[float]:
     """Accept an inline JSON array or a path to a file holding one."""
-    s = text_or_path.strip()
+    s, where = text_or_path.strip(), ""
     if not s.startswith("["):
         p = Path(s)
         if not p.exists():
             raise SchemaError(f"{s!r} is neither a JSON array nor an existing file")
-        s = p.read_text()
+        where = f"{p}: "
+        try:
+            s = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{where}malformed JSON array: {exc}") from exc
     try:
         arr = json.loads(s)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON array: {exc}") from exc
+        raise SchemaError(f"{where}malformed JSON array: {exc}") from exc
     _require(isinstance(arr, list) and all(map(_is_number, arr)), "expected a JSON array of numbers")
     return _floats(arr, "array entry")
 

@@ -35,6 +35,7 @@ from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
     _collapse_points,
+    _halves,
     _outcome_rows,
     gen_choquet,
     gen_choquet_batch,
@@ -261,21 +262,24 @@ def _in_domain(f, xs: np.ndarray) -> np.ndarray:
     return xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
 
 
-def _first_violation(
-    mu: Capacity, nu: Capacity, f, xs: np.ndarray, integrals: np.ndarray
-) -> tuple[int, dict | None]:
-    """First row of xs (all inside f's domain) whose Jensen gap exceeds VIOLATION_TOL.
+def _first_violation(f, xs: np.ndarray, lhs: np.ndarray, integrals: np.ndarray) -> list[tuple[int, dict | None]]:
+    """First row of xs (all inside f's domain) whose Jensen gap exceeds VIOLATION_TOL, per pair.
 
-    ``integrals`` holds C of each row.  Returns the number of rows scanned
+    ``lhs`` holds C(f(X)) and ``integrals`` C(X) of each row, as one pair's
+    (K,) array or P pairs' (P, K) array; f(C(X)) is called once per distinct
+    value of the whole array.  Returns, per pair, the number of rows scanned
     up to and including that row with its witness ``{"f", "x", "gap"}``, or
     ``(len(xs), None)`` when no row violates.
     """
-    gaps = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, integrals)
-    bad = np.flatnonzero(gaps > VIOLATION_TOL)
-    if not bad.size:
-        return len(xs), None
-    i = int(bad[0])
-    return i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}
+    out = []
+    for gaps in np.atleast_2d(lhs - _per_distinct(f.value, integrals)):
+        bad = np.flatnonzero(gaps > VIOLATION_TOL)
+        if not bad.size:
+            out.append((len(xs), None))
+            continue
+        i = int(bad[0])
+        out.append((i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}))
+    return out
 
 
 def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
@@ -292,7 +296,8 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     """
     ground = _check_same_ground(mu, nu)
     xs = _in_domain(f, _outcome_rows(ground, xs))
-    checked, witness = _first_violation(mu, nu, f, xs, gen_choquet_batch(mu, nu, xs))
+    lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
+    [(checked, witness)] = _first_violation(f, xs, lhs, gen_choquet_batch(mu, nu, xs))
     return Verdict("jensen", witness is None, checked, witness)
 
 
@@ -305,38 +310,98 @@ def _direct(key, compute):
     return compute()
 
 
+def _split_entries(mu: Capacity, nu: Capacity, b: int) -> tuple[float, float, float, float]:
+    """mu(B), mu(Bᶜ), nu(B) and nu(Bᶜ): all a variable taking one value on B and one off it reads.
+
+    Its other events are the empty and the whole set, where every capacity
+    is 0 and 1.
+    """
+    c = mu.ground.full ^ b
+    return mu.table[b], mu.table[c], nu.table[b], nu.table[c]
+
+
 def _per_split(mu: Capacity, nu: Capacity, f, tag: tuple, blocks: list, scan, once) -> Iterator:
     """``(rows, scan(b, rows))`` for each ``(b, rows)`` of blocks, in order and lazily.
 
     Every row of a block takes one value on the split B and one off it, so
-    its integral reads mu and nu only at B and at the complement of B (its
-    other events are the empty and the whole set).  ``once`` keys each scan
-    on those four entries, ``tag`` (the scan and its value grid) and f.
+    ``once`` keys each scan on ``_split_entries``, ``tag`` (the scan and its
+    value grid) and f.
     """
-    full = mu.ground.full
     for b, rows in blocks:
-        key = (tag, b, mu.table[b], mu.table[full ^ b], nu.table[b], nu.table[full ^ b], f)
-        yield rows, once(key, lambda: scan(b, rows))
+        yield rows, once((tag, b, *_split_entries(mu, nu, b), f), lambda: scan(b, rows))
+
+
+def _jensen_rows(ground: GroundSet, f, values: tuple, once) -> list:
+    """``(B, rows)`` per canonical split: the rows of ``two_point_grid`` on B inside f's domain."""
+
+    def rows():
+        grid, size = two_point_grid(ground, values), len(values) ** 2
+        return [(b, _in_domain(f, grid[k * size : (k + 1) * size])) for k, b in enumerate(_canonical_splits(ground))]
+
+    return once(("jensen rows", ground.n, f, values), rows)
+
+
+def _split_scans(ground: GroundSet, f, b: int, rows: np.ndarray, entries: list) -> dict:
+    """``_first_violation`` of the rows of split B for each ``_split_entries`` tuple of a list, keyed on it.
+
+    The gains half of a row's integral reads (mu(B), mu(Bᶜ)) and the loss
+    half (nu(B), nu(Bᶜ)).  With one table per distinct entry pair, one
+    ``_halves`` call on the rows and one on f(rows) give every tuple's C(X)
+    and C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch``.
+    The tuples are scanned one mu side at a time, so that no array holds
+    more than (C, K) values.
+    """
+    sides = list(dict.fromkeys(e[k : k + 2] for e in entries for k in (0, 2)))
+    index = {side: i for i, side in enumerate(sides)}
+    tables = np.zeros((len(sides), ground.size))
+    tables[:, ground.full] = 1.0
+    tables[:, [b, ground.full ^ b]] = sides
+    gains, losses = _halves(tables, rows)
+    f_gains, f_losses = _halves(tables, _per_distinct(f.value, rows))
+    by_mu: dict = {}
+    for e in entries:
+        by_mu.setdefault(index[e[:2]], []).append(e)
+    found = {}
+    for i, keys in by_mu.items():
+        j = [index[e[2:]] for e in keys]
+        found.update(zip(keys, _first_violation(f, rows, f_gains[i] - f_losses[j], gains[i] - losses[j])))
+    return found
 
 
 def _two_point_jensen(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
     """``jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))``, one split at a time."""
     ground = mu.ground
 
-    def split_rows():
-        grid, size = two_point_grid(ground, values), len(values) ** 2
-        return [(b, _in_domain(f, grid[k * size : (k + 1) * size])) for k, b in enumerate(_canonical_splits(ground))]
-
     def scan(b, rows):
-        return _first_violation(mu, nu, f, rows, gen_choquet_batch(mu, nu, rows))
+        entries = _split_entries(mu, nu, b)
+        return _split_scans(ground, f, b, rows, [entries])[entries]
 
     checked, witness = 0, None
-    blocks = once(("jensen rows", ground.n, f, values), split_rows)
+    blocks = _jensen_rows(ground, f, values, once)
     for _, (seen, witness) in _per_split(mu, nu, f, ("jensen", values), blocks, scan, once):
         checked += seen
         if witness is not None:
             break
     return Verdict("jensen", witness is None, checked, witness)
+
+
+def _fill_two_point_jensen(pairs: list, gallery: list, values: tuple, once) -> None:
+    """Run ``_two_point_jensen``'s split scans for every pair and map into ``once``.
+
+    One ``_split_scans`` call per (f, B) covers every distinct entry tuple of
+    the pairs; its (C, K) halves are dropped before the next (f, B).
+    """
+    if not pairs:
+        return
+    ground = pairs[0][0].ground
+    entries = {
+        b: list(dict.fromkeys(_split_entries(mu, nu, b) for mu, nu in pairs)) for b in _canonical_splits(ground)
+    }
+    for f in gallery:
+        for b, rows in _jensen_rows(ground, f, values, once):
+            for key, found in _split_scans(ground, f, b, rows, entries[b]).items():
+                # the key _two_point_jensen's _per_split looks up
+                once((("jensen", values), b, *key, f), lambda: found)
 
 
 def _against_certificate(
@@ -554,7 +619,7 @@ def _concavity_probe(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verd
         if off.size:
             i = int(off[0])
             return i, {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])}
-        return None, _first_violation(mu, nu, f, xs, m)[1]
+        return None, _first_violation(f, xs, gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)), m)[0][1]
 
     checked, violation = 0, None
     blocks = once(("probe rows", ground.n, f, values), split_rows)
@@ -704,7 +769,9 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     One memo serves the whole call and no other: a check whose table row
     names a key runs once per distinct key and map, and the two-point scans
     and certificates run once per distinct entries read (``_per_split``,
-    ``_against_certificate``).
+    ``_against_certificate``).  Each pair is classified once, up front; the
+    two-point Jensen scans of theorems 1 and 2 then run for all the pairs
+    they apply to (``_fill_two_point_jensen``) before any pair's checks.
     """
     memo: dict = {}
 
@@ -713,6 +780,7 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
             memo[key] = compute()
         return memo[key]
 
+    forward_gallery, collapse_gallery = concave_increasing_gallery(), zero_at_zero_gallery()
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
@@ -748,11 +816,11 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     table = (
         ("lemma", lambda d, z, c: True, lemma),
         ("1", lambda d, z, c: d, over(
-            "jensen forward", concave_increasing_gallery(), partial(_two_point_jensen, values=values, once=once),
+            "jensen forward", forward_gallery, partial(_two_point_jensen, values=values, once=once),
         )),
         ("1", lambda d, z, c: not d, converse),
         ("2", lambda d, z, c: z, over(
-            "collapse", zero_at_zero_gallery(), partial(_collapse, values=probe_values, seed=seed, once=once),
+            "collapse", collapse_gallery, partial(_collapse, values=probe_values, seed=seed, once=once),
         )),
         ("3", lambda d, z, c: d and c, over(
             "two-valued concavity", concavity_probe_gallery,
@@ -764,9 +832,17 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     )
     rows = [(applies, check) for tid, applies, check in table if tid in theorems]
 
-    for mu, nu in pairs:
-        dom = dominates_dual(mu, nu).holds
-        zero_one = mu.is_zero_one_valued() and nu.is_zero_one_valued()
-        coex = coexistence_set(mu, nu) is not None
+    pairs = list(pairs)
+    classes = [
+        (dominates_dual(mu, nu).holds, mu.is_zero_one_valued() and nu.is_zero_one_valued(),
+         coexistence_set(mu, nu) is not None)
+        for mu, nu in pairs
+    ]
+    # the two-point Jensen scans of theorem 1 (dominant pairs) and theorem 2 (zero-one pairs)
+    for tid, k, gallery, grid in (("1", 0, forward_gallery, values), ("2", 1, collapse_gallery, probe_values)):
+        if tid in theorems:
+            _fill_two_point_jensen([p for p, cls in zip(pairs, classes) if cls[k]], gallery, grid, once)
+
+    for (mu, nu), (dom, zero_one, coex) in zip(pairs, classes):
         ck = f"dominant={dom}, zero_one={zero_one}, coexistence={coex}"
         yield mu, nu, ck, [verdict for applies, check in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu)]

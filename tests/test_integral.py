@@ -34,7 +34,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued
-from choqrisk.integral import _collapse_points
+from choqrisk.integral import _collapse_points, _halves
 from choqrisk.premium import Scenario, risk_neutral_premium
 from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
@@ -393,6 +393,29 @@ def test_batch_rejects_bad_rows(mu_worked, nu_worked):
         with pytest.raises(ValueError):
             gen_choquet_batch(mu_worked, nu_worked, bad)
     assert gen_choquet_batch(mu_worked, nu_worked, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_halves_give_the_scalar_integral_of_every_pair_bitwise(n):
+    """``gains[i] - losses[j]`` of a stack of tables is ``gen_choquet`` of (table i, table j)
+    under both tail conventions, bit for bit (signed zeros included), and
+    ``gen_choquet_batch`` is the call of the stack it is given."""
+    ground = GroundSet(n)
+    rng = rng_from_seed(70 + n)
+    caps = [random_capacity(rng, ground) for _ in range(4)] + [zero_one_capacity(ground, [1])]
+    # ties and both zeros from the pool, then every constant row
+    rows = np.concatenate([rng.choice(TIE_POOL, (40, n)), np.repeat(np.array(TIE_POOL)[:, None], n, axis=1)])
+    gains, losses = _halves([c.table for c in caps], rows)
+    assert gains.shape == losses.shape == (len(caps), len(rows))
+    for i, mu in enumerate(caps):
+        for j, nu in enumerate(caps):
+            got = (gains[i] - losses[j]).view(np.int64).tolist()
+            for strict in (True, False):
+                want = [gen_choquet(mu, nu, RandomVariable(ground, tuple(r)), strict) for r in rows.tolist()]
+                assert got == np.array(want).view(np.int64).tolist()
+            assert gen_choquet_batch(mu, nu, rows).view(np.int64).tolist() == got
+        one_gains, one_losses = _halves([mu.table], rows)
+        assert (one_gains[0] - one_losses[0]).tobytes() == gen_choquet_batch(mu, mu, rows).tobytes()
 
 
 # --- the tie-group walk against the threshold-mask definition ---------------------

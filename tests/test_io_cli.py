@@ -426,6 +426,17 @@ def test_cli_verify_default_levels_report_digest(tmp_path, capsys):
     assert digest == "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"
 
 
+def test_cli_verify_n3_jensen_theorems_report_digest(tmp_path, capsys):
+    """Theorems 1 and 2 over the 16,641 three-level n = 3 pairs, pinned byte for byte (sha256).
+
+    At n = 3 the four entries a two-point scan reads are not the whole tables,
+    so this pins the keying of those scans, which n = 2 cannot."""
+    out = tmp_path / "report.json"
+    main(["verify", "--n", "3", "--levels", "0,0.5,1", "--theorem", "1,2", "--seed", "42", "--json", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"
+
+
 def test_cli_figures_byte_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["figures", "--family", "ge", "--out", str(a), "--grid-size", "201"])
@@ -688,3 +699,16 @@ def test_undecodable_bytes_name_the_file(tmp_path, capsys):
         f"error: {path}: malformed JSON: 'utf-8' codec can't decode byte 0xff in position "
         f"{raw.index(0xFF)}: invalid start byte\n"
     )
+
+
+def test_undecodable_values_file_names_the_file(mu_file, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"[1, 2]\xff")
+    assert main(["integrate", "--mu", str(mu_file), "--mode", "choquet", "--x", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: malformed JSON array: 'utf-8' codec can't decode byte 0xff in position 6: "
+        "invalid start byte\n"
+    )
+    path.write_text("[1, 2")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: malformed JSON array"):
+        load_values_array(str(path))

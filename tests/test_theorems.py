@@ -292,6 +292,24 @@ def test_sweep_classification_totals():
     assert report.clean
 
 
+def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch):
+    """Theorem 1's forward scans read every pair off per-capacity halves, not gen_choquet_batch,
+    in one scan per map and split (n = 2 has one canonical split): no pair misses the memo."""
+    from choqrisk import theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-pair kernel call")
+
+    scans = []
+    split_scans = theorems._split_scans
+    monkeypatch.setattr(theorems, "gen_choquet_batch", refuse)
+    monkeypatch.setattr(theorems, "_split_scans", lambda *args: scans.append(args) or split_scans(*args))
+    report = run_full_report(n=2, levels=(0.0, 0.5, 1.0), theorems=("1",))
+    assert report.pair_count == 81 and report.clean
+    assert report.verdict_counts["jensen forward"][1] > 0
+    assert len(scans) == len(theorems.concave_increasing_gallery())
+
+
 def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     """Each check files its failures in ``unexpected``; the entries are pinned.
 
