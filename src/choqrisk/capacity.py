@@ -44,6 +44,10 @@ from .errors import (
 
 STRUCT_TOL = 1e-12
 DERIVED_TOL = 1e-9
+#: the largest dip ``table[A] - table[A | {i}]`` a capacity may have: STRUCT_TOL
+#: plus room for rounding 1 - (1 - x) on both entries, so that every table with
+#: ``table[A] <= table[A | {i}] + STRUCT_TOL`` (in floats) passes
+MONOTONE_TOL = STRUCT_TOL + 2.0**-51
 MAX_ELEMENTS = 20
 #: largest n whose 3^n disjoint pairs are walked (3^16 is about 4.3e7)
 PAIR_WALK_MAX_N = 16
@@ -123,9 +127,13 @@ class Capacity:
             raise ValueError("table entries must be finite")
         # monotonicity first: the witness pair is the more useful diagnostic
         # when both it and normalization fail.  The first witness has the
-        # lowest element i, then the smallest A.
+        # lowest element i, then the smallest A.  Dips are measured between
+        # the values r(x) = 1 - (1 - x): dual() stores 1 - x, which r leaves
+        # unchanged, and the conjugate's dip 1 - x - (1 - y) equals r(y) - r(x)
+        # exactly, so the dual of every accepted table is accepted.
+        np.subtract(1.0, np.subtract(1.0, arr, out=arr), out=arr)
         for i, pair in _pairs(arr):
-            bad = (pair[:, 0] > pair[:, 1] + STRUCT_TOL).ravel()
+            bad = (pair[:, 0] - pair[:, 1] > MONOTONE_TOL).ravel()
             if bad.any():
                 high, low = divmod(int(bad.argmax()), 1 << i)
                 a = high << (i + 1) | low
@@ -142,9 +150,9 @@ class Capacity:
         """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``.
 
         Built without the checks of ``__post_init__``: the table is finite, its
-        ends are exactly ``1.0 - 1.0`` and ``1.0 - 0.0``, and it is monotone up
-        to the rounding of ``1.0 - x``, which can turn a tolerated dip of
-        STRUCT_TOL into one a few ulps wider.
+        ends are exactly ``1.0 - 1.0`` and ``1.0 - 0.0``, and its dips, as the
+        constructor measures them, are this table's, so the constructor
+        accepts it too.
         """
         dual = object.__new__(Capacity)
         object.__setattr__(dual, "ground", self.ground)

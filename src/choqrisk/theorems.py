@@ -35,11 +35,12 @@ from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
     _collapse_points,
+    _groups,
     _halves,
+    _lower,
     _outcome_rows,
     gen_choquet,
     gen_choquet_batch,
-    translation_gap,
 )
 from .utility import (
     Exponential,
@@ -60,9 +61,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (30 s,
-#: 1.8 ms per pair, most of it the lemma trials), at five levels 3,549,456
-#: (about 1.8 h at that rate)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (6-8 s,
+#: about 0.4 ms per pair, most of it the tail-convention trial's scalar
+#: integrals), at five levels 3,549,456 (about 25 min at that rate)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -459,59 +460,121 @@ def jensen_counterexample(mu: Capacity, nu: Capacity) -> JensenCounterexample | 
     return JensenCounterexample(x, f, realized, dom.gap, a_set)
 
 
+def _translation_cells(ground: GroundSet, xs: np.ndarray, shifts: np.ndarray) -> tuple:
+    """The cells of ``translation_gap``'s step integral over [-a, 0], per row of xs and shift a.
+
+    Returns ``(width, above, below, sign)``: per row, the widths of
+    ``step_integral``'s cells in its order, the events ``X > s`` and ``X < s``
+    at each cell's midpoint s, and the orientation sign.  A row has at most
+    n + 1 cells; the rest are padded with width 0, which adds nothing.
+    """
+    k, n = xs.shape
+    width, sign = np.zeros((k, n + 1)), np.ones(k)
+    above, below = np.zeros((2, k, n + 1), dtype=np.int64)
+    for r, (x, a) in enumerate(zip(xs.tolist(), shifts.tolist())):
+        lo, hi, groups = -a, 0.0, _groups(x)
+        if lo > hi:
+            lo, hi, sign[r] = hi, lo, -1.0
+        pts = sorted({lo, hi} | {v for v in x if lo < v < hi})
+        for c, (left, right) in enumerate(zip(pts, pts[1:])):
+            s = (left + right) / 2.0
+            width[r, c] = right - left
+            above[r, c] = ground.full ^ _lower(groups, s, False)
+            below[r, c] = _lower(groups, s, True)
+    return width, above, below, sign
+
+
 def integral_property_checks(
     mu: Capacity,
     nu: Capacity,
     samples: int = 50,
     seed: int = 0,
     tol: float = VIOLATION_TOL,
+    once=_direct,
 ) -> dict[str, Verdict]:
     """Randomized checks of the four structural integral properties.
 
     Tail-convention equality is asserted exactly; pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
-    translation identity at ``tol``.
+    translation identity at ``tol``.  A trial stops at its first failing
+    sample, and the next trial draws on from there.
+
+    Every pair checked with one seed draws the same stream, so ``once`` keeps
+    each trial's draws and set-up (keyed on seed, samples, n, the stream
+    position and the trial) and each capacity's gains and loss halves of the
+    rows integrated (``_halves``).  C(X) under a pair is then one
+    subtraction, bit-for-bit ``gen_choquet``.  The translation identity's
+    step integral reads mu and nu inside each cell, so it gathers both per
+    pair and sums the cells in ``step_integral``'s order.  The tail
+    conventions are compared on the scalar ``gen_choquet``.
     """
-    rng = np.random.default_rng(seed)
-    ground = mu.ground
+    ground = _check_same_ground(mu, nu)
+    n, size = ground.n, max(samples, 0)
 
-    def tails(x: RandomVariable) -> dict | None:
-        a = gen_choquet(mu, nu, x, strict_tails=True)
-        b = gen_choquet(mu, nu, x, strict_tails=False)
-        return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
+    def integral(m, v, name):
+        """C of the current trial's rows ``name`` under (m, v), from each capacity's kept halves."""
 
-    def monotonicity(x: RandomVariable) -> dict | None:
-        y = RandomVariable(ground, tuple(v + d for v, d in zip(x.values, rng.uniform(0, 5, ground.n))))
-        gap = gen_choquet(mu, nu, x) - gen_choquet(mu, nu, y)
-        return {"x": list(x.values), "y": list(y.values), "gap": gap} if gap > tol else None
+        def halves(cap):
+            return once((block, name, cap.table), lambda: [h[0] for h in _halves([cap.table], rows[name])])
 
-    def homogeneity(x: RandomVariable) -> dict | None:
-        b = float(rng.uniform(-3, 3))
-        lhs = gen_choquet(mu, nu, x * b)
-        rhs = b * (gen_choquet(mu, nu, x) if b > 0 else gen_choquet(nu, mu, x))
-        gap = abs(lhs - rhs)
-        return {"x": list(x.values), "b": b, "gap": gap} if gap > tol else None
+        return halves(m)[0] - halves(v)[1]
 
-    def translation(x: RandomVariable) -> dict | None:
-        a = float(rng.uniform(-10, 10))
-        tg = translation_gap(mu, nu, x, a)
-        gap = abs(tg.lhs - tg.correction)
-        return {"x": list(x.values), "a": a, "gap": gap} if gap > tol else None
+    def tails():
+        ab = np.array([[gen_choquet(mu, nu, x, strict_tails=s) for s in (True, False)] for x in rows["vars"]])
+        a, b = ab.reshape(-1, 2).T
+        return a != b, lambda i: {"gap": float(abs(a[i] - b[i]))}
 
+    def monotonicity():
+        gaps = integral(mu, nu, "x") - integral(mu, nu, "y")
+        return gaps > tol, lambda i: {"y": rows["y"][i].tolist(), "gap": float(gaps[i])}
+
+    def homogeneity():
+        b = rows["b"]
+        rhs = b * np.where(b > 0, integral(mu, nu, "x"), integral(nu, mu, "x"))
+        gaps = np.abs(integral(mu, nu, "bx") - rhs)
+        return gaps > tol, lambda i: {"b": float(b[i]), "gap": float(gaps[i])}
+
+    def translation():
+        width, above, below, sign = rows["cells"]
+        lhs = integral(mu, nu, "xa") - rows["a"] - integral(mu, nu, "x")
+        terms = width * (np.asarray(mu.table)[above] - (1.0 - np.asarray(nu.table)[below]))
+        # the cells added left to right, as step_integral adds them
+        gaps = np.abs(lhs - sign * np.add.accumulate(terms, axis=1)[:, -1])
+        return gaps > tol, lambda i: {"a": float(rows["a"][i]), "gap": float(gaps[i])}
+
+    # (key, check name, the ranges each sample draws from after X, set-up, trial) in draw order;
+    # a set-up reads the draws and no capacity: the rows integrated (X is "x") and the scalars
     trials = (
-        ("tail-conventions", "tail conventions agree", tails),
-        ("monotonicity", "pointwise monotonicity", monotonicity),
-        ("homogeneity", "positive homogeneity with swap", homogeneity),
-        ("translation", "translation identity", translation),
+        ("tail-conventions", "tail conventions agree", (),
+         lambda x, more: {"vars": [RandomVariable(ground, tuple(v)) for v in x.tolist()]}, tails),
+        ("monotonicity", "pointwise monotonicity", ((0.0, 5.0),) * n,
+         lambda x, more: {"x": x, "y": x + more}, monotonicity),
+        ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
+         lambda x, more: {"x": x, "bx": x * more, "b": more[:, 0]}, homogeneity),
+        ("translation", "translation identity", ((-10.0, 10.0),),
+         lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0], "cells": _translation_cells(ground, x, more[:, 0])},
+         translation),
     )
     out: dict[str, Verdict] = {}
-    for key, check, trial in trials:
-        bad = None
-        for _ in range(samples):
-            bad = trial(RandomVariable(ground, tuple(rng.uniform(-10, 10, ground.n))))
-            if bad is not None:
-                break
-        out[key] = Verdict(check, bad is None, samples, bad)
+    start = 0
+    for key, check, ranges, setup, trial in trials:
+        block = ("lemma", seed, samples, n, start, key)
+
+        def draw():
+            # the trial's stream is default_rng(seed) past the doubles earlier trials drew; one
+            # uniform call over the block draws them in the order of one call per X and per value
+            rng = np.random.default_rng(seed)
+            rng.bit_generator.advance(start)
+            low, high = zip(*[(-10.0, 10.0)] * n, *ranges)
+            drawn = rng.uniform(low, high, (size, len(low)))
+            return drawn[:, :n], setup(drawn[:, :n], drawn[:, n:])
+
+        x, rows = once(block, draw)
+        fails, fields = trial()
+        bad = np.flatnonzero(fails)
+        witness = {"x": x[bad[0]].tolist(), **fields(bad[0])} if bad.size else None
+        out[key] = Verdict(check, witness is None, samples, witness)
+        start += (int(bad[0]) + 1 if bad.size else size) * (n + len(ranges))
     return out
 
 
@@ -542,10 +605,13 @@ def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, seed: int, once) -> 
         grid = two_point_grid(mu.ground, values)
         return _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
 
-    xs = once(("collapse rows", mu.ground.n, f, values, seed), rows)
-    a_x, b_x = _collapse_points(mu, nu, xs)
-    lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
-    rhs = _per_distinct(f.value, a_x) + _per_distinct(f.value, b_x)
+    key = ("collapse rows", mu.ground.n, f, values, seed)
+    xs = once(key, rows)
+    # b_X reads mu alone and a_X nu alone, so f(b_X) is kept per mu and f(a_X) per nu
+    f_b = once((key, "f(b_X)", mu.table), lambda: _per_distinct(f.value, _collapse_points(mu, mu, xs)[1]))
+    f_a = once((key, "f(a_X)", nu.table), lambda: _per_distinct(f.value, _collapse_points(nu, nu, xs)[0]))
+    lhs = gen_choquet_batch(mu, nu, once((key, "f(X)"), lambda: _per_distinct(f.value, xs)))
+    rhs = f_a + f_b
     bad = np.flatnonzero(lhs != rhs)
     if bad.size:
         i = int(bad[0])
@@ -769,9 +835,13 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     One memo serves the whole call and no other: a check whose table row
     names a key runs once per distinct key and map, and the two-point scans
     and certificates run once per distinct entries read (``_per_split``,
-    ``_against_certificate``).  Each pair is classified once, up front; the
-    two-point Jensen scans of theorems 1 and 2 then run for all the pairs
-    they apply to (``_fill_two_point_jensen``) before any pair's checks.
+    ``_against_certificate``).  The lemma trials keep their draws once per
+    stream position and their halves once per capacity
+    (``integral_property_checks``); the collapse check keeps f(X) once per
+    map, f(b_X) once per mu and f(a_X) once per nu (``_collapse``).  Each
+    pair is classified once, up front; the two-point Jensen scans of
+    theorems 1 and 2 then run for all the pairs they apply to
+    (``_fill_two_point_jensen``) before any pair's checks.
     """
     memo: dict = {}
 
@@ -786,7 +856,7 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
     def lemma(mu, nu):
-        verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed)
+        verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed, once=once)
         for name, verdict in verdicts.items():
             yield f"property {name}", verdict.holds, verdict.witness
 

@@ -248,6 +248,49 @@ def test_dual_skips_the_checks_and_keeps_a_tolerated_dip(monkeypatch):
     assert dual.table[0] == 0.0 and dual.table[-1] == 1.0
 
 
+def test_the_dual_of_a_tolerated_dip_is_accepted():
+    x, y = 0.2860399031799084, 0.2860399031809084
+    cap = Capacity(GroundSet(3), [0.0, y, 0.0, x, 0.0, y, x, 1.0])
+    dual = new_capacity(cap.ground, cap.dual().table)
+    assert dual.table == cap.dual().table
+    assert new_capacity(cap.ground, dual.dual().table).table == dual.dual().table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_dual_of_every_accepted_table_is_accepted(n):
+    """Tables with dips within a few ulps of STRUCT_TOL, on both sides of it.
+
+    Every table that passes ``table[A] <= table[A | {i}] + STRUCT_TOL`` is
+    accepted, and so are the dual of each accepted table and its dual.
+    """
+    from choqrisk.capacity import _zeta
+
+    g, rng = GroundSet(n), np.random.default_rng(n)
+    tested = near = 0
+    for _ in range(1500):
+        table = _zeta(rng.uniform(0.0, 1.0, g.size), np.maximum)
+        table[0], table[-1] = 0.0, 1.0
+        for _ in range(int(rng.integers(1, 4))):
+            i = int(rng.integers(0, n))
+            a = int(rng.integers(1, g.size)) & ~(1 << i) or 1 << (i + 1) % n
+            # lift A to STRUCT_TOL above A | {i}, give or take a few ulps
+            table[a] = table[a | 1 << i] + STRUCT_TOL + int(rng.integers(-4, 5)) * 2.0**-53
+        values = table.tolist()
+        old_rule = all(
+            values[a] <= values[a | 1 << i] + STRUCT_TOL for a in range(g.size) for i in range(n) if not a >> i & 1
+        )
+        try:
+            cap = new_capacity(g, values)
+        except NotMonotone:
+            assert not old_rule
+            continue
+        tested += 1
+        dual = new_capacity(g, cap.dual().table)
+        new_capacity(g, dual.dual().table)
+        near += max(values[a] - values[a | 1 << i] for a in range(g.size) for i in range(n) if not a >> i & 1) > 0.0
+    assert tested > 500 and near > 200
+
+
 # --- additive construction ----------------------------------------------
 
 def test_from_probability_point_mass(g3):

@@ -437,6 +437,17 @@ def test_cli_verify_n3_jensen_theorems_report_digest(tmp_path, capsys):
     assert digest == "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"
 
 
+def test_cli_verify_n3_report_digest(tmp_path, capsys):
+    """Every check family over the 16,641 three-level n = 3 pairs, pinned byte for byte (sha256).
+
+    The lemma trials of all pairs share one memo of draws and per-capacity
+    halves; this pins them at n = 3 as well."""
+    out = tmp_path / "report.json"
+    main(["verify", "--n", "3", "--levels", "0,0.5,1", "--seed", "42", "--json", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"
+
+
 def test_cli_figures_byte_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["figures", "--family", "ge", "--out", str(a), "--grid-size", "201"])

@@ -44,8 +44,10 @@ from choqrisk.theorems import (
     concave_increasing_gallery,
     convex_increasing_gallery,
     jensen_gap,
+    Verdict,
     two_point_grid,
 )
+from choqrisk.integral import translation_gap
 
 
 # --- enumeration oracle --------------------------------------------------------
@@ -103,6 +105,122 @@ def test_lemma_verdicts_hold_for_random_pairs():
         nu = random_capacity(rng, ground)
         verdicts = integral_property_checks(mu, nu, samples=40, seed=int(rng.integers(0, 2**31)))
         assert all(v.holds for v in verdicts.values()), verdicts
+
+
+def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
+    """Reference: the lemma trials as one scalar loop, each X and value drawn in turn."""
+    rng = np.random.default_rng(seed)
+    ground = mu.ground
+
+    def tails(x: RandomVariable) -> dict | None:
+        a = gen_choquet(mu, nu, x, strict_tails=True)
+        b = gen_choquet(mu, nu, x, strict_tails=False)
+        return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
+
+    def monotonicity(x: RandomVariable) -> dict | None:
+        y = RandomVariable(ground, tuple(v + d for v, d in zip(x.values, rng.uniform(0, 5, ground.n))))
+        gap = gen_choquet(mu, nu, x) - gen_choquet(mu, nu, y)
+        return {"x": list(x.values), "y": list(y.values), "gap": gap} if gap > tol else None
+
+    def homogeneity(x: RandomVariable) -> dict | None:
+        b = float(rng.uniform(-3, 3))
+        lhs = gen_choquet(mu, nu, x * b)
+        rhs = b * (gen_choquet(mu, nu, x) if b > 0 else gen_choquet(nu, mu, x))
+        gap = abs(lhs - rhs)
+        return {"x": list(x.values), "b": b, "gap": gap} if gap > tol else None
+
+    def translation(x: RandomVariable) -> dict | None:
+        a = float(rng.uniform(-10, 10))
+        tg = translation_gap(mu, nu, x, a)
+        gap = abs(tg.lhs - tg.correction)
+        return {"x": list(x.values), "a": a, "gap": gap} if gap > tol else None
+
+    trials = (
+        ("tail-conventions", "tail conventions agree", tails),
+        ("monotonicity", "pointwise monotonicity", monotonicity),
+        ("homogeneity", "positive homogeneity with swap", homogeneity),
+        ("translation", "translation identity", translation),
+    )
+    out: dict[str, Verdict] = {}
+    for key, check, trial in trials:
+        bad = None
+        for _ in range(samples):
+            bad = trial(RandomVariable(ground, tuple(rng.uniform(-10, 10, ground.n))))
+            if bad is not None:
+                break
+        out[key] = Verdict(check, bad is None, samples, bad)
+    return out
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["exact", "weak-tails-off"])
+def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
+    """150 random pairs at n = 2-4, each at four tolerances, with random seeds and sample counts.
+
+    Verdicts equal the scalar loop's repr for repr, alone and through one memo
+    shared by every case, as a sweep shares it.  A tolerance of 1e-15 or -1
+    fails trials at rows that differ from pair to pair, and so does a weak-tail
+    integral perturbed on rows whose first value exceeds 3; the trials after a
+    failing row must then draw on from the same place.
+    """
+    from choqrisk import theorems
+
+    if faults:
+        exact = theorems.gen_choquet
+
+        def weak_tails_off(mu, nu, x, strict_tails=True):
+            return exact(mu, nu, x, strict_tails) + (2.0**-20 if not strict_tails and x.values[0] > 3 else 0.0)
+
+        monkeypatch.setattr(theorems, "gen_choquet", weak_tails_off)
+        monkeypatch.setitem(globals(), "gen_choquet", weak_tails_off)
+    memo = {}
+
+    def once(key, compute):
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    rng = rng_from_seed(14)
+    failures = set()
+    for _ in range(150):
+        ground = GroundSet(int(rng.integers(2, 5)))
+        style = rng.choice(["fill", "belief", "additive", "zero-one"], 2)
+        mu, nu = (random_capacity(rng, ground, str(s)) for s in style)
+        samples, seed = int(rng.integers(0, 16)), int(rng.integers(0, 4))
+        for tol in (VIOLATION_TOL, 1e-15, 0.5, -1.0):
+            want = repr(scalar_property_checks(mu, nu, samples, seed, tol))
+            assert repr(integral_property_checks(mu, nu, samples, seed, tol)) == want
+            got = integral_property_checks(mu, nu, samples, seed, tol, once=once)
+            assert repr(got) == want
+            failures |= {(key, tol) for key, v in got.items() if not v.holds}
+    # each property trial failed at 1e-15 or -1, and the tail conventions under the fault only
+    trials = {"monotonicity", "homogeneity", "translation"} | ({"tail-conventions"} if faults else set())
+    assert {key for key, _ in failures} == trials
+    assert {("homogeneity", 1e-15), ("translation", 1e-15), ("monotonicity", -1.0)} <= failures
+
+
+def test_sweep_lemma_trials_call_the_scalar_integral_for_tail_conventions_only(monkeypatch):
+    """In a sweep the lemma trials read C(X) off per-capacity halves: each pair's trials call the
+    scalar integral only for the tail-convention trial, twice per sample."""
+    from choqrisk import theorems
+
+    calls, per_pair = [0], []
+    exact, checks = theorems.gen_choquet, theorems.integral_property_checks
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return exact(*args, **kwargs)
+
+    def lemma(*args, **kwargs):
+        before = calls[0]
+        verdicts = checks(*args, **kwargs)
+        per_pair.append(calls[0] - before)
+        return verdicts
+
+    monkeypatch.setattr(theorems, "gen_choquet", counting)
+    monkeypatch.setattr(theorems, "integral_property_checks", lemma)
+    report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12)
+    assert report.pair_count == len(per_pair) == 81 and report.clean
+    assert max(per_pair) <= 2 * 12
 
 
 # --- jensen equality and counterexample ---------------------------------------------
