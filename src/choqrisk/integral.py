@@ -103,24 +103,23 @@ class RandomVariable:
         return max(self.values)
 
 
-def _groups(values: Sequence[float]) -> tuple[list[float], list[int], list[int]]:
+def _groups(values: Sequence[float]) -> tuple[list[float], list[int]]:
     """The tie groups of X in ascending order: the distinct values d and the
-    bitmasks of the events ``X < d`` and ``X <= d``, from one stable sort."""
-    ds, below, upto = [], [], []
+    bitmasks of the events ``X <= d``, from one stable sort."""
+    ds, upto = [], []
     seen = 0
     for i in sorted(range(len(values)), key=values.__getitem__):
         if not ds or values[i] != ds[-1]:
             ds.append(values[i])
-            below.append(seen)
             upto.append(seen)
         seen |= 1 << i
         upto[-1] = seen
-    return ds, below, upto
+    return ds, upto
 
 
 def _lower(groups, t: float, strict: bool) -> int:
     """Bitmask of ``X < t`` (strict) or ``X <= t``: the groups up to t."""
-    ds, _, upto = groups
+    ds, upto = groups
     g = (bisect_left if strict else bisect_right)(ds, t)
     return upto[g - 1] if g else 0
 
@@ -141,29 +140,26 @@ def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -
     return nu.table[_lower(_groups(x.values), t, strict)]
 
 
-def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable, strict_tails: bool = True) -> float:
+def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
     """Exact generalized Choquet integral of X with respect to (mu, nu).
 
-    ``strict_tails`` selects which of the two (equal) tail conventions is
-    used when reading the step functions off the tie groups of X:
-    ``True`` evaluates ``mu(X > left endpoint)`` / ``nu(X < right endpoint)``
-    on each constancy interval, ``False`` evaluates ``mu(X >= right)`` /
-    ``nu(X <= left)``.  The two conventions select identical events between
-    consecutive distinct values, so the results agree exactly; both are kept
-    so the equality can be asserted rather than assumed.
+    Walks the tie groups of X in ascending order and reads the strict
+    tails off them: ``mu(X > t)`` is ``mu(X > previous value)`` up to each
+    distinct value, and ``nu(X < t)`` is ``nu(X < next value)`` from it.
+    ``_halves`` reaches the same events as the weak tails ``mu(X >= d)``
+    and ``nu(X <= d)``, by other code.
     """
     _check_same_ground(mu, nu, x)
-    ds, below, upto = _groups(x.values)
+    ds, upto = _groups(x.values)
     full = x.ground.full
-    # at group g: the previous group's X <= mask and this group's X < mask
-    le, lt = [0, *upto], [*below, full]
-    gains, losses = (le, lt) if strict_tails else (lt, le)
+    # at group g: X <= the previous value, which is X < d
+    lt = [0, *upto]
     total = lower_part = 0.0
     for g, d in enumerate(ds):
         if d > 0.0:
-            total += d * (mu.table[full ^ gains[g]] - mu.table[full ^ gains[g + 1]])
+            total += d * (mu.table[full ^ lt[g]] - mu.table[full ^ lt[g + 1]])
         elif d < 0.0:
-            lower_part += d * (nu.table[losses[g]] - nu.table[losses[g + 1]])
+            lower_part += d * (nu.table[lt[g]] - nu.table[lt[g + 1]])
     return total - lower_part
 
 
@@ -204,10 +200,12 @@ def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The plan (``_plan``) depends only on the ordering of each row.  At the
     first column of a tie group with value d it holds the events ``X < d``
-    and ``X <= d``; their complements are ``X >= d`` and ``X > d``.  These
-    are the events both tail conventions select, so one plan serves both.
-    Evaluation gathers the table values at those masks, walks the columns
-    in ascending order and adds the scalar loop's terms in its order.
+    and ``X <= d``; their complements are ``X >= d`` and ``X > d``.  So the
+    halves read the weak tails ``mu(X >= d)`` and ``nu(X <= d)`` at each
+    value, where the scalar loop reads the strict tails between values off
+    ``_groups``: the same events, reached by other code.  Evaluation gathers
+    the table values at those masks, walks the columns in ascending order
+    and adds the scalar loop's terms in its order.
     """
     tables = np.asarray(tables, dtype=float)
     srt, starts, below, upto = _plan(xs)
@@ -222,9 +220,10 @@ def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
-    """``gen_choquet`` of every row of a (K, n) array, bit-for-bit under either tail convention.
+    """``gen_choquet`` of every row of a (K, n) array, bit-for-bit.
 
-    The call of ``_halves`` on the stack (mu, nu).  Rows must be finite and
+    The call of ``_halves`` on the stack (mu, nu), which reads the weak tails
+    where the scalar walk reads the strict ones.  Rows must be finite and
     have n columns, as for RandomVariable.
     """
     ground = _check_same_ground(mu, nu)

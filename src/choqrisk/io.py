@@ -11,13 +11,11 @@ one number per bitmask.  ``load_capacity`` first tries the file as text: an
 ASCII document without backslashes whose one ``"table"`` object holds only
 ``"digits": number`` entries is rewritten as a flat ``[mask, value, ...]``
 array and parsed by one ``json.loads``, with no 2^n-key dict.  Any other
-document is parsed as it stands.  A keyed table then takes one numpy pass
-when every key is an ASCII decimal bitmask given once and every value an int
-or float, and otherwise is read entry by entry, which is where every schema
-error is raised.  Files are decoded as UTF-8.  The writer always emits the
-keyed form.  Mass-function documents carry a dense ``"mass"`` array of
-length 2^n indexed by bitmask.  An integer too large for a float is refused
-by entry.  Scenario documents::
+document is parsed as it stands, and a keyed table in it is read entry by
+entry, which is where every schema error is raised.  Files are decoded as
+UTF-8.  The writer always emits the keyed form.  Mass-function documents
+carry a dense ``"mass"`` array of length 2^n indexed by bitmask.  An integer
+too large for a float is refused by entry.  Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
 
@@ -111,26 +109,6 @@ def _floats(values: list, entry: str) -> list[float]:
         return [_float(v, f"{entry} {i}") for i, v in enumerate(values)]
 
 
-def _keyed_table(entries: dict, size: int) -> list[float] | None:
-    """The table of a keyed document read in numpy, or None unless its 2^n keys are ASCII decimal
-    bitmasks below 2^n, each given once, and its values exact ints or floats."""
-    if len(entries) != size:
-        return None
-    try:
-        text = " ".join(entries).encode("ascii")
-    except (TypeError, UnicodeEncodeError):  # a key that is not an ASCII string
-        return None
-    chars = np.frombuffer(text, np.uint8)
-    spaces = np.flatnonzero(chars == ord(" "))
-    if spaces.size != size - 1 or np.count_nonzero(chars - ord("0") < 10) != chars.size - spaces.size:
-        return None
-    # 1 to 18 digits per key, so that every mask parses into an int64
-    lengths = np.diff(spaces, prepend=-1, append=chars.size) - 1
-    if lengths.min() < 1 or lengths.max() > 18:
-        return None
-    return _scatter(np.fromstring(text, dtype=np.int64, sep=" "), list(entries.values()), size)
-
-
 def _scatter(masks: np.ndarray, values: list, size: int) -> list[float] | None:
     """``values`` put in bitmask order by one object-array scatter, or None unless the ``size``
     nonnegative ``masks`` hold every bitmask below ``size`` once and the ``size`` ``values`` are
@@ -184,8 +162,7 @@ def capacity_from_dict(doc: dict, what: str = "capacity") -> Capacity:
     if isinstance(entries, list):
         return Capacity(ground, _dense_table(entries, ground.size, what))
     _require(isinstance(entries, dict), f"{what}: missing 'table' object or array")
-    table = _keyed_table(entries, ground.size)
-    return Capacity(ground, _keyed_loop(entries, ground, what) if table is None else table)
+    return Capacity(ground, _keyed_loop(entries, ground, what))
 
 
 def capacity_to_dict(c: Capacity) -> dict:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, _check_same_ground, coexistence_set, dominates_dual
+from .capacity import Capacity, DominanceCheck, GroundSet, _check_same_ground, coexistence_set, dominates_dual
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
@@ -61,9 +61,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (6-8 s,
-#: about 0.4 ms per pair, most of it the tail-convention trial's scalar
-#: integrals), at five levels 3,549,456 (about 25 min at that rate)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (6.1-6.9 s
+#: on a 2-vCPU machine, about 0.4 ms per pair, half of it the lemma trials), at
+#: five levels 3,549,456 (about 23 min at that rate)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -321,15 +321,20 @@ def _split_entries(mu: Capacity, nu: Capacity, b: int) -> tuple[float, float, fl
     return mu.table[b], mu.table[c], nu.table[b], nu.table[c]
 
 
+def _split_key(tag: tuple, b: int, entries: tuple, f) -> tuple:
+    """The memo key of one split's scan: ``tag`` (the scan and its value grid), the split B,
+    its ``_split_entries`` and f."""
+    return (tag, b, *entries, f)
+
+
 def _per_split(mu: Capacity, nu: Capacity, f, tag: tuple, blocks: list, scan, once) -> Iterator:
     """``(rows, scan(b, rows))`` for each ``(b, rows)`` of blocks, in order and lazily.
 
     Every row of a block takes one value on the split B and one off it, so
-    ``once`` keys each scan on ``_split_entries``, ``tag`` (the scan and its
-    value grid) and f.
+    ``once`` keys each scan on ``_split_key``.
     """
     for b, rows in blocks:
-        yield rows, once((tag, b, *_split_entries(mu, nu, b), f), lambda: scan(b, rows))
+        yield rows, once(_split_key(tag, b, _split_entries(mu, nu, b), f), lambda: scan(b, rows))
 
 
 def _jensen_rows(ground: GroundSet, f, values: tuple, once) -> list:
@@ -401,8 +406,7 @@ def _fill_two_point_jensen(pairs: list, gallery: list, values: tuple, once) -> N
     for f in gallery:
         for b, rows in _jensen_rows(ground, f, values, once):
             for key, found in _split_scans(ground, f, b, rows, entries[b]).items():
-                # the key _two_point_jensen's _per_split looks up
-                once((("jensen", values), b, *key, f), lambda: found)
+                once(_split_key(("jensen", values), b, key, f), lambda: found)
 
 
 def _against_certificate(
@@ -448,16 +452,15 @@ class JensenCounterexample:
 def jensen_counterexample(mu: Capacity, nu: Capacity) -> JensenCounterexample | None:
     """Build and verify the violation witness, or None when dominance holds."""
     dom = dominates_dual(mu, nu)
-    if dom.holds:
-        return None
-    ground = mu.ground
-    a_set = dom.worst_set
-    x = RandomVariable(
-        ground, tuple(0.0 if a_set >> i & 1 else -1.0 for i in range(ground.n))
-    )
+    return None if dom.holds else _counterexample(mu, nu, dom)
+
+
+def _counterexample(mu: Capacity, nu: Capacity, dom: DominanceCheck) -> JensenCounterexample:
+    """``jensen_counterexample`` of a pair whose failed ``dominates_dual`` is ``dom``."""
+    ground, a_set = mu.ground, dom.worst_set
+    x = RandomVariable(ground, tuple(0.0 if a_set >> i & 1 else -1.0 for i in range(ground.n)))
     f = AffineMap(1.0, 2.0)
-    realized = jensen_gap(mu, nu, f, x)
-    return JensenCounterexample(x, f, realized, dom.gap, a_set)
+    return JensenCounterexample(x, f, jensen_gap(mu, nu, f, x), dom.gap, a_set)
 
 
 def _translation_cells(ground: GroundSet, xs: np.ndarray, shifts: np.ndarray) -> tuple:
@@ -494,7 +497,9 @@ def integral_property_checks(
 ) -> dict[str, Verdict]:
     """Randomized checks of the four structural integral properties.
 
-    Tail-convention equality is asserted exactly; pointwise monotonicity,
+    Tail-convention equality is asserted exactly, as the scalar
+    ``gen_choquet`` (strict tails, read off ``_groups``) against the halves
+    (weak tails, read off ``_plan``); pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
     translation identity at ``tol``.  A trial stops at its first failing
     sample, and the next trial draws on from there.
@@ -505,8 +510,8 @@ def integral_property_checks(
     rows integrated (``_halves``).  C(X) under a pair is then one
     subtraction, bit-for-bit ``gen_choquet``.  The translation identity's
     step integral reads mu and nu inside each cell, so it gathers both per
-    pair and sums the cells in ``step_integral``'s order.  The tail
-    conventions are compared on the scalar ``gen_choquet``.
+    pair and sums the cells in ``step_integral``'s order.  Only the tail
+    trial calls the scalar ``gen_choquet``, once per sample.
     """
     ground = _check_same_ground(mu, nu)
     n, size = ground.n, max(samples, 0)
@@ -520,9 +525,8 @@ def integral_property_checks(
         return halves(m)[0] - halves(v)[1]
 
     def tails():
-        ab = np.array([[gen_choquet(mu, nu, x, strict_tails=s) for s in (True, False)] for x in rows["vars"]])
-        a, b = ab.reshape(-1, 2).T
-        return a != b, lambda i: {"gap": float(abs(a[i] - b[i]))}
+        walk, halves = np.array([gen_choquet(mu, nu, x) for x in rows["vars"]]), integral(mu, nu, "x")
+        return walk != halves, lambda i: {"gap": float(abs(walk[i] - halves[i]))}
 
     def monotonicity():
         gaps = integral(mu, nu, "x") - integral(mu, nu, "y")
@@ -546,7 +550,7 @@ def integral_property_checks(
     # a set-up reads the draws and no capacity: the rows integrated (X is "x") and the scalars
     trials = (
         ("tail-conventions", "tail conventions agree", (),
-         lambda x, more: {"vars": [RandomVariable(ground, tuple(v)) for v in x.tolist()]}, tails),
+         lambda x, more: {"x": x, "vars": [RandomVariable(ground, tuple(v)) for v in x.tolist()]}, tails),
         ("monotonicity", "pointwise monotonicity", ((0.0, 5.0),) * n,
          lambda x, more: {"x": x, "y": x + more}, monotonicity),
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
@@ -711,9 +715,15 @@ def nonnegative_axis_check(
     For {0,1}-valued mu the inequality must hold for every increasing f;
     otherwise it must hold iff f is concave on the nonnegative grid.
     """
+    _check_same_ground(mu, nu)
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    scan = jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))
+    return _axis(mu, nu, f, tuple(values), _direct)
+
+
+def _axis(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
+    """``nonnegative_axis_check`` on a nonnegative grid, its scan and certificate through ``once``."""
+    scan = _two_point_jensen(mu, nu, f, values, once)
     if mu.is_zero_one_valued():
         return Verdict(
             "nonnegative-axis zero-one",
@@ -723,8 +733,7 @@ def nonnegative_axis_check(
             detail="{0,1}-valued gains capacity: unconditional",
         )
     return _against_certificate(
-        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}",
-        _direct,
+        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}", once
     )
 
 
@@ -832,16 +841,17 @@ def run_full_report(
 def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
     """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
 
-    One memo serves the whole call and no other: a check whose table row
-    names a key runs once per distinct key and map, and the two-point scans
-    and certificates run once per distinct entries read (``_per_split``,
+    One memo serves the whole call and no other: the two-point scans and
+    certificates run once per distinct entries read (``_per_split``,
     ``_against_certificate``).  The lemma trials keep their draws once per
     stream position and their halves once per capacity
     (``integral_property_checks``); the collapse check keeps f(X) once per
     map, f(b_X) once per mu and f(a_X) once per nu (``_collapse``).  Each
-    pair is classified once, up front; the two-point Jensen scans of
-    theorems 1 and 2 then run for all the pairs they apply to
-    (``_fill_two_point_jensen``) before any pair's checks.
+    pair is classified once, up front, and the converse builds its witness
+    from that ``dominates_dual``.  The two-point Jensen scans of theorem 1
+    (dominant pairs), theorem 2 (zero-one pairs) and theorem 4 (every pair)
+    then run for all the pairs they apply to (``_fill_two_point_jensen``)
+    before any pair's checks.
     """
     memo: dict = {}
 
@@ -855,64 +865,58 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
-    def lemma(mu, nu):
+    def lemma(mu, nu, dom):
         verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed, once=once)
         for name, verdict in verdicts.items():
             yield f"property {name}", verdict.holds, verdict.witness
 
-    def converse(mu, nu):
-        wit = jensen_counterexample(mu, nu)
-        ok = (
-            wit is not None
-            and wit.gap > VIOLATION_TOL
-            and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
-        )
-        yield "jensen converse", ok, None if wit is None else {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
+    def converse(mu, nu, dom):
+        wit = _counterexample(mu, nu, dom)
+        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
+        yield "jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
 
-    def over(name, gallery, check, key=None):
-        def run(mu, nu):
+    def over(name, gallery, check):
+        def run(mu, nu, dom):
             for f in gallery:
-                verdict = check(mu, nu, f) if key is None else once((name, key(mu, nu), f), partial(check, mu, nu, f))
+                verdict = check(mu, nu, f)
                 yield name, verdict.holds, verdict.witness
 
         return run
 
-    # (theorem id, applies to the pair class (dominant, zero_one, coexistence), check);
-    # each check yields (check name, ok, witness).  A ``key`` names what a
-    # verdict reads, without one it reads both whole tables; the two-point
-    # scans key each split themselves.  Theorem 4 reads mu alone: its X are
-    # nonnegative and its maps send [0, inf) into [0, inf), so the loss tail,
-    # the one part of the integral that reads nu, is empty.
+    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check,
+    # the gallery and grid of its two-point Jensen scans or None); each check yields
+    # (check name, ok, witness) of the pair and its dominates_dual
     table = (
-        ("lemma", lambda d, z, c: True, lemma),
+        ("lemma", lambda d, z, c: True, lemma, None),
         ("1", lambda d, z, c: d, over(
             "jensen forward", forward_gallery, partial(_two_point_jensen, values=values, once=once),
-        )),
-        ("1", lambda d, z, c: not d, converse),
+        ), (forward_gallery, values)),
+        ("1", lambda d, z, c: not d, converse, None),
         ("2", lambda d, z, c: z, over(
             "collapse", collapse_gallery, partial(_collapse, values=probe_values, seed=seed, once=once),
-        )),
+        ), (collapse_gallery, probe_values)),
         ("3", lambda d, z, c: d and c, over(
             "two-valued concavity", concavity_probe_gallery,
             partial(_concavity_probe, values=probe_values, once=once),
-        )),
+        ), None),
         ("4", lambda d, z, c: True, over(
-            "nonnegative axis", axis_gallery, nonnegative_axis_check, key=lambda mu, nu: mu.table,
-        )),
+            "nonnegative axis", axis_gallery, partial(_axis, values=NONNEG_VALUE_GRID, once=once),
+        ), (axis_gallery, NONNEG_VALUE_GRID)),
     )
-    rows = [(applies, check) for tid, applies, check in table if tid in theorems]
+    rows = [(applies, check, scans) for tid, applies, check, scans in table if tid in theorems]
 
     pairs = list(pairs)
     classes = [
-        (dominates_dual(mu, nu).holds, mu.is_zero_one_valued() and nu.is_zero_one_valued(),
+        (dominates_dual(mu, nu), mu.is_zero_one_valued() and nu.is_zero_one_valued(),
          coexistence_set(mu, nu) is not None)
         for mu, nu in pairs
     ]
-    # the two-point Jensen scans of theorem 1 (dominant pairs) and theorem 2 (zero-one pairs)
-    for tid, k, gallery, grid in (("1", 0, forward_gallery, values), ("2", 1, collapse_gallery, probe_values)):
-        if tid in theorems:
-            _fill_two_point_jensen([p for p, cls in zip(pairs, classes) if cls[k]], gallery, grid, once)
+    for applies, _, scans in rows:
+        if scans is not None:
+            _fill_two_point_jensen([p for p, cls in zip(pairs, classes) if applies(*cls)], *scans, once)
 
     for (mu, nu), (dom, zero_one, coex) in zip(pairs, classes):
-        ck = f"dominant={dom}, zero_one={zero_one}, coexistence={coex}"
-        yield mu, nu, ck, [verdict for applies, check in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu)]
+        ck = f"dominant={dom.holds}, zero_one={zero_one}, coexistence={coex}"
+        yield mu, nu, ck, [
+            verdict for applies, check, _ in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu, dom)
+        ]

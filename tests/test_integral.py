@@ -139,6 +139,8 @@ def test_oracle_matches_exact_on_wide_values(seed):
 
 
 # --- C1: tail conventions ----------------------------------------------------
+# the scalar walk reads the strict tails off the tie groups, the batched halves
+# the weak tails off the plan
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
@@ -148,16 +150,12 @@ def test_tail_conventions_agree_exactly(seed):
     mu = random_capacity(rng, ground)
     nu = random_capacity(rng, ground)
     x = random_variable(rng, ground)
-    assert gen_choquet(mu, nu, x, strict_tails=True) == gen_choquet(
-        mu, nu, x, strict_tails=False
-    )
+    assert bits(gen_choquet(mu, nu, x)) == bits(gen_choquet_batch(mu, nu, [x.values])[0])
 
 
 def test_tail_conventions_with_ties(mu_worked, nu_worked, g2):
     x = RandomVariable(g2, (2.0, 2.0))
-    assert gen_choquet(mu_worked, nu_worked, x, strict_tails=True) == gen_choquet(
-        mu_worked, nu_worked, x, strict_tails=False
-    )
+    assert bits(gen_choquet(mu_worked, nu_worked, x)) == bits(gen_choquet_batch(mu_worked, nu_worked, [x.values])[0])
 
 
 # --- C2: monotonicity ---------------------------------------------------------
@@ -363,9 +361,8 @@ def test_batch_matches_scalar_bitwise_under_both_conventions(n, seed, data):
     mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
     rows = data.draw(kernel_rows(n))
     got = gen_choquet_batch(mu, nu, rows)
-    for strict in (True, False):
-        want = np.array([gen_choquet(mu, nu, RandomVariable(ground, tuple(r)), strict) for r in rows])
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    want = np.array([gen_choquet(mu, nu, RandomVariable(ground, tuple(r))) for r in rows])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     step = 1e-3
     for r, c in zip(rows, got):
         assert abs(c - riemann_oracle(mu, nu, RandomVariable(ground, tuple(r)), step)) <= 2 * step
@@ -397,8 +394,8 @@ def test_batch_rejects_bad_rows(mu_worked, nu_worked):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_halves_give_the_scalar_integral_of_every_pair_bitwise(n):
-    """``gains[i] - losses[j]`` of a stack of tables is ``gen_choquet`` of (table i, table j)
-    under both tail conventions, bit for bit (signed zeros included), and
+    """``gains[i] - losses[j]`` of a stack of tables (weak tails) is ``gen_choquet`` of
+    (table i, table j) (strict tails), bit for bit (signed zeros included), and
     ``gen_choquet_batch`` is the call of the stack it is given."""
     ground = GroundSet(n)
     rng = rng_from_seed(70 + n)
@@ -410,9 +407,8 @@ def test_halves_give_the_scalar_integral_of_every_pair_bitwise(n):
     for i, mu in enumerate(caps):
         for j, nu in enumerate(caps):
             got = (gains[i] - losses[j]).view(np.int64).tolist()
-            for strict in (True, False):
-                want = [gen_choquet(mu, nu, RandomVariable(ground, tuple(r)), strict) for r in rows.tolist()]
-                assert got == np.array(want).view(np.int64).tolist()
+            want = [gen_choquet(mu, nu, RandomVariable(ground, tuple(r))) for r in rows.tolist()]
+            assert got == np.array(want).view(np.int64).tolist()
             assert gen_choquet_batch(mu, nu, rows).view(np.int64).tolist() == got
         one_gains, one_losses = _halves([mu.table], rows)
         assert (one_gains[0] - one_losses[0]).tobytes() == gen_choquet_batch(mu, mu, rows).tobytes()
@@ -461,7 +457,7 @@ def test_group_walk_matches_the_threshold_definition_bitwise(n, seed, data):
     vals = tuple(data.draw(st.lists(st.sampled_from(TIE_POOL), min_size=n, max_size=n)))
     x = RandomVariable(ground, vals)
     for strict in (True, False):
-        assert bits(gen_choquet(mu, nu, x, strict)) == bits(reference_choquet(mu, nu, vals, strict))
+        assert bits(gen_choquet(mu, nu, x)) == bits(reference_choquet(mu, nu, vals, strict))
 
     ts = sorted(set(vals))
     for t in [*ts, *((a + b) / 2 for a, b in zip(ts, ts[1:])), ts[0] - 1.0, ts[-1] + 1.0]:

@@ -410,42 +410,31 @@ def test_cli_verify_refuses_a_sweep_above_the_pair_cap(capsys):
     assert "verdicts" not in captured.out
 
 
-def test_cli_verify_report_digest(tmp_path, capsys):
-    """The three-level sweep report, pinned byte for byte (sha256)."""
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        # the three-level sweep
+        (["--n", "2", "--levels", "0,0.5,1", "--seed", "42"],
+         "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"),
+        # the 625-pair sweep at the default five levels
+        (["--n", "2"], "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"),
+        # theorems 1 and 2 over the 16,641 three-level n = 3 pairs: at n = 3 the four
+        # entries a two-point scan reads are not the whole tables, so this pins the
+        # keying of those scans, which n = 2 cannot
+        (["--n", "3", "--levels", "0,0.5,1", "--theorem", "1,2", "--seed", "42"],
+         "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"),
+        # every check family over the same pairs: the lemma trials of all pairs share
+        # one memo of draws and per-capacity halves, pinned here at n = 3 as well
+        (["--n", "3", "--levels", "0,0.5,1", "--seed", "42"],
+         "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"),
+    ],
+    ids=["n2-three-levels", "n2-default-levels", "n3-jensen-theorems", "n3"],
+)
+def test_cli_verify_report_digest(tmp_path, capsys, argv, sha256):
+    """A sweep report, pinned byte for byte."""
     out = tmp_path / "report.json"
-    main(["verify", "--n", "2", "--levels", "0,0.5,1", "--seed", "42", "--json", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"
-
-
-def test_cli_verify_default_levels_report_digest(tmp_path, capsys):
-    """The 625-pair sweep at the default five levels, pinned byte for byte (sha256)."""
-    out = tmp_path / "report.json"
-    main(["verify", "--n", "2", "--json", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"
-
-
-def test_cli_verify_n3_jensen_theorems_report_digest(tmp_path, capsys):
-    """Theorems 1 and 2 over the 16,641 three-level n = 3 pairs, pinned byte for byte (sha256).
-
-    At n = 3 the four entries a two-point scan reads are not the whole tables,
-    so this pins the keying of those scans, which n = 2 cannot."""
-    out = tmp_path / "report.json"
-    main(["verify", "--n", "3", "--levels", "0,0.5,1", "--theorem", "1,2", "--seed", "42", "--json", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"
-
-
-def test_cli_verify_n3_report_digest(tmp_path, capsys):
-    """Every check family over the 16,641 three-level n = 3 pairs, pinned byte for byte (sha256).
-
-    The lemma trials of all pairs share one memo of draws and per-capacity
-    halves; this pins them at n = 3 as well."""
-    out = tmp_path / "report.json"
-    main(["verify", "--n", "3", "--levels", "0,0.5,1", "--seed", "42", "--json", str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"
+    main(["verify", *argv, "--json", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_figures_byte_reproducible(tmp_path):
@@ -476,7 +465,7 @@ def test_cli_rejects_unknown_flags(mu_file):
         main(["check-capacity", str(mu_file), "--bogus"])
 
 
-# --- dense tables, the numpy keyed read and oversized integers ----------------
+# --- dense tables, the keyed read and oversized integers -----------------------
 
 HUGE = 10**400  # a JSON integer above the float range
 
@@ -531,15 +520,13 @@ def test_numpy_keyed_read_matches_the_entry_loop(n):
     order = rng.permutation(1 << n)
     entries = {str(int(m)): values[m] for m in order}
     doc = {"n": n, "table": entries}
-    assert choqrisk_io._keyed_table(entries, 1 << n) is not None  # the numpy path reads it
     loop = choqrisk_io._keyed_loop(entries, GroundSet(n), "capacity")
     fast = capacity_from_dict(doc).table
     assert [v.hex() for v in fast] == [v.hex() for v in loop] == [float(v).hex() for v in table]
     assert all(type(v) is float for v in fast)
-    # a label-set key sends the same document through the loop
+    # the same document keyed by label sets
     labels = [f"e{i}" for i in range(n)]
     labelled = {"" if key == "0" else key: v for key, v in entries.items()}
-    assert choqrisk_io._keyed_table(labelled, 1 << n) is None
     assert capacity_from_dict({"n": n, "labels": labels, "table": labelled}).table == fast
 
 

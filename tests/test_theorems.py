@@ -22,6 +22,7 @@ from choqrisk import (
     integral_property_checks,
     enumerate_capacities,
     gen_choquet,
+    gen_choquet_batch,
     jensen_counterexample,
     jensen_holds,
     new_capacity,
@@ -37,6 +38,7 @@ import numpy as np
 
 from choqrisk.theorems import (
     DEFAULT_VALUE_GRID,
+    NONNEG_VALUE_GRID,
     SWEEP_MAX_PAIRS,
     VIOLATION_TOL,
     AffineMap,
@@ -108,13 +110,19 @@ def test_lemma_verdicts_hold_for_random_pairs():
 
 
 def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
-    """Reference: the lemma trials as one scalar loop, each X and value drawn in turn."""
+    """Reference: the lemma trials as one scalar loop, each X and value drawn in turn.
+
+    The tail trial sets the scalar walk the trials call (``theorems.gen_choquet``)
+    against the batched kernel; every other trial calls this module's ``gen_choquet``.
+    """
+    from choqrisk import theorems
+
     rng = np.random.default_rng(seed)
     ground = mu.ground
 
     def tails(x: RandomVariable) -> dict | None:
-        a = gen_choquet(mu, nu, x, strict_tails=True)
-        b = gen_choquet(mu, nu, x, strict_tails=False)
+        a = theorems.gen_choquet(mu, nu, x)
+        b = float(gen_choquet_batch(mu, nu, [x.values])[0])
         return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
 
     def monotonicity(x: RandomVariable) -> dict | None:
@@ -158,20 +166,19 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
 
     Verdicts equal the scalar loop's repr for repr, alone and through one memo
     shared by every case, as a sweep shares it.  A tolerance of 1e-15 or -1
-    fails trials at rows that differ from pair to pair, and so does a weak-tail
-    integral perturbed on rows whose first value exceeds 3; the trials after a
-    failing row must then draw on from the same place.
+    fails trials at rows that differ from pair to pair, and so does the tail
+    trial's scalar integral perturbed on rows whose first value exceeds 3; the
+    trials after a failing row must then draw on from the same place.
     """
     from choqrisk import theorems
 
     if faults:
         exact = theorems.gen_choquet
 
-        def weak_tails_off(mu, nu, x, strict_tails=True):
-            return exact(mu, nu, x, strict_tails) + (2.0**-20 if not strict_tails and x.values[0] > 3 else 0.0)
+        def walk_off(mu, nu, x):
+            return exact(mu, nu, x) + (2.0**-20 if x.values[0] > 3 else 0.0)
 
-        monkeypatch.setattr(theorems, "gen_choquet", weak_tails_off)
-        monkeypatch.setitem(globals(), "gen_choquet", weak_tails_off)
+        monkeypatch.setattr(theorems, "gen_choquet", walk_off)
     memo = {}
 
     def once(key, compute):
@@ -200,7 +207,7 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
 
 def test_sweep_lemma_trials_call_the_scalar_integral_for_tail_conventions_only(monkeypatch):
     """In a sweep the lemma trials read C(X) off per-capacity halves: each pair's trials call the
-    scalar integral only for the tail-convention trial, twice per sample."""
+    scalar integral only for the tail-convention trial, once per sample."""
     from choqrisk import theorems
 
     calls, per_pair = [0], []
@@ -220,7 +227,36 @@ def test_sweep_lemma_trials_call_the_scalar_integral_for_tail_conventions_only(m
     monkeypatch.setattr(theorems, "integral_property_checks", lemma)
     report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12)
     assert report.pair_count == len(per_pair) == 81 and report.clean
-    assert max(per_pair) <= 2 * 12
+    assert max(per_pair) <= 12
+
+
+def test_sweep_runs_dominates_dual_once_per_pair(monkeypatch):
+    """The converse builds its witness from the pair's classification, not a second dominance check."""
+    from choqrisk import theorems
+
+    calls, exact = [0], theorems.dominates_dual
+
+    def counting(mu, nu):
+        calls[0] += 1
+        return exact(mu, nu)
+
+    monkeypatch.setattr(theorems, "dominates_dual", counting)
+    report = run_full_report(n=2, levels=(0, 0.5, 1), theorems=("1",))
+    assert report.pair_count == calls[0] == 81
+    assert report.verdict_counts["jensen converse"] == (45, 45) and report.counterexamples == 45
+
+
+def test_sweep_theorem_4_calls_neither_jensen_holds_nor_the_batched_integral(monkeypatch):
+    """Theorem 4 reads its scans off the sweep's shared two-point fill."""
+    from choqrisk import theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theorem 4 left the shared two-point fill")
+
+    monkeypatch.setattr(theorems, "jensen_holds", refuse)
+    monkeypatch.setattr(theorems, "gen_choquet_batch", refuse)
+    report = run_full_report(n=2, levels=(0, 0.5, 1), theorems=("4",))
+    assert report.clean and report.verdict_counts == {"nonnegative axis": (243, 243)}
 
 
 # --- jensen equality and counterexample ---------------------------------------------
@@ -381,6 +417,22 @@ def test_axis_check_zero_one_unconditional(g2):
         assert verdict.holds and "unconditional" in verdict.detail
 
 
+def test_two_point_scan_matches_jensen_holds_on_the_whole_grid():
+    """The split-by-split scan that theorem 4 and the sweep read gives ``jensen_holds`` on
+    ``two_point_grid``: the same verdict, in-domain rows checked and first witness."""
+    from choqrisk import theorems
+
+    rng = rng_from_seed(41)
+    maps = (Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5), PlainMap("expm1", math.expm1), Power(6.0, 0.5))
+    for _ in range(30):
+        ground = GroundSet(int(rng.integers(2, 5)))
+        style = rng.choice(["fill", "belief", "additive", "zero-one"], 2)
+        mu, nu = (random_capacity(rng, ground, str(s)) for s in style)
+        for values, f in product((NONNEG_VALUE_GRID, (-2.0, -0.5, 0.0, 1.0, 3.0)), maps):
+            want = jensen_holds(mu, nu, f, two_point_grid(ground, values))
+            assert theorems._two_point_jensen(mu, nu, f, values, theorems._direct) == want
+
+
 def test_axis_check_rejects_negative_grid(mu_worked, nu_worked):
     with pytest.raises(ValueError):
         nonnegative_axis_check(mu_worked, nu_worked, Exponential(1.0), values=(-1.0, 0.0, 1.0))
@@ -434,8 +486,8 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     The faults: flipped shape certificates (collapse, two-valued concavity,
     nonnegative axis), a convex map in the concave gallery (jensen forward),
     an unreachable gap-match tolerance (jensen converse), a negative
-    tolerance for the integral properties and a perturbed weak-tail
-    integral (tail conventions).  The pinned digest and counts were recorded
+    tolerance for the integral properties and a perturbed scalar integral
+    (tail conventions).  The pinned digest and counts were recorded
     before the sweep driver was rewritten as a table.
     """
     import hashlib
@@ -454,8 +506,8 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 
     exact = theorems.gen_choquet
 
-    def weak_tails_off(mu, nu, x, strict_tails=True):
-        return exact(mu, nu, x, strict_tails) + (0.0 if strict_tails else 2.0**-20)
+    def walk_off(mu, nu, x):
+        return exact(mu, nu, x) + 2.0**-20
 
     gallery = theorems.concave_increasing_gallery
     monkeypatch.setattr(theorems, "is_concave_on", flipped(theorems.is_concave_on))
@@ -469,7 +521,7 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     monkeypatch.setattr(
         theorems, "integral_property_checks", partial(theorems.integral_property_checks, tol=-1.0)
     )
-    monkeypatch.setattr(theorems, "gen_choquet", weak_tails_off)
+    monkeypatch.setattr(theorems, "gen_choquet", walk_off)
 
     report = run_full_report(
         n=2, levels=(0.0, 0.5, 1.0), seed=42, values=tuple(-3.0 + 0.5 * k for k in range(13))
