@@ -61,9 +61,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (6.1-6.9 s
-#: on a 2-vCPU machine, about 0.4 ms per pair, half of it the lemma trials), at
-#: five levels 3,549,456 (about 23 min at that rate)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (3.8-6.0 s
+#: on a 2-vCPU machine, about 0.3 ms per pair, most of it the lemma trials), at
+#: five levels 3,549,456 (about 20 min at that rate)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -306,107 +306,129 @@ def _direct(key, compute):
     """``once`` for a check run on its own: keeps nothing and returns ``compute()``.
 
     A ``once(key, compute)`` returns ``compute()`` or the value it kept for
-    an equal key; the key names everything the value depends on.
+    an equal key; the key names everything the value depends on within the
+    memo's scope.
     """
     return compute()
 
 
-def _split_entries(mu: Capacity, nu: Capacity, b: int) -> tuple[float, float, float, float]:
-    """mu(B), mu(Bᶜ), nu(B) and nu(Bᶜ): all a variable taking one value on B and one off it reads.
+def _value_pairs(ground: GroundSet, f, values: Sequence[float], probe: bool) -> np.ndarray:
+    """(K, 2) values on B and off B of the two-point variables that each canonical split B contributes.
 
-    Its other events are the empty and the whole set, where every capacity
-    is 0 and 1.
+    The Jensen rows are ``two_point_grid``'s rows of one split inside f's
+    domain, in its order.  The probe's (``probe``) are the pairs alpha < beta
+    of in-domain values, beta on B, then the same pairs with beta off B.
+    Raises ValueError for a non-finite value, and TooLarge before building
+    the rows where ``two_point_grid`` and the probe would hold over
+    GRID_MAX_CELLS cells.
     """
-    c = mu.ground.full ^ b
-    return mu.table[b], mu.table[c], nu.table[b], nu.table[c]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("value grid must be finite")
+    dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
+    # rows per split, counted before any is built: the probe has each in-domain alpha < beta twice
+    above = len(dom) - np.searchsorted(np.sort(dom), dom, side="right")
+    _check_grid_size(ground, len(_canonical_splits(ground)) * (2 * int(above.sum()) if probe else len(values) ** 2))
+    s, t = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
+    if probe:
+        alpha, beta = s[s < t], t[s < t]
+        s, t = np.concatenate([beta, alpha]), np.concatenate([alpha, beta])
+    return np.stack([s, t], axis=1)
 
 
-def _split_key(tag: tuple, b: int, entries: tuple, f) -> tuple:
-    """The memo key of one split's scan: ``tag`` (the scan and its value grid), the split B,
-    its ``_split_entries`` and f."""
-    return (tag, b, *entries, f)
+def _two_point_scans(ground: GroundSet, tables: Sequence, pairs: Sequence, gallery: list, values, probe: bool) -> list:
+    """The two-point engine: per map of ``gallery``, per canonical split B in order, ``(side, found)``.
 
-
-def _per_split(mu: Capacity, nu: Capacity, f, tag: tuple, blocks: list, scan, once) -> Iterator:
-    """``(rows, scan(b, rows))`` for each ``(b, rows)`` of blocks, in order and lazily.
-
-    Every row of a block takes one value on the split B and one off it, so
-    ``once`` keys each scan on ``_split_key``.
+    A variable taking one value on B and one off it reads only t(B) and
+    t(Bᶜ) of a capacity table t: its other events are the empty and the
+    whole set.  ``side[c]`` indexes the distinct (t(B), t(Bᶜ)) of
+    ``tables[c]``, and ``found`` holds the ``_split_scan`` result of each
+    (mu side, nu side) index pair that some (mu index, nu index) of
+    ``pairs`` has.
     """
-    for b, rows in blocks:
-        yield rows, once(_split_key(tag, b, _split_entries(mu, nu, b), f), lambda: scan(b, rows))
+    splits = []
+    for b in _canonical_splits(ground):
+        index: dict = {}
+        side = [index.setdefault((t[b], t[ground.full ^ b]), len(index)) for t in tables]
+        splits.append((b, side, list(index), list(dict.fromkeys((side[i], side[j]) for i, j in pairs))))
+    out = []
+    for f in gallery:
+        rows = _value_pairs(ground, f, values, probe)
+        out.append([(side, _split_scan(ground, f, b, rows, sides, wanted, probe)) for b, side, sides, wanted in splits])
+    return out
 
 
-def _jensen_rows(ground: GroundSet, f, values: tuple, once) -> list:
-    """``(B, rows)`` per canonical split: the rows of ``two_point_grid`` on B inside f's domain."""
+def _split_scan(ground: GroundSet, f, b: int, rows: np.ndarray, sides: list, wanted: list, probe: bool) -> dict:
+    """``(seen, witness, mismatch)`` of the rows of split B for each (mu side, nu side) index pair of ``wanted``.
 
-    def rows():
-        grid, size = two_point_grid(ground, values), len(values) ** 2
-        return [(b, _in_domain(f, grid[k * size : (k + 1) * size])) for k, b in enumerate(_canonical_splits(ground))]
-
-    return once(("jensen rows", ground.n, f, values), rows)
-
-
-def _split_scans(ground: GroundSet, f, b: int, rows: np.ndarray, entries: list) -> dict:
-    """``_first_violation`` of the rows of split B for each ``_split_entries`` tuple of a list, keyed on it.
-
-    The gains half of a row's integral reads (mu(B), mu(Bᶜ)) and the loss
-    half (nu(B), nu(Bᶜ)).  With one table per distinct entry pair, one
-    ``_halves`` call on the rows and one on f(rows) give every tuple's C(X)
-    and C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch``.
-    The tuples are scanned one mu side at a time, so that no array holds
-    more than (C, K) values.
+    ``rows`` gives each variable's value on B and off it, and the variable
+    is that two-element row under the table (0, t(B), t(Bᶜ), 1).  So one
+    ``_halves`` call on the rows and one on f(rows) give every pair's C(X)
+    and C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch``
+    of the whole rows.  A Jensen scan reports ``_first_violation``.  The
+    probe first sets C(X) against the closed two-valued mixture forms and
+    reports the first row off them as ``(rows before it, witness, True)``,
+    else every row and the first violation.  Pairs are scanned one mu side
+    at a time, so that no array holds more than (C, K) values.
     """
-    sides = list(dict.fromkeys(e[k : k + 2] for e in entries for k in (0, 2)))
-    index = {side: i for i, side in enumerate(sides)}
-    tables = np.zeros((len(sides), ground.size))
-    tables[:, ground.full] = 1.0
-    tables[:, [b, ground.full ^ b]] = sides
+    xs = np.where([b >> i & 1 for i in range(ground.n)], rows[:, :1], rows[:, 1:])
+    tables = np.zeros((len(sides), 4))
+    tables[:, 3] = 1.0
+    tables[:, 1:3] = sides
     gains, losses = _halves(tables, rows)
     f_gains, f_losses = _halves(tables, _per_distinct(f.value, rows))
+    alpha, beta, beta_on_b = rows.min(axis=1), rows.max(axis=1), rows[:, 0] > rows[:, 1]
     by_mu: dict = {}
-    for e in entries:
-        by_mu.setdefault(index[e[:2]], []).append(e)
+    for i, j in wanted:
+        by_mu.setdefault(i, []).append(j)
     found = {}
-    for i, keys in by_mu.items():
-        j = [index[e[2:]] for e in keys]
-        found.update(zip(keys, _first_violation(f, rows, f_gains[i] - f_losses[j], gains[i] - losses[j])))
+    for i, js in by_mu.items():
+        m = gains[i] - losses[js]
+        scans = _first_violation(f, xs, f_gains[i] - f_losses[js], m)
+        if probe:
+            # closed two-valued mixture forms: p = mu(X = beta), q = nu(X = alpha)
+            p = np.where(beta_on_b, tables[i, 1], tables[i, 2])
+            q = np.where(beta_on_b, tables[js, 2:3], tables[js, 1:2])
+            expect = np.where(
+                alpha >= 0.0,
+                alpha * (1 - p) + beta * p,
+                np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
+            )
+            off = np.abs(m - expect) > 1e-9
+        for r, (j, (seen, witness)) in enumerate(zip(js, scans)):
+            bad = np.flatnonzero(off[r]) if probe else ()
+            if len(bad):
+                k = int(bad[0])
+                witness = {"x": xs[k].tolist(), "integral": float(m[r, k]), "expected": float(expect[r, k])}
+                found[i, j] = k, witness, True
+            else:
+                found[i, j] = (len(xs) if probe else seen), witness, False
     return found
 
 
-def _two_point_jensen(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
-    """``jensen_holds(mu, nu, f, two_point_grid(mu.ground, values))``, one split at a time."""
-    ground = mu.ground
+def _scan_verdict(splits: list, i: int, j: int, probe: bool = False) -> Verdict:
+    """The two-point verdict of the pair (mu index i, nu index j) of a map's ``_two_point_scans``.
 
-    def scan(b, rows):
-        entries = _split_entries(mu, nu, b)
-        return _split_scans(ground, f, b, rows, [entries])[entries]
-
-    checked, witness = 0, None
-    blocks = _jensen_rows(ground, f, values, once)
-    for _, (seen, witness) in _per_split(mu, nu, f, ("jensen", values), blocks, scan, once):
-        checked += seen
-        if witness is not None:
-            break
-    return Verdict("jensen", witness is None, checked, witness)
-
-
-def _fill_two_point_jensen(pairs: list, gallery: list, values: tuple, once) -> None:
-    """Run ``_two_point_jensen``'s split scans for every pair and map into ``once``.
-
-    One ``_split_scans`` call per (f, B) covers every distinct entry tuple of
-    the pairs; its (C, K) halves are dropped before the next (f, B).
+    ``checked`` sums the splits' rows in order, up to the first mixture-form
+    mismatch, which is its own verdict, or for a Jensen scan the first
+    violation.  The probe scans past a violation and reports the first one.
     """
-    if not pairs:
-        return
-    ground = pairs[0][0].ground
-    entries = {
-        b: list(dict.fromkeys(_split_entries(mu, nu, b) for mu, nu in pairs)) for b in _canonical_splits(ground)
-    }
-    for f in gallery:
-        for b, rows in _jensen_rows(ground, f, values, once):
-            for key, found in _split_scans(ground, f, b, rows, entries[b]).items():
-                once(_split_key(("jensen", values), b, key, f), lambda: found)
+    checked, violation = 0, None
+    for side, found in splits:
+        seen, witness, mismatch = found[side[i], side[j]]
+        checked += seen
+        if mismatch:
+            return Verdict("two-valued mixture form", False, checked, witness)
+        violation = witness if violation is None else violation
+        if violation is not None and not probe:
+            break
+    return Verdict("jensen", violation is None, checked, violation)
+
+
+def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False) -> Verdict:
+    """``_scan_verdict`` of one pair: the engine over the tables (mu, nu)."""
+    ground = _check_same_ground(mu, nu)
+    [splits] = _two_point_scans(ground, (mu.table, nu.table), [(0, 1)], [f], values, probe)
+    return _scan_verdict(splits, 0, 1, probe)
 
 
 def _against_certificate(
@@ -417,12 +439,13 @@ def _against_certificate(
     ``shape`` names the certificate: ``"concave"`` (is_concave_on) or ``"ws"``
     (is_weakly_superadditive_on), run on the in-domain values at
     VIOLATION_TOL, the scan's own tolerance, so the comparison is grid-exact.
-    The certificate reads no capacity; ``once`` keys it on (shape, f, values).
+    The certificate reads no capacity; ``once``, a memo of one value grid,
+    keys it on (shape, f).
     ``detail`` may name ``{holds}`` (the certificate) and ``{found}``
     (``none`` or ``found``).
     """
     certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
-    cert = once((shape, f, values), lambda: certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL))
+    cert = once((shape, f), lambda: certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL))
     consistent = cert.holds == (violation is None)
     return Verdict(
         check,
@@ -598,18 +621,24 @@ def zero_one_collapse_check(
     """
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("collapse identity needs {0,1}-valued capacities")
-    return _collapse(mu, nu, f, tuple(values), seed, _direct)
+    values = tuple(values)
+    if not values:
+        raise ValueError("the collapse check needs a nonempty value grid")
+    return _collapse(mu, nu, f, values, _pair_scan(mu, nu, f, values), _direct, seed)
 
 
-def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, seed: int, once) -> Verdict:
-    """``zero_one_collapse_check`` of a {0,1}-valued pair, its capacity-free parts through ``once``."""
+def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once, seed: int) -> Verdict:
+    """``zero_one_collapse_check`` of a {0,1}-valued pair whose two-point Jensen scan is ``scan``.
+
+    Its capacity-free parts go through ``once``, a memo of one value grid and seed.
+    """
 
     def rows():
         dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, mu.ground.n))
         grid = two_point_grid(mu.ground, values)
         return _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
 
-    key = ("collapse rows", mu.ground.n, f, values, seed)
+    key = ("collapse rows", mu.ground.n, f)
     xs = once(key, rows)
     # b_X reads mu alone and a_X nu alone, so f(b_X) is kept per mu and f(a_X) per nu
     f_b = once((key, "f(b_X)", mu.table), lambda: _per_distinct(f.value, _collapse_points(mu, mu, xs)[1]))
@@ -621,10 +650,7 @@ def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, seed: int, once) -> 
         i = int(bad[0])
         witness = {"f": f.spec(), "x": xs[i].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
         return Verdict("collapse identity", False, i + 1, witness)
-    checked = len(xs)
-
-    scan = _two_point_jensen(mu, nu, f, values, once)
-    checked += scan.checked
+    checked = len(xs) + scan.checked
     if coexistence_set(mu, nu, both_one=True) is not None:
         return _against_certificate(
             "collapse equivalence", f, "ws", values, checked, scan.witness, "coexistence set present", once
@@ -648,58 +674,21 @@ def two_valued_concavity_probe(
         raise HypothesisFailure("conjugate dominance fails")
     if coexistence_set(mu, nu) is None:
         raise HypothesisFailure("no set with mu(B) > 0 and nu(B^c) > 0")
-    return _concavity_probe(mu, nu, f, tuple(values), _direct)
+    values = tuple(values)
+    return _probe(mu, nu, f, values, _pair_scan(mu, nu, f, values, probe=True), _direct)
 
 
-def _concavity_probe(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
-    """``two_valued_concavity_probe`` of a pair meeting its hypotheses, one split at a time.
+def _probe(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once) -> Verdict:
+    """``two_valued_concavity_probe`` of a pair meeting its hypotheses whose probe scan is ``scan``.
 
     A split B contributes the rows alpha < beta with beta on B, then those
-    with beta off B; their closed mixture forms read the same four entries
-    as their integrals.
+    with beta off B (``_value_pairs``); their closed mixture forms read the
+    same four entries as their integrals.
     """
-    ground = mu.ground
-
-    def split_rows():
-        dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
-        alpha, beta = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
-        alpha, beta = alpha[alpha < beta], beta[alpha < beta]
-        splits = _canonical_splits(ground)
-        _check_grid_size(ground, 2 * len(splits) * len(alpha))
-        out = []
-        for b_set in splits:
-            on_beta = np.array([[v >> i & 1 for i in range(ground.n)] for v in (b_set, ground.full ^ b_set)], dtype=bool)
-            xs = np.where(on_beta[:, None, :], beta[:, None], alpha[:, None]).reshape(-1, ground.n)
-            out.append((b_set, (xs, np.tile(alpha, 2), np.tile(beta, 2))))
-        return out
-
-    def scan(b_set, rows):
-        xs, alpha, beta = rows
-        c_set = ground.full ^ b_set
-        p = np.repeat([mu.table[b_set], mu.table[c_set]], len(xs) // 2)
-        q = np.repeat([nu.table[c_set], nu.table[b_set]], len(xs) // 2)
-        m = gen_choquet_batch(mu, nu, xs)
-        # closed two-valued mixture forms
-        expect = np.where(
-            alpha >= 0.0,
-            alpha * (1 - p) + beta * p,
-            np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
-        )
-        off = np.flatnonzero(np.abs(m - expect) > 1e-9)
-        if off.size:
-            i = int(off[0])
-            return i, {"x": xs[i].tolist(), "integral": float(m[i]), "expected": float(expect[i])}
-        return None, _first_violation(f, xs, gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)), m)[0][1]
-
-    checked, violation = 0, None
-    blocks = once(("probe rows", ground.n, f, values), split_rows)
-    for (xs, _, _), (off, found) in _per_split(mu, nu, f, ("probe", values), blocks, scan, once):
-        if off is not None:
-            return Verdict("two-valued mixture form", False, checked + off, found)
-        checked += len(xs)
-        violation = found if violation is None else violation
+    if scan.check == "two-valued mixture form":
+        return scan
     return _against_certificate(
-        "two-valued concavity probe", f, "concave", values, checked, violation,
+        "two-valued concavity probe", f, "concave", values, scan.checked, scan.witness,
         "concave={holds}, violation={found}", once,
     )
 
@@ -716,14 +705,14 @@ def nonnegative_axis_check(
     otherwise it must hold iff f is concave on the nonnegative grid.
     """
     _check_same_ground(mu, nu)
+    values = tuple(values)
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    return _axis(mu, nu, f, tuple(values), _direct)
+    return _axis(mu, nu, f, values, _pair_scan(mu, nu, f, values), _direct)
 
 
-def _axis(mu: Capacity, nu: Capacity, f, values: tuple, once) -> Verdict:
-    """``nonnegative_axis_check`` on a nonnegative grid, its scan and certificate through ``once``."""
-    scan = _two_point_jensen(mu, nu, f, values, once)
+def _axis(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once) -> Verdict:
+    """``nonnegative_axis_check`` on a nonnegative grid whose two-point Jensen scan is ``scan``."""
     if mu.is_zero_one_valued():
         return Verdict(
             "nonnegative-axis zero-one",
@@ -841,82 +830,88 @@ def run_full_report(
 def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
     """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
 
-    One memo serves the whole call and no other: the two-point scans and
-    certificates run once per distinct entries read (``_per_split``,
-    ``_against_certificate``).  The lemma trials keep their draws once per
-    stream position and their halves once per capacity
-    (``integral_property_checks``); the collapse check keeps f(X) once per
-    map, f(b_X) once per mu and f(a_X) once per nu (``_collapse``).  Each
-    pair is classified once, up front, and the converse builds its witness
-    from that ``dominates_dual``.  The two-point Jensen scans of theorem 1
-    (dominant pairs), theorem 2 (zero-one pairs) and theorem 4 (every pair)
-    then run for all the pairs they apply to (``_fill_two_point_jensen``)
-    before any pair's checks.
+    Each pair is classified once, up front, and the converse builds its
+    witness from that ``dominates_dual``.  The two-point scans of theorems 1
+    (dominant pairs), 2 (zero-one pairs), 3 (dominant pairs with a
+    coexistence set) and 4 (every pair) then run once per map and split for
+    all the pairs they apply to (``_two_point_scans``), before any pair's
+    checks, and a pair reads its verdict by its capacities' side indices
+    (``_scan_verdict``).  Memos live for this call and no other: one keeps
+    the lemma trials' draws once per stream position and their halves once
+    per capacity (``integral_property_checks``); one per scanned check keeps
+    its grid's certificates (``_against_certificate``) and, for the collapse
+    check, f(X) once per map, f(b_X) once per mu and f(a_X) once per nu
+    (``_collapse``).
     """
-    memo: dict = {}
 
-    def once(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+    def memo():
+        kept: dict = {}
 
+        def once(key, compute):
+            if key not in kept:
+                kept[key] = compute()
+            return kept[key]
+
+        return once
+
+    once = memo()
     forward_gallery, collapse_gallery = concave_increasing_gallery(), zero_at_zero_gallery()
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
-    def lemma(mu, nu, dom):
+    def lemma(mu, nu, ij, dom):
         verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed, once=once)
         for name, verdict in verdicts.items():
             yield f"property {name}", verdict.holds, verdict.witness
 
-    def converse(mu, nu, dom):
+    def converse(mu, nu, ij, dom):
         wit = _counterexample(mu, nu, dom)
         ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
         yield "jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
 
-    def over(name, gallery, check):
-        def run(mu, nu, dom):
-            for f in gallery:
-                verdict = check(mu, nu, f)
-                yield name, verdict.holds, verdict.witness
-
-        return run
-
-    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check,
-    # the gallery and grid of its two-point Jensen scans or None); each check yields
-    # (check name, ok, witness) of the pair and its dominates_dual
+    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check); a check
+    # yields (check name, ok, witness) of the pair, its capacity indices and its dominates_dual, or
+    # is a scanned check (check name, gallery, value grid, probe, verdict from f and the pair's scan)
     table = (
-        ("lemma", lambda d, z, c: True, lemma, None),
-        ("1", lambda d, z, c: d, over(
-            "jensen forward", forward_gallery, partial(_two_point_jensen, values=values, once=once),
-        ), (forward_gallery, values)),
-        ("1", lambda d, z, c: not d, converse, None),
-        ("2", lambda d, z, c: z, over(
-            "collapse", collapse_gallery, partial(_collapse, values=probe_values, seed=seed, once=once),
-        ), (collapse_gallery, probe_values)),
-        ("3", lambda d, z, c: d and c, over(
-            "two-valued concavity", concavity_probe_gallery,
-            partial(_concavity_probe, values=probe_values, once=once),
-        ), None),
-        ("4", lambda d, z, c: True, over(
-            "nonnegative axis", axis_gallery, partial(_axis, values=NONNEG_VALUE_GRID, once=once),
-        ), (axis_gallery, NONNEG_VALUE_GRID)),
+        ("lemma", lambda d, z, c: True, lemma),
+        ("1", lambda d, z, c: d,
+         ("jensen forward", forward_gallery, values, False, lambda mu, nu, f, grid, scan, once: scan)),
+        ("1", lambda d, z, c: not d, converse),
+        ("2", lambda d, z, c: z, ("collapse", collapse_gallery, probe_values, False, partial(_collapse, seed=seed))),
+        ("3", lambda d, z, c: d and c, ("two-valued concavity", concavity_probe_gallery, probe_values, True, _probe)),
+        ("4", lambda d, z, c: True, ("nonnegative axis", axis_gallery, NONNEG_VALUE_GRID, False, _axis)),
     )
-    rows = [(applies, check, scans) for tid, applies, check, scans in table if tid in theorems]
 
     pairs = list(pairs)
+    index: dict = {}
+    ids = [(index.setdefault(mu.table, len(index)), index.setdefault(nu.table, len(index))) for mu, nu in pairs]
     classes = [
         (dominates_dual(mu, nu), mu.is_zero_one_valued() and nu.is_zero_one_valued(),
          coexistence_set(mu, nu) is not None)
         for mu, nu in pairs
     ]
-    for applies, _, scans in rows:
-        if scans is not None:
-            _fill_two_point_jensen([p for p, cls in zip(pairs, classes) if applies(*cls)], *scans, once)
 
-    for (mu, nu), (dom, zero_one, coex) in zip(pairs, classes):
+    def scanned(applies, name, gallery, grid, probe, verdict):
+        """The check: the engine runs here over the pairs it applies to, and each pair reads it."""
+        mine = [ij for ij, cls in zip(ids, classes) if applies(*cls)]
+        scans = _two_point_scans(pairs[0][0].ground, list(index), mine, gallery, grid, probe) if mine else []
+        grid_once = memo()
+
+        def run(mu, nu, ij, dom):
+            for f, splits in zip(gallery, scans):
+                v = verdict(mu, nu, f, grid, _scan_verdict(splits, *ij, probe), grid_once)
+                yield name, v.holds, v.witness
+
+        return run
+
+    rows = [
+        (applies, scanned(applies, *check) if isinstance(check, tuple) else check)
+        for tid, applies, check in table
+        if tid in theorems
+    ]
+    for (mu, nu), ij, (dom, zero_one, coex) in zip(pairs, ids, classes):
         ck = f"dominant={dom.holds}, zero_one={zero_one}, coexistence={coex}"
         yield mu, nu, ck, [
-            verdict for applies, check, _ in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu, dom)
+            verdict for applies, check in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu, ij, dom)
         ]

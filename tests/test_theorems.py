@@ -430,12 +430,32 @@ def test_two_point_scan_matches_jensen_holds_on_the_whole_grid():
         mu, nu = (random_capacity(rng, ground, str(s)) for s in style)
         for values, f in product((NONNEG_VALUE_GRID, (-2.0, -0.5, 0.0, 1.0, 3.0)), maps):
             want = jensen_holds(mu, nu, f, two_point_grid(ground, values))
-            assert theorems._two_point_jensen(mu, nu, f, values, theorems._direct) == want
+            assert theorems._pair_scan(mu, nu, f, values) == want
 
 
-def test_axis_check_rejects_negative_grid(mu_worked, nu_worked):
+@pytest.mark.parametrize(
+    "values", [(-1.0, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, math.inf)], ids=["negative", "nan", "inf"]
+)
+def test_axis_check_rejects_negative_grid(mu_worked, nu_worked, values):
     with pytest.raises(ValueError):
-        nonnegative_axis_check(mu_worked, nu_worked, Exponential(1.0), values=(-1.0, 0.0, 1.0))
+        nonnegative_axis_check(mu_worked, nu_worked, Exponential(1.0), values=values)
+
+
+def test_two_point_checks_reject_non_finite_and_empty_grids(g2):
+    """A non-finite grid value is refused, as ``jensen_holds`` refuses it on ``two_point_grid``,
+    not dropped from the scan; the collapse check names an empty grid."""
+    mu = new_capacity(g2, [0.0, 0.3, 0.4, 1.0])
+    zero_one = (unanimity(g2, 0b01), unanimity(g2, 0b10))
+    with pytest.raises(ValueError, match="finite"):
+        jensen_holds(mu, mu.dual(), Exponential(1.0), two_point_grid(g2, (0.0, math.nan, 1.0)))
+    with pytest.raises(ValueError, match="finite"):
+        two_valued_concavity_probe(mu, mu.dual(), Exponential(1.0), (-1.0, math.nan, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        zero_one_collapse_check(*zero_one, Exponential(1.0), (-1.0, -math.inf, 1.0))
+    with pytest.raises(ValueError, match="value grid"):
+        zero_one_collapse_check(*zero_one, Exponential(1.0), ())
+    with pytest.raises(ValueError, match="finite"):
+        run_full_report(n=2, levels=(0, 1), values=(0.0, math.nan))
 
 
 # --- full sweep -------------------------------------------------------------------------
@@ -462,22 +482,23 @@ def test_sweep_classification_totals():
     assert report.clean
 
 
-def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch):
-    """Theorem 1's forward scans read every pair off per-capacity halves, not gen_choquet_batch,
-    in one scan per map and split (n = 2 has one canonical split): no pair misses the memo."""
+@pytest.mark.parametrize("theorem, maps", [("1", 4), ("3", 4), ("4", 3)], ids=["1", "3", "4"])
+def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch, theorem, maps):
+    """Theorems 1, 3 and 4 read every pair off per-capacity halves, not gen_choquet_batch,
+    in one engine scan per map and split (n = 2 has one canonical split)."""
     from choqrisk import theorems
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-pair kernel call")
 
     scans = []
-    split_scans = theorems._split_scans
+    split_scan = theorems._split_scan
     monkeypatch.setattr(theorems, "gen_choquet_batch", refuse)
-    monkeypatch.setattr(theorems, "_split_scans", lambda *args: scans.append(args) or split_scans(*args))
-    report = run_full_report(n=2, levels=(0.0, 0.5, 1.0), theorems=("1",))
+    monkeypatch.setattr(theorems, "_split_scan", lambda *args: scans.append(args[1:3]) or split_scan(*args))
+    report = run_full_report(n=2, levels=(0.0, 0.5, 1.0), theorems=(theorem,))
     assert report.pair_count == 81 and report.clean
-    assert report.verdict_counts["jensen forward"][1] > 0
-    assert len(scans) == len(theorems.concave_increasing_gallery())
+    assert sum(total for _, total in report.verdict_counts.values()) > 0
+    assert len(scans) == len(set(scans)) == maps
 
 
 def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
@@ -862,13 +883,41 @@ def test_probe_matches_the_scalar_scan(g3, monkeypatch):
     assert violations == 4
 
     # a kernel off from row 40 on: the probe stops there, as the scalar loop would
-    exact = theorems.gen_choquet_batch
-    monkeypatch.setattr(
-        theorems, "gen_choquet_batch", lambda mu, nu, xs: exact(mu, nu, xs) + (np.arange(len(xs)) >= 40)
-    )
+    perturb_halves_from_row(monkeypatch, 40)
     verdict = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
     assert (verdict.check, verdict.holds, verdict.checked) == ("two-valued mixture form", False, 40)
     assert verdict.witness["integral"] == pytest.approx(verdict.witness["expected"] + 1.0, abs=1e-9)
+
+
+def perturb_halves_from_row(monkeypatch, k):
+    """The engine's kernel with every gains half off by +1 from row k on."""
+    from choqrisk import theorems
+
+    exact = theorems._halves
+
+    def off(tables, xs):
+        gains, losses = exact(tables, xs)
+        return gains + (np.arange(len(xs)) >= k), losses
+
+    monkeypatch.setattr(theorems, "_halves", off)
+
+
+def test_sweep_files_the_probe_mixture_form_failure(g3, monkeypatch):
+    """Under the same kernel fault, theorem 3 in the sweep files a "two-valued concavity"
+    entry for every map whose witness is the probe's mixture-form failure."""
+    from choqrisk import theorems
+
+    mu = new_capacity(g3, [0.0, 0.2, 0.3, 0.5, 0.1, 0.4, 0.4, 1.0])
+    nu = mu.dual()
+    values = tuple(-3.0 + 0.5 * k for k in range(13))
+    perturb_halves_from_row(monkeypatch, 40)
+    [(_, _, _, verdicts)] = theorems._sweep_verdicts([(mu, nu)], ("3",), 42, values, 12)
+    assert [(name, ok) for name, ok, _ in verdicts] == [("two-valued concavity", False)] * 4
+    probe = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
+    assert probe.check == "two-valued mixture form" and verdicts[0][2] == probe.witness
+    for _, _, witness in verdicts:
+        assert set(witness) == {"x", "integral", "expected"}
+        assert witness["integral"] == pytest.approx(witness["expected"] + 1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("k", [0, 5, 70])
