@@ -204,18 +204,21 @@ def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     halves read the weak tails ``mu(X >= d)`` and ``nu(X <= d)`` at each
     value, where the scalar loop reads the strict tails between values off
     ``_groups``: the same events, reached by other code.  Evaluation gathers
-    the table values at those masks, walks the columns in ascending order
-    and adds the scalar loop's terms in its order.
+    the table values at those masks for every column at once, then adds
+    the scalar loop's terms column by column in its order.
     """
     tables = np.asarray(tables, dtype=float)
     srt, starts, below, upto = _plan(xs)
     full = tables.shape[1] - 1
-    gains = np.zeros((len(tables), len(srt)))
-    losses = np.zeros((len(tables), len(srt)))
-    for j in range(srt.shape[1]):
-        d, lt, le = srt[:, j], below[:, j], upto[:, j]
-        gains = np.where(starts[:, j] & (d > 0.0), gains + d * (tables[:, full ^ lt] - tables[:, full ^ le]), gains)
-        losses = np.where(starts[:, j] & (d < 0.0), losses + d * (tables[:, lt] - tables[:, le]), losses)
+    at = lambda masks: np.take(tables, masks, axis=1)  # (C, K, n); faster than tables[:, masks]
+    # every column's term at once, 0.0 where the scalar loop adds none; a sum that starts at
+    # 0.0 is never -0.0, so adding 0.0 leaves it as it is
+    gain_terms = np.where(starts & (srt > 0.0), srt * (at(full ^ below) - at(full ^ upto)), 0.0)
+    loss_terms = np.where(starts & (srt < 0.0), srt * (at(below) - at(upto)), 0.0)
+    gains, losses = np.zeros(gain_terms.shape[:2]), np.zeros(loss_terms.shape[:2])
+    for j in range(srt.shape[1]):  # in ascending order, as the scalar loop adds its terms
+        gains += gain_terms[:, :, j]
+        losses += loss_terms[:, :, j]
     return gains, losses
 
 
@@ -326,6 +329,40 @@ def step_integral(
     for left, right in zip(pts, pts[1:]):
         acc += (right - left) * integrand((left + right) / 2.0)
     return sign * acc
+
+
+def _step_cells(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The cells of ``step_integral`` over [lo, hi] with the values of X as breakpoints, per row.
+
+    xs is a (K, n) array and lo, hi hold each row's interval ends.  Returns
+    ``(width, above, below, sign)``: per row, the width of each cell in
+    ascending order, the events ``X > s`` and ``X < s`` at its midpoint s,
+    and the orientation sign.  Every row has n + 1 cells: a value outside
+    (lo, hi), or equal to the one before it, stands for a cell of width 0,
+    which adds nothing to ``_cell_sums``.  Widths and midpoints are
+    ``step_integral``'s arithmetic on the same points, so they are its
+    cells bit for bit.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    flip = lo > hi
+    sign = np.where(flip, -1.0, 1.0)
+    lo, hi = np.where(flip, hi, lo)[:, None], np.where(flip, lo, hi)[:, None]
+    inside = (xs > lo) & (xs < hi)
+    pts = np.sort(np.concatenate([lo, np.where(inside, xs, hi), hi], axis=1), axis=1)
+    left, right = pts[:, :-1], pts[:, 1:]
+    mid = (left + right) / 2.0
+    above, below = np.zeros(mid.shape, dtype=np.int64), np.zeros(mid.shape, dtype=np.int64)
+    for i in range(xs.shape[1]):
+        above |= np.where(xs[:, i, None] > mid, 1 << i, 0)
+        below |= np.where(xs[:, i, None] < mid, 1 << i, 0)
+    return right - left, above, below, sign
+
+
+def _cell_sums(width: np.ndarray, sign: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``step_integral`` of each row from ``_step_cells`` and the integrand's value in each cell:
+    the width times the value, added left to right from 0.0, times the sign."""
+    # accumulate adds left to right; adding 0.0 last stands for starting from it (-0.0 becomes 0.0)
+    return sign * (np.add.accumulate(width * values, axis=1)[:, -1] + 0.0)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,39 @@ error anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
 from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, ZeroOneCapacity
-from .integral import RandomVariable, _groups, _lower, gen_choquet, step_integral
+from .integral import (
+    RandomVariable,
+    _cell_sums,
+    _groups,
+    _halves,
+    _lower,
+    _outcome_rows,
+    _step_cells,
+    gen_choquet,
+    step_integral,
+)
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
 #: cap on one sample_outcomes batch (the CLI defaults draw 200 and 500)
 _MAX_SAMPLES = 10**5
+#: rows of the scans' first premium_batch call; each next chunk doubles, up to _SCAN_CHUNK rows
+_FIRST_CHUNK = 16
+_SCAN_CHUNK = 256
+
+
+def _check_scenario(w: float, x, mu: Capacity, nu: Capacity) -> None:
+    """Scenario's checks: a finite, nonnegative wealth and one ground set."""
+    if not 0.0 <= w < np.inf:
+        raise ValueError(f"wealth must be finite and nonnegative, got {w!r}")
+    _check_same_ground(mu, nu, x)
 
 
 @dataclass(frozen=True)
@@ -47,9 +68,7 @@ class Scenario:
     u: UtilityFunction
 
     def __post_init__(self):
-        if not 0.0 <= self.w < np.inf:
-            raise ValueError(f"wealth must be finite and nonnegative, got {self.w!r}")
-        _check_same_ground(self.mu, self.nu, self.x)
+        _check_scenario(self.w, self.x, self.mu, self.nu)
 
     @property
     def outcome(self) -> RandomVariable:
@@ -110,6 +129,21 @@ def risk_neutral_premium(s: Scenario) -> float:
     return gen_choquet(s.nu, s.mu, s.x) + _tail_gap_integral(s.mu, s.nu, s.x, s.w)
 
 
+def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacity) -> np.ndarray:
+    """``risk_neutral_premium`` of every (w, X) row, bit for bit.
+
+    One ``_halves`` call gives the swapped C(X), and the tail gap is summed
+    per cell in ``step_integral``'s order, from the cells that the lemma's
+    translation trial also reads.
+    """
+    gains, losses = _halves((mu.table, nu.table), xs)
+    width, _, below, sign = _step_cells(xs, np.zeros(len(xs)), ws)
+    mu_t, nu_t = np.asarray(mu.table), np.asarray(nu.table)
+    # dual(nu)(X < t) - mu(X < t) in each cell, as _tail_gap_integral reads it
+    gap = _cell_sums(width, sign, (1.0 - nu_t[mu.ground.full ^ below]) - mu_t[below])
+    return (gains[1] - losses[0]) + gap
+
+
 def approx_premium(s: Scenario) -> float:
     """Quadratic (local-curvature) approximation of the premium.
 
@@ -124,6 +158,115 @@ def approx_premium(s: Scenario) -> float:
     y = s.x.map(lambda v: v + r * v * v / 2.0)
     upper = s.u.value(s.w) / d1
     return gen_choquet(s.nu, s.mu, y) + _tail_gap_integral(s.mu, s.nu, y, upper)
+
+
+@dataclass(frozen=True)
+class PremiumBatch:
+    """``premium_batch``'s rows, priced in row order up to the first that raised.
+
+    ``reasons[i]`` is the check row i fails, as ``class_membership`` names
+    it, or None inside the premium class, and ``levels[i]`` is C(u(w - X))
+    of an in-class row.  When ``error`` is None every row is priced;
+    otherwise it is what the row after the last priced one raised.
+    """
+
+    u: UtilityFunction
+    ws: tuple[float, ...]
+    reasons: tuple[str | None, ...]
+    levels: tuple[float, ...]
+    error: Exception | None
+
+    def premium(self, i: int) -> float:
+        """``premium`` of row i; calls ``u.inverse`` once, as the scalar path does."""
+        if self.reasons[i] is not None:
+            raise OutOfClass(self.reasons[i])
+        return self.ws[i] - self.u.inverse(self.levels[i])
+
+
+def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> PremiumBatch:
+    """``class_membership`` and ``premium`` of every (w, X) row, bit for bit.
+
+    ws holds K wealths, which the caller has checked as Scenario does, and
+    xs the (K, n) array of their outcomes.  One ``_halves`` call on the
+    stack (mu, nu) integrates w - X and u(w - X).  The utility runs through
+    its scalar methods, row by row as ``premium`` calls them: ``in_domain``
+    at the values of w - X up to the first outside u's domain, ``value`` at
+    every value of a row inside it, ``in_domain`` and ``in_range`` at the
+    row's two integrals, and ``inverse`` only when a row's premium is read.  The batch stops at the
+    first row where the scalar path raises (``error``): a w - X that is not
+    finite, or a utility call that raises.
+    """
+    ground = _check_same_ground(mu, nu)
+    xs = _outcome_rows(ground, xs)
+    ws = np.asarray(ws, dtype=float)
+    if ws.shape != (len(xs),):
+        raise ValueError(f"expected {len(xs)} wealths, got an array of shape {ws.shape}")
+    with np.errstate(over="ignore"):  # an infinite w - X stops the batch at its row
+        ys = ws[:, None] - xs
+    wide = ~np.isfinite(ys).all(axis=1)
+    stop = int(np.argmax(wide)) if wide.any() else len(ys)
+    values = ys[:stop].tolist()
+    inside = [all(map(u.in_domain, y)) for y in values]
+    uy, raised, zeros = [], {}, [0.0] * ground.n
+    for i, y in enumerate(values):
+        try:
+            uy.append(list(map(u.value, y)) if inside[i] else zeros)
+        except Exception as exc:  # raised at the row, unless its outcome integral is out of domain
+            raised[i] = exc
+            uy.append(zeros)
+    uy = np.array(uy, dtype=float).reshape(stop, ground.n)
+    for i in np.flatnonzero(~np.isfinite(uy).all(axis=1)).tolist():  # a NaN, which RandomVariable refuses
+        raised[i] = ValueError("values must be finite")
+        uy[i] = 0.0
+    gains, losses = _halves((mu.table, nu.table), np.concatenate([ys[:stop], uy]))
+    integrals = (gains[0] - losses[1]).tolist()
+    reasons, error = [], None
+    for i, ok in enumerate(inside):
+        if not ok:
+            reasons.append("values")
+        elif not u.in_domain(integrals[i]):
+            reasons.append("outcome_integral")
+        elif i in raised:
+            error = raised[i]
+            break
+        else:
+            reasons.append(None if u.in_range(integrals[stop + i]) else "utility_integral")
+    if error is None and stop < len(ys):
+        error = ValueError("values must be finite")
+    rows = len(reasons)
+    return PremiumBatch(u, tuple(ws[:rows].tolist()), tuple(reasons), tuple(integrals[stop : stop + rows]), error)
+
+
+def _scan_chunks(outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity, nu: Capacity) -> Iterator:
+    """The (w, X) rows of ``outcomes`` as ``(rows, ws, xs, error)``, in chunks of 16, 32, 64, ... rows.
+
+    Chunks double from _FIRST_CHUNK up to _SCAN_CHUNK rows, so a scan whose
+    witness is row j has read and priced at most ``min(2 j + 16, j + 256)``
+    rows, and a streaming input is held a chunk at a time.  A chunk's
+    kernel calls cost about as much as pricing 20 rows at n = 8, so a
+    smaller first chunk would not find an early witness much sooner.  A
+    chunk ends early at the first row that raises while it is read (a
+    generator's own check) or at Scenario's wealth and ground-set checks.
+    ``error`` is what that row raised; a scan raises it only when no
+    witness comes before it, as a row-by-row loop would.
+    """
+    it = iter(outcomes)
+    size = _FIRST_CHUNK
+    while True:
+        rows, error = [], None
+        try:
+            for w, x in islice(it, size):
+                _check_scenario(w, x, mu, nu)
+                rows.append((w, x))
+        except Exception as exc:  # raised after the chunk's rows are scanned
+            error = exc
+        ws = np.array([w for w, _ in rows], dtype=float)
+        xs = np.array([x.values for _, x in rows], dtype=float).reshape(len(rows), mu.ground.n)
+        if rows or error is not None:
+            yield rows, ws, xs, error
+        if error is not None or len(rows) < size:
+            return
+        size = min(2 * size, _SCAN_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -151,18 +294,26 @@ def is_risk_averse(
     nu: Capacity,
     outcomes: Iterable[tuple[float, RandomVariable]],
 ) -> RiskAversionReport:
-    """Test the agent against the risk-neutral benchmark over sampled (w, X)."""
+    """Test the agent against the risk-neutral benchmark over sampled (w, X).
+
+    The outcomes are read in chunks (``_scan_chunks``): with the witness at
+    row j, at most ``min(2 j + 16, j + 256)`` rows are drawn from them.
+    """
     checked = skipped = 0
-    for w, x in outcomes:
-        s = Scenario(w, x, mu, nu, u)
-        reason, pi = _price(s)
-        if reason is not None:
-            skipped += 1
-            continue
-        checked += 1
-        shortfall = risk_neutral_premium(s) - pi
-        if shortfall > PREMIUM_TOL:
-            return RiskAversionReport(False, checked, skipped, s, shortfall)
+    for rows, ws, xs, error in _scan_chunks(outcomes, mu, nu):
+        batch = premium_batch(ws, xs, mu, nu, u)
+        priced = [i for i, reason in enumerate(batch.reasons) if reason is None]
+        pi0 = iter(_risk_neutral_rows(ws[priced], xs[priced], mu, nu).tolist())
+        for i, reason in enumerate(batch.reasons):
+            if reason is not None:
+                skipped += 1
+                continue
+            checked += 1
+            shortfall = next(pi0) - batch.premium(i)
+            if shortfall > PREMIUM_TOL:
+                return RiskAversionReport(False, checked, skipped, Scenario(*rows[i], mu, nu, u), shortfall)
+        if batch.error or error:
+            raise batch.error or error
     return RiskAversionReport(True, checked, skipped, None, 0.0)
 
 
@@ -248,7 +399,9 @@ def compare_agents(
     """Compare premiums, Arrow-Pratt coefficients and composed curvature.
 
     Grid points where u or v has no derivative (a kink, a tabulated knot)
-    are left out of the Arrow-Pratt and curvature verdicts.
+    are left out of the Arrow-Pratt and curvature verdicts.  The outcomes
+    are read in chunks as ``is_risk_averse`` reads them, so at most
+    ``min(2 j + 16, j + 256)`` rows are drawn for a witness at row j.
     """
     hypotheses = dominates_dual(mu, nu).holds and coexistence_set(mu, nu) is not None
 
@@ -266,25 +419,24 @@ def compare_agents(
     comp = compose_via_inverse(u, v)
     comp_concave = all(g2 <= PREMIUM_TOL for g2 in _where_differentiable(comp.second, comp.grid()))
 
-    premium_order = True
-    witness = None
     checked = 0
-    for w, x in outcomes:
-        su = Scenario(w, x, mu, nu, u)
-        reason_u, pi_u = _price(su)
-        if reason_u is not None:
-            continue
-        reason_v, pi_v = _price(Scenario(w, x, mu, nu, v))
-        if reason_v is not None:
-            continue
-        checked += 1
-        if pi_u < pi_v - PREMIUM_TOL:
-            premium_order = False
-            witness = su
-            break
-    return AgentComparison(
-        hypotheses, premium_order, r_order, comp_concave, checked, witness
-    )
+    for rows, ws, xs, error in _scan_chunks(outcomes, mu, nu):
+        by_u = premium_batch(ws, xs, mu, nu, u)
+        in_u = [i for i, r in enumerate(by_u.reasons) if r is None]
+        by_v = premium_batch(ws[in_u], xs[in_u], mu, nu, v)
+        for k, i in enumerate(in_u):
+            pi_u = by_u.premium(i)
+            if k == len(by_v.reasons):  # v's utility raised at this row
+                raise by_v.error
+            if by_v.reasons[k] is not None:
+                continue
+            checked += 1
+            if pi_u < by_v.premium(k) - PREMIUM_TOL:
+                witness = Scenario(*rows[i], mu, nu, u)
+                return AgentComparison(hypotheses, False, r_order, comp_concave, checked, witness)
+        if by_u.error or error:
+            raise by_u.error or error
+    return AgentComparison(hypotheses, True, r_order, comp_concave, checked, None)
 
 
 @dataclass(frozen=True)
@@ -308,12 +460,15 @@ def nonneg_loss_check(
     nu: Capacity,
     outcomes: Iterable[tuple[float, RandomVariable]],
 ) -> NonnegLossReport:
-    """Check risk aversion over scenarios with ``X <= w`` pointwise."""
+    """Check risk aversion over scenarios with ``X <= w`` pointwise.
+
+    The scan is ``is_risk_averse``'s and reads the outcomes in its chunks.
+    """
     if mu.is_zero_one_valued():
         raise ZeroOneCapacity("hypothesis requires a capacity that is not {0,1}-valued")
 
     def capped():
-        # lazy, so a bad row after the witness is never reached
+        # lazy, so the scan raises for a bad row only when no witness comes before it
         for w, x in outcomes:
             if any(v > w for v in x.values):
                 raise ValueError("sampler must keep X <= w pointwise")

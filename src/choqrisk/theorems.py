@@ -34,11 +34,11 @@ from .capacity import Capacity, DominanceCheck, GroundSet, _check_same_ground, c
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
+    _cell_sums,
     _collapse_points,
-    _groups,
     _halves,
-    _lower,
     _outcome_rows,
+    _step_cells,
     gen_choquet,
     gen_choquet_batch,
 )
@@ -486,30 +486,6 @@ def _counterexample(mu: Capacity, nu: Capacity, dom: DominanceCheck) -> JensenCo
     return JensenCounterexample(x, f, jensen_gap(mu, nu, f, x), dom.gap, a_set)
 
 
-def _translation_cells(ground: GroundSet, xs: np.ndarray, shifts: np.ndarray) -> tuple:
-    """The cells of ``translation_gap``'s step integral over [-a, 0], per row of xs and shift a.
-
-    Returns ``(width, above, below, sign)``: per row, the widths of
-    ``step_integral``'s cells in its order, the events ``X > s`` and ``X < s``
-    at each cell's midpoint s, and the orientation sign.  A row has at most
-    n + 1 cells; the rest are padded with width 0, which adds nothing.
-    """
-    k, n = xs.shape
-    width, sign = np.zeros((k, n + 1)), np.ones(k)
-    above, below = np.zeros((2, k, n + 1), dtype=np.int64)
-    for r, (x, a) in enumerate(zip(xs.tolist(), shifts.tolist())):
-        lo, hi, groups = -a, 0.0, _groups(x)
-        if lo > hi:
-            lo, hi, sign[r] = hi, lo, -1.0
-        pts = sorted({lo, hi} | {v for v in x if lo < v < hi})
-        for c, (left, right) in enumerate(zip(pts, pts[1:])):
-            s = (left + right) / 2.0
-            width[r, c] = right - left
-            above[r, c] = ground.full ^ _lower(groups, s, False)
-            below[r, c] = _lower(groups, s, True)
-    return width, above, below, sign
-
-
 def integral_property_checks(
     mu: Capacity,
     nu: Capacity,
@@ -564,9 +540,8 @@ def integral_property_checks(
     def translation():
         width, above, below, sign = rows["cells"]
         lhs = integral(mu, nu, "xa") - rows["a"] - integral(mu, nu, "x")
-        terms = width * (np.asarray(mu.table)[above] - (1.0 - np.asarray(nu.table)[below]))
-        # the cells added left to right, as step_integral adds them
-        gaps = np.abs(lhs - sign * np.add.accumulate(terms, axis=1)[:, -1])
+        values = np.asarray(mu.table)[above] - (1.0 - np.asarray(nu.table)[below])
+        gaps = np.abs(lhs - _cell_sums(width, sign, values))
         return gaps > tol, lambda i: {"a": float(rows["a"][i]), "gap": float(gaps[i])}
 
     # (key, check name, the ranges each sample draws from after X, set-up, trial) in draw order;
@@ -579,7 +554,7 @@ def integral_property_checks(
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
          lambda x, more: {"x": x, "bx": x * more, "b": more[:, 0]}, homogeneity),
         ("translation", "translation identity", ((-10.0, 10.0),),
-         lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0], "cells": _translation_cells(ground, x, more[:, 0])},
+         lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0], "cells": _step_cells(x, -more[:, 0], np.zeros(size))},
          translation),
     )
     out: dict[str, Verdict] = {}

@@ -59,7 +59,14 @@ class UtilityFunction:
         return x
 
     def value(self, x: float) -> float:
-        return self._value(self._require(x))
+        x = self._require(x)
+        try:
+            v = self._value(x)
+        except OverflowError:
+            v = INF
+        if v == INF or v == -INF:
+            raise ValueError(f"{self.spec()}: u({x!r}) is not a finite float (overflow)")
+        return v
 
     __call__ = value
 
@@ -83,12 +90,7 @@ class UtilityFunction:
         # A steep bounded family saturates inside that window too, so a tie
         # at the top of its range counts as saturation, not as a flat piece.
         # Every test is written so that a NaN value fails it.
-        def value(x):
-            try:
-                return self.value(x)
-            except OverflowError:
-                raise ValueError(f"{self.spec()}: u({x!r}) is not a finite float (overflow)") from None
-
+        value = self.value
         if not abs(value(0.0)) <= 1e-12:
             raise ValueError(f"{self.spec()}: u(0) = {value(0.0)!r}, expected 0")
         grid = default_grid(self)
@@ -463,9 +465,25 @@ class ShapeCheck:
         return self.holds
 
 
+def _once_per_point(fn):
+    """fn with each result kept, so it runs once per distinct point; 0.0 and -0.0 are kept apart."""
+    kept = {}
+
+    def at(x: float) -> float:
+        key = x if x else (x, math.copysign(1.0, x))
+        if key not in kept:
+            kept[key] = fn(x)
+        return kept[key]
+
+    return at
+
+
 def is_concave_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeCheck:
-    """Midpoint concavity ``f((x+y)/2) >= (f(x)+f(y))/2 - tol`` over grid pairs."""
-    fn = f.value
+    """Midpoint concavity ``f((x+y)/2) >= (f(x)+f(y))/2 - tol`` over grid pairs.
+
+    f runs once per distinct grid point and midpoint.
+    """
+    fn = _once_per_point(f.value)
     xs = sorted(set(float(x) for x in grid))
     vals = [fn(x) for x in xs]
     worst, worst_gap = None, float("-inf")
@@ -480,9 +498,10 @@ def is_concave_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeChec
 def is_weakly_superadditive_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeCheck:
     """Check ``f(a) + f(b) <= f(a + b)`` for grid pairs with ``a <= 0 <= b``.
 
-    Pairs whose sum leaves the evaluation domain are skipped.
+    Pairs whose sum leaves the evaluation domain are skipped.  f runs once
+    per distinct point.
     """
-    fn = f.value
+    fn = _once_per_point(f.value)
     xs = sorted(set(float(x) for x in grid))
     neg = [x for x in xs if x <= 0.0]
     pos = [x for x in xs if x >= 0.0]

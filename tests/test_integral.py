@@ -34,7 +34,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued
-from choqrisk.integral import _collapse_points, _halves
+from choqrisk.integral import _cell_sums, _collapse_points, _halves, _step_cells
 from choqrisk.premium import Scenario, risk_neutral_premium
 from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
@@ -314,6 +314,30 @@ def test_step_integral_orientation():
 
 def test_step_integral_empty_range():
     assert step_integral(lambda t: 5.0, 2.0, 2.0, []) == 0.0
+
+
+def test_step_cells_sum_to_step_integral_bitwise():
+    # the batched cells of the risk-neutral premium and the translation trial against the scalar
+    # integral of the same tail-gap integrand: ties, values at the ends, reversed and empty ranges
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5):
+        ground = GroundSet(n)
+        mu, nu = random_capacity(rng_from_seed(n), ground), random_capacity(rng_from_seed(n + 9), ground)
+        pool = np.array([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+        xs = np.where(rng.random((300, n)) < 0.5, rng.choice(pool, (300, n)), rng.uniform(-3.0, 3.0, (300, n)))
+        lo = np.where(rng.random(300) < 0.3, rng.choice(pool, 300), rng.uniform(-3.0, 3.0, 300))
+        hi = np.where(rng.random(300) < 0.3, rng.choice(pool, 300), rng.uniform(-3.0, 3.0, 300))
+        hi[::7] = lo[::7]
+        width, above, below, sign = _step_cells(xs, lo, hi)
+        mu_t, nu_t = np.asarray(mu.table), np.asarray(nu.table)
+        sums = _cell_sums(width, sign, mu_t[above] - (1.0 - nu_t[below]))
+        for x, a, b, got in zip(xs.tolist(), lo.tolist(), hi.tolist(), sums.tolist()):
+            rv = RandomVariable(ground, x)
+
+            def integrand(s):
+                return survival(mu, rv, s) - (1.0 - lower_tail(nu, rv, s))
+
+            assert repr(got) == repr(step_integral(integrand, a, b, x))
 
 
 # --- random variable arithmetic ------------------------------------------------------

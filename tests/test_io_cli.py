@@ -214,6 +214,15 @@ def test_cli_premium(tmp_path, mu_file, nu_file, capsys):
     assert "risk_neutral_premium" in out
 
 
+def test_cli_premium_reports_a_utility_overflow(tmp_path, mu_file, nu_file, capsys):
+    # w - X = (-20, -1) and exp:70 overflows a float at u(-20) = 1 - exp(1400)
+    doc = {"w": 0.0, "X": [20.0, 1.0], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:70"}
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["premium", str(sc)]) == 1
+    assert capsys.readouterr().err == "error: exp:70: u(-20.0) is not a finite float (overflow)\n"
+
+
 @pytest.mark.parametrize("field,value", [("w", True), ("X", [True, 2.0])])
 def test_cli_premium_rejects_booleans(tmp_path, mu_file, nu_file, capsys, field, value):
     doc = {"w": 1.0, "X": [0.5, -0.5], "mu_file": "mu.json", "nu_file": "nu.json",

@@ -5,8 +5,11 @@ The linear-utility identity ``premium == risk_neutral_premium`` is the
 consistency check that pins the capacity order in the benchmark formula.
 """
 
+import importlib
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +36,7 @@ from choqrisk import (
 )
 from choqrisk.errors import OutOfClass, ZeroOneCapacity
 from choqrisk.premium import class_membership, sample_outcomes, two_point_outcomes
+from choqrisk.utility import parse_utility
 from choqrisk.sampling import (
     random_capacity,
     random_dominant_pair,
@@ -360,3 +364,340 @@ def test_nonneg_loss_stops_at_the_witness(mu_worked, nu_worked, g2):
     report = nonneg_loss_check(Power(0.5, 2.0), mu_worked, nu_worked, [(w, x), bad])
     assert not report.averse and report.checked == 1
     assert (report.witness.w, report.witness.x) == (w, x)
+
+
+# --- the batched engine and the scans on it ----------------------------------------------------
+#
+# The scans used to price one row at a time; those loops are kept here verbatim as the
+# reference the kernel-backed scans must reproduce, repr for repr.
+
+pm = importlib.import_module("choqrisk.premium")  # the package's premium() hides the module
+
+
+def scalar_is_risk_averse(u, mu, nu, outcomes):
+    checked = skipped = 0
+    for w, x in outcomes:
+        s = Scenario(w, x, mu, nu, u)
+        reason, pi = pm._price(s)
+        if reason is not None:
+            skipped += 1
+            continue
+        checked += 1
+        shortfall = risk_neutral_premium(s) - pi
+        if shortfall > pm.PREMIUM_TOL:
+            return pm.RiskAversionReport(False, checked, skipped, s, shortfall)
+    return pm.RiskAversionReport(True, checked, skipped, None, 0.0)
+
+
+def scalar_compare_agents(u, v, mu, nu, outcomes):
+    hypotheses = pm.dominates_dual(mu, nu).holds and pm.coexistence_set(mu, nu) is not None
+
+    lo = max(u.domain_lo, v.domain_lo)
+    hi = min(u.domain_hi, v.domain_hi)
+    shrink = lambda t, s: t + s * max(1e-6, abs(t) * 1e-6)
+    glo = shrink(lo, 1.0) if lo > -np.inf else -10.0
+    ghi = shrink(hi, -1.0) if hi < np.inf else 10.0
+    grid = [glo + k * (ghi - glo) / 200 for k in range(201)]
+
+    r_order = all(
+        not ru < rv - pm.PREMIUM_TOL
+        for ru, rv in pm._where_differentiable(lambda x: (pm.arrow_pratt(u, x), pm.arrow_pratt(v, x)), grid)
+    )
+    comp = pm.compose_via_inverse(u, v)
+    comp_concave = all(g2 <= pm.PREMIUM_TOL for g2 in pm._where_differentiable(comp.second, comp.grid()))
+
+    premium_order = True
+    witness = None
+    checked = 0
+    for w, x in outcomes:
+        su = Scenario(w, x, mu, nu, u)
+        reason_u, pi_u = pm._price(su)
+        if reason_u is not None:
+            continue
+        reason_v, pi_v = pm._price(Scenario(w, x, mu, nu, v))
+        if reason_v is not None:
+            continue
+        checked += 1
+        if pi_u < pi_v - pm.PREMIUM_TOL:
+            premium_order = False
+            witness = su
+            break
+    return pm.AgentComparison(
+        hypotheses, premium_order, r_order, comp_concave, checked, witness
+    )
+
+
+def scalar_nonneg_loss_check(u, mu, nu, outcomes):
+    if mu.is_zero_one_valued():
+        raise ZeroOneCapacity("hypothesis requires a capacity that is not {0,1}-valued")
+
+    def capped():
+        # lazy, so a bad row after the witness is never reached
+        for w, x in outcomes:
+            if any(v > w for v in x.values):
+                raise ValueError("sampler must keep X <= w pointwise")
+            yield w, x
+
+    scan = scalar_is_risk_averse(u, mu, nu, capped())
+    hi = min(u.domain_hi, 10.0)
+    pts = 101
+    eps = max(1e-9, hi * 1e-9)
+    grid = [0.0 + k * (hi - eps) / (pts - 1) for k in range(pts)]
+    if not u.closed_at_lo and u.domain_lo >= 0.0:
+        grid = grid[1:]
+    concave = pm.is_concave_on(u, grid).holds
+    return pm.NonnegLossReport(scan.averse, concave, scan.averse == concave, scan.checked, scan.witness)
+
+
+TABLE = "utable:-3,-6;-1,-1.5;0,0;1,0.8;2,1.4;4,2.2;6,2.8"
+#: exp:70 saturates to 1.0 (out of its open range) and overflows below about -10
+SCAN_SPECS = ("exp:1", "exp:70", "power:1,0.5", "power:0,0.5", "log:1", TABLE, "negsqrt", "kink")
+AGENT_PAIRS = (("exp:1", "exp:2"), ("negsqrt", "linear"), (TABLE, "exp:1"), ("exp:70", "log:1"))
+
+
+def scan_rows(rng, ground, count, capped=False):
+    """(w, X) rows drawn from a small pool: ties, values at 0 and at w, w = 0, and X > w + 1
+    (out of the power and log domains).  Half the rows are constant, which no scan flags,
+    so witnesses fall at varied rows."""
+    rows = []
+    for _ in range(count):
+        w = float(rng.choice([0.0, 0.5, 1.0, 2.5, rng.uniform(0.0, 3.0)]))
+        pool = [-2.0, -0.5, 0.0, 0.5, w, w + 1.5, float(rng.uniform(-3.0, 3.0))]
+        vals = [float(rng.choice(pool)) for _ in range(ground.n)]
+        if rng.random() < 0.5:
+            vals = vals[:1] * ground.n
+        rows.append((w, RandomVariable(ground, tuple(min(v, w) for v in vals) if capped else tuple(vals))))
+    return rows
+
+
+def outcome_of(fn, *args):
+    """repr of fn's result, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def with_bad_rows(rng, rows, ground, bad):
+    """rows with 0-2 of the rows in ``bad`` inserted at random places."""
+    rows = list(rows)
+    for _ in range(int(rng.integers(0, 3))):
+        rows.insert(int(rng.integers(0, len(rows) + 1)), bad[int(rng.integers(0, len(bad)))])
+    return rows
+
+
+def bad_rows(ground, capped=False):
+    other = GroundSet(ground.n + 1)
+    rows = [
+        (-1.0, RandomVariable(ground, (0.0,) * ground.n)),  # negative wealth
+        (1.0, RandomVariable(other, (0.0,) * other.n)),  # another ground set
+        # exp:70 overflows at every value; the row raises at its first one, u(-10 - 10n)
+        (0.0, RandomVariable(ground, tuple(10.0 + 10.0 * (ground.n - i) for i in range(ground.n)))),
+    ]
+    if not capped:
+        rows.append((1e308, RandomVariable(ground, (-1e308,) * ground.n)))  # w - X is infinite
+    return rows
+
+
+def generated(rows, fail_at=None):
+    for j, row in enumerate(rows):
+        if j == fail_at:
+            raise RuntimeError(f"the generator failed at row {j}")
+        yield row
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_premium_batch_matches_the_scalar_pricing_row_by_row(n):
+    rng = rng_from_seed(400 + n)
+    ground = GroundSet(n)
+    for spec in SCAN_SPECS:
+        u = parse_utility(spec)
+        mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+        # rows where exp:70 overflows stop a batch; the next test takes them
+        rows = [row for row in scan_rows(rng, ground, 40) if not (spec == "exp:70" and row[1].max - row[0] > 10)]
+        ws, xs = np.array([w for w, _ in rows]), np.array([x.values for _, x in rows])
+        batch = pm.premium_batch(ws, xs, mu, nu, u)
+        pi0 = pm._risk_neutral_rows(ws, xs, mu, nu)
+        assert batch.error is None and len(batch.reasons) == len(rows)
+        for i, (w, x) in enumerate(rows):
+            s = Scenario(w, x, mu, nu, u)
+            assert batch.reasons[i] == class_membership(s)[1]
+            assert repr(pi0[i].item()) == repr(risk_neutral_premium(s))
+            assert outcome_of(batch.premium, i) == outcome_of(premium, s)
+        reasons = set(batch.reasons)
+        assert None in reasons
+        if spec in ("power:1,0.5", "log:1"):
+            assert "values" in reasons
+
+
+def test_premium_batch_stops_at_a_utility_error_and_takes_an_empty_batch(mu_worked, nu_worked):
+    u = parse_utility("exp:70")
+    ws, xs = [1.0, 0.0, 2.0, 0.0], [(0.5, -0.5), (20.0, 1.0), (0.0, 0.0), (30.0, 30.0)]
+    batch = pm.premium_batch(ws, xs, mu_worked, nu_worked, u)
+    assert len(batch.reasons) == 1 and batch.reasons[0] is None
+    assert str(batch.error) == "exp:70: u(-20.0) is not a finite float (overflow)"
+    empty = pm.premium_batch([], np.zeros((0, 2)), mu_worked, nu_worked, u)
+    assert (empty.reasons, empty.levels, empty.error) == ((), (), None)
+    assert pm._risk_neutral_rows(np.zeros(0), np.zeros((0, 2)), mu_worked, nu_worked).shape == (0,)
+
+
+def test_premium_batch_stops_at_a_non_finite_outcome(mu_worked, nu_worked):
+    # w - X overflows in the third row; the first two are priced, as the scalar scan prices them
+    ws, xs = [1.0, 0.0, 1e308, 2.0], [(0.5, -0.5), (0.0, 0.0), (-1e308, 0.0), (0.0, 0.0)]
+    batch = pm.premium_batch(ws, xs, mu_worked, nu_worked, Exponential(1.0))
+    assert batch.reasons == (None, None) and str(batch.error) == "values must be finite"
+
+
+@pytest.mark.parametrize(
+    "ws, xs, message",
+    [([1.0, 2.0], [(0.0, 0.0)], "expected 1 wealths"),
+     ([1.0], [(0.0, 0.0, 0.0)], "expected rows of 2 values"),
+     ([1.0], [(math.inf, 0.0)], "values must be finite")],
+)
+def test_premium_batch_rejects_malformed_input(mu_worked, nu_worked, ws, xs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pm.premium_batch(ws, xs, mu_worked, nu_worked, Exponential(1.0))
+
+
+@pytest.mark.parametrize("first, cap", [(1, 1), (1, 3), (16, 256)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scans_match_the_row_by_row_reference(n, first, cap, monkeypatch):
+    monkeypatch.setattr(pm, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(pm, "_SCAN_CHUNK", cap)
+    rng = rng_from_seed(500 + 10 * n + cap)
+    ground = GroundSet(n)
+    witness_rows = set()
+    for trial in range(6):
+        mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+        rows = with_bad_rows(rng, scan_rows(rng, ground, int(rng.integers(0, 30))), ground, bad_rows(ground))
+        capped = with_bad_rows(
+            rng, scan_rows(rng, ground, int(rng.integers(0, 30)), capped=True), ground,
+            bad_rows(ground, capped=True) + [(0.0, RandomVariable(ground, (1.0,) * n))],  # X > w
+        )
+        fail_at = int(rng.integers(0, len(rows) + 1))
+        for spec in SCAN_SPECS:
+            u = parse_utility(spec)
+            got = outcome_of(is_risk_averse, u, mu, nu, rows)
+            assert got == outcome_of(scalar_is_risk_averse, u, mu, nu, rows)
+            if "witness=Scenario" in got:
+                witness_rows.add(got.split("checked=")[1].split(",")[0])
+            got = outcome_of(is_risk_averse, u, mu, nu, generated(rows, fail_at))
+            assert got == outcome_of(scalar_is_risk_averse, u, mu, nu, generated(rows, fail_at))
+            got = outcome_of(nonneg_loss_check, u, mu, nu, capped)
+            assert got == outcome_of(scalar_nonneg_loss_check, u, mu, nu, capped)
+        for a, b in (AGENT_PAIRS[trial % 4], AGENT_PAIRS[(trial + 1) % 4]):
+            u, v = parse_utility(a), parse_utility(b)
+            got = outcome_of(compare_agents, u, v, mu, nu, rows)
+            assert got == outcome_of(scalar_compare_agents, u, v, mu, nu, rows)
+            if "witness=Scenario" in got:
+                witness_rows.add(got.split("checked=")[1].split(",")[0])
+            got = outcome_of(compare_agents, v, u, mu, nu, iter(rows))
+            assert got == outcome_of(scalar_compare_agents, v, u, mu, nu, iter(rows))
+    # witnesses fall at varied rows; with one element every premium is X itself
+    assert len(witness_rows) >= 3 or n == 1
+
+
+def test_scans_take_an_empty_input(mu_worked, nu_worked):
+    u = Exponential(1.0)
+    for scan, reference in ((is_risk_averse, scalar_is_risk_averse), (nonneg_loss_check, scalar_nonneg_loss_check)):
+        assert repr(scan(u, mu_worked, nu_worked, [])) == repr(reference(u, mu_worked, nu_worked, []))
+        assert repr(scan(u, mu_worked, nu_worked, iter(()))) == repr(reference(u, mu_worked, nu_worked, []))
+    v = Exponential(2.0)
+    assert repr(compare_agents(u, v, mu_worked, nu_worked, [])) == repr(
+        scalar_compare_agents(u, v, mu_worked, nu_worked, [])
+    )
+
+
+def counted(rows, drawn):
+    """rows, yielded one at a time, with the number drawn so far in ``drawn[0]``."""
+    for row in rows:
+        drawn[0] += 1
+        yield row
+
+
+@pytest.mark.parametrize("at", [0, 1, 15, 16, 47, 48, 100, 300])
+def test_scans_read_the_input_in_doubling_chunks(at, mu_worked, nu_worked):
+    # the convex u prices X = (3, 0) at w = 3 below pi0 and the linear v, and a constant X at X
+    u, v = Power(0.5, 2.0), parse_utility("linear")
+    g2 = GroundSet(2)
+    flat, witness = (1.0, RandomVariable(g2, (0.5, 0.5))), (3.0, RandomVariable(g2, (3.0, 0.0)))
+    rows = [flat] * at + [witness] + [flat] * 600
+    # chunks of 16, 32, 64, 128 and 256 rows end after 16, 48, 112, 240 and 496 rows
+    read = next(end for end in (16, 48, 112, 240, 496) if at < end)
+    assert read <= min(2 * at + 16, at + 256)
+    drawn = [0]
+    report = is_risk_averse(u, mu_worked, nu_worked, counted(rows, drawn))
+    assert (report.averse, report.checked, drawn[0]) == (False, at + 1, read)
+    drawn = [0]
+    report = nonneg_loss_check(u, mu_worked, nu_worked, counted(rows, drawn))
+    assert (report.averse, report.checked, drawn[0]) == (False, at + 1, read)
+    drawn = [0]
+    comparison = compare_agents(u, v, mu_worked, nu_worked, counted(rows, drawn))
+    assert (comparison.premium_order_holds, comparison.checked, drawn[0]) == (False, at + 1, read)
+
+
+def counted_inverse(u):
+    """u with its inverse calls counted in ``calls``."""
+    calls = []
+    inverse = u.inverse
+    object.__setattr__(u, "inverse", lambda y: calls.append(y) or inverse(y))
+    return u, calls
+
+
+def test_scans_make_no_scalar_integral_call_and_one_inverse_per_row(monkeypatch):
+    rng = rng_from_seed(3)
+    ground = GroundSet(8)
+    mu, nu = random_dominant_pair(rng, ground)
+    batch = sample_outcomes(rng, ground, 250)
+    capped = [(w, x) for w, x in batch if max(x.values) <= w]
+    expected = {}
+    for spec in ("exp:1", "power:1,0.5", "log:1", TABLE, "negsqrt"):
+        u = parse_utility(spec)
+        expected[spec] = (scalar_is_risk_averse(u, mu, nu, batch), scalar_nonneg_loss_check(u, mu, nu, capped))
+    pairs = (("exp:1", "exp:0.5"), ("power:1,0.5", "linear"), ("exp:0.5", "exp:1"))
+    expected_rows = {}
+    for a, b in pairs:
+        comp = scalar_compare_agents(parse_utility(a), parse_utility(b), mu, nu, batch)
+        upto = batch if comp.witness is None else batch[: [x for _, x in batch].index(comp.witness.x) + 1]
+        expected_rows[a, b] = sum(class_membership(Scenario(w, x, mu, nu, parse_utility(a)))[0] for w, x in upto)
+
+    monkeypatch.setattr(pm, "gen_choquet", lambda *args: pytest.fail("a scan called the scalar integral"))
+    for spec, (averse, nonneg) in expected.items():
+        u, calls = counted_inverse(parse_utility(spec))
+        report = is_risk_averse(u, mu, nu, batch)
+        assert repr(report) == repr(averse) and len(calls) == report.checked
+        calls.clear()
+        report = nonneg_loss_check(u, mu, nu, capped)
+        assert repr(report) == repr(nonneg) and len(calls) == report.checked
+    for a, b in pairs:
+        u, calls = counted_inverse(parse_utility(a))
+        compare_agents(u, parse_utility(b), mu, nu, batch)
+        assert 0 < len(calls) <= expected_rows[a, b]
+
+
+class OverflowingKink(NegSqrtKink):
+    """x - sqrt((-x)+), except that u overflows below -100, as exp:70 does below about -10."""
+
+    def _value(self, x):
+        if x < -100.0:
+            raise OverflowError("math range error")
+        return super()._value(x)
+
+
+def test_risk_aversion_scan_raises_a_utility_overflow_at_its_row(mu_worked, nu_worked, g2, pl_pair):
+    fine = (1.0, RandomVariable(g2, (0.5, -0.5)))
+    overflow = (0.0, RandomVariable(g2, (20.0, 1.0)))
+    with pytest.raises(ValueError, match=re.escape("exp:70: u(-20.0) is not a finite float (overflow)")):
+        is_risk_averse(parse_utility("exp:70"), mu_worked, nu_worked, [fine, overflow, fine])
+    # with a witness before the overflowing row the scan returns it; after it, the row raises
+    pl, _ = pl_pair
+    rows = list(two_point_outcomes(pl.ground, 1.0, [-6.0 + 0.5 * k for k in range(12)], [0.25 * k for k in range(9)]))
+    witness = is_risk_averse(NegSqrtKink(), pl, pl, rows)
+    at = witness.checked + witness.skipped
+    far = (0.0, RandomVariable(g2, (150.0, 150.0)))
+    report = is_risk_averse(OverflowingKink(), pl, pl, rows[:at] + [far] + rows[at:])
+    assert (report.averse, report.checked, report.skipped, repr(report.gap)) == (
+        False, witness.checked, witness.skipped, repr(witness.gap))
+    assert (report.witness.w, report.witness.x.values) == (witness.witness.w, witness.witness.x.values)
+    with pytest.raises(ValueError, match=re.escape("negsqrt: u(-150.0) is not a finite float (overflow)")):
+        is_risk_averse(OverflowingKink(), pl, pl, rows[: at - 1] + [far] + rows[at - 1 :])

@@ -8,6 +8,7 @@ closed-form derivative; step 1e-4, tolerance 1e-5 at interior points.
 import math
 import re
 
+import numpy as np
 import pytest
 
 from choqrisk import (
@@ -27,7 +28,7 @@ from choqrisk import (
     parse_utility,
 )
 from choqrisk.errors import DomainError, NonDifferentiable, NotInRange
-from choqrisk.utility import UtilityFunction, default_grid
+from choqrisk.utility import SHAPE_TOL, ShapeCheck, UtilityFunction, default_grid
 
 FD_STEP = 1e-4
 FD_TOL = 1e-5
@@ -241,6 +242,77 @@ def test_convex_probe_is_not_weakly_superadditive():
 def test_ws_grid_must_straddle_zero():
     with pytest.raises(ValueError):
         is_weakly_superadditive_on(Linear(), [1.0, 2.0])
+
+
+def double_loop_concave(f, grid, tol=SHAPE_TOL):
+    """``is_concave_on`` as a double loop that calls f at every pair's midpoint (the reference)."""
+    fn = f.value
+    xs = sorted(set(float(x) for x in grid))
+    vals = [fn(x) for x in xs]
+    worst, worst_gap = None, float("-inf")
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            gap = (vals[i] + vals[j]) / 2.0 - fn((xs[i] + xs[j]) / 2.0)
+            if gap > worst_gap:
+                worst, worst_gap = (xs[i], xs[j]), gap
+    return ShapeCheck(worst_gap <= tol, None if worst_gap <= tol else worst, worst_gap)
+
+
+def double_loop_superadditive(f, grid, tol=SHAPE_TOL):
+    """``is_weakly_superadditive_on`` as a double loop that calls f three times per pair."""
+    fn = f.value
+    xs = sorted(set(float(x) for x in grid))
+    neg = [x for x in xs if x <= 0.0]
+    pos = [x for x in xs if x >= 0.0]
+    if not neg or not pos:
+        raise ValueError("grid must straddle 0")
+    worst, worst_gap = None, float("-inf")
+    for a in neg:
+        for b in pos:
+            if not f.in_domain(a + b):
+                continue
+            gap = fn(a) + fn(b) - fn(a + b)
+            if gap > worst_gap:
+                worst, worst_gap = (a, b), gap
+    return ShapeCheck(worst_gap <= tol, None if worst_gap <= tol else worst, worst_gap)
+
+
+SHAPE_UTILITIES = [
+    Exponential(1.0), Power(1.0, 0.5), Power(0.5, 2.0), Logarithmic(1.0), NegSqrtKink(),
+    PiecewiseLinearKink(), Linear(), TabulatedUtility(((-3.0, -6.0), (-1.0, -1.5), (0.0, 0.0), (2.0, 1.4))),
+]
+
+
+@pytest.mark.parametrize("u", SHAPE_UTILITIES, ids=lambda u: u.spec())
+def test_shape_checks_match_the_double_loops_bitwise(u):
+    rng = np.random.default_rng(17)
+    for trial in range(20):
+        lo, hi = max(u.domain_lo + 1e-6, -4.0), min(u.domain_hi, 4.0)
+        pts = rng.uniform(lo, hi, int(rng.integers(2, 30)))
+        # a lattice makes midpoints land on grid points; signed zeros test the memo's keys
+        pts = np.round(pts * 4.0) / 4.0 if trial % 2 else pts
+        grid = [float(p) for p in pts] + [[0.0], [-0.0], []][trial % 3]
+        grid = [x for x in grid if u.in_domain(x)]
+        if len(grid) < 2:
+            continue
+        assert repr(is_concave_on(u, grid)) == repr(double_loop_concave(u, grid))
+        if min(grid) <= 0.0 <= max(grid):
+            assert repr(is_weakly_superadditive_on(u, grid)) == repr(double_loop_superadditive(u, grid))
+
+
+def test_shape_checks_call_f_once_per_distinct_point():
+    u = Exponential(1.0)
+    calls = []
+    object.__setattr__(u, "value", lambda x: calls.append(x) or Exponential.value(u, x))
+    # nonneg_loss_check's concavity grid: 101 points on [0, 10)
+    grid = [0.0 + k * (10.0 - 1e-8) / 100 for k in range(101)]
+    assert repr(is_concave_on(u, grid)) == repr(double_loop_concave(Exponential(1.0), grid))
+    midpoints = {(a + b) / 2.0 for i, a in enumerate(grid) for b in grid[i + 1 :]}
+    assert len(calls) == len(set(calls)) == len(midpoints | set(grid)) == 435  # the double loop: 5,151
+    calls.clear()
+    grid = [-5.0 + 0.25 * k for k in range(41)]
+    assert repr(is_weakly_superadditive_on(u, grid)) == repr(double_loop_superadditive(Exponential(1.0), grid))
+    assert len(calls) == len(set(calls)) == 41  # every sum a + b is a grid point
 
 
 # --- composition -----------------------------------------------------------------------
