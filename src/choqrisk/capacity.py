@@ -431,7 +431,7 @@ def _disjoint_scan(ground: GroundSet, t: np.ndarray, score: Callable[[np.ndarray
     union_low = a_low | b_low
     a_highs, b_highs = _disjoint_assignments(split, n)
     best, first = -np.inf, None
-    for a_high in np.unique(a_highs).tolist():
+    for a_high in sorted(set(a_highs.tolist())):  # np.unique would import numpy.ma
         if first_hit and first is not None:
             break
         for b_high in b_highs[a_highs == a_high].tolist():

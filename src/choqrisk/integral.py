@@ -65,15 +65,15 @@ class RandomVariable:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if len(values) != self.ground.n:
             raise ValueError(f"expected {self.ground.n} values, got {len(values)}")
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("values must be finite")
 
     def map(self, fn: Callable[[float], float]) -> "RandomVariable":
-        return RandomVariable(self.ground, tuple(fn(v) for v in self.values))
+        return RandomVariable(self.ground, tuple(map(fn, self.values)))
 
     def __add__(self, a: float) -> "RandomVariable":
         return RandomVariable(self.ground, tuple(v + a for v in self.values))
@@ -150,16 +150,22 @@ def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
     and ``nu(X <= d)``, by other code.
     """
     _check_same_ground(mu, nu, x)
-    ds, upto = _groups(x.values)
-    full = x.ground.full
+    return _walk_groups(mu, nu, _groups(x.values), x.ground.full)
+
+
+def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> float:
+    """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans; the
+    caller has checked that mu, nu and X share it."""
+    ds, upto = groups
+    mu_t, nu_t = mu.table, nu.table
     # at group g: X <= the previous value, which is X < d
     lt = [0, *upto]
     total = lower_part = 0.0
     for g, d in enumerate(ds):
         if d > 0.0:
-            total += d * (mu.table[full ^ lt[g]] - mu.table[full ^ lt[g + 1]])
+            total += d * (mu_t[full ^ lt[g]] - mu_t[full ^ lt[g + 1]])
         elif d < 0.0:
-            lower_part += d * (nu.table[lt[g]] - nu.table[lt[g + 1]])
+            lower_part += d * (nu_t[lt[g]] - nu_t[lt[g + 1]])
     return total - lower_part
 
 

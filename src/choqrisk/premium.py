@@ -37,8 +37,8 @@ from .integral import (
     _lower,
     _outcome_rows,
     _step_cells,
+    _walk_groups,
     gen_choquet,
-    step_integral,
 )
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
@@ -86,15 +86,15 @@ def _price(s: Scenario) -> tuple[str | None, float | None]:
     the inverse applies.  Both tests are the utility's own ``in_domain``
     and ``in_range``, so endpoints are admitted exactly where u has them.
     """
-    y = s.outcome
-    if not all(s.u.in_domain(v) for v in y.values):
+    u, y = s.u, s.outcome
+    if not all(map(u.in_domain, y.values)):
         return "values", None
-    if not s.u.in_domain(gen_choquet(s.mu, s.nu, y)):
+    if not u.in_domain(gen_choquet(s.mu, s.nu, y)):
         return "outcome_integral", None
-    mu_val = gen_choquet(s.mu, s.nu, y.map(s.u.value))
-    if not s.u.in_range(mu_val):
+    mu_val = gen_choquet(s.mu, s.nu, y.map(u.value))
+    if not u.in_range(mu_val):
         return "utility_integral", None
-    return None, s.w - s.u.inverse(mu_val)
+    return None, s.w - u.inverse(mu_val)
 
 
 def class_membership(s: Scenario) -> tuple[bool, str | None]:
@@ -111,22 +111,32 @@ def premium(s: Scenario) -> float:
     return pi
 
 
-def _tail_gap_integral(mu: Capacity, nu: Capacity, z: RandomVariable, upper: float) -> float:
-    """Exact ``int_0^upper (dual(nu)(Z < t) - mu(Z < t)) dt``."""
+def _tail_gap_integral(mu: Capacity, nu: Capacity, groups, full: int, upper: float) -> float:
+    """Exact ``int_0^upper (dual(nu)(Z < t) - mu(Z < t)) dt`` from the ``_groups`` of Z.
 
-    groups = _groups(z.values)
-
-    def integrand(t: float) -> float:
+    ``step_integral`` with the values of Z as breakpoints, bit for bit: its
+    cells run over 0, the distinct values strictly between 0 and upper, and
+    upper, in ascending order; each is read at its midpoint and added left
+    to right, and a negative upper flips the sign.
+    """
+    if upper == 0.0:
+        return 0.0
+    lo, hi, sign = (upper, 0.0, -1.0) if 0.0 > upper else (0.0, upper, 1.0)
+    pts = [lo, *(d for d in groups[0] if lo < d < hi), hi]
+    mu_t, nu_t = mu.table, nu.table
+    acc = 0.0
+    for left, right in zip(pts, pts[1:]):
+        below = _lower(groups, (left + right) / 2.0, True)
         # dual(nu)(Z < t) = 1 - nu(Z >= t), and Z >= t is the complement of Z < t
-        below = _lower(groups, t, True)
-        return (1.0 - nu.table[z.ground.full ^ below]) - mu.table[below]
-
-    return step_integral(integrand, 0.0, upper, z.values)
+        acc += (right - left) * ((1.0 - nu_t[full ^ below]) - mu_t[below])
+    return sign * acc
 
 
 def risk_neutral_premium(s: Scenario) -> float:
-    """Linear-utility benchmark premium; ignores ``s.u``."""
-    return gen_choquet(s.nu, s.mu, s.x) + _tail_gap_integral(s.mu, s.nu, s.x, s.w)
+    """Linear-utility benchmark premium; ignores ``s.u``.  One ``_groups`` of X
+    serves the swapped integral and the tail gap."""
+    groups, full = _groups(s.x.values), s.x.ground.full
+    return _walk_groups(s.nu, s.mu, groups, full) + _tail_gap_integral(s.mu, s.nu, groups, full, s.w)
 
 
 def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacity) -> np.ndarray:
@@ -157,7 +167,8 @@ def approx_premium(s: Scenario) -> float:
         raise ZeroDerivative(f"u'({s.w}) = {d1}")
     y = s.x.map(lambda v: v + r * v * v / 2.0)
     upper = s.u.value(s.w) / d1
-    return gen_choquet(s.nu, s.mu, y) + _tail_gap_integral(s.mu, s.nu, y, upper)
+    groups, full = _groups(y.values), y.ground.full
+    return _walk_groups(s.nu, s.mu, groups, full) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
 
 
 @dataclass(frozen=True)

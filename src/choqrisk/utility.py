@@ -15,7 +15,9 @@ midpoint concavity over all grid pairs, and the two-sided inequality
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DomainError, NonDifferentiable, NotInRange, ZeroDerivative
@@ -59,7 +61,9 @@ class UtilityFunction:
         return x
 
     def value(self, x: float) -> float:
-        x = self._require(x)
+        x = float(x)
+        if not self.in_domain(x):
+            raise DomainError(f"{self.spec()}: {x!r} outside domain")
         try:
             v = self._value(x)
         except OverflowError:
@@ -361,11 +365,17 @@ class PiecewiseLinearKink(UtilityFunction):
         return "kink"
 
 
+_abscissa = itemgetter(0)
+
+
 def _segment(knots: Sequence[tuple[float, float]], x: float) -> Sequence[tuple[float, float]]:
-    """End knots of the segment holding x (the first or last one beyond the ends)."""
-    j = 1
-    while j < len(knots) - 1 and knots[j][0] < x:
-        j += 1
+    """End knots of the segment holding x (the first or last one beyond the ends).
+
+    The segment ends at the first inner knot at or beyond x, found by
+    bisection over the abscissae, or at the last knot; below the first
+    knot and at NaN it is the first segment.
+    """
+    j = bisect_left(knots, x, 1, len(knots) - 1, key=_abscissa)
     return knots[j - 1], knots[j]
 
 
@@ -383,7 +393,9 @@ class TabulatedUtility(UtilityFunction):
     ends: the end knots belong to them.  The inverse runs the generic
     bisection bracket rather than segment algebra, exercising the fallback
     path an empirical (non-closed-form) utility would take; tests pin it
-    against the exact segment inverse.
+    against the exact segment inverse.  Its steps find each midpoint's
+    segment by bisection over the knot abscissae (``_segment``), looked
+    up again only when the midpoint leaves the segment of the step before.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -413,10 +425,9 @@ class TabulatedUtility(UtilityFunction):
         return _interpolate(self.knots, x)
 
     def _prime(self, x: float) -> float:
-        for kx, _ in self.knots:
-            if x == kx:
-                raise NonDifferentiable(f"{self.spec()}: knot at {x}")
         (x0, y0), (x1, y1) = _segment(self.knots, x)
+        if x == x0 or x == x1:  # a knot: the segment's right end, or the first knot
+            raise NonDifferentiable(f"{self.spec()}: knot at {x}")
         return (y1 - y0) / (x1 - x0)
 
     def _second(self, x: float) -> float:
@@ -425,9 +436,13 @@ class TabulatedUtility(UtilityFunction):
 
     def _inverse(self, y: float) -> float:
         lo, hi = self.domain_lo, self.domain_hi
+        x0 = x1 = lo  # no segment in hand yet: (x0, x1] is empty
         for _ in range(BISECTION_MAX_ITER):
             mid = (lo + hi) / 2.0
-            v = self._value(mid)
+            # _segment maps every point of (x0, x1] to this segment; else look it up again
+            if not x0 < mid <= x1:
+                (x0, y0), (x1, y1) = _segment(self.knots, mid)
+            v = y0 + (y1 - y0) * (mid - x0) / (x1 - x0)  # _interpolate's formula
             if abs(v - y) <= BISECTION_TOL:
                 return mid
             if v < y:

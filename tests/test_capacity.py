@@ -5,6 +5,10 @@ here, independent of the package's zeta-transform route.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,6 +661,24 @@ def test_pair_scan_refuses_n_17_before_building_its_blocks(monkeypatch):
     monkeypatch.setattr(capacity, "_disjoint_assignments", unreachable)
     with pytest.raises(TooLarge):
         is_superadditive(p)
+
+
+def test_pair_scan_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which costs time and memory in a fresh process
+    code = (
+        "import sys\n"
+        "from choqrisk import GroundSet, is_superadditive\n"
+        "from choqrisk.sampling import random_capacity, rng_from_seed\n"
+        "mu = random_capacity(rng_from_seed(5), GroundSet(13))\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "is_superadditive(mu)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "False"]
 
 
 def test_capacity_repr_uses_labels():

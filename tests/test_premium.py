@@ -34,7 +34,8 @@ from choqrisk import (
     risk_neutral_premium,
     unanimity,
 )
-from choqrisk.errors import OutOfClass, ZeroOneCapacity
+from choqrisk.errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
+from choqrisk.integral import _groups, _lower, step_integral
 from choqrisk.premium import class_membership, sample_outcomes, two_point_outcomes
 from choqrisk.utility import parse_utility
 from choqrisk.sampling import (
@@ -662,6 +663,7 @@ def test_scans_make_no_scalar_integral_call_and_one_inverse_per_row(monkeypatch)
         expected_rows[a, b] = sum(class_membership(Scenario(w, x, mu, nu, parse_utility(a)))[0] for w, x in upto)
 
     monkeypatch.setattr(pm, "gen_choquet", lambda *args: pytest.fail("a scan called the scalar integral"))
+    monkeypatch.setattr(pm, "_walk_groups", lambda *args: pytest.fail("a scan called the scalar group walk"))
     for spec, (averse, nonneg) in expected.items():
         u, calls = counted_inverse(parse_utility(spec))
         report = is_risk_averse(u, mu, nu, batch)
@@ -701,3 +703,92 @@ def test_risk_aversion_scan_raises_a_utility_overflow_at_its_row(mu_worked, nu_w
     assert (report.witness.w, report.witness.x.values) == (witness.witness.w, witness.witness.x.values)
     with pytest.raises(ValueError, match=re.escape("negsqrt: u(-150.0) is not a finite float (overflow)")):
         is_risk_averse(OverflowingKink(), pl, pl, rows[: at - 1] + [far] + rows[at - 1 :])
+
+
+# --- scalar pricing: one sort per variable --------------------------------------------------
+
+def closure_tail_gap(mu, nu, z, upper):
+    """The tail gap as step_integral over a closure, kept verbatim as the reference."""
+
+    groups = _groups(z.values)
+
+    def integrand(t: float) -> float:
+        # dual(nu)(Z < t) = 1 - nu(Z >= t), and Z >= t is the complement of Z < t
+        below = _lower(groups, t, True)
+        return (1.0 - nu.table[z.ground.full ^ below]) - mu.table[below]
+
+    return step_integral(integrand, 0.0, upper, z.values)
+
+
+def reference_risk_neutral_premium(s):
+    from choqrisk import gen_choquet
+
+    return gen_choquet(s.nu, s.mu, s.x) + closure_tail_gap(s.mu, s.nu, s.x, s.w)
+
+
+def reference_approx_premium(s):
+    from choqrisk import arrow_pratt, gen_choquet
+
+    r = arrow_pratt(s.u, s.w)
+    d1 = s.u.prime(s.w)
+    if d1 <= 0.0:
+        raise ZeroDerivative(f"u'({s.w}) = {d1}")
+    y = s.x.map(lambda v: v + r * v * v / 2.0)
+    upper = s.u.value(s.w) / d1
+    return gen_choquet(s.nu, s.mu, y) + closure_tail_gap(s.mu, s.nu, y, upper)
+
+
+def tail_gap_cases(rng, n):
+    """(values of Z, upper): ties, values at 0 and at upper, signed zeros, an upper of 0.0, -0.0,
+    below 0 or not finite, and neighbouring floats, whose cell midpoint rounds onto a cell end."""
+    tiny = 5e-324
+    for _ in range(60):
+        upper = float(rng.choice([0.0, -0.0, 1.0, -1.5, 2.5, tiny, -tiny, 1.7e308, math.inf, -math.inf, math.nan,
+                                  rng.uniform(-3.0, 3.0)]))
+        edge = upper if math.isfinite(upper) else 2.0
+        pool = [0.0, -0.0, edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf), -1.0, 0.5,
+                tiny, -tiny, 1e308, float(rng.uniform(-3.0, 3.0))]
+        yield tuple(float(rng.choice(pool)) for _ in range(n)), upper
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_tail_gap_matches_the_closure_reference_bitwise(n):
+    rng = rng_from_seed(900 + n)
+    ground = GroundSet(n)
+    for _ in range(6):
+        mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+        for vals, upper in tail_gap_cases(rng, n):
+            z = RandomVariable(ground, vals)
+            got = pm._tail_gap_integral(mu, nu, _groups(z.values), ground.full, upper)
+            assert repr(got) == repr(closure_tail_gap(mu, nu, z, upper)), (vals, upper)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_risk_neutral_and_approx_premium_match_the_reference_bitwise(n):
+    rng = rng_from_seed(950 + n)
+    ground = GroundSet(n)
+    for spec in ("linear", "exp:1", "power:1,0.5", "log:1", TABLE, "kink"):
+        u = parse_utility(spec)
+        mu, nu = random_dominant_pair(rng, ground)
+        for w, x in scan_rows(rng, ground, 40):
+            s = Scenario(w, x, mu, nu, u)
+            assert outcome_of(risk_neutral_premium, s) == outcome_of(reference_risk_neutral_premium, s)
+            assert outcome_of(approx_premium, s) == outcome_of(reference_approx_premium, s)
+
+
+def test_scalar_pricing_sorts_each_variable_once(monkeypatch, mu_worked, nu_worked, x_worked):
+    integral = importlib.import_module("choqrisk.integral")
+    groups, sorted_values = integral._groups, []
+
+    def counting(values):
+        sorted_values.append(values)
+        return groups(values)
+
+    monkeypatch.setattr(integral, "_groups", counting)
+    monkeypatch.setattr(pm, "_groups", counting)
+    s = Scenario(1.0, x_worked, mu_worked, nu_worked, Exponential(1.0))
+    # premium sorts w - X and u(w - X); the benchmark and its approximation sort X or Y once
+    for fn, sorts in ((premium, 2), (risk_neutral_premium, 1), (approx_premium, 1)):
+        sorted_values.clear()
+        fn(s)
+        assert len(sorted_values) == sorts, fn.__name__

@@ -5,6 +5,7 @@ The finite-difference oracles here are the independent check on every
 closed-form derivative; step 1e-4, tolerance 1e-5 at interior points.
 """
 
+import importlib
 import math
 import re
 
@@ -28,7 +29,15 @@ from choqrisk import (
     parse_utility,
 )
 from choqrisk.errors import DomainError, NonDifferentiable, NotInRange
-from choqrisk.utility import SHAPE_TOL, ShapeCheck, UtilityFunction, default_grid
+from choqrisk.utility import (
+    BISECTION_MAX_ITER,
+    BISECTION_TOL,
+    SHAPE_TOL,
+    ShapeCheck,
+    UtilityFunction,
+    _segment,
+    default_grid,
+)
 
 FD_STEP = 1e-4
 FD_TOL = 1e-5
@@ -369,6 +378,146 @@ def test_tabulated_bisection_matches_segment_algebra():
 
     for y in (-2.5, -1.0, 0.0, 0.25, 0.75, 1.0):
         assert u.inverse(y) == pytest.approx(exact_inverse(y), abs=1e-9)
+
+
+def linear_walk_segment(knots, x):
+    """End knots of the segment holding x by a walk over the knots, kept verbatim as the reference."""
+    j = 1
+    while j < len(knots) - 1 and knots[j][0] < x:
+        j += 1
+    return knots[j - 1], knots[j]
+
+
+class LinearWalkTable(TabulatedUtility):
+    """TabulatedUtility with the knot walk and the bisection inverse kept verbatim as the reference."""
+
+    def _value(self, x):
+        (x0, y0), (x1, y1) = linear_walk_segment(self.knots, x)
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+    def _prime(self, x: float) -> float:
+        for kx, _ in self.knots:
+            if x == kx:
+                raise NonDifferentiable(f"{self.spec()}: knot at {x}")
+        (x0, y0), (x1, y1) = linear_walk_segment(self.knots, x)
+        return (y1 - y0) / (x1 - x0)
+
+    def _inverse(self, y: float) -> float:
+        lo, hi = self.domain_lo, self.domain_hi
+        for _ in range(BISECTION_MAX_ITER):
+            mid = (lo + hi) / 2.0
+            v = self._value(mid)
+            if abs(v - y) <= BISECTION_TOL:
+                return mid
+            if v < y:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= BISECTION_TOL * max(1.0, abs(lo)):
+                break
+        return (lo + hi) / 2.0
+
+
+def knot_tables(rng):
+    """Knot tables through (0, 0): two knots, dyadic knots that bisection midpoints land on,
+    neighbouring floats as knots, and random tables of 3-9 knots."""
+    tiny = 5e-324
+    yield ((-1.0, -2.0), (0.0, 0.0))
+    yield ((0.0, 0.0), (1.0, 0.5))
+    # bisection over [-4, 4] visits 0, then 2 on the segment (1, 3], then its ends 1 or 3
+    yield ((-4.0, -8.0), (-2.0, -3.0), (-1.0, -1.0), (0.0, 0.0), (1.0, 0.75), (3.0, 1.25), (4.0, 1.5))
+    yield ((-1.0, -1.0), (-tiny, -1e-300), (0.0, 0.0), (tiny, 1e-300), (math.nextafter(1.0, 0.0), 0.5), (1.0, 0.6))
+    for _ in range(20):
+        xs = sorted({0.0, *(float(x) for x in rng.uniform(-5.0, 5.0, int(rng.integers(2, 9))))})
+        ys = np.cumsum(rng.uniform(0.01, 2.0, len(xs)))
+        yield tuple(zip(xs, (ys - ys[xs.index(0.0)]).tolist()))
+
+
+def probe_points(knots, rng):
+    """The knot abscissae and their neighbours, the range ends and beyond, signed zeros, NaN,
+    cell midpoints and random points."""
+    xs = [x for x, _ in knots]
+    points = xs + [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+    points += [(a + b) / 2.0 for a, b in zip(xs, xs[1:])]
+    points += [0.0, -0.0, xs[0] - 1.0, xs[-1] + 1.0, -math.inf, math.inf, math.nan]
+    return points + [float(x) for x in rng.uniform(xs[0], xs[-1], 40)]
+
+
+def inverse_targets(knots, rng):
+    """The knot ordinates, their midpoints and neighbours, the range ends and beyond, -0.0, NaN
+    and random points of the range."""
+    ys = [y for _, y in knots]
+    targets = ys + [(a + b) / 2.0 for a, b in zip(ys, ys[1:])]
+    targets += [math.nextafter(y, d) for y in ys for d in (-math.inf, math.inf)]
+    targets += [ys[0] - 1.0, ys[-1] + 1.0, -0.0, math.nan]
+    return targets + [float(y) for y in rng.uniform(ys[0], ys[-1], 40)]
+
+
+def outcome(fn, *args):
+    """repr of fn's result, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_segment_lookup_matches_the_linear_walk_bitwise():
+    rng = np.random.default_rng(31)
+    weightings = [((0.0, 0.0), (0.1, 0.3), (0.4, 0.5), (0.7, 0.5), (1.0, 1.0)), ((0.0, 0.0), (1.0, 1.0))]
+    for knots in [*knot_tables(rng), *weightings]:
+        for x in probe_points(knots, rng):
+            assert repr(_segment(knots, x)) == repr(linear_walk_segment(knots, x)), (knots, x)
+
+
+def test_tabulated_inverse_and_prime_match_the_linear_walk_bitwise():
+    rng = np.random.default_rng(32)
+    for knots in knot_tables(rng):
+        u, ref = TabulatedUtility(knots), LinearWalkTable(knots)
+        for y in inverse_targets(knots, rng):  # the inverse itself, out of range too
+            assert repr(u._inverse(y)) == repr(ref._inverse(y)), (knots, y)
+        for x in probe_points(knots, rng):
+            if u.in_domain(x):
+                assert outcome(u.prime, x) == outcome(ref.prime, x), (knots, x)
+                assert outcome(u.second, x) == outcome(ref.second, x), (knots, x)
+
+
+def test_tabulated_inverse_looks_up_a_segment_only_when_the_midpoint_leaves_it(monkeypatch):
+    utility = importlib.import_module("choqrisk.utility")
+    segment, lookups, mids = utility._segment, [], []
+
+    def recorded(knots, x):
+        lookups.append(x)
+        return segment(knots, x)
+
+    class WalkedMids(LinearWalkTable):
+        def _value(self, x):
+            mids.append(x)
+            return super()._value(x)
+
+    monkeypatch.setattr(utility, "_segment", recorded)
+    rng = np.random.default_rng(33)
+    for knots in knot_tables(rng):
+        u, ref = TabulatedUtility(knots), WalkedMids(knots)
+        for y in inverse_targets(knots, rng):
+            lookups.clear()
+            mids.clear()
+            assert repr(u._inverse(y)) == repr(ref._inverse(y))
+            steps = [linear_walk_segment(knots, mid) for mid in mids]
+            changes = [mid for k, mid in enumerate(mids) if k == 0 or steps[k] != steps[k - 1]]
+            assert [repr(x) for x in lookups] == [repr(x) for x in changes], (knots, y)
+
+
+def test_tabulated_prime_raises_exactly_at_the_knots():
+    u = TabulatedUtility(((-3.0, -6.0), (-1.0, -1.5), (0.0, 0.0), (1.0, 0.8), (2.0, 1.4), (6.0, 2.8)))
+    for x in (-3.0, -1.0, 0.0, -0.0, 1.0, 2.0, 6.0):
+        with pytest.raises(NonDifferentiable, match=re.escape(f"{u.spec()}: knot at {x}")):
+            u.prime(x)
+        with pytest.raises(NonDifferentiable):
+            u.second(x)
+    slopes = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(u.knots, u.knots[1:])]
+    for (x0, _), (x1, _), slope in zip(u.knots, u.knots[1:], slopes):
+        for x in (math.nextafter(x0, x1), (x0 + x1) / 2.0, math.nextafter(x1, x0)):
+            assert u.prime(x) == slope and u.second(x) == 0.0
 
 
 def test_tabulated_requires_zero_knot():
