@@ -366,9 +366,10 @@ def _step_cells(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
 
 def _cell_sums(width: np.ndarray, sign: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``step_integral`` of each row from ``_step_cells`` and the integrand's value in each cell:
-    the width times the value, added left to right from 0.0, times the sign."""
+    the width times the value, added left to right from 0.0, times the sign.  ``values`` may
+    stack several integrands' (K, cells) arrays in front, as (..., K, cells)."""
     # accumulate adds left to right; adding 0.0 last stands for starting from it (-0.0 becomes 0.0)
-    return sign * (np.add.accumulate(width * values, axis=1)[:, -1] + 0.0)
+    return sign * (np.add.accumulate(width * values, axis=-1)[..., -1] + 0.0)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,9 @@ def approx_premium(s: Scenario) -> float:
 
     Requires u twice differentiable at w with positive slope.  Error decays
     quadratically in the scale of X; see the risk-aversion tests for the
-    measured constants.
+    measured constants.  The tail gap runs from 0 to u(w) / u'(w); where
+    that overflows to infinity, it stops at the largest value of Y, above
+    which it is 0.
     """
     r = arrow_pratt(s.u, s.w)
     d1 = s.u.prime(s.w)
@@ -167,6 +169,8 @@ def approx_premium(s: Scenario) -> float:
         raise ZeroDerivative(f"u'({s.w}) = {d1}")
     y = s.x.map(lambda v: v + r * v * v / 2.0)
     upper = s.u.value(s.w) / d1
+    if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
+        upper = max(0.0, *y.values)
     groups, full = _groups(y.values), y.ground.full
     return _walk_groups(s.nu, s.mu, groups, full) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
 

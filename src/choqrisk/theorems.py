@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
@@ -61,9 +61,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (3.8-6.0 s
-#: on a 2-vCPU machine, about 0.3 ms per pair, most of it the lemma trials), at
-#: five levels 3,549,456 (about 20 min at that rate)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (2.2-3.2 s
+#: on a 2-vCPU machine, about 0.15 ms per pair, most of it the lemma's tail trial),
+#: at five levels 3,549,456 (about 9 min at that rate)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -302,16 +302,6 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     return Verdict("jensen", witness is None, checked, witness)
 
 
-def _direct(key, compute):
-    """``once`` for a check run on its own: keeps nothing and returns ``compute()``.
-
-    A ``once(key, compute)`` returns ``compute()`` or the value it kept for
-    an equal key; the key names everything the value depends on within the
-    memo's scope.
-    """
-    return compute()
-
-
 def _value_pairs(ground: GroundSet, f, values: Sequence[float], probe: bool) -> np.ndarray:
     """(K, 2) values on B and off B of the two-point variables that each canonical split B contributes.
 
@@ -427,33 +417,32 @@ def _scan_verdict(splits: list, i: int, j: int, probe: bool = False) -> Verdict:
 def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False) -> Verdict:
     """``_scan_verdict`` of one pair: the engine over the tables (mu, nu)."""
     ground = _check_same_ground(mu, nu)
-    [splits] = _two_point_scans(ground, (mu.table, nu.table), [(0, 1)], [f], values, probe)
+    [splits] = _two_point_scans(ground, [cap.table for cap in (mu, nu)], [(0, 1)], [f], values, probe)
     return _scan_verdict(splits, 0, 1, probe)
 
 
-def _against_certificate(
-    check: str, f, shape: str, values: Sequence[float], checked: int, violation: dict | None, detail: str, once
-) -> Verdict:
-    """Verdict that a Jensen scan found a violation exactly when f fails a grid certificate.
+def _certifier(f, shape: str, values: Sequence[float]) -> Callable[[], tuple]:
+    """``(shape, certificate)`` of f, made at the first call and kept for the next.
 
     ``shape`` names the certificate: ``"concave"`` (is_concave_on) or ``"ws"``
     (is_weakly_superadditive_on), run on the in-domain values at
-    VIOLATION_TOL, the scan's own tolerance, so the comparison is grid-exact.
-    The certificate reads no capacity; ``once``, a memo of one value grid,
-    keys it on (shape, f).
+    VIOLATION_TOL, the scans' own tolerance, so comparisons are grid-exact.
+    """
+    certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
+    return cache(lambda: (shape, certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL)))
+
+
+def _certified(check: str, f, cert, checked: int, violation: dict | None, detail: str) -> Verdict:
+    """Verdict that a Jensen scan found a violation exactly when f fails the certificate ``cert()``.
+
     ``detail`` may name ``{holds}`` (the certificate) and ``{found}``
     (``none`` or ``found``).
     """
-    certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
-    cert = once((shape, f), lambda: certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL))
-    consistent = cert.holds == (violation is None)
-    return Verdict(
-        check,
-        consistent,
-        checked,
-        None if consistent else {"f": f.spec(), shape: cert.holds, "violation": violation},
-        detail=detail.format(holds=cert.holds, found="none" if violation is None else "found"),
-    )
+    shape, certificate = cert()
+    holds = certificate.holds
+    witness = None if holds == (violation is None) else {"f": f.spec(), shape: holds, "violation": violation}
+    found = "none" if violation is None else "found"
+    return Verdict(check, witness is None, checked, witness, detail=detail.format(holds=holds, found=found))
 
 
 @dataclass(frozen=True)
@@ -492,7 +481,6 @@ def integral_property_checks(
     samples: int = 50,
     seed: int = 0,
     tol: float = VIOLATION_TOL,
-    once=_direct,
 ) -> dict[str, Verdict]:
     """Randomized checks of the four structural integral properties.
 
@@ -501,51 +489,58 @@ def integral_property_checks(
     (weak tails, read off ``_plan``); pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
     translation identity at ``tol``.  A trial stops at its first failing
-    sample, and the next trial draws on from there.
-
-    Every pair checked with one seed draws the same stream, so ``once`` keeps
-    each trial's draws and set-up (keyed on seed, samples, n, the stream
-    position and the trial) and each capacity's gains and loss halves of the
-    rows integrated (``_halves``).  C(X) under a pair is then one
-    subtraction, bit-for-bit ``gen_choquet``.  The translation identity's
-    step integral reads mu and nu inside each cell, so it gathers both per
-    pair and sums the cells in ``step_integral``'s order.  Only the tail
-    trial calls the scalar ``gen_choquet``, once per sample.
+    sample, and the next trial draws on from there.  This is the lemma
+    engine's call on the one pair (``_property_trials``).
     """
-    ground = _check_same_ground(mu, nu)
+    _check_same_ground(mu, nu)
+    [verdicts] = _property_trials((mu, nu), [(0, 1)], samples, seed, tol)
+    return verdicts
+
+
+def _property_trials(
+    caps: Sequence[Capacity], pairs: Sequence, samples: int, seed: int, tol: float = VIOLATION_TOL
+) -> list[dict[str, Verdict]]:
+    """The lemma engine: ``integral_property_checks`` of each (mu index, nu index) of ``pairs`` into ``caps``.
+
+    Every pair draws the seed's stream, each trial from where the pair's
+    trial before it stopped.  So per trial, the pairs at one stream position
+    share its draws and set-up, and one ``_halves`` call per row set gives
+    the gains and loss halves of every capacity.  C(X) under pair (i, j) is
+    then ``gains[i] - losses[j]``, bit-for-bit ``gen_choquet``.  The
+    translation identity's step integral reads mu and nu inside each cell,
+    so it gathers both per pair and sums the cells in ``step_integral``'s
+    order.  Only the tail trial calls the scalar ``gen_choquet``, once per
+    sample and pair.
+    """
+    ground = caps[0].ground
     n, size = ground.n, max(samples, 0)
+    tables = np.array([cap.table for cap in caps], dtype=float)
 
-    def integral(m, v, name):
-        """C of the current trial's rows ``name`` under (m, v), from each capacity's kept halves."""
+    def tails(c, i, j, rows):
+        walk = np.array([[gen_choquet(caps[a], caps[b], x) for x in rows["vars"]] for a, b in zip(i, j)])
+        halves = c("x", i, j)
+        return walk != halves, lambda r, k: {"gap": float(abs(walk[r, k] - halves[r, k]))}
 
-        def halves(cap):
-            return once((block, name, cap.table), lambda: [h[0] for h in _halves([cap.table], rows[name])])
+    def monotonicity(c, i, j, rows):
+        gaps = c("x", i, j) - c("y", i, j)
+        return gaps > tol, lambda r, k: {"y": rows["y"][k].tolist(), "gap": float(gaps[r, k])}
 
-        return halves(m)[0] - halves(v)[1]
-
-    def tails():
-        walk, halves = np.array([gen_choquet(mu, nu, x) for x in rows["vars"]]), integral(mu, nu, "x")
-        return walk != halves, lambda i: {"gap": float(abs(walk[i] - halves[i]))}
-
-    def monotonicity():
-        gaps = integral(mu, nu, "x") - integral(mu, nu, "y")
-        return gaps > tol, lambda i: {"y": rows["y"][i].tolist(), "gap": float(gaps[i])}
-
-    def homogeneity():
+    def homogeneity(c, i, j, rows):
         b = rows["b"]
-        rhs = b * np.where(b > 0, integral(mu, nu, "x"), integral(nu, mu, "x"))
-        gaps = np.abs(integral(mu, nu, "bx") - rhs)
-        return gaps > tol, lambda i: {"b": float(b[i]), "gap": float(gaps[i])}
+        rhs = b * np.where(b > 0, c("x", i, j), c("x", j, i))
+        gaps = np.abs(c("bx", i, j) - rhs)
+        return gaps > tol, lambda r, k: {"b": float(b[k]), "gap": float(gaps[r, k])}
 
-    def translation():
+    def translation(c, i, j, rows):
         width, above, below, sign = rows["cells"]
-        lhs = integral(mu, nu, "xa") - rows["a"] - integral(mu, nu, "x")
-        values = np.asarray(mu.table)[above] - (1.0 - np.asarray(nu.table)[below])
+        lhs = c("xa", i, j) - rows["a"] - c("x", i, j)
+        values = tables[i][:, above] - (1.0 - tables[j][:, below])
         gaps = np.abs(lhs - _cell_sums(width, sign, values))
-        return gaps > tol, lambda i: {"a": float(rows["a"][i]), "gap": float(gaps[i])}
+        return gaps > tol, lambda r, k: {"a": float(rows["a"][k]), "gap": float(gaps[r, k])}
 
-    # (key, check name, the ranges each sample draws from after X, set-up, trial) in draw order;
-    # a set-up reads the draws and no capacity: the rows integrated (X is "x") and the scalars
+    # (key, check name, the ranges each sample draws from after X, set-up, trial) in draw order; a
+    # set-up reads the draws and no capacity: the rows integrated ("x", "y", "bx", "xa") and the scalars.
+    # A trial reads C of rows name under the pairs (i, j) as the (P, K) array c(name, i, j).
     trials = (
         ("tail-conventions", "tail conventions agree", (),
          lambda x, more: {"x": x, "vars": [RandomVariable(ground, tuple(v)) for v in x.tolist()]}, tails),
@@ -554,29 +549,31 @@ def integral_property_checks(
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
          lambda x, more: {"x": x, "bx": x * more, "b": more[:, 0]}, homogeneity),
         ("translation", "translation identity", ((-10.0, 10.0),),
-         lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0], "cells": _step_cells(x, -more[:, 0], np.zeros(size))},
-         translation),
+         lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0],
+                          "cells": _step_cells(x, -more[:, 0], np.zeros(size))}, translation),
     )
-    out: dict[str, Verdict] = {}
-    start = 0
+    out: list[dict[str, Verdict]] = [{} for _ in pairs]
+    starts = [0] * len(pairs)
     for key, check, ranges, setup, trial in trials:
-        block = ("lemma", seed, samples, n, start, key)
-
-        def draw():
+        at: dict = {}
+        for p, start in enumerate(starts):
+            at.setdefault(start, []).append(p)
+        for start, members in at.items():
             # the trial's stream is default_rng(seed) past the doubles earlier trials drew; one
             # uniform call over the block draws them in the order of one call per X and per value
             rng = np.random.default_rng(seed)
             rng.bit_generator.advance(start)
             low, high = zip(*[(-10.0, 10.0)] * n, *ranges)
             drawn = rng.uniform(low, high, (size, len(low)))
-            return drawn[:, :n], setup(drawn[:, :n], drawn[:, n:])
-
-        x, rows = once(block, draw)
-        fails, fields = trial()
-        bad = np.flatnonzero(fails)
-        witness = {"x": x[bad[0]].tolist(), **fields(bad[0])} if bad.size else None
-        out[key] = Verdict(check, witness is None, samples, witness)
-        start += (int(bad[0]) + 1 if bad.size else size) * (n + len(ranges))
+            x, rows = drawn[:, :n], setup(drawn[:, :n], drawn[:, n:])
+            halves = {name: _halves(tables, rows[name]) for name in ("x", "y", "bx", "xa") if name in rows}
+            i, j = np.array([pairs[p] for p in members]).T
+            fails, fields = trial(lambda name, m, v: halves[name][0][m] - halves[name][1][v], i, j, rows)
+            for r, p in enumerate(members):
+                bad = np.flatnonzero(fails[r])
+                witness = {"x": x[bad[0]].tolist(), **fields(r, bad[0])} if bad.size else None
+                out[p][key] = Verdict(check, witness is None, samples, witness)
+                starts[p] = start + (int(bad[0]) + 1 if bad.size else size) * (n + len(ranges))
     return out
 
 
@@ -599,38 +596,44 @@ def zero_one_collapse_check(
     values = tuple(values)
     if not values:
         raise ValueError("the collapse check needs a nonempty value grid")
-    return _collapse(mu, nu, f, values, _pair_scan(mu, nu, f, values), _direct, seed)
+    scan = _pair_scan(mu, nu, f, values)
+    return _collapse_reader((mu, nu), [(0, 1)], f, values, seed)(mu, nu, (0, 1), scan)
 
 
-def _collapse(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once, seed: int) -> Verdict:
-    """``zero_one_collapse_check`` of a {0,1}-valued pair whose two-point Jensen scan is ``scan``.
+def _collapse_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple, seed: int) -> Callable:
+    """``zero_one_collapse_check`` of the {0,1}-valued pairs (mu index, nu index) of ``pairs`` into ``caps``.
 
-    Its capacity-free parts go through ``once``, a memo of one value grid and seed.
+    Prepared once per map: the rows are every few rows of ``two_point_grid``
+    plus 25 dense draws, inside f's domain, and one ``_halves`` call on
+    f(rows) over the stack of all tables gives every pair's C(f(X)).  b_X
+    reads mu alone and a_X nu alone, so f(b_X) and f(a_X) are made once per
+    capacity.  Returns ``read(mu, nu, (i, j), scan)``, the verdict of a pair
+    whose two-point Jensen scan is ``scan``.
     """
+    ground = caps[0].ground
+    dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, ground.n))
+    grid = two_point_grid(ground, values)
+    xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
+    gains, losses = _halves([cap.table for cap in caps], _outcome_rows(ground, _per_distinct(f.value, xs)))
+    # (f(a_X), f(b_X)) of each capacity, as nu and as mu
+    used = {k for ij in pairs for k in ij}
+    ends = {k: _per_distinct(f.value, np.stack(_collapse_points(caps[k], caps[k], xs))) for k in used}
+    cert = _certifier(f, "ws", values)
 
-    def rows():
-        dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, mu.ground.n))
-        grid = two_point_grid(mu.ground, values)
-        return _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
+    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
+        i, j = ij
+        lhs, rhs = gains[i] - losses[j], ends[j][0] + ends[i][1]
+        bad = np.flatnonzero(lhs != rhs)
+        if bad.size:
+            k = int(bad[0])
+            witness = {"f": f.spec(), "x": xs[k].tolist(), "lhs": float(lhs[k]), "rhs": float(rhs[k])}
+            return Verdict("collapse identity", False, k + 1, witness)
+        checked = len(xs) + scan.checked
+        if coexistence_set(mu, nu, both_one=True) is not None:
+            return _certified("collapse equivalence", f, cert, checked, scan.witness, "coexistence set present")
+        return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
 
-    key = ("collapse rows", mu.ground.n, f)
-    xs = once(key, rows)
-    # b_X reads mu alone and a_X nu alone, so f(b_X) is kept per mu and f(a_X) per nu
-    f_b = once((key, "f(b_X)", mu.table), lambda: _per_distinct(f.value, _collapse_points(mu, mu, xs)[1]))
-    f_a = once((key, "f(a_X)", nu.table), lambda: _per_distinct(f.value, _collapse_points(nu, nu, xs)[0]))
-    lhs = gen_choquet_batch(mu, nu, once((key, "f(X)"), lambda: _per_distinct(f.value, xs)))
-    rhs = f_a + f_b
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size:
-        i = int(bad[0])
-        witness = {"f": f.spec(), "x": xs[i].tolist(), "lhs": float(lhs[i]), "rhs": float(rhs[i])}
-        return Verdict("collapse identity", False, i + 1, witness)
-    checked = len(xs) + scan.checked
-    if coexistence_set(mu, nu, both_one=True) is not None:
-        return _against_certificate(
-            "collapse equivalence", f, "ws", values, checked, scan.witness, "coexistence set present", once
-        )
-    return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
+    return read
 
 
 def two_valued_concavity_probe(
@@ -650,22 +653,22 @@ def two_valued_concavity_probe(
     if coexistence_set(mu, nu) is None:
         raise HypothesisFailure("no set with mu(B) > 0 and nu(B^c) > 0")
     values = tuple(values)
-    return _probe(mu, nu, f, values, _pair_scan(mu, nu, f, values, probe=True), _direct)
+    scan = _pair_scan(mu, nu, f, values, probe=True)
+    return _probe_reader((mu, nu), [(0, 1)], f, values)(mu, nu, (0, 1), scan)
 
 
-def _probe(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once) -> Verdict:
-    """``two_valued_concavity_probe`` of a pair meeting its hypotheses whose probe scan is ``scan``.
+def _probe_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple) -> Callable:
+    """``two_valued_concavity_probe`` of pairs meeting its hypotheses: ``read(mu, nu, (i, j), scan)``
+    from a probe scan, which sets each row's integral against its closed mixture form (``_split_scan``)."""
+    cert = _certifier(f, "concave", values)
 
-    A split B contributes the rows alpha < beta with beta on B, then those
-    with beta off B (``_value_pairs``); their closed mixture forms read the
-    same four entries as their integrals.
-    """
-    if scan.check == "two-valued mixture form":
-        return scan
-    return _against_certificate(
-        "two-valued concavity probe", f, "concave", values, scan.checked, scan.witness,
-        "concave={holds}, violation={found}", once,
-    )
+    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
+        if scan.check == "two-valued mixture form":
+            return scan
+        detail = "concave={holds}, violation={found}"
+        return _certified("two-valued concavity probe", f, cert, scan.checked, scan.witness, detail)
+
+    return read
 
 
 def nonnegative_axis_check(
@@ -683,22 +686,20 @@ def nonnegative_axis_check(
     values = tuple(values)
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    return _axis(mu, nu, f, values, _pair_scan(mu, nu, f, values), _direct)
+    return _axis_reader((mu, nu), [(0, 1)], f, values)(mu, nu, (0, 1), _pair_scan(mu, nu, f, values))
 
 
-def _axis(mu: Capacity, nu: Capacity, f, values: tuple, scan: Verdict, once) -> Verdict:
-    """``nonnegative_axis_check`` on a nonnegative grid whose two-point Jensen scan is ``scan``."""
-    if mu.is_zero_one_valued():
-        return Verdict(
-            "nonnegative-axis zero-one",
-            scan.holds,
-            scan.checked,
-            scan.witness,
-            detail="{0,1}-valued gains capacity: unconditional",
-        )
-    return _against_certificate(
-        "nonnegative-axis probe", f, "concave", values, scan.checked, scan.witness, "concave on x>=0: {holds}", once
-    )
+def _axis_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple) -> Callable:
+    """``nonnegative_axis_check`` on a nonnegative grid: ``read(mu, nu, (i, j), scan)`` from a Jensen scan."""
+    cert, zero_one = _certifier(f, "concave", values), [cap.is_zero_one_valued() for cap in caps]
+
+    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
+        if zero_one[ij[0]]:
+            detail = "{0,1}-valued gains capacity: unconditional"
+            return Verdict("nonnegative-axis zero-one", scan.holds, scan.checked, scan.witness, detail=detail)
+        return _certified("nonnegative-axis probe", f, cert, scan.checked, scan.witness, "concave on x>=0: {holds}")
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -805,86 +806,76 @@ def run_full_report(
 def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
     """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
 
-    Each pair is classified once, up front, and the converse builds its
-    witness from that ``dominates_dual``.  The two-point scans of theorems 1
-    (dominant pairs), 2 (zero-one pairs), 3 (dominant pairs with a
-    coexistence set) and 4 (every pair) then run once per map and split for
-    all the pairs they apply to (``_two_point_scans``), before any pair's
-    checks, and a pair reads its verdict by its capacities' side indices
-    (``_scan_verdict``).  Memos live for this call and no other: one keeps
-    the lemma trials' draws once per stream position and their halves once
-    per capacity (``integral_property_checks``); one per scanned check keeps
-    its grid's certificates (``_against_certificate``) and, for the collapse
-    check, f(X) once per map, f(b_X) once per mu and f(a_X) once per nu
-    (``_collapse``).
+    Each capacity gets the index of its table in the stack of distinct ones,
+    and each pair is classified once, up front; the converse builds its
+    witness from that ``dominates_dual``.  Before any pair's checks, every
+    other check runs its engine once over the stack for the (mu index, nu
+    index) pairs it applies to, and a pair reads its verdicts by index: the
+    lemma trials once per stream position (``_property_trials``), the
+    two-point scans of theorems 1 (dominant pairs), 2 (zero-one pairs), 3
+    (dominant pairs with a coexistence set) and 4 (every pair) once per map
+    and split (``_two_point_scans``, read by side index in
+    ``_scan_verdict``), and theorem 2's collapse identity once per map
+    (``_collapse_reader``).  A grid certificate is made at most once per
+    check and map (``_certifier``).  Nothing outlives the call.
     """
-
-    def memo():
-        kept: dict = {}
-
-        def once(key, compute):
-            if key not in kept:
-                kept[key] = compute()
-            return kept[key]
-
-        return once
-
-    once = memo()
     forward_gallery, collapse_gallery = concave_increasing_gallery(), zero_at_zero_gallery()
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
     axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
-    def lemma(mu, nu, ij, dom):
-        verdicts = integral_property_checks(mu, nu, samples=property_samples, seed=seed, once=once)
-        for name, verdict in verdicts.items():
-            yield f"property {name}", verdict.holds, verdict.witness
-
-    def converse(mu, nu, ij, dom):
-        wit = _counterexample(mu, nu, dom)
-        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
-        yield "jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
-
-    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check); a check
-    # yields (check name, ok, witness) of the pair, its capacity indices and its dominates_dual, or
-    # is a scanned check (check name, gallery, value grid, probe, verdict from f and the pair's scan)
-    table = (
-        ("lemma", lambda d, z, c: True, lemma),
-        ("1", lambda d, z, c: d,
-         ("jensen forward", forward_gallery, values, False, lambda mu, nu, f, grid, scan, once: scan)),
-        ("1", lambda d, z, c: not d, converse),
-        ("2", lambda d, z, c: z, ("collapse", collapse_gallery, probe_values, False, partial(_collapse, seed=seed))),
-        ("3", lambda d, z, c: d and c, ("two-valued concavity", concavity_probe_gallery, probe_values, True, _probe)),
-        ("4", lambda d, z, c: True, ("nonnegative axis", axis_gallery, NONNEG_VALUE_GRID, False, _axis)),
-    )
-
     pairs = list(pairs)
-    index: dict = {}
-    ids = [(index.setdefault(mu.table, len(index)), index.setdefault(nu.table, len(index))) for mu, nu in pairs]
+    caps = list({cap.table: cap for pair in pairs for cap in pair}.values())
+    index = {cap.table: k for k, cap in enumerate(caps)}
+    ids = [(index[mu.table], index[nu.table]) for mu, nu in pairs]
     classes = [
         (dominates_dual(mu, nu), mu.is_zero_one_valued() and nu.is_zero_one_valued(),
          coexistence_set(mu, nu) is not None)
         for mu, nu in pairs
     ]
 
-    def scanned(applies, name, gallery, grid, probe, verdict):
-        """The check: the engine runs here over the pairs it applies to, and each pair reads it."""
-        mine = [ij for ij, cls in zip(ids, classes) if applies(*cls)]
-        scans = _two_point_scans(pairs[0][0].ground, list(index), mine, gallery, grid, probe) if mine else []
-        grid_once = memo()
+    def lemma(mine):
+        trials = dict(zip(mine, _property_trials(caps, mine, property_samples, seed)))
+        return lambda mu, nu, ij, dom: ((f"property {name}", v.holds, v.witness) for name, v in trials[ij].items())
+
+    def converse(mu, nu, ij, dom):
+        wit = _counterexample(mu, nu, dom)
+        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
+        yield "jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
+
+    def scanned(name, gallery, grid, probe, reader, mine):
+        """The check over its pairs ``mine``: the engines run here, per map, and each pair reads them."""
+        scans = _two_point_scans(caps[0].ground, list(index), mine, gallery, grid, probe)
+        readers = [reader(caps, mine, f, grid) for f in gallery]
 
         def run(mu, nu, ij, dom):
-            for f, splits in zip(gallery, scans):
-                v = verdict(mu, nu, f, grid, _scan_verdict(splits, *ij, probe), grid_once)
+            for splits, read in zip(scans, readers):
+                v = read(mu, nu, ij, _scan_verdict(splits, *ij, probe))
                 yield name, v.holds, v.witness
 
         return run
 
-    rows = [
-        (applies, scanned(applies, *check) if isinstance(check, tuple) else check)
-        for tid, applies, check in table
-        if tid in theorems
-    ]
+    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check); a check
+    # prepared over the distinct index pairs it applies to yields (check name, ok, witness) of the
+    # pair, its capacity indices and its dominates_dual.  A scanned check's reader, prepared per
+    # map, gives the pair's verdict from its two-point scan.
+    table = (
+        ("lemma", lambda d, z, c: True, lemma),
+        ("1", lambda d, z, c: d,
+         partial(scanned, "jensen forward", forward_gallery, values, False, lambda *_: lambda mu, nu, ij, scan: scan)),
+        ("1", lambda d, z, c: not d, lambda mine: converse),
+        ("2", lambda d, z, c: z,
+         partial(scanned, "collapse", collapse_gallery, probe_values, False, partial(_collapse_reader, seed=seed))),
+        ("3", lambda d, z, c: d and c,
+         partial(scanned, "two-valued concavity", concavity_probe_gallery, probe_values, True, _probe_reader)),
+        ("4", lambda d, z, c: True,
+         partial(scanned, "nonnegative axis", axis_gallery, NONNEG_VALUE_GRID, False, _axis_reader)),
+    )
+    rows = []
+    for tid, applies, check in table:
+        mine = list(dict.fromkeys(ij for ij, cls in zip(ids, classes) if tid in theorems and applies(*cls)))
+        if mine:
+            rows.append((applies, check(mine)))
     for (mu, nu), ij, (dom, zero_one, coex) in zip(pairs, ids, classes):
         ck = f"dominant={dom.holds}, zero_one={zero_one}, coexistence={coex}"
         yield mu, nu, ck, [

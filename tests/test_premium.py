@@ -236,6 +236,17 @@ def test_approximation_frozen_value(g2):
     assert premium(s) == pytest.approx(math.log((math.exp(0.02) + 1.0) / 2.0), abs=1e-12)
 
 
+def test_approximation_stays_finite_where_the_tail_gap_end_overflows(mu_worked, nu_worked, g2):
+    """exp:1 has u(w) / u'(w) = inf at w = 740 and 745 (u'(740) = 4e-322 is subnormal, not 0).
+    The tail gap is 0 above every value of Y, so the approximation keeps its value at w = 700."""
+    x = RandomVariable(g2, (1.0, -0.5))
+    assert approx_premium(Scenario(700.0, x, mu_worked, nu_worked, Exponential(1.0))) == 0.5625
+    for w in (740.0, 745.0):
+        s = Scenario(w, x, mu_worked, nu_worked, Exponential(1.0))
+        assert s.u.value(w) / s.u.prime(w) == math.inf
+        assert approx_premium(s) == 0.5625
+
+
 def test_approximation_error_decays_quadratically():
     rng = rng_from_seed(5)
     ground = GroundSet(3)

@@ -164,11 +164,13 @@ def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
 def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
     """150 random pairs at n = 2-4, each at four tolerances, with random seeds and sample counts.
 
-    Verdicts equal the scalar loop's repr for repr, alone and through one memo
-    shared by every case, as a sweep shares it.  A tolerance of 1e-15 or -1
-    fails trials at rows that differ from pair to pair, and so does the tail
-    trial's scalar integral perturbed on rows whose first value exceeds 3; the
-    trials after a failing row must then draw on from the same place.
+    Verdicts equal the scalar loop's repr for repr, alone and as the pairs
+    (mu, nu) and (nu, mu) of one lemma engine call, as a sweep runs them.  A
+    tolerance of 1e-15 or -1 fails trials at rows that differ from pair to
+    pair, and so does the tail trial's scalar integral perturbed on rows whose
+    first value exceeds 3; the trials after a failing row must then draw on
+    from the same place, so the two pairs of one call reach trials at
+    different stream positions.
     """
     from choqrisk import theorems
 
@@ -179,15 +181,8 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
             return exact(mu, nu, x) + (2.0**-20 if x.values[0] > 3 else 0.0)
 
         monkeypatch.setattr(theorems, "gen_choquet", walk_off)
-    memo = {}
-
-    def once(key, compute):
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
-
     rng = rng_from_seed(14)
-    failures = set()
+    failures, diverged = set(), 0
     for _ in range(150):
         ground = GroundSet(int(rng.integers(2, 5)))
         style = rng.choice(["fill", "belief", "additive", "zero-one"], 2)
@@ -195,39 +190,66 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
         samples, seed = int(rng.integers(0, 16)), int(rng.integers(0, 4))
         for tol in (VIOLATION_TOL, 1e-15, 0.5, -1.0):
             want = repr(scalar_property_checks(mu, nu, samples, seed, tol))
-            assert repr(integral_property_checks(mu, nu, samples, seed, tol)) == want
-            got = integral_property_checks(mu, nu, samples, seed, tol, once=once)
+            got = integral_property_checks(mu, nu, samples, seed, tol)
             assert repr(got) == want
             failures |= {(key, tol) for key, v in got.items() if not v.holds}
+            both = theorems._property_trials((mu, nu), [(0, 1), (1, 0)], samples, seed, tol)
+            assert [repr(v) for v in both] == [want, repr(scalar_property_checks(nu, mu, samples, seed, tol))]
+            # a trial before the last that fails at another row, or in one pair only, moves the streams apart
+            diverged += any(both[0][key].witness != both[1][key].witness for key in list(got)[:-1])
     # each property trial failed at 1e-15 or -1, and the tail conventions under the fault only
     trials = {"monotonicity", "homogeneity", "translation"} | ({"tail-conventions"} if faults else set())
     assert {key for key, _ in failures} == trials
     assert {("homogeneity", 1e-15), ("translation", 1e-15), ("monotonicity", -1.0)} <= failures
+    assert diverged > 0
 
 
 def test_sweep_lemma_trials_call_the_scalar_integral_for_tail_conventions_only(monkeypatch):
     """In a sweep the lemma trials read C(X) off per-capacity halves: each pair's trials call the
     scalar integral only for the tail-convention trial, once per sample."""
+    from collections import Counter
+
     from choqrisk import theorems
 
-    calls, per_pair = [0], []
-    exact, checks = theorems.gen_choquet, theorems.integral_property_checks
+    per_pair, exact = Counter(), theorems.gen_choquet
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return exact(*args, **kwargs)
-
-    def lemma(*args, **kwargs):
-        before = calls[0]
-        verdicts = checks(*args, **kwargs)
-        per_pair.append(calls[0] - before)
-        return verdicts
+    def counting(mu, nu, x):
+        per_pair[mu, nu] += 1
+        return exact(mu, nu, x)
 
     monkeypatch.setattr(theorems, "gen_choquet", counting)
-    monkeypatch.setattr(theorems, "integral_property_checks", lemma)
-    report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12)
+    report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12, theorems=("lemma",))
     assert report.pair_count == len(per_pair) == 81 and report.clean
-    assert max(per_pair) <= 12
+    assert set(per_pair.values()) == {12}
+
+
+def test_sweep_lemma_trials_integrate_each_row_set_once_per_stream_position(monkeypatch):
+    """The lemma engine makes one ``_halves`` call per row set and stream position, over the
+    stack of all nine capacities: 7 on a clean sweep (the tail trial integrates X, the other
+    three X and one more row set).  At a tolerance of -1 every homogeneity sample fails, so
+    homogeneity and translation each run at the positions the monotonicity failures left."""
+    from functools import partial
+
+    from choqrisk import theorems
+
+    calls, exact = [], theorems._halves
+
+    def counting(tables, xs):
+        calls.append(len(tables))
+        return exact(tables, xs)
+
+    monkeypatch.setattr(theorems, "_halves", counting)
+    report = run_full_report(n=2, levels=(0, 0.5, 1), theorems=("lemma",))
+    assert report.clean and calls == [9] * 7
+
+    calls.clear()
+    monkeypatch.setattr(theorems, "_property_trials", partial(theorems._property_trials, tol=-1.0))
+    report = run_full_report(n=2, levels=(0, 0.5, 1), theorems=("lemma",))
+    failed = {tuple(e["witness"]["x"]) for e in report.unexpected if e["check"] == "property monotonicity"}
+    held = report.verdict_counts["property monotonicity"][0]
+    positions = len(failed) + (held > 0)
+    assert held > 0 and 1 < positions < report.capacity_count
+    assert calls == [9] * (1 + 2 + 2 * positions + 2 * positions)
 
 
 def test_sweep_runs_dominates_dual_once_per_pair(monkeypatch):
@@ -482,10 +504,11 @@ def test_sweep_classification_totals():
     assert report.clean
 
 
-@pytest.mark.parametrize("theorem, maps", [("1", 4), ("3", 4), ("4", 3)], ids=["1", "3", "4"])
+@pytest.mark.parametrize("theorem, maps", [("1", 4), ("2", 4), ("3", 4), ("4", 3)], ids=["1", "2", "3", "4"])
 def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch, theorem, maps):
-    """Theorems 1, 3 and 4 read every pair off per-capacity halves, not gen_choquet_batch,
-    in one engine scan per map and split (n = 2 has one canonical split)."""
+    """Theorems 1-4 read every pair off per-capacity halves, not gen_choquet_batch, in one
+    engine scan per map and split (n = 2 has one canonical split); theorem 2's collapse
+    identity reads C(f(X)) off them too."""
     from choqrisk import theorems
 
     def refuse(*args, **kwargs):
@@ -539,9 +562,7 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
         theorems, "concave_increasing_gallery", lambda: gallery() + [PlainMap("expm1", math.expm1)]
     )
     monkeypatch.setattr(theorems, "GAP_MATCH_TOL", -1.0)
-    monkeypatch.setattr(
-        theorems, "integral_property_checks", partial(theorems.integral_property_checks, tol=-1.0)
-    )
+    monkeypatch.setattr(theorems, "_property_trials", partial(theorems._property_trials, tol=-1.0))
     monkeypatch.setattr(theorems, "gen_choquet", walk_off)
 
     report = run_full_report(
@@ -922,8 +943,6 @@ def test_sweep_files_the_probe_mixture_form_failure(g3, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 5, 70])
 def test_collapse_check_stops_at_the_first_perturbed_row(g2, mu_worked, monkeypatch, k):
-    from choqrisk import theorems
-
     mu, nu = unanimity(g2, 0b01), unanimity(g2, 0b10)
     f = Power(1.0, 0.5)  # domain x > -1 drops rows, so checked counts in-domain rows only
     values = tuple(-3.0 + 0.5 * j for j in range(13))
@@ -934,10 +953,7 @@ def test_collapse_check_stops_at_the_first_perturbed_row(g2, mu_worked, monkeypa
     rows = grid + [r for r in dense if all(f.in_domain(v) for v in r)]
     assert 5 < len(grid) < 70 < len(rows)  # k = 70 lands among the dense draws
 
-    exact = theorems.gen_choquet_batch
-    monkeypatch.setattr(
-        theorems, "gen_choquet_batch", lambda mu, nu, xs: exact(mu, nu, xs) + (np.arange(len(xs)) >= k)
-    )
+    perturb_halves_from_row(monkeypatch, k)
     verdict = zero_one_collapse_check(mu, nu, f, values, seed=4)
     assert (verdict.check, verdict.holds, verdict.checked) == ("collapse identity", False, k + 1)
     x = RandomVariable(g2, tuple(rows[k]))
