@@ -34,8 +34,9 @@ from .capacity import Capacity, GroundSet, _check_same_ground
 from .errors import NotZeroOneValued, TooLarge
 
 INF = float("inf")
-# Cap on n * cells for riemann_oracle: its mask step holds two int64 arrays of
-# n x cells at once (16 bytes per cell and element), so one call stays near 160 MB.
+# Cap on n * cells for riemann_oracle, which makes n passes over the cells.  Its working
+# memory is O(2^n + cells): a float64 copy of one table, and per cell an int64 mask, a
+# comparison flag and the gathered value, with no Python object per cell.
 ORACLE_MAX_CELLS = 10**7
 
 
@@ -290,25 +291,26 @@ def riemann_oracle(mu: Capacity, nu: Capacity, x: RandomVariable, step: float = 
             f"{ORACLE_MAX_CELLS:.0e}; use a larger step"
         )
     vals = np.asarray(x.values, dtype=float)
-    mu_arr = np.asarray(mu.table, dtype=float)
-    nu_arr = np.asarray(nu.table, dtype=float)
-    bits = 1 << np.arange(x.ground.n, dtype=np.int64)
+
+    def tail_sum(table: tuple[float, ...], mids: np.ndarray, inside) -> float:
+        """The sum over the cells of ``table`` at the set of elements whose value ``v`` has
+        ``inside(v, mid)`` at the cell's midpoint."""
+        masks = np.zeros(mids.size, dtype=np.int64)
+        for i, v in enumerate(vals):
+            np.bitwise_or(masks, 1 << i, out=masks, where=inside(v, mids))
+        return float(np.fromiter(table, float, len(table))[masks].sum())
 
     total = 0.0
     hi = max(float(vals.max()), 0.0)
     if hi > 0.0:
         k = max(1, math.ceil(hi / step))
         h = hi / k
-        mids = (np.arange(k) + 0.5) * h
-        masks = ((vals[:, None] > mids[None, :]).astype(np.int64) * bits[:, None]).sum(axis=0)
-        total += h * float(mu_arr[masks].sum())
+        total += h * tail_sum(mu.table, (np.arange(k) + 0.5) * h, np.greater)
     lo = min(float(vals.min()), 0.0)
     if lo < 0.0:
         k = max(1, math.ceil(-lo / step))
         h = -lo / k
-        mids = lo + (np.arange(k) + 0.5) * h
-        masks = ((vals[:, None] < mids[None, :]).astype(np.int64) * bits[:, None]).sum(axis=0)
-        total -= h * float(nu_arr[masks].sum())
+        total -= h * tail_sum(nu.table, lo + (np.arange(k) + 0.5) * h, np.less)
     return total
 
 

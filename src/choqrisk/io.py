@@ -9,13 +9,14 @@ comma-joined label sets ("" for the empty set); every subset must be
 present.  The table may instead be dense, ``"table": [0.0, 0.3, 0.5, 1.0]``,
 one number per bitmask.  ``load_capacity`` first tries the file as text: an
 ASCII document without backslashes whose one ``"table"`` object holds only
-``"digits": number`` entries is rewritten as a flat ``[mask, value, ...]``
-array and parsed by one ``json.loads``, with no 2^n-key dict.  Any other
-document is parsed as it stands, and a keyed table in it is read entry by
-entry, which is where every schema error is raised.  Files are decoded as
-UTF-8.  The writer always emits the keyed form.  Mass-function documents
-carry a dense ``"mass"`` array of length 2^n indexed by bitmask.  An integer
-too large for a float is refused by entry.  Scenario documents::
+``"digits": number`` entries is rewritten, about a megabyte at a time, as
+flat ``[mask, value, ...]`` arrays, each parsed by one ``json.loads``, with
+no 2^n-key dict.  Any other document is parsed as it stands, and a keyed
+table in it is read entry by entry, which is where every schema error is
+raised.  Files are decoded as UTF-8.  The writer always emits the keyed
+form.  Mass-function documents carry a dense ``"mass"`` array of length 2^n
+indexed by bitmask.  An integer too large for a float is refused by entry.
+Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -109,25 +109,6 @@ def _floats(values: list, entry: str) -> list[float]:
         return [_float(v, f"{entry} {i}") for i, v in enumerate(values)]
 
 
-def _scatter(masks: np.ndarray, values: list, size: int) -> list[float] | None:
-    """``values`` put in bitmask order by one object-array scatter, or None unless the ``size``
-    nonnegative ``masks`` hold every bitmask below ``size`` once and the ``size`` ``values`` are
-    exact ints and floats, the ints within the float range.  A float value stays the parsed object."""
-    kinds = set(map(type, values))
-    if not kinds <= {int, float} or masks.max() >= size:
-        return None
-    if np.bincount(masks, minlength=size).max() != 1:
-        return None
-    if int in kinds:
-        try:
-            values = list(map(float, values))
-        except OverflowError:
-            return None
-    table = np.empty(size, dtype=object)
-    table[masks] = values
-    return table.tolist()
-
-
 def _keyed_loop(entries: dict, ground: GroundSet, what: str) -> list[float]:
     """Read a keyed table entry by entry; raises the first schema violation met in key order."""
     index = None if ground.labels is None else {lab: i for i, lab in enumerate(ground.labels)}
@@ -184,21 +165,28 @@ _TABLE_OBJECT = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\{')
 _NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
 _DIGITS = b"0123456789"
 _KEYS_TO_ARRAY = bytes.maketrans(b'":', b" ,")
+# Bytes of table body checked and parsed at a time; a chunk ends at the first comma past it.
+_CHUNK_BYTES = 1 << 20
 
 
-def _flat_keyed_text(path: Path) -> str | None:
-    """The capacity document at ``path`` with its keyed table rewritten as one flat
-    ``[mask, value, ...]`` array, or None unless the document is plain enough to rewrite.
+def _flat_keyed_capacity(path: Path) -> Capacity | None:
+    """Read the capacity document at ``path`` with its keyed table as a flat
+    ``[mask, value, ...]`` array, chunk by chunk, or None unless the document is plain
+    enough for that and holds one entry per subset.  A bad ``n`` or ``labels`` raises the
+    ``SchemaError`` that ``capacity_from_dict`` raises.
 
-    That is an ASCII document without backslashes, so that every quote delimits a
-    string and ``"table"`` is the key itself, with one ``"table"`` object whose body
-    holds only number characters, JSON whitespace, quotes, colons and commas.  Three
-    byte passes check the body: its quotes and separators run ``"":,`` repeated,
-    ending in ``"":`` (any other character survives the deletion and fails this),
-    every key is digits only, and no key is empty.  Quotes become spaces, not nothing,
-    so that a number character outside a key cannot join it (beside an empty key it
-    would stand in for it); ``json.loads`` still checks the grammar and parses every
-    number.
+    Plain is an ASCII document without backslashes, so that every quote delimits a
+    string and ``"table"`` is the key itself, with one top-level ``"table"`` object
+    whose body holds only number characters, JSON whitespace, quotes, colons and
+    commas.  The rest of the document is parsed once with ``[]`` for the table.  The
+    body is cut at commas into chunks of about ``_CHUNK_BYTES``, and three byte passes
+    check each chunk: its quotes and separators run ``"":,`` repeated, ending in
+    ``"":`` (any other character survives the deletion and fails this), every key is
+    digits only, and no key is empty.  A body that passes has commas only between
+    entries, so no entry is cut.  Quotes become spaces, not nothing, so that a number
+    character outside a key cannot join it (beside an empty key it would stand in for
+    it); ``json.loads`` of each chunk's flat array still checks the grammar and parses
+    every number.
     """
     data = path.read_bytes()
     found = _TABLE_OBJECT.search(data) if data.isascii() and b"\\" not in data else None
@@ -208,45 +196,47 @@ def _flat_keyed_text(path: Path) -> str | None:
     end = data.find(b"}", start)
     if end < 0 or data.count(b'"table"', 0, start) != 1 or data.find(b'"table"', end) >= 0:
         return None
-    head, body, tail = data[: start - 1], data[start:end], data[end + 1 :]
-    del data
-    skeleton = body.translate(None, _NUMBER_OR_SPACE)
-    keys = len(skeleton) // 4 + 1
-    if (
-        skeleton != b'"":,' * (keys - 1) + b'"":'
-        or body.translate(None, _DIGITS).count(b'""') != keys
-        or b'""' in body
-    ):
-        return None
-    text = b"".join((head, b"[", body.translate(_KEYS_TO_ARRAY), b"]", tail))
-    del body
-    return text.decode("ascii")
-
-
-def _flat_keyed_capacity(path: Path) -> Capacity | None:
-    """Read the capacity document at ``path`` through ``_flat_keyed_text`` and one ``json.loads``,
-    or None where that path does not apply or the array is not one entry per subset.  A bad
-    ``n`` or ``labels`` raises the ``SchemaError`` that ``capacity_from_dict`` raises."""
-    text = _flat_keyed_text(path)
-    if text is None:
-        return None
     try:
-        doc = json.loads(text)
+        doc = json.loads((data[: start - 1] + b"[]" + data[end + 1 :]).decode("ascii"))
     except json.JSONDecodeError:
         return None
-    del text
-    flat = doc.get("table") if isinstance(doc, dict) else None
-    if not isinstance(flat, list):  # the rewritten object was not the top-level table
+    if not isinstance(doc, dict) or doc.get("table") != []:  # the object was not the top-level table
         return None
+    entries = data.count(b",", start, end) + 1
+    masks, values = np.empty(entries, np.int64), np.empty(entries)
+    pos = 0
+    while start <= end:
+        cut = data.find(b",", start + _CHUNK_BYTES, end)
+        chunk = data[start : end if cut < 0 else cut]
+        start = end + 1 if cut < 0 else cut + 1
+        skeleton = chunk.translate(None, _NUMBER_OR_SPACE)
+        keys = len(skeleton) // 4 + 1
+        if (
+            skeleton != b'"":,' * (keys - 1) + b'"":'
+            or chunk.translate(None, _DIGITS).count(b'""') != keys
+            or b'""' in chunk
+        ):
+            return None
+        try:
+            flat = json.loads(b"[%b]" % chunk.translate(_KEYS_TO_ARRAY))
+        except json.JSONDecodeError:
+            return None
+        vals = flat[1::2]  # ints and floats: the body holds no other JSON value
+        try:
+            masks[pos : pos + keys] = flat[::2]
+            values[pos : pos + keys] = list(map(float, vals)) if int in set(map(type, vals)) else vals
+        except OverflowError:  # a key of 20 or more digits, or an integer value beyond the float range
+            return None
+        pos += keys
+    del data, found
     ground = _parse_ground(doc, str(path))
-    if len(flat) != 2 * ground.size:
+    size = ground.size
+    if entries != size or masks.max() >= size or np.bincount(masks, minlength=size).max() != 1:
         return None
-    try:
-        masks = np.fromiter(islice(flat, 0, None, 2), np.int64, ground.size)
-    except OverflowError:  # a key of 20 or more digits
-        return None
-    table = _scatter(masks, flat[1::2], ground.size)
-    return None if table is None else Capacity(ground, table)
+    table = np.empty(size)
+    table[masks] = values
+    del masks, values
+    return Capacity(ground, table.tolist())
 
 
 def load_capacity(path: str | Path) -> Capacity:
@@ -261,7 +251,16 @@ def load_capacity(path: str | Path) -> Capacity:
 
 
 def save_capacity(c: Capacity, path: str | Path):
-    Path(path).write_text(json.dumps(capacity_to_dict(c), indent=2, sort_keys=True) + "\n")
+    """Write the bytes of ``json.dumps(capacity_to_dict(c), indent=2, sort_keys=True)`` and a
+    newline, without that call's pure-Python encoder: keys in string order, so "10" before
+    "2", and labels through ``json.dumps``."""
+    table, lines = c.table, ["{"]
+    if c.ground.labels is not None:
+        labels = ",\n".join(f"    {json.dumps(s)}" for s in c.ground.labels)
+        lines.append(f'  "labels": [\n{labels}\n  ],')
+    entries = ",\n".join([f'    "{m}": {table[m]!r}' for m in sorted(c.ground.subsets(), key=str)])
+    lines += [f'  "n": {c.ground.n},', '  "table": {', entries, "  }", "}", ""]
+    Path(path).write_text("\n".join(lines))
 
 
 def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:

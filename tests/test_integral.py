@@ -33,8 +33,10 @@ from choqrisk import (
     translation_gap,
     unanimity,
 )
-from choqrisk.errors import GroundSetMismatch, NotZeroOneValued
-from choqrisk.integral import _cell_sums, _collapse_points, _halves, _step_cells
+from choqrisk import integral
+from choqrisk.capacity import _check_same_ground
+from choqrisk.errors import GroundSetMismatch, NotZeroOneValued, TooLarge
+from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_points, _halves, _step_cells
 from choqrisk.premium import Scenario, risk_neutral_premium
 from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
@@ -136,6 +138,71 @@ def test_oracle_matches_exact_on_wide_values(seed):
     exact = gen_choquet(mu, nu, x)
     approx = riemann_oracle(mu, nu, x, step)
     assert abs(exact - approx) <= (n + 1) * step
+
+
+def reference_oracle(mu, nu, x, step=1e-4):
+    """``riemann_oracle`` as it was when it held n x cells mask arrays, kept verbatim as the
+    reference for the per-cell masks."""
+    _check_same_ground(mu, nu, x)
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    cells = (max(x.max, 0.0) - min(x.min, 0.0)) / step
+    if x.ground.n * cells > ORACLE_MAX_CELLS:
+        raise TooLarge(
+            f"oracle needs {x.ground.n} x {cells:.3g} mask cells, over the cap of "
+            f"{ORACLE_MAX_CELLS:.0e}; use a larger step"
+        )
+    vals = np.asarray(x.values, dtype=float)
+    mu_arr = np.asarray(mu.table, dtype=float)
+    nu_arr = np.asarray(nu.table, dtype=float)
+    bits = 1 << np.arange(x.ground.n, dtype=np.int64)
+
+    total = 0.0
+    hi = max(float(vals.max()), 0.0)
+    if hi > 0.0:
+        k = max(1, math.ceil(hi / step))
+        h = hi / k
+        mids = (np.arange(k) + 0.5) * h
+        masks = ((vals[:, None] > mids[None, :]).astype(np.int64) * bits[:, None]).sum(axis=0)
+        total += h * float(mu_arr[masks].sum())
+    lo = min(float(vals.min()), 0.0)
+    if lo < 0.0:
+        k = max(1, math.ceil(-lo / step))
+        h = -lo / k
+        mids = lo + (np.arange(k) + 0.5) * h
+        masks = ((vals[:, None] < mids[None, :]).astype(np.int64) * bits[:, None]).sum(axis=0)
+        total -= h * float(nu_arr[masks].sum())
+    return total
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_matches_the_n_by_cells_reference(n):
+    ground = GroundSet(n)
+    rng = rng_from_seed(900 + n)
+    shapes = {
+        "mixed": lambda v: v,
+        "ties": lambda v: np.round(v),
+        "positive": lambda v: np.abs(v) + 0.25,
+        "negative": lambda v: -np.abs(v) - 0.25,
+        "constant": lambda v: np.full_like(v, v[0]),
+    }
+    for _ in range(6):
+        mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+        raw = rng.uniform(-4.0, 4.0, n)
+        for shape in shapes.values():
+            x = RandomVariable(ground, tuple(shape(raw).tolist()))
+            for step in (0.7, 0.05, 3e-3):
+                assert repr(riemann_oracle(mu, nu, x, step)) == repr(reference_oracle(mu, nu, x, step))
+
+
+def test_oracle_shares_no_code_with_the_exact_path(mu_worked, nu_worked, x_worked, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the oracle reached the exact path")
+
+    for name in ("_groups", "_walk_groups", "_plan", "_halves", "gen_choquet"):
+        monkeypatch.setattr(integral, name, fail)
+    got = riemann_oracle(mu_worked, nu_worked, x_worked, 1e-3)
+    assert repr(got) == repr(reference_oracle(mu_worked, nu_worked, x_worked, 1e-3))
 
 
 # --- C1: tail conventions ----------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -615,22 +616,23 @@ def _saved_text(tmp_path):
     return path.read_text()
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        PLAIN,
-        json.dumps(TEXT_DOC, separators=(",", ":")),
-        _saved_text,
-        json.dumps({"n": 3, "table": {str(m): TEXT_TABLE[m] for m in SHUFFLED}}),
-        PLAIN.replace('"0": 0.0', '"0": 0').replace('"7": 1.0', '"7": 1'),
-        PLAIN.replace('"0": 0.0', '"0": -0.0'),
-        PLAIN.replace('"1": 1e-05', '"1": 1E-5'),
-        PLAIN.replace('"1": 1e-05', '"1":1e-5').replace("{", "{\r\n\t").replace(", ", " ,\r\n\t "),
-        json.dumps({"n": 3, "labels": ["a", "b", "c"], **TEXT_DOC}),
-    ],
-    ids=["default", "compact", "save_capacity", "shuffled", "ints", "negative-zero", "1E-5", "crlf-tabs",
-         "labels"],
-)
+FLAT_READ_CASES = [
+    PLAIN,
+    json.dumps(TEXT_DOC, separators=(",", ":")),
+    _saved_text,
+    json.dumps({"n": 3, "table": {str(m): TEXT_TABLE[m] for m in SHUFFLED}}),
+    PLAIN.replace('"0": 0.0', '"0": 0').replace('"7": 1.0', '"7": 1'),
+    PLAIN.replace('"0": 0.0', '"0": -0.0'),
+    PLAIN.replace('"1": 1e-05', '"1": 1E-5'),
+    PLAIN.replace('"1": 1e-05', '"1":1e-5').replace("{", "{\r\n\t").replace(", ", " ,\r\n\t "),
+    json.dumps({"n": 3, "labels": ["a", "b", "c"], **TEXT_DOC}),
+]
+FLAT_READ_IDS = [
+    "default", "compact", "save_capacity", "shuffled", "ints", "negative-zero", "1E-5", "crlf-tabs", "labels",
+]
+
+
+@pytest.mark.parametrize("text", FLAT_READ_CASES, ids=FLAT_READ_IDS)
 def test_flat_keyed_read_matches_the_dict_read(text, tmp_path, monkeypatch):
     if callable(text):
         text = text(tmp_path)
@@ -647,54 +649,119 @@ BASE = '{"n": 2, "table": ' + TABLE_OBJECT + "}"
 FLAT = "[0, 0.0, 1, 0.3, 2, 0.5, 3, 1.0]"  # the flat form of TABLE_OBJECT, a dense table of the wrong length
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        BASE.replace('"1"', '"01"'),
-        BASE.replace('"1"', '" 1"'),
-        BASE.replace('"1"', '""'),
-        BASE.replace('"2"', '"1"'),
-        BASE.replace("0.3", '"0.3"'),
-        BASE.replace("0.3", "NaN"),
-        BASE.replace("0.3", "Infinity"),
-        BASE.replace("0.3", "+0.3"),
-        BASE.replace("0.3", ".5"),
-        BASE.replace("0.3", "1."),
-        BASE.replace('"1":', '"1",'),
-        BASE.replace('0.3, "2"', '0.3: "2"'),
-        BASE.replace("1.0}", "1.0,}"),
-        BASE.replace('"3": 1.0', '"3": {"x": 1.0}'),
-        BASE[:-1] + ', "table": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}}',
-        BASE.replace('"n": 2,', '"n": 2, "labels": ["table\\": {", "b"],'),
-        BASE.replace('"n": 2,', '"n": 2, "labels": ["é", "b"],'),
-        "\ufeff" + BASE,
-        BASE.replace("1.0", "1" + "0" * 400),
-        BASE.replace('"1"', '"1000000000000000001"'),
-        BASE.replace('"1"', '"10000000000000000001"'),
-        BASE[:-12],
-        # number characters beside a key, which would join it if its quotes were dropped
-        BASE.replace('"1"', '"1"2'),
-        BASE.replace('"1"', '1""'),
-        # a key that is "table" only once unescaped
-        '{"n": 2, "\\"table": ' + TABLE_OBJECT + ', "\\u0074able": ' + FLAT + "}",
-        # a nested "table" object beside a top-level array
-        '{"n": 2, "x": {"table": ' + TABLE_OBJECT + '}, "table": ' + FLAT + "}",
-        '{"n": 2, "table": ' + FLAT + ', "x": {"table": ' + TABLE_OBJECT + "}}",
-        BASE.replace('"2": 0.5, ', ""),
-        BASE.replace('"3": 1.0', '"3": 1.0, "4": 1.0'),
-    ],
-    ids=["key-01", "key-space-1", "key-empty", "duplicate", "string-value", "NaN", "Infinity", "+0.3", ".5",
-         "1.", "comma-for-colon", "colon-for-comma", "trailing-comma", "nested-object", "second-table",
-         "table-label", "non-ascii-label", "bom", "huge-int", "key-19-digits", "key-20-digits", "truncated",
-         "digit-after-key", "digit-before-empty-key", "escaped-table-key", "nested-table-first",
-         "nested-table-last", "missing-entry", "extra-entry"],
-)
+DECLINED_CASES = [
+    BASE.replace('"1"', '"01"'),
+    BASE.replace('"1"', '" 1"'),
+    BASE.replace('"1"', '""'),
+    BASE.replace('"2"', '"1"'),
+    BASE.replace("0.3", '"0.3"'),
+    BASE.replace("0.3", "NaN"),
+    BASE.replace("0.3", "Infinity"),
+    BASE.replace("0.3", "+0.3"),
+    BASE.replace("0.3", ".5"),
+    BASE.replace("0.3", "1."),
+    BASE.replace('"1":', '"1",'),
+    BASE.replace('0.3, "2"', '0.3: "2"'),
+    BASE.replace("1.0}", "1.0,}"),
+    BASE.replace('"3": 1.0', '"3": {"x": 1.0}'),
+    BASE[:-1] + ', "table": {"0": 0.0, "1": 0.5, "2": 0.5, "3": 1.0}}',
+    BASE.replace('"n": 2,', '"n": 2, "labels": ["table\\": {", "b"],'),
+    BASE.replace('"n": 2,', '"n": 2, "labels": ["é", "b"],'),
+    "\ufeff" + BASE,
+    BASE.replace("1.0", "1" + "0" * 400),
+    BASE.replace('"1"', '"1000000000000000001"'),
+    BASE.replace('"1"', '"10000000000000000001"'),
+    BASE[:-12],
+    # number characters beside a key, which would join it if its quotes were dropped
+    BASE.replace('"1"', '"1"2'),
+    BASE.replace('"1"', '1""'),
+    # a key that is "table" only once unescaped
+    '{"n": 2, "\\"table": ' + TABLE_OBJECT + ', "\\u0074able": ' + FLAT + "}",
+    # a nested "table" object beside a top-level array
+    '{"n": 2, "x": {"table": ' + TABLE_OBJECT + '}, "table": ' + FLAT + "}",
+    '{"n": 2, "table": ' + FLAT + ', "x": {"table": ' + TABLE_OBJECT + "}}",
+    BASE.replace('"2": 0.5, ', ""),
+    BASE.replace('"3": 1.0', '"3": 1.0, "4": 1.0'),
+]
+DECLINED_IDS = [
+    "key-01", "key-space-1", "key-empty", "duplicate", "string-value", "NaN", "Infinity", "+0.3", ".5",
+    "1.", "comma-for-colon", "colon-for-comma", "trailing-comma", "nested-object", "second-table",
+    "table-label", "non-ascii-label", "bom", "huge-int", "key-19-digits", "key-20-digits", "truncated",
+    "digit-after-key", "digit-before-empty-key", "escaped-table-key", "nested-table-first",
+    "nested-table-last", "missing-entry", "extra-entry",
+]
+
+
+@pytest.mark.parametrize("text", DECLINED_CASES, ids=DECLINED_IDS)
 def test_declined_documents_read_as_the_dict_read(text, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode())
     assert choqrisk_io._flat_keyed_capacity(path) is None
     dict_read = _outcome(lambda p: capacity_from_dict(choqrisk_io._read_json(p), what=str(p)), path)
     assert _outcome(load_capacity, path) == dict_read
+
+
+# a 1-byte chunk cuts the body at every comma, a 13-byte one after every entry or two
+@pytest.mark.parametrize("chunk", [1, 13])
+@pytest.mark.parametrize("text", FLAT_READ_CASES, ids=FLAT_READ_IDS)
+def test_flat_keyed_read_in_small_chunks(text, chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(choqrisk_io, "_CHUNK_BYTES", chunk)
+    test_flat_keyed_read_matches_the_dict_read(text, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("chunk", [1, 13])
+@pytest.mark.parametrize("text", DECLINED_CASES, ids=DECLINED_IDS)
+def test_declined_documents_in_small_chunks(text, chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr(choqrisk_io, "_CHUNK_BYTES", chunk)
+    test_declined_documents_read_as_the_dict_read(text, tmp_path)
+
+
+def _sorted_table(n: int, seed: int) -> list[float]:
+    """A random capacity table: values ascending in the bitmask are monotone under inclusion."""
+    table = np.sort(np.random.default_rng(seed).random(1 << n))
+    table[0], table[-1] = 0.0, 1.0
+    return table.tolist()
+
+
+def test_flat_keyed_read_across_many_chunks(tmp_path, monkeypatch):
+    table = _sorted_table(17, 11)
+    order = np.random.default_rng(12).permutation(len(table)).tolist()
+    doc = {"n": 17, "table": {str(m): table[m] for m in order}}
+    doc["table"]["0"], doc["table"][str(len(table) - 1)] = 0, 1
+    text = json.dumps(doc)
+    assert len(text) > 2 * choqrisk_io._CHUNK_BYTES
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = _outcome(capacity_from_dict, json.loads(text), str(path))
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("parsed as a dict"))
+    assert _outcome(load_capacity, path) == want
+
+
+def test_flat_keyed_read_peak_memory_is_bounded_by_the_table(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": 18, "table": dict(enumerate(_sorted_table(18, 13)))}))
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("parsed as a dict"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cap = load_capacity(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cap.table) == 1 << 18
+    assert peak - base <= 3 * (kept - base)
+
+
+def test_save_capacity_writes_the_bytes_of_the_json_encoder(tmp_path):
+    path = tmp_path / "saved.json"
+    for n in range(1, 13):
+        table = _sorted_table(n, n)
+        table[0] = -0.0
+        for labels in (None, [f"e{i}" for i in range(n)], [f'\u00e9 "{i}"\\\n\u2603' for i in range(n)]):
+            cap = new_capacity(GroundSet(n, labels), table)
+            save_capacity(cap, path)
+            want = json.dumps(choqrisk_io.capacity_to_dict(cap), indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == want.encode()
 
 
 def test_undecodable_bytes_name_the_file(tmp_path, capsys):
