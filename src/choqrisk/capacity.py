@@ -106,23 +106,28 @@ def _check_same_ground(*objs) -> GroundSet:
 
 @dataclass(frozen=True, eq=False)
 class Capacity:
-    """Normalized monotone set function, stored as one value per bitmask.
+    """Normalized monotone set function, stored as one read-only float64 array of 2^n values.
 
-    Instances are immutable and validated on construction; every operation
-    on them is a pure function, so they are safe to share across threads.
+    ``_view`` is a read-only memoryview of the array, whose reads give Python floats;
+    ``table`` builds a tuple of them on each access, in O(2^n).  Instances are immutable and
+    validated on construction; every operation on them is a pure function, so they are safe
+    to share across threads.
     """
 
     ground: GroundSet
-    table: tuple[float, ...]
+    _view: memoryview
 
-    def __post_init__(self):
-        # float() per entry at C speed; an exact float passes through as the same object
-        table = tuple(map(float, self.table))
-        object.__setattr__(self, "table", table)
-        size = self.ground.size
-        if len(table) != size:
-            raise ValueError(f"table must have {size} entries, got {len(table)}")
-        arr = _values(self)
+    def __init__(self, ground: GroundSet, table: Sequence[float]):
+        self.__post_init__(ground, table)
+
+    def __post_init__(self, ground: GroundSet, table: Sequence[float]):
+        """Convert and check ``table``, then store it; ``__init__`` runs this, as the generated one did."""
+        # float() per entry, as for any iterable; a 1-D numeric array is converted in one copy
+        numeric = isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "biuf"
+        arr = np.array(table, dtype=float) if numeric else np.fromiter(map(float, table), float)
+        size = ground.size
+        if arr.size != size:
+            raise ValueError(f"table must have {size} entries, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite")
         # monotonicity first: the witness pair is the more useful diagnostic
@@ -131,20 +136,30 @@ class Capacity:
         # the values r(x) = 1 - (1 - x): dual() stores 1 - x, which r leaves
         # unchanged, and the conjugate's dip 1 - x - (1 - y) equals r(y) - r(x)
         # exactly, so the dual of every accepted table is accepted.
-        np.subtract(1.0, np.subtract(1.0, arr, out=arr), out=arr)
-        for i, pair in _pairs(arr):
+        r = np.subtract(1.0, arr)
+        np.subtract(1.0, r, out=r)
+        for i, pair in _pairs(r):
             bad = (pair[:, 0] - pair[:, 1] > MONOTONE_TOL).ravel()
             if bad.any():
                 high, low = divmod(int(bad.argmax()), 1 << i)
                 a = high << (i + 1) | low
-                raise NotMonotone(a, a | 1 << i, table[a], table[a | 1 << i])
-        if table[0] != 0.0 or table[size - 1] != 1.0:
+                raise NotMonotone(a, a | 1 << i, arr.item(a), arr.item(a | 1 << i))
+        if arr[0] != 0.0 or arr[-1] != 1.0:
             raise NotNormalized(
-                f"table[empty]={table[0]!r}, table[full]={table[size - 1]!r}; expected exactly 0.0 and 1.0"
+                f"table[empty]={arr.item(0)!r}, table[full]={arr.item(-1)!r}; expected exactly 0.0 and 1.0"
             )
+        _store(self, ground, arr)
+
+    def __reduce__(self):
+        return Capacity, (self.ground, _values(self))
+
+    @property
+    def table(self) -> tuple[float, ...]:
+        """The values as a tuple of Python floats, built from the array on each access."""
+        return tuple(_values(self).tolist())
 
     def __getitem__(self, mask: int) -> float:
-        return self.table[mask]
+        return self._view[mask]
 
     def dual(self) -> "Capacity":
         """Conjugate capacity: ``dual(A) = 1 - self(complement of A)``.
@@ -154,19 +169,16 @@ class Capacity:
         constructor measures them, are this table's, so the constructor
         accepts it too.
         """
-        dual = object.__new__(Capacity)
-        object.__setattr__(dual, "ground", self.ground)
-        object.__setattr__(dual, "table", tuple((1.0 - _values(self)[::-1]).tolist()))
-        return dual
+        return _store(object.__new__(Capacity), self.ground, 1.0 - _values(self)[::-1])
 
     def isclose(self, other: "Capacity", atol: float = STRUCT_TOL) -> bool:
         """Entrywise equality within ``atol``."""
         if self.ground.n != other.ground.n:
             return False
-        return all(abs(a - b) <= atol for a, b in zip(self.table, other.table))
+        return bool((np.abs(_values(self) - _values(other)) <= atol).all())
 
     def is_zero_one_valued(self) -> bool:
-        return all(v <= STRUCT_TOL or v >= 1.0 - STRUCT_TOL for v in self.table)
+        return bool(((_values(self) <= STRUCT_TOL) | (_values(self) >= 1.0 - STRUCT_TOL)).all())
 
     def is_additive(self) -> bool:
         """True iff every value is the sum of its singleton values."""
@@ -176,19 +188,27 @@ class Capacity:
 
     def __repr__(self) -> str:
         entries = ", ".join(
-            f"{self.ground.describe(a)}: {self.table[a]:g}" for a in self.ground.subsets()
+            f"{self.ground.describe(a)}: {v:g}" for a, v in enumerate(_values(self).tolist())
         )
         return f"Capacity(n={self.ground.n}, {{{entries}}})"
 
 
+def _store(c: Capacity, ground: GroundSet, arr: np.ndarray) -> Capacity:
+    """Freeze ``arr`` and make it, on ``ground``, the table of ``c``."""
+    arr.flags.writeable = False
+    object.__setattr__(c, "ground", ground)
+    object.__setattr__(c, "_view", memoryview(arr))
+    return c
+
+
 def _values(c: Capacity) -> np.ndarray:
-    """The table as a fresh float64 array, read from the tuple in one pass."""
-    return np.fromiter(c.table, float, len(c.table))
+    """The capacity's read-only float64 array itself, not a copy."""
+    return c._view.obj
 
 
 def new_capacity(ground: GroundSet, table: Sequence[float]) -> Capacity:
     """Validate a raw table and wrap it as a capacity."""
-    return Capacity(ground, tuple(table))
+    return Capacity(ground, table)
 
 
 def _pairs(table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -227,7 +247,7 @@ def _snap_endpoints(ground: GroundSet, table: Sequence[float], what: str) -> Cap
             f"{what}: computed endpoints ({float(table[0])!r}, {float(table[-1])!r}) are not (0, 1)"
         )
     table[0], table[-1] = 0.0, 1.0
-    return Capacity(ground, table.tolist())
+    return Capacity(ground, table)
 
 
 def from_probability(ground: GroundSet, weights: Sequence[float]) -> Capacity:
@@ -269,7 +289,7 @@ def hurwicz(family: Sequence[Capacity], theta: float) -> Capacity:
     for k, p in enumerate(family):
         if not p.is_additive():
             raise NotAdditive(f"family member {k} is not additive")
-    tables = np.array([p.table for p in family])
+    tables = np.stack([_values(p) for p in family])
     table = theta * tables.min(axis=0) + (1.0 - theta) * tables.max(axis=0)
     return _snap_endpoints(ground, table, "hurwicz")
 
@@ -397,11 +417,10 @@ def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int |
     qualifies.
     """
     full = _check_same_ground(mu, nu).full
-    for b in range(1, full):
-        low = min(mu.table[b], nu.table[full ^ b])
-        if low >= 1.0 - STRUCT_TOL if both_one else low > STRUCT_TOL:
-            return b
-    return None
+    # over B = 1 .. full - 1: B^c runs down from full - 1, so nu(B^c) is nu's table reversed
+    low = np.minimum(_values(mu)[1:full], _values(nu)[full - 1 : 0 : -1])
+    [hits] = (low >= 1.0 - STRUCT_TOL if both_one else low > STRUCT_TOL).nonzero()
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def _disjoint_assignments(n_low: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -500,7 +519,7 @@ def is_uncertainty_measure(m: Capacity) -> UncertaintyCheck:
     m(B); their walk raises TooLarge above PAIR_WALK_MAX_N elements.
     """
     ground = m.ground
-    if m.table[ground.full] != 1.0:
+    if m[ground.full] != 1.0:
         return UncertaintyCheck(False, "normalization", (ground.full,))
     table = _values(m)
     unpaired = np.flatnonzero(np.abs(table + table[::-1] - 1.0) > STRUCT_TOL)

@@ -30,13 +30,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, _check_same_ground
+from .capacity import Capacity, GroundSet, _check_same_ground, _values
 from .errors import NotZeroOneValued, TooLarge
 
 INF = float("inf")
 # Cap on n * cells for riemann_oracle, which makes n passes over the cells.  Its working
-# memory is O(2^n + cells): a float64 copy of one table, and per cell an int64 mask, a
-# comparison flag and the gathered value, with no Python object per cell.
+# memory is O(cells): it gathers from the capacities' own arrays, and holds per cell an
+# int64 mask, a comparison flag and the gathered value, with no Python object per cell.
 ORACLE_MAX_CELLS = 10**7
 
 
@@ -130,7 +130,7 @@ def survival(mu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> 
     _check_same_ground(mu, x)
     if math.isnan(t):
         raise ValueError("threshold t is NaN")
-    return mu.table[x.ground.full ^ _lower(_groups(x.values), t, not strict)]
+    return mu[x.ground.full ^ _lower(_groups(x.values), t, not strict)]
 
 
 def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> float:
@@ -138,7 +138,7 @@ def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -
     _check_same_ground(nu, x)
     if math.isnan(t):
         raise ValueError("threshold t is NaN")
-    return nu.table[_lower(_groups(x.values), t, strict)]
+    return nu[_lower(_groups(x.values), t, strict)]
 
 
 def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
@@ -158,7 +158,7 @@ def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> float:
     """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans; the
     caller has checked that mu, nu and X share it."""
     ds, upto = groups
-    mu_t, nu_t = mu.table, nu.table
+    mu_t, nu_t = mu._view, nu._view
     # at group g: X <= the previous value, which is X < d
     lt = [0, *upto]
     total = lower_part = 0.0
@@ -237,7 +237,7 @@ def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
     have n columns, as for RandomVariable.
     """
     ground = _check_same_ground(mu, nu)
-    gains, losses = _halves((mu.table, nu.table), _outcome_rows(ground, xs))
+    gains, losses = _halves((_values(mu), _values(nu)), _outcome_rows(ground, xs))
     return gains[0] - losses[1]
 
 
@@ -246,7 +246,7 @@ def _collapse_points(mu: Capacity, nu: Capacity, xs) -> tuple[np.ndarray, np.nda
     largest d > 0 with ``mu(X >= d) >= 0.5``, a_X the least c < 0 with ``nu(X <= c) >= 0.5``."""
     ground = _check_same_ground(mu, nu)
     srt, starts, below, upto = _plan(_outcome_rows(ground, xs))
-    mu_t, nu_t = np.asarray(mu.table, dtype=float), np.asarray(nu.table, dtype=float)
+    mu_t, nu_t = _values(mu), _values(nu)
     b_hit = starts & (srt > 0.0) & (mu_t[ground.full ^ below] >= 0.5)
     a_hit = starts & (srt < 0.0) & (nu_t[upto] >= 0.5)
     return np.where(a_hit, srt, 0.0).min(axis=1), np.where(b_hit, srt, 0.0).max(axis=1)
@@ -292,25 +292,25 @@ def riemann_oracle(mu: Capacity, nu: Capacity, x: RandomVariable, step: float = 
         )
     vals = np.asarray(x.values, dtype=float)
 
-    def tail_sum(table: tuple[float, ...], mids: np.ndarray, inside) -> float:
+    def tail_sum(table: np.ndarray, mids: np.ndarray, inside) -> float:
         """The sum over the cells of ``table`` at the set of elements whose value ``v`` has
         ``inside(v, mid)`` at the cell's midpoint."""
         masks = np.zeros(mids.size, dtype=np.int64)
         for i, v in enumerate(vals):
             np.bitwise_or(masks, 1 << i, out=masks, where=inside(v, mids))
-        return float(np.fromiter(table, float, len(table))[masks].sum())
+        return float(table[masks].sum())
 
     total = 0.0
     hi = max(float(vals.max()), 0.0)
     if hi > 0.0:
         k = max(1, math.ceil(hi / step))
         h = hi / k
-        total += h * tail_sum(mu.table, (np.arange(k) + 0.5) * h, np.greater)
+        total += h * tail_sum(_values(mu), (np.arange(k) + 0.5) * h, np.greater)
     lo = min(float(vals.min()), 0.0)
     if lo < 0.0:
         k = max(1, math.ceil(-lo / step))
         h = -lo / k
-        total -= h * tail_sum(nu.table, lo + (np.arange(k) + 0.5) * h, np.less)
+        total -= h * tail_sum(_values(nu), lo + (np.arange(k) + 0.5) * h, np.less)
     return total
 
 
@@ -396,7 +396,7 @@ def translation_gap(mu: Capacity, nu: Capacity, x: RandomVariable, a: float) -> 
 
     def integrand(s: float) -> float:
         # mu(X > s) - dual(nu)(X >= s), where dual(nu)(X >= s) = 1 - nu(X < s)
-        return mu.table[full ^ _lower(groups, s, False)] - (1.0 - nu.table[_lower(groups, s, True)])
+        return mu._view[full ^ _lower(groups, s, False)] - (1.0 - nu._view[_lower(groups, s, True)])
 
     correction = step_integral(integrand, -a, 0.0, x.values)
     return TranslationGap(lhs, correction)

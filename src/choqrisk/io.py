@@ -150,7 +150,7 @@ def capacity_to_dict(c: Capacity) -> dict:
     doc: dict[str, Any] = {"n": c.ground.n}
     if c.ground.labels is not None:
         doc["labels"] = list(c.ground.labels)
-    doc["table"] = {str(mask): c.table[mask] for mask in c.ground.subsets()}
+    doc["table"] = {str(mask): v for mask, v in enumerate(c.table)}
     return doc
 
 
@@ -236,7 +236,7 @@ def _flat_keyed_capacity(path: Path) -> Capacity | None:
     table = np.empty(size)
     table[masks] = values
     del masks, values
-    return Capacity(ground, table.tolist())
+    return Capacity(ground, table)
 
 
 def load_capacity(path: str | Path) -> Capacity:

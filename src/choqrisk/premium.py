@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, _check_same_ground, coexistence_set, dominates_dual
+from .capacity import Capacity, _check_same_ground, _values, coexistence_set, dominates_dual
 from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, ZeroOneCapacity
 from .integral import (
     RandomVariable,
@@ -123,7 +123,7 @@ def _tail_gap_integral(mu: Capacity, nu: Capacity, groups, full: int, upper: flo
         return 0.0
     lo, hi, sign = (upper, 0.0, -1.0) if 0.0 > upper else (0.0, upper, 1.0)
     pts = [lo, *(d for d in groups[0] if lo < d < hi), hi]
-    mu_t, nu_t = mu.table, nu.table
+    mu_t, nu_t = mu._view, nu._view
     acc = 0.0
     for left, right in zip(pts, pts[1:]):
         below = _lower(groups, (left + right) / 2.0, True)
@@ -146,9 +146,9 @@ def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacit
     per cell in ``step_integral``'s order, from the cells that the lemma's
     translation trial also reads.
     """
-    gains, losses = _halves((mu.table, nu.table), xs)
+    mu_t, nu_t = _values(mu), _values(nu)
+    gains, losses = _halves((mu_t, nu_t), xs)
     width, _, below, sign = _step_cells(xs, np.zeros(len(xs)), ws)
-    mu_t, nu_t = np.asarray(mu.table), np.asarray(nu.table)
     # dual(nu)(X < t) - mu(X < t) in each cell, as _tail_gap_integral reads it
     gap = _cell_sums(width, sign, (1.0 - nu_t[mu.ground.full ^ below]) - mu_t[below])
     return (gains[1] - losses[0]) + gap
@@ -233,7 +233,7 @@ def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> Pre
     for i in np.flatnonzero(~np.isfinite(uy).all(axis=1)).tolist():  # a NaN, which RandomVariable refuses
         raised[i] = ValueError("values must be finite")
         uy[i] = 0.0
-    gains, losses = _halves((mu.table, nu.table), np.concatenate([ys[:stop], uy]))
+    gains, losses = _halves((_values(mu), _values(nu)), np.concatenate([ys[:stop], uy]))
     integrals = (gains[0] - losses[1]).tolist()
     reasons, error = [], None
     for i, ok in enumerate(inside):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, MassFunction, _zeta, belief, dominates_dual, from_probability
+from .capacity import Capacity, GroundSet, MassFunction, _values, _zeta, belief, dominates_dual, from_probability
 from .integral import RandomVariable
 
 
@@ -40,7 +40,7 @@ def random_capacity(rng: np.random.Generator, ground: GroundSet, style: str | No
         raise ValueError(f"unknown style {style!r}")
     raw[0] = 0.0
     raw[size - 1] = 1.0
-    return Capacity(ground, _zeta(raw, np.maximum).tolist())
+    return Capacity(ground, _zeta(raw, np.maximum))
 
 
 def random_dominant_pair(rng: np.random.Generator, ground: GroundSet) -> tuple[Capacity, Capacity]:
@@ -50,9 +50,8 @@ def random_dominant_pair(rng: np.random.Generator, ground: GroundSet) -> tuple[C
     monotonicity and endpoints.
     """
     nu = random_capacity(rng, ground)
-    m0 = random_capacity(rng, ground)
-    bar = nu.dual()
-    mu = Capacity(ground, tuple(min(a, b) for a, b in zip(m0.table, bar.table)))
+    m0, bar = _values(random_capacity(rng, ground)), _values(nu.dual())
+    mu = Capacity(ground, np.where(bar < m0, bar, m0))  # min(m0, bar) per entry, m0 on ties
     assert dominates_dual(mu, nu).holds
     return mu, nu
 

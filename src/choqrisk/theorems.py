@@ -30,7 +30,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import Capacity, DominanceCheck, GroundSet, _check_same_ground, coexistence_set, dominates_dual
+from .capacity import (Capacity, DominanceCheck, GroundSet, _check_same_ground, _values, coexistence_set,
+                       dominates_dual)
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
@@ -325,20 +326,20 @@ def _value_pairs(ground: GroundSet, f, values: Sequence[float], probe: bool) -> 
     return np.stack([s, t], axis=1)
 
 
-def _two_point_scans(ground: GroundSet, tables: Sequence, pairs: Sequence, gallery: list, values, probe: bool) -> list:
+def _two_point_scans(caps: Sequence[Capacity], pairs: Sequence, gallery: list, values, probe: bool) -> list:
     """The two-point engine: per map of ``gallery``, per canonical split B in order, ``(side, found)``.
 
     A variable taking one value on B and one off it reads only t(B) and
     t(Bᶜ) of a capacity table t: its other events are the empty and the
     whole set.  ``side[c]`` indexes the distinct (t(B), t(Bᶜ)) of
-    ``tables[c]``, and ``found`` holds the ``_split_scan`` result of each
+    ``caps[c]``, and ``found`` holds the ``_split_scan`` result of each
     (mu side, nu side) index pair that some (mu index, nu index) of
     ``pairs`` has.
     """
-    splits = []
+    ground, tables, splits = caps[0].ground, np.stack([_values(cap) for cap in caps]), []
     for b in _canonical_splits(ground):
         index: dict = {}
-        side = [index.setdefault((t[b], t[ground.full ^ b]), len(index)) for t in tables]
+        side = [index.setdefault(tuple(t), len(index)) for t in tables[:, (b, ground.full ^ b)].tolist()]
         splits.append((b, side, list(index), list(dict.fromkeys((side[i], side[j]) for i, j in pairs))))
     out = []
     for f in gallery:
@@ -416,8 +417,8 @@ def _scan_verdict(splits: list, i: int, j: int, probe: bool = False) -> Verdict:
 
 def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False) -> Verdict:
     """``_scan_verdict`` of one pair: the engine over the tables (mu, nu)."""
-    ground = _check_same_ground(mu, nu)
-    [splits] = _two_point_scans(ground, [cap.table for cap in (mu, nu)], [(0, 1)], [f], values, probe)
+    _check_same_ground(mu, nu)
+    [splits] = _two_point_scans((mu, nu), [(0, 1)], [f], values, probe)
     return _scan_verdict(splits, 0, 1, probe)
 
 
@@ -514,7 +515,7 @@ def _property_trials(
     """
     ground = caps[0].ground
     n, size = ground.n, max(samples, 0)
-    tables = np.array([cap.table for cap in caps], dtype=float)
+    tables = np.stack([_values(cap) for cap in caps])
 
     def tails(c, i, j, rows):
         walk = np.array([[gen_choquet(caps[a], caps[b], x) for x in rows["vars"]] for a, b in zip(i, j)])
@@ -605,24 +606,24 @@ def _collapse_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple
 
     Prepared once per map: the rows are every few rows of ``two_point_grid``
     plus 25 dense draws, inside f's domain, and one ``_halves`` call on
-    f(rows) over the stack of all tables gives every pair's C(f(X)).  b_X
-    reads mu alone and a_X nu alone, so f(b_X) and f(a_X) are made once per
-    capacity.  Returns ``read(mu, nu, (i, j), scan)``, the verdict of a pair
-    whose two-point Jensen scan is ``scan``.
+    f(rows) over the stack of the capacities the pairs use gives every
+    pair's C(f(X)).  b_X reads mu alone and a_X nu alone, so f(b_X) and
+    f(a_X) are made once per capacity.  Returns ``read(mu, nu, (i, j),
+    scan)``, the verdict of a pair whose two-point Jensen scan is ``scan``.
     """
     ground = caps[0].ground
     dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, ground.n))
     grid = two_point_grid(ground, values)
     xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
-    gains, losses = _halves([cap.table for cap in caps], _outcome_rows(ground, _per_distinct(f.value, xs)))
+    row = {k: r for r, k in enumerate(dict.fromkeys(k for ij in pairs for k in ij))}
+    gains, losses = _halves(np.stack([_values(caps[k]) for k in row]), _outcome_rows(ground, _per_distinct(f.value, xs)))
     # (f(a_X), f(b_X)) of each capacity, as nu and as mu
-    used = {k for ij in pairs for k in ij}
-    ends = {k: _per_distinct(f.value, np.stack(_collapse_points(caps[k], caps[k], xs))) for k in used}
+    ends = {k: _per_distinct(f.value, np.stack(_collapse_points(caps[k], caps[k], xs))) for k in row}
     cert = _certifier(f, "ws", values)
 
     def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
         i, j = ij
-        lhs, rhs = gains[i] - losses[j], ends[j][0] + ends[i][1]
+        lhs, rhs = gains[row[i]] - losses[row[j]], ends[j][0] + ends[i][1]
         bad = np.flatnonzero(lhs != rhs)
         if bad.size:
             k = int(bad[0])
@@ -795,7 +796,7 @@ def run_full_report(
             report.verdict_counts[name] = (good + (1 if ok else 0), total + 1)
             if not ok:
                 report.unexpected.append(
-                    {"check": name, "mu": list(mu.table), "nu": list(nu.table), "witness": witness}
+                    {"check": name, "mu": _values(mu).tolist(), "nu": _values(nu).tolist(), "witness": witness}
                 )
 
     # a converse verdict is as expected exactly when its counterexample verified
@@ -806,11 +807,12 @@ def run_full_report(
 def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
     """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
 
-    Each capacity gets the index of its table in the stack of distinct ones,
-    and each pair is classified once, up front; the converse builds its
-    witness from that ``dominates_dual``.  Before any pair's checks, every
-    other check runs its engine once over the stack for the (mu index, nu
-    index) pairs it applies to, and a pair reads its verdicts by index: the
+    Each capacity object is keyed once by its values and gets the index of
+    its table in the stack of distinct ones, and each pair is classified
+    once, up front; the converse builds its witness from that
+    ``dominates_dual``.  Before any pair's checks, every other check runs
+    its engine once over the stack for the (mu index, nu index) pairs it
+    applies to, and a pair reads its verdicts by index: the
     lemma trials once per stream position (``_property_trials``), the
     two-point scans of theorems 1 (dominant pairs), 2 (zero-one pairs), 3
     (dominant pairs with a coexistence set) and 4 (every pair) once per map
@@ -825,13 +827,16 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
     pairs = list(pairs)
-    caps = list({cap.table: cap for pair in pairs for cap in pair}.values())
-    index = {cap.table: k for k, cap in enumerate(caps)}
-    ids = [(index[mu.table], index[nu.table]) for mu, nu in pairs]
+    # each capacity object is keyed once, by its bytes with -0.0 made 0.0: keys match as tables compare
+    objects = {id(cap): cap for pair in pairs for cap in pair}
+    key = {i: (_values(cap) + 0.0).tobytes() for i, cap in objects.items()}
+    caps = list({key[id(cap)]: cap for pair in pairs for cap in pair}.values())
+    index = {key[id(cap)]: k for k, cap in enumerate(caps)}
+    ids = [(index[key[id(mu)]], index[key[id(nu)]]) for mu, nu in pairs]
+    zero_one = [cap.is_zero_one_valued() for cap in caps]
     classes = [
-        (dominates_dual(mu, nu), mu.is_zero_one_valued() and nu.is_zero_one_valued(),
-         coexistence_set(mu, nu) is not None)
-        for mu, nu in pairs
+        (dominates_dual(mu, nu), zero_one[i] and zero_one[j], coexistence_set(mu, nu) is not None)
+        for (mu, nu), (i, j) in zip(pairs, ids)
     ]
 
     def lemma(mine):
@@ -845,7 +850,7 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
 
     def scanned(name, gallery, grid, probe, reader, mine):
         """The check over its pairs ``mine``: the engines run here, per map, and each pair reads them."""
-        scans = _two_point_scans(caps[0].ground, list(index), mine, gallery, grid, probe)
+        scans = _two_point_scans(caps, mine, gallery, grid, probe)
         readers = [reader(caps, mine, f, grid) for f in gallery]
 
         def run(mu, nu, ij, dom):

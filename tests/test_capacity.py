@@ -216,6 +216,166 @@ def test_ground_set_validation():
         GroundSet(2, ("a", "a"))
 
 
+# --- representation -------------------------------------------------------
+
+WORKED = (0.0, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: list(WORKED),
+        lambda: WORKED,
+        lambda: [0, 0, 1, 1],
+        lambda: (-0.0, 0.25, 0.75, 1.0),
+        lambda: np.array(WORKED),
+        lambda: np.array(WORKED, dtype=np.float32),
+        lambda: np.array([0, 0, 1, 1]),
+        lambda: np.array([False, True, False, True]),
+        lambda: np.array(WORKED)[::-1][::-1],
+        lambda: ["0", "0.5", "0.5", "1"],
+        lambda: (v for v in WORKED),
+    ],
+    ids=["list", "tuple", "ints", "minus-zero", "float64", "float32", "int64", "bool", "strided", "str", "generator"],
+)
+def test_table_is_the_tuple_of_float_of_the_input(g2, make):
+    want = tuple(map(float, make()))
+    cap = Capacity(g2, make())
+    assert repr(cap.table) == repr(want)
+    assert all(type(v) is float for v in cap.table)
+    assert all(type(cap[m]) is float and repr(cap[m]) == repr(want[m]) for m in g2.subsets())
+    assert cap[-1] == 1.0
+
+
+def test_the_array_behind_a_capacity_is_read_only(g2):
+    from dataclasses import FrozenInstanceError
+
+    from choqrisk.capacity import _values
+
+    source = np.array(WORKED)
+    cap = Capacity(g2, source)
+    source[1] = 0.9  # the capacity holds its own copy
+    assert cap.table == WORKED
+    for c in (cap, cap.dual()):
+        with pytest.raises(ValueError, match="read-only"):
+            _values(c)[1] = 0.4
+        assert not _values(c).flags.writeable and _values(c).dtype == np.float64
+        with pytest.raises(FrozenInstanceError):
+            c.table = (0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            c.ground = GroundSet(2)
+        with pytest.raises(FrozenInstanceError):
+            del c.ground
+    assert cap.table == WORKED
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_dual_table_is_one_minus_the_reversed_table(n):
+    g = GroundSet(n)
+    for seed in range(20):
+        table = _zeta(np.random.default_rng(seed).random(g.size), np.maximum)
+        table[0], table[-1] = -0.0 if seed % 2 else 0.0, 1.0
+        t = table.tolist()
+        dual = Capacity(g, t).dual()
+        assert repr(dual.table) == repr(tuple(1.0 - x for x in reversed(t)))
+        assert repr(dual.dual().table) == repr(tuple(1.0 - x for x in reversed(dual.table)))
+
+
+@pytest.mark.parametrize("convert", [list, np.array], ids=["list", "array"])
+def test_constructor_errors_are_unchanged(g2, convert):
+    with pytest.raises(NotMonotone) as info:
+        Capacity(g2, convert([0.0, 0.6, 0.1, 0.5]))
+    assert (info.value.subset, info.value.superset) == (0b01, 0b11)
+    assert str(info.value) == "monotonicity violated: table[0b1]=0.6 > table[0b11]=0.5"
+    with pytest.raises(NotNormalized) as info:
+        Capacity(g2, convert([0.1, 0.3, 0.5, 0.9]))
+    assert str(info.value) == "table[empty]=0.1, table[full]=0.9; expected exactly 0.0 and 1.0"
+    with pytest.raises(ValueError) as info:
+        Capacity(g2, convert([0.0, 1.0]))
+    assert type(info.value) is ValueError and str(info.value) == "table must have 4 entries, got 2"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as info:
+            Capacity(g2, convert([0.0, bad, 0.5, 1.0]))
+        assert type(info.value) is ValueError and str(info.value) == "table entries must be finite"
+
+
+def test_constructor_converts_entries_with_float(g2):
+    for bad in ([0.0, None, 0.5, 1.0], [0.0, 1j, 0.5, 1.0], [0.0, [0.5], 0.5, 1.0], [0.0, "x", 0.5, 1.0]):
+        with pytest.raises((TypeError, ValueError)) as got:
+            Capacity(g2, bad)
+        with pytest.raises((TypeError, ValueError)) as want:
+            tuple(map(float, bad))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_a_capacity_pickles_and_deep_copies(mu_worked):
+    import copy
+    import pickle
+
+    from choqrisk.capacity import _values
+
+    for other in (pickle.loads(pickle.dumps(mu_worked)), copy.deepcopy(mu_worked), copy.copy(mu_worked)):
+        assert other is not mu_worked and other != mu_worked and hash(other) != hash(mu_worked)
+        assert other.ground == mu_worked.ground and other.table == mu_worked.table
+        assert not _values(other).flags.writeable
+    assert {mu_worked: 1}[mu_worked] == 1 and mu_worked == mu_worked
+
+
+# reference loops over the table tuple, which the array methods must match exactly
+
+def old_isclose(self, other, atol=STRUCT_TOL):
+    if self.ground.n != other.ground.n:
+        return False
+    return all(abs(a - b) <= atol for a, b in zip(self.table, other.table))
+
+
+def old_is_zero_one_valued(self):
+    return all(v <= STRUCT_TOL or v >= 1.0 - STRUCT_TOL for v in self.table)
+
+
+def old_coexistence_set(mu, nu, both_one=False):
+    full = mu.ground.full
+    for b in range(1, full):
+        low = min(mu.table[b], nu.table[full ^ b])
+        if low >= 1.0 - STRUCT_TOL if both_one else low > STRUCT_TOL:
+            return b
+    return None
+
+
+def edge_tables(n, seed):
+    """Monotone tables whose values sit on and beside the STRUCT_TOL thresholds."""
+    edges = [0.0, STRUCT_TOL, 1.0 - STRUCT_TOL, 1.0, 0.5]
+    edges += [np.nextafter(v, d) for v in edges[1:3] for d in (0.0, 2.0)]
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        table = _zeta(rng.choice(edges, 1 << n) * (rng.random(1 << n) < 0.4), np.maximum)
+        table[0], table[-1] = 0.0, 1.0
+        yield Capacity(GroundSet(n), table)
+
+
+def test_table_checks_match_the_old_loops():
+    from choqrisk.capacity import coexistence_set
+
+    zero_one, found = set(), set()
+    for n in range(1, 6):
+        caps = list(edge_tables(n, n))
+        for cap in caps:
+            assert cap.is_zero_one_valued() is old_is_zero_one_valued(cap)
+            zero_one.add(cap.is_zero_one_valued())
+        for mu, nu in zip(caps, caps[1:] + caps[:1]):
+            for both_one in (False, True):
+                got = coexistence_set(mu, nu, both_one=both_one)
+                assert got == old_coexistence_set(mu, nu, both_one=both_one)
+                found.add((both_one, got is None))
+            gap = float(np.max(np.abs(np.array(mu.table) - np.array(nu.table))))
+            for atol in (0.0, gap, np.nextafter(gap, 0.0), np.nextafter(gap, 1.0), STRUCT_TOL, -1.0, math.nan, math.inf):
+                assert mu.isclose(nu, atol) is old_isclose(mu, nu, atol)
+                assert mu.isclose(mu, atol) is old_isclose(mu, mu, atol)
+            other = GroundSet(n % 5 + 1)
+            assert mu.isclose(Capacity(other, [0.0] * other.full + [1.0])) is False
+    assert zero_one == {False, True} and len(found) == 4
+
+
 # --- dual ---------------------------------------------------------------
 
 def test_dual_worked_example(mu_worked):

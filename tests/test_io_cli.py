@@ -749,7 +749,29 @@ def test_flat_keyed_read_peak_memory_is_bounded_by_the_table(tmp_path, monkeypat
     finally:
         tracemalloc.stop()
     assert len(cap.table) == 1 << 18
-    assert peak - base <= 3 * (kept - base)
+    # the peak, in bytes of the float64 table the capacity keeps
+    assert peak - base <= 12 * 8 * (1 << 18)
+
+
+def test_a_loaded_capacity_and_its_dual_hold_one_float64_array(tmp_path, monkeypatch):
+    """At n = 18 a loaded capacity retains one float64 array and ``dual()`` allocates one more."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": 18, "table": dict(enumerate(_sorted_table(18, 14)))}))
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("parsed as a dict"))
+    array_bytes = 8 * (1 << 18)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cap = load_capacity(path)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dual = cap.dual()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dual.table == tuple(1.0 - v for v in reversed(cap.table))
+    assert kept - base <= 1.5 * array_bytes
+    assert peak - kept <= 1.5 * array_bytes
 
 
 def test_save_capacity_writes_the_bytes_of_the_json_encoder(tmp_path):

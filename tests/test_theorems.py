@@ -252,6 +252,52 @@ def test_sweep_lemma_trials_integrate_each_row_set_once_per_stream_position(monk
     assert calls == [9] * (1 + 2 + 2 * positions + 2 * positions)
 
 
+def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatch):
+    """Theorem 2's reader integrates f(rows) over the four {0,1}-valued capacities its pairs
+    use, not all nine, and each pair reads the verdict of the one-pair check."""
+    from choqrisk import theorems
+
+    caps = list(enumerate_capacities(2, (0.0, 0.5, 1.0)))
+    zero_one = [k for k, cap in enumerate(caps) if cap.is_zero_one_valued()]
+    pairs = list(product(zero_one, zero_one))
+    stacks, exact = [], theorems._halves
+
+    def counting(tables, xs):
+        stacks.append(len(tables))
+        return exact(tables, xs)
+
+    values = tuple(-3.0 + 0.5 * k for k in range(13))
+    for f in theorems.zero_at_zero_gallery():
+        monkeypatch.setattr(theorems, "_halves", counting)
+        read = theorems._collapse_reader(caps, pairs, f, values, seed=42)
+        monkeypatch.setattr(theorems, "_halves", exact)
+        assert stacks == [len(zero_one)] == [4]
+        stacks.clear()
+        for i, j in pairs:
+            scan = theorems._pair_scan(caps[i], caps[j], f, values)
+            assert read(caps[i], caps[j], (i, j), scan) == zero_one_collapse_check(caps[i], caps[j], f, values, 42)
+
+
+def test_sweep_keys_capacities_by_value_with_signed_zeros_equal(monkeypatch):
+    """Two capacity objects with equal tables, one with -0.0 at the empty set, share one
+    index, as equal tables did when the sweep keyed them by their tuples."""
+    from choqrisk import theorems
+
+    g = GroundSet(2)
+    a, b, c = (new_capacity(g, t) for t in ([0.0, 0.5, 0.5, 1.0], [-0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0]))
+    seen, trials = [], theorems._property_trials
+
+    def recording(caps, pairs, *args):
+        seen.append((caps, pairs))
+        return trials(caps, pairs, *args)
+
+    monkeypatch.setattr(theorems, "_property_trials", recording)
+    out = list(theorems._sweep_verdicts([(a, c), (b, c), (c, a)], ("lemma",), 0, (0.0, 1.0), 4))
+    [(caps, pairs)] = seen
+    assert len(caps) == 2 and pairs == [(0, 1), (1, 0)]
+    assert out[0][3] == out[1][3]
+
+
 def test_sweep_runs_dominates_dual_once_per_pair(monkeypatch):
     """The converse builds its witness from the pair's classification, not a second dominance check."""
     from choqrisk import theorems
@@ -710,10 +756,10 @@ def test_keyed_sweep_matches_a_per_pair_reference_loop(monkeypatch, faults):
         assert sum(not ok for _, _, _, verdicts in got for _, ok, _ in verdicts) > 400
 
 
-def test_sweep_memo_lives_for_one_call(monkeypatch):
+def test_sweep_keeps_no_state_between_calls(monkeypatch):
     """Value grid A, then B, then A in one process, after a clean run and under injected faults.
 
-    A memo kept past a call would hand the faulted runs the clean run's
+    State kept past a call would hand the faulted runs the clean run's
     certificates, or grid A's witnesses to grid B."""
     grid_a, grid_b = tuple(-4.0 + k for k in range(9)), (-2.0, -0.5, 0.0, 1.0, 3.0)
     levels = (0.0, 0.5, 1.0)
