@@ -403,10 +403,19 @@ class DominanceCheck:
 def dominates_dual(mu: Capacity, nu: Capacity) -> DominanceCheck:
     """Check ``mu(A) <= 1 - nu(A^c)`` for every subset A."""
     _check_same_ground(mu, nu)
-    gaps = _values(mu) - (1.0 - _values(nu)[::-1])
-    worst_set = int(gaps.argmax())
-    worst_gap = float(gaps[worst_set])
-    return DominanceCheck(worst_gap <= STRUCT_TOL, worst_set, worst_gap)
+    [check] = _dominance_checks(_values(mu), _values(nu))
+    return check
+
+
+def _dominance_checks(mu: np.ndarray, nus: np.ndarray) -> list[DominanceCheck]:
+    """``dominates_dual`` of the table mu against one table nus or each row of a (J, 2^n) stack:
+    ``mu - (1 - nu[::-1])``, computed in one array of the shape of nus."""
+    gaps = np.subtract(1.0, nus[..., ::-1])
+    np.subtract(mu, gaps, out=gaps)
+    gaps = gaps.reshape(-1, mu.size)
+    worst = gaps.argmax(axis=1)
+    worst_gaps = gaps[np.arange(len(gaps)), worst].tolist()
+    return [DominanceCheck(gap <= STRUCT_TOL, a, gap) for a, gap in zip(worst.tolist(), worst_gaps)]
 
 
 def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int | None:
@@ -416,11 +425,23 @@ def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int |
     Both tests hold within STRUCT_TOL; None when no proper nonempty set
     qualifies.
     """
-    full = _check_same_ground(mu, nu).full
+    _check_same_ground(mu, nu)
+    hits = _coexisting(_values(mu), _values(nu), both_one)
+    return int(hits.argmax()) + 1 if hits.any() else None
+
+
+def _coexisting(mu: np.ndarray, nus: np.ndarray, both_one: bool = False) -> np.ndarray:
+    """``coexistence_set``'s test of each B = 1 .. full - 1 for the table mu against one table nus
+    or each row of a (J, 2^n) stack, as bools of shape (2^n - 2,) or (J, 2^n - 2)."""
+    full = mu.size - 1
     # over B = 1 .. full - 1: B^c runs down from full - 1, so nu(B^c) is nu's table reversed
-    low = np.minimum(_values(mu)[1:full], _values(nu)[full - 1 : 0 : -1])
-    [hits] = (low >= 1.0 - STRUCT_TOL if both_one else low > STRUCT_TOL).nonzero()
-    return int(hits[0]) + 1 if hits.size else None
+    if both_one:
+        hits = nus[..., full - 1 : 0 : -1] >= 1.0 - STRUCT_TOL
+        hits &= mu[1:full] >= 1.0 - STRUCT_TOL
+    else:
+        hits = nus[..., full - 1 : 0 : -1] > STRUCT_TOL
+        hits &= mu[1:full] > STRUCT_TOL
+    return hits
 
 
 def _disjoint_assignments(n_low: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -151,12 +151,15 @@ def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
     and ``nu(X <= d)``, by other code.
     """
     _check_same_ground(mu, nu, x)
-    return _walk_groups(mu, nu, _groups(x.values), x.ground.full)
+    total, lower_part = _walk_groups(mu, nu, _groups(x.values), x.ground.full)
+    return total - lower_part
 
 
-def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> float:
-    """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans; the
-    caller has checked that mu, nu and X share it."""
+def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> tuple[float, float]:
+    """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans, as its
+    two parts ``(total, lower_part)``: the gains, which read mu only, and the losses, which read
+    nu only.  The integral is ``total - lower_part``.  The caller has checked that mu, nu and X
+    share the ground set."""
     ds, upto = groups
     mu_t, nu_t = mu._view, nu._view
     # at group g: X <= the previous value, which is X < d
@@ -167,7 +170,7 @@ def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> float:
             total += d * (mu_t[full ^ lt[g]] - mu_t[full ^ lt[g + 1]])
         elif d < 0.0:
             lower_part += d * (nu_t[lt[g]] - nu_t[lt[g + 1]])
-    return total - lower_part
+    return total, lower_part
 
 
 def _outcome_rows(ground: GroundSet, xs) -> np.ndarray:
@@ -212,21 +215,27 @@ def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value, where the scalar loop reads the strict tails between values off
     ``_groups``: the same events, reached by other code.  Evaluation gathers
     the table values at those masks for every column at once, then adds
-    the scalar loop's terms column by column in its order.
+    the scalar loop's terms column by column in its order.  One half is
+    summed before the other is gathered, in place, so at most two (C, K, n)
+    arrays are alive.
     """
     tables = np.asarray(tables, dtype=float)
     srt, starts, below, upto = _plan(xs)
     full = tables.shape[1] - 1
-    at = lambda masks: np.take(tables, masks, axis=1)  # (C, K, n); faster than tables[:, masks]
-    # every column's term at once, 0.0 where the scalar loop adds none; a sum that starts at
-    # 0.0 is never -0.0, so adding 0.0 leaves it as it is
-    gain_terms = np.where(starts & (srt > 0.0), srt * (at(full ^ below) - at(full ^ upto)), 0.0)
-    loss_terms = np.where(starts & (srt < 0.0), srt * (at(below) - at(upto)), 0.0)
-    gains, losses = np.zeros(gain_terms.shape[:2]), np.zeros(loss_terms.shape[:2])
-    for j in range(srt.shape[1]):  # in ascending order, as the scalar loop adds its terms
-        gains += gain_terms[:, :, j]
-        losses += loss_terms[:, :, j]
-    return gains, losses
+
+    def half(before: np.ndarray, after: np.ndarray, adds: np.ndarray) -> np.ndarray:
+        # every column's term srt * (t[before] - t[after]) at once, 0.0 where the scalar loop adds
+        # none; a sum that starts at 0.0 is never -0.0, so adding 0.0 leaves it as it is
+        terms = np.take(tables, before, axis=1)  # (C, K, n); faster than tables[:, before]
+        terms -= np.take(tables, after, axis=1)
+        terms *= srt
+        np.copyto(terms, 0.0, where=~(starts & adds))
+        out = np.zeros(terms.shape[:2])
+        for j in range(srt.shape[1]):  # in ascending order, as the scalar loop adds its terms
+            out += terms[:, :, j]
+        return out
+
+    return half(full ^ below, full ^ upto, srt > 0.0), half(below, upto, srt < 0.0)
 
 
 def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:

@@ -275,11 +275,6 @@ def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def load_mass_function(path: str | Path) -> MassFunction:
-    path = Path(path)
-    return mass_from_dict(_read_json(path), what=str(path))
-
-
 def load_values_array(text_or_path: str) -> list[float]:
     """Accept an inline JSON array or a path to a file holding one."""
     s, where = text_or_path.strip(), ""

@@ -136,7 +136,8 @@ def risk_neutral_premium(s: Scenario) -> float:
     """Linear-utility benchmark premium; ignores ``s.u``.  One ``_groups`` of X
     serves the swapped integral and the tail gap."""
     groups, full = _groups(s.x.values), s.x.ground.full
-    return _walk_groups(s.nu, s.mu, groups, full) + _tail_gap_integral(s.mu, s.nu, groups, full, s.w)
+    total, lower_part = _walk_groups(s.nu, s.mu, groups, full)
+    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, s.w)
 
 
 def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacity) -> np.ndarray:
@@ -172,7 +173,8 @@ def approx_premium(s: Scenario) -> float:
     if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
         upper = max(0.0, *y.values)
     groups, full = _groups(y.values), y.ground.full
-    return _walk_groups(s.nu, s.mu, groups, full) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
+    total, lower_part = _walk_groups(s.nu, s.mu, groups, full)
+    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
 
 
 @dataclass(frozen=True)

@@ -30,16 +30,18 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .capacity import (Capacity, DominanceCheck, GroundSet, _check_same_ground, _values, coexistence_set,
-                       dominates_dual)
+from .capacity import (Capacity, GroundSet, _check_same_ground, _coexisting, _dominance_checks, _values,
+                       coexistence_set, dominates_dual)
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
     _cell_sums,
     _collapse_points,
+    _groups,
     _halves,
     _outcome_rows,
     _step_cells,
+    _walk_groups,
     gen_choquet,
     gen_choquet_batch,
 )
@@ -62,9 +64,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (2.2-3.2 s
-#: on a 2-vCPU machine, about 0.15 ms per pair, most of it the lemma's tail trial),
-#: at five levels 3,549,456 (about 9 min at that rate)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (1.1 s on a
+#: 2-vCPU machine, about 0.07 ms per pair), at five levels 3,549,456 (about 5.5 min,
+#: extrapolated from 20,000 of them at 0.09 ms per pair; memory grows with the pairs too)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -264,17 +266,16 @@ def _in_domain(f, xs: np.ndarray) -> np.ndarray:
     return xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
 
 
-def _first_violation(f, xs: np.ndarray, lhs: np.ndarray, integrals: np.ndarray) -> list[tuple[int, dict | None]]:
+def _first_violation(f, xs: np.ndarray, lhs: np.ndarray, f_integrals: np.ndarray) -> list[tuple[int, dict | None]]:
     """First row of xs (all inside f's domain) whose Jensen gap exceeds VIOLATION_TOL, per pair.
 
-    ``lhs`` holds C(f(X)) and ``integrals`` C(X) of each row, as one pair's
-    (K,) array or P pairs' (P, K) array; f(C(X)) is called once per distinct
-    value of the whole array.  Returns, per pair, the number of rows scanned
-    up to and including that row with its witness ``{"f", "x", "gap"}``, or
-    ``(len(xs), None)`` when no row violates.
+    ``lhs`` holds C(f(X)) and ``f_integrals`` f(C(X)) of each row, as one
+    pair's (K,) array or P pairs' (P, K) array.  Returns, per pair, the
+    number of rows scanned up to and including that row with its witness
+    ``{"f", "x", "gap"}``, or ``(len(xs), None)`` when no row violates.
     """
     out = []
-    for gaps in np.atleast_2d(lhs - _per_distinct(f.value, integrals)):
+    for gaps in np.atleast_2d(lhs - f_integrals):
         bad = np.flatnonzero(gaps > VIOLATION_TOL)
         if not bad.size:
             out.append((len(xs), None))
@@ -299,7 +300,7 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     ground = _check_same_ground(mu, nu)
     xs = _in_domain(f, _outcome_rows(ground, xs))
     lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
-    [(checked, witness)] = _first_violation(f, xs, lhs, gen_choquet_batch(mu, nu, xs))
+    [(checked, witness)] = _first_violation(f, xs, lhs, _per_distinct(f.value, gen_choquet_batch(mu, nu, xs)))
     return Verdict("jensen", witness is None, checked, witness)
 
 
@@ -353,28 +354,39 @@ def _split_scan(ground: GroundSet, f, b: int, rows: np.ndarray, sides: list, wan
 
     ``rows`` gives each variable's value on B and off it, and the variable
     is that two-element row under the table (0, t(B), t(Bᶜ), 1).  So one
-    ``_halves`` call on the rows and one on f(rows) give every pair's C(X)
-    and C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch``
-    of the whole rows.  A Jensen scan reports ``_first_violation``.  The
-    probe first sets C(X) against the closed two-valued mixture forms and
-    reports the first row off them as ``(rows before it, witness, True)``,
-    else every row and the first violation.  Pairs are scanned one mu side
-    at a time, so that no array holds more than (C, K) values.
+    ``_halves`` call on the rows and f(rows) stacked together (each row's
+    halves do not depend on the others) gives every pair's C(X) and
+    C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch`` of
+    the whole rows.  On a row with no negative value every loss half is
+    0.0, so C(X) is ``gains[i]``, and on one with no positive value it is
+    ``0.0 - losses[j]``: f(C(X)) is made once per side there, and per pair
+    only on the mixed-sign rows.  A Jensen scan reports
+    ``_first_violation``.  The probe first sets C(X) against the closed
+    two-valued mixture forms and reports the first row off them as ``(rows
+    before it, witness, True)``, else every row and the first violation.
+    Pairs are scanned one mu side at a time, so that no array holds more
+    than (C, K) values.
     """
     xs = np.where([b >> i & 1 for i in range(ground.n)], rows[:, :1], rows[:, 1:])
     tables = np.zeros((len(sides), 4))
     tables[:, 3] = 1.0
     tables[:, 1:3] = sides
-    gains, losses = _halves(tables, rows)
-    f_gains, f_losses = _halves(tables, _per_distinct(f.value, rows))
+    k = len(rows)
+    gains, losses = _halves(tables, np.concatenate([rows, _per_distinct(f.value, rows)]))
+    gains, f_gains, losses, f_losses = gains[:, :k], gains[:, k:], losses[:, :k], losses[:, k:]
     alpha, beta, beta_on_b = rows.min(axis=1), rows.max(axis=1), rows[:, 0] > rows[:, 1]
-    by_mu: dict = {}
-    for i, j in wanted:
-        by_mu.setdefault(i, []).append(j)
+    on_gains, on_losses = alpha >= 0.0, (beta <= 0.0) & (alpha < 0.0)
+    mixed = ~(on_gains | on_losses)
+    f_on_gains = _per_distinct(f.value, gains[:, on_gains])
+    f_on_losses = _per_distinct(f.value, 0.0 - losses[:, on_losses])
     found = {}
-    for i, js in by_mu.items():
+    for i, js in _by_mu(wanted).items():
         m = gains[i] - losses[js]
-        scans = _first_violation(f, xs, f_gains[i] - f_losses[js], m)
+        f_m = np.empty_like(m)
+        f_m[:, on_gains] = f_on_gains[i]
+        f_m[:, on_losses] = f_on_losses[js]
+        f_m[:, mixed] = _per_distinct(f.value, m[:, mixed])
+        scans = _first_violation(f, xs, f_gains[i] - f_losses[js], f_m)
         if probe:
             # closed two-valued mixture forms: p = mu(X = beta), q = nu(X = alpha)
             p = np.where(beta_on_b, tables[i, 1], tables[i, 2])
@@ -394,6 +406,14 @@ def _split_scan(ground: GroundSet, f, b: int, rows: np.ndarray, sides: list, wan
             else:
                 found[i, j] = (len(xs) if probe else seen), witness, False
     return found
+
+
+def _by_mu(pairs) -> dict:
+    """The second entries of the (mu index, nu index) ``pairs``, per mu index, in order."""
+    out: dict = {}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return out
 
 
 def _scan_verdict(splits: list, i: int, j: int, probe: bool = False) -> Verdict:
@@ -465,15 +485,16 @@ class JensenCounterexample:
 def jensen_counterexample(mu: Capacity, nu: Capacity) -> JensenCounterexample | None:
     """Build and verify the violation witness, or None when dominance holds."""
     dom = dominates_dual(mu, nu)
-    return None if dom.holds else _counterexample(mu, nu, dom)
-
-
-def _counterexample(mu: Capacity, nu: Capacity, dom: DominanceCheck) -> JensenCounterexample:
-    """``jensen_counterexample`` of a pair whose failed ``dominates_dual`` is ``dom``."""
-    ground, a_set = mu.ground, dom.worst_set
-    x = RandomVariable(ground, tuple(0.0 if a_set >> i & 1 else -1.0 for i in range(ground.n)))
+    if dom.holds:
+        return None
+    x = RandomVariable(mu.ground, _counterexample_rows(mu.ground, [dom.worst_set])[0])
     f = AffineMap(1.0, 2.0)
-    return JensenCounterexample(x, f, jensen_gap(mu, nu, f, x), dom.gap, a_set)
+    return JensenCounterexample(x, f, jensen_gap(mu, nu, f, x), dom.gap, dom.worst_set)
+
+
+def _counterexample_rows(ground: GroundSet, worst_sets: Sequence[int]) -> np.ndarray:
+    """The converse's X of each worst set A, one row each: 0.0 on A and -1.0 off it."""
+    return np.array([[0.0 if a >> i & 1 else -1.0 for i in range(ground.n)] for a in worst_sets])
 
 
 def integral_property_checks(
@@ -485,9 +506,10 @@ def integral_property_checks(
 ) -> dict[str, Verdict]:
     """Randomized checks of the four structural integral properties.
 
-    Tail-convention equality is asserted exactly, as the scalar
-    ``gen_choquet`` (strict tails, read off ``_groups``) against the halves
-    (weak tails, read off ``_plan``); pointwise monotonicity,
+    Tail-convention equality is asserted exactly, as the scalar walk
+    (strict tails, read off ``_groups``; ``_walk_groups`` and
+    ``_tail_walk``) against the halves (weak tails, read off ``_plan``);
+    pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
     translation identity at ``tol``.  A trial stops at its first failing
     sample, and the next trial draws on from there.  This is the lemma
@@ -510,16 +532,21 @@ def _property_trials(
     then ``gains[i] - losses[j]``, bit-for-bit ``gen_choquet``.  The
     translation identity's step integral reads mu and nu inside each cell,
     so it gathers both per pair and sums the cells in ``step_integral``'s
-    order.  Only the tail trial calls the scalar ``gen_choquet``, once per
-    sample and pair.
+    order.  The tail trial walks each capacity the pairs use once per
+    sample (``_walk_groups``): the walk's gains part reads mu only and its
+    loss part nu only, so ``_tail_walk`` of the parts gives each pair's
+    scalar integral.
     """
     ground = caps[0].ground
     n, size = ground.n, max(samples, 0)
     tables = np.stack([_values(cap) for cap in caps])
 
     def tails(c, i, j, rows):
-        walk = np.array([[gen_choquet(caps[a], caps[b], x) for x in rows["vars"]] for a, b in zip(i, j)])
-        halves = c("x", i, j)
+        parts = np.zeros((len(caps), size, 2))  # (gains part, loss part) per capacity and row
+        for k in set(i.tolist()) | set(j.tolist()):
+            walks = [_walk_groups(caps[k], caps[k], groups, ground.full) for groups in rows["groups"]]
+            parts[k] = np.reshape(walks, (size, 2))
+        walk, halves = _tail_walk(parts[i, :, 0], parts[j, :, 1], rows["x"]), c("x", i, j)
         return walk != halves, lambda r, k: {"gap": float(abs(walk[r, k] - halves[r, k]))}
 
     def monotonicity(c, i, j, rows):
@@ -544,7 +571,7 @@ def _property_trials(
     # A trial reads C of rows name under the pairs (i, j) as the (P, K) array c(name, i, j).
     trials = (
         ("tail-conventions", "tail conventions agree", (),
-         lambda x, more: {"x": x, "vars": [RandomVariable(ground, tuple(v)) for v in x.tolist()]}, tails),
+         lambda x, more: {"x": x, "groups": [_groups(v) for v in x.tolist()]}, tails),
         ("monotonicity", "pointwise monotonicity", ((0.0, 5.0),) * n,
          lambda x, more: {"x": x, "y": x + more}, monotonicity),
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
@@ -578,6 +605,13 @@ def _property_trials(
     return out
 
 
+def _tail_walk(total: np.ndarray, lower: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The scalar walk's C(X) of the (K, n) rows xs under pairs, from its parts: ``total``, the
+    gains part under each pair's mu, less ``lower``, the loss part under its nu; bit-for-bit
+    ``gen_choquet``."""
+    return total - lower
+
+
 def zero_one_collapse_check(
     mu: Capacity,
     nu: Capacity,
@@ -608,17 +642,24 @@ def _collapse_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple
     plus 25 dense draws, inside f's domain, and one ``_halves`` call on
     f(rows) over the stack of the capacities the pairs use gives every
     pair's C(f(X)).  b_X reads mu alone and a_X nu alone, so f(b_X) and
-    f(a_X) are made once per capacity.  Returns ``read(mu, nu, (i, j),
-    scan)``, the verdict of a pair whose two-point Jensen scan is ``scan``.
+    f(a_X) are made once per capacity.  The coexistence sets come from one
+    ``_coexisting`` call per mu.  Returns ``read(mu, nu, (i, j), scan)``,
+    the verdict of a pair whose two-point Jensen scan is ``scan``.
     """
     ground = caps[0].ground
     dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, ground.n))
     grid = two_point_grid(ground, values)
     xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
     row = {k: r for r, k in enumerate(dict.fromkeys(k for ij in pairs for k in ij))}
-    gains, losses = _halves(np.stack([_values(caps[k]) for k in row]), _outcome_rows(ground, _per_distinct(f.value, xs)))
+    tables = np.stack([_values(caps[k]) for k in row])
+    gains, losses = _halves(tables, _outcome_rows(ground, _per_distinct(f.value, xs)))
     # (f(a_X), f(b_X)) of each capacity, as nu and as mu
     ends = {k: _per_distinct(f.value, np.stack(_collapse_points(caps[k], caps[k], xs))) for k in row}
+    coexist = {
+        (i, j): hit
+        for i, js in _by_mu(pairs).items()
+        for j, hit in zip(js, _coexisting(tables[row[i]], tables[[row[j] for j in js]], both_one=True).any(axis=1))
+    }
     cert = _certifier(f, "ws", values)
 
     def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
@@ -630,7 +671,7 @@ def _collapse_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple
             witness = {"f": f.spec(), "x": xs[k].tolist(), "lhs": float(lhs[k]), "rhs": float(rhs[k])}
             return Verdict("collapse identity", False, k + 1, witness)
         checked = len(xs) + scan.checked
-        if coexistence_set(mu, nu, both_one=True) is not None:
+        if coexist[ij]:
             return _certified("collapse equivalence", f, cert, checked, scan.witness, "coexistence set present")
         return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
 
@@ -804,22 +845,61 @@ def run_full_report(
     return report
 
 
+def _pair_classes(caps: Sequence[Capacity], pairs: Sequence) -> list[tuple]:
+    """``(dominates_dual, zero_one, has a coexistence set)`` of each (mu index, nu index) of ``pairs``, in order.
+
+    One ``_dominance_checks`` and one ``_coexisting`` call per mu index
+    set its table against the tables of the nu indices it meets, which
+    gives each pair's worst set, gap and coexistence flag bit-for-bit as
+    ``dominates_dual`` and ``coexistence_set`` give them.
+    """
+    tables = np.stack([_values(cap) for cap in caps])
+    zero_one = [cap.is_zero_one_valued() for cap in caps]
+    out: list = [None] * len(pairs)
+    for i, members in _by_mu((mu, (p, nu)) for p, (mu, nu) in enumerate(pairs)).items():
+        positions, js = zip(*members)
+        nus = tables[list(js)]
+        coexist = _coexisting(tables[i], nus).any(axis=1).tolist()
+        for p, j, dom, c in zip(positions, js, _dominance_checks(tables[i], nus), coexist):
+            out[p] = dom, zero_one[i] and zero_one[j], c
+    return out
+
+
+def _converse_gaps(caps: Sequence[Capacity], pairs: Sequence, worst_sets: Sequence[int]) -> list[float]:
+    """``jensen_counterexample``'s realized gap of each (mu index, nu index) of ``pairs``, whose
+    worst set is the matching entry of ``worst_sets``, bit-for-bit.
+
+    Its X is 0 on the worst set and -1 off it, and f(x) = x + 2, so one
+    ``_halves`` call on the rows X and f(X) of the distinct worst sets gives
+    every pair's C(X) and C(f(X)) by one subtraction each.
+    """
+    f, sets = AffineMap(1.0, 2.0), list(dict.fromkeys(worst_sets))
+    x = _counterexample_rows(caps[0].ground, sets)
+    gains, losses = _halves(np.stack([_values(cap) for cap in caps]), np.concatenate([x, f.value(x)]))
+    row = {a: r for r, a in enumerate(sets)}
+    i, j = np.array(pairs).T
+    r = np.array([row[a] for a in worst_sets])
+    fr = r + len(sets)
+    return ((gains[i, fr] - losses[j, fr]) - f.value(gains[i, r] - losses[j, r])).tolist()
+
+
 def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
     """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
 
     Each capacity object is keyed once by its values and gets the index of
-    its table in the stack of distinct ones, and each pair is classified
-    once, up front; the converse builds its witness from that
-    ``dominates_dual``.  Before any pair's checks, every other check runs
-    its engine once over the stack for the (mu index, nu index) pairs it
-    applies to, and a pair reads its verdicts by index: the
-    lemma trials once per stream position (``_property_trials``), the
-    two-point scans of theorems 1 (dominant pairs), 2 (zero-one pairs), 3
-    (dominant pairs with a coexistence set) and 4 (every pair) once per map
-    and split (``_two_point_scans``, read by side index in
-    ``_scan_verdict``), and theorem 2's collapse identity once per map
-    (``_collapse_reader``).  A grid certificate is made at most once per
-    check and map (``_certifier``).  Nothing outlives the call.
+    its table in the stack of distinct ones, and the pairs are classified
+    up front, once per mu index (``_pair_classes``).  Before any pair's
+    checks, every check runs its engine once over the stack for the (mu
+    index, nu index) pairs it applies to, and a pair reads its verdicts by
+    index: the lemma trials once per stream position
+    (``_property_trials``), the converse once over the worst sets of its
+    pairs (``_converse_gaps``), the two-point scans of theorems 1 (dominant
+    pairs), 2 (zero-one pairs), 3 (dominant pairs with a coexistence set)
+    and 4 (every pair) once per map and split (``_two_point_scans``, read
+    by side index in ``_scan_verdict``), and theorem 2's collapse identity
+    once per map (``_collapse_reader``).  A grid certificate is made at
+    most once per check and map (``_certifier``).  Nothing outlives the
+    call.
     """
     forward_gallery, collapse_gallery = concave_increasing_gallery(), zero_at_zero_gallery()
     concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
@@ -833,20 +913,22 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     caps = list({key[id(cap)]: cap for pair in pairs for cap in pair}.values())
     index = {key[id(cap)]: k for k, cap in enumerate(caps)}
     ids = [(index[key[id(mu)]], index[key[id(nu)]]) for mu, nu in pairs]
-    zero_one = [cap.is_zero_one_valued() for cap in caps]
-    classes = [
-        (dominates_dual(mu, nu), zero_one[i] and zero_one[j], coexistence_set(mu, nu) is not None)
-        for (mu, nu), (i, j) in zip(pairs, ids)
-    ]
+    classes = _pair_classes(caps, ids)
 
     def lemma(mine):
         trials = dict(zip(mine, _property_trials(caps, mine, property_samples, seed)))
         return lambda mu, nu, ij, dom: ((f"property {name}", v.holds, v.witness) for name, v in trials[ij].items())
 
-    def converse(mu, nu, ij, dom):
-        wit = _counterexample(mu, nu, dom)
-        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= GAP_MATCH_TOL
-        yield "jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}
+    def converse(mine):
+        worst = {ij: dom.worst_set for ij, (dom, _, _) in zip(ids, classes)}
+        gaps = dict(zip(mine, _converse_gaps(caps, mine, [worst[ij] for ij in mine])))
+
+        def run(mu, nu, ij, dom):
+            gap = gaps[ij]
+            ok = gap > VIOLATION_TOL and abs(gap - dom.gap) <= GAP_MATCH_TOL
+            yield "jensen converse", ok, {"gap": gap, "dominance_gap": dom.gap}
+
+        return run
 
     def scanned(name, gallery, grid, probe, reader, mine):
         """The check over its pairs ``mine``: the engines run here, per map, and each pair reads them."""
@@ -868,7 +950,7 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
         ("lemma", lambda d, z, c: True, lemma),
         ("1", lambda d, z, c: d,
          partial(scanned, "jensen forward", forward_gallery, values, False, lambda *_: lambda mu, nu, ij, scan: scan)),
-        ("1", lambda d, z, c: not d, lambda mine: converse),
+        ("1", lambda d, z, c: not d, converse),
         ("2", lambda d, z, c: z,
          partial(scanned, "collapse", collapse_gallery, probe_values, False, partial(_collapse_reader, seed=seed))),
         ("3", lambda d, z, c: d and c,

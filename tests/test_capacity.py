@@ -33,7 +33,7 @@ from choqrisk import (
     possibility,
     unanimity,
 )
-from choqrisk.capacity import UncertaintyCheck, _zeta
+from choqrisk.capacity import UncertaintyCheck, _zeta, coexistence_set
 from choqrisk.errors import (
     BadPsi,
     BadWeights,
@@ -695,6 +695,43 @@ def test_dominance_ground_mismatch(mu_worked, g3):
     other = from_probability(g3, [0.2, 0.3, 0.5])
     with pytest.raises(GroundSetMismatch):
         dominates_dual(mu_worked, other)
+
+
+def test_dominance_and_coexistence_hold_one_temporary_at_n18():
+    """At n = 18 the traced peak of dominates_dual and of coexistence_set stays within
+    1.25 tables of 8 * 2^18 bytes, and their results are the old two-temporary formulas'."""
+    import tracemalloc
+
+    g = GroundSet(18)
+    table = np.bitwise_count(np.arange(g.size)) / 18.0
+    mu, nu = Capacity(g, table), Capacity(g, table**2)
+    mu_t, nu_rev = np.asarray(mu.table), np.asarray(nu.table)[::-1]
+    gaps = mu_t - (1.0 - nu_rev)
+    low = np.minimum(mu_t[1 : g.full], nu_rev[1 : g.full])
+    [hits] = (low > STRUCT_TOL).nonzero()
+    want = {
+        "dominates_dual": (int(gaps.argmax()), float(gaps[gaps.argmax()])),
+        "coexistence_set": int(hits[0]) + 1,
+        "coexistence_set both_one": None,
+    }
+    checks = {
+        "dominates_dual": lambda: dominates_dual(mu, nu),
+        "coexistence_set": lambda: coexistence_set(mu, nu),
+        "coexistence_set both_one": lambda: coexistence_set(mu, nu, both_one=True),
+    }
+    for name, run in checks.items():
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * g.size, (name, peak / (8 * g.size))
+        if name == "dominates_dual":
+            got = (got.worst_set, got.gap)
+        assert got == want[name]
 
 
 def test_belief_functions_are_superadditive(mass_half, g3):

@@ -225,6 +225,30 @@ def test_tail_conventions_with_ties(mu_worked, nu_worked, g2):
     assert bits(gen_choquet(mu_worked, nu_worked, x)) == bits(gen_choquet_batch(mu_worked, nu_worked, [x.values])[0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_parts_recombine_to_the_integral_bit_for_bit(n):
+    """The tail trial walks each capacity alone: the gains part of a walk under (mu, mu) and
+    the loss part under (nu, nu), recombined by ``theorems._tail_walk``, are gen_choquet of
+    (mu, nu) and the halves' rows bit for bit, with ties, zeros and -0.0 in X."""
+    from choqrisk import theorems
+    from choqrisk.capacity import _values
+
+    rng, ground = rng_from_seed(100 + n), GroundSet(n)
+    pool = np.array([0.0, -0.0, 1.5, -1.5, 2.0, -0.25, 3.0, -4.0])
+    for k in range(40):
+        mu, nu = (random_capacity(rng, ground, style) for style in (("fill", "zero-one", "belief")[k % 3], "fill"))
+        xs = np.concatenate([rng.choice(pool, (6, n)), rng.uniform(-3, 3, (2, n))])
+        gains, losses = _halves((_values(mu), _values(nu)), xs)
+        for r, x in enumerate(xs.tolist()):
+            groups = integral._groups(x)
+            total, lower = integral._walk_groups(mu, nu, groups, ground.full)
+            assert (total, lower) == (integral._walk_groups(mu, mu, groups, ground.full)[0],
+                                      integral._walk_groups(nu, nu, groups, ground.full)[1])
+            assert (bits(total), bits(lower)) == (bits(gains[0, r]), bits(losses[1, r]))
+            got = theorems._tail_walk(np.array([total]), np.array([lower]), np.array([x]))[0]
+            assert bits(got) == bits(gen_choquet(mu, nu, RandomVariable(ground, x))) == bits(total - lower)
+
+
 # --- C2: monotonicity ---------------------------------------------------------
 
 @given(st.integers(0, 2**32 - 1))

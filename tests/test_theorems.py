@@ -112,16 +112,19 @@ def test_lemma_verdicts_hold_for_random_pairs():
 def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
     """Reference: the lemma trials as one scalar loop, each X and value drawn in turn.
 
-    The tail trial sets the scalar walk the trials call (``theorems.gen_choquet``)
-    against the batched kernel; every other trial calls this module's ``gen_choquet``.
+    The tail trial sets the scalar walk the trials read (``_walk_groups``'s parts,
+    recombined by ``theorems._tail_walk``) against the batched kernel; every other
+    trial calls this module's ``gen_choquet``.
     """
     from choqrisk import theorems
+    from choqrisk.integral import _groups, _walk_groups
 
     rng = np.random.default_rng(seed)
     ground = mu.ground
 
     def tails(x: RandomVariable) -> dict | None:
-        a = theorems.gen_choquet(mu, nu, x)
+        total, lower = _walk_groups(mu, nu, _groups(x.values), ground.full)
+        a = float(theorems._tail_walk(np.array([total]), np.array([lower]), np.array([x.values]))[0])
         b = float(gen_choquet_batch(mu, nu, [x.values])[0])
         return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
 
@@ -175,12 +178,12 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
     from choqrisk import theorems
 
     if faults:
-        exact = theorems.gen_choquet
+        exact = theorems._tail_walk
 
-        def walk_off(mu, nu, x):
-            return exact(mu, nu, x) + (2.0**-20 if x.values[0] > 3 else 0.0)
+        def walk_off(total, lower, xs):
+            return exact(total, lower, xs) + np.where(xs[:, 0] > 3, 2.0**-20, 0.0)
 
-        monkeypatch.setattr(theorems, "gen_choquet", walk_off)
+        monkeypatch.setattr(theorems, "_tail_walk", walk_off)
     rng = rng_from_seed(14)
     failures, diverged = set(), 0
     for _ in range(150):
@@ -204,23 +207,30 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
     assert diverged > 0
 
 
-def test_sweep_lemma_trials_call_the_scalar_integral_for_tail_conventions_only(monkeypatch):
-    """In a sweep the lemma trials read C(X) off per-capacity halves: each pair's trials call the
-    scalar integral only for the tail-convention trial, once per sample."""
+def test_sweep_lemma_trials_walk_each_capacity_once_per_sample(monkeypatch):
+    """In a sweep the lemma trials read C(X) off per-capacity halves, and the tail-convention
+    trial walks each capacity once per sample, as mu and nu at once: 12 walks for each of the
+    nine capacities, 108 in all, and no scalar integral."""
     from collections import Counter
 
     from choqrisk import theorems
 
-    per_pair, exact = Counter(), theorems.gen_choquet
+    def refuse(*args):
+        raise AssertionError("the lemma trials called the scalar integral")
 
-    def counting(mu, nu, x):
-        per_pair[mu, nu] += 1
-        return exact(mu, nu, x)
+    walks, exact = Counter(), theorems._walk_groups
 
-    monkeypatch.setattr(theorems, "gen_choquet", counting)
+    def counting(mu, nu, groups, full):
+        assert mu is nu
+        walks[mu] += 1
+        return exact(mu, nu, groups, full)
+
+    monkeypatch.setattr(theorems, "gen_choquet", refuse)
+    monkeypatch.setattr(theorems, "_walk_groups", counting)
     report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12, theorems=("lemma",))
-    assert report.pair_count == len(per_pair) == 81 and report.clean
-    assert set(per_pair.values()) == {12}
+    assert report.pair_count == 81 and report.clean
+    assert len(walks) == report.capacity_count == 9
+    assert set(walks.values()) == {12} and sum(walks.values()) == 108
 
 
 def test_sweep_lemma_trials_integrate_each_row_set_once_per_stream_position(monkeypatch):
@@ -298,20 +308,43 @@ def test_sweep_keys_capacities_by_value_with_signed_zeros_equal(monkeypatch):
     assert out[0][3] == out[1][3]
 
 
-def test_sweep_runs_dominates_dual_once_per_pair(monkeypatch):
-    """The converse builds its witness from the pair's classification, not a second dominance check."""
+def test_sweep_classifies_per_capacity_and_reads_the_converse_off_halves(monkeypatch):
+    """No per-pair dominance or coexistence check, and no scalar integral for the converse: the
+    classes come from one matrix call per mu, and the converse from the pairs' halves."""
     from choqrisk import theorems
 
-    calls, exact = [0], theorems.dominates_dual
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-pair call")
 
-    def counting(mu, nu):
-        calls[0] += 1
-        return exact(mu, nu)
-
-    monkeypatch.setattr(theorems, "dominates_dual", counting)
-    report = run_full_report(n=2, levels=(0, 0.5, 1), theorems=("1",))
-    assert report.pair_count == calls[0] == 81
+    for name in ("dominates_dual", "coexistence_set", "gen_choquet", "jensen_gap", "jensen_counterexample"):
+        monkeypatch.setattr(theorems, name, refuse)
+    report = run_full_report(n=2, levels=(0, 0.5, 1))
+    assert report.pair_count == 81 and report.clean
     assert report.verdict_counts["jensen converse"] == (45, 45) and report.counterexamples == 45
+
+
+def test_matrix_classes_match_the_per_pair_checks_on_every_n3_pair():
+    """The sweep's classes, one matrix call per mu, against dominates_dual (holds, worst set,
+    gap bits) and coexistence_set, both tests, over all 16,641 pairs of n = 3 at three levels."""
+    from choqrisk import theorems
+    from choqrisk.capacity import _coexisting, _values
+
+    caps = list(enumerate_capacities(3, (0.0, 0.5, 1.0)))
+    pairs = list(product(range(len(caps)), range(len(caps))))
+    classes = theorems._pair_classes(caps, pairs)
+    tables = np.stack([_values(cap) for cap in caps])
+    both_one = {i: _coexisting(tables[i], tables, both_one=True).any(axis=1) for i in range(len(caps))}
+    assert len(classes) == len(pairs) == 16641
+    seen = set()
+    for (i, j), (dom, zero_one, coex) in zip(pairs, classes):
+        mu, nu = caps[i], caps[j]
+        want = theorems.dominates_dual(mu, nu)
+        assert (dom.holds, dom.worst_set, dom.gap.hex()) == (want.holds, want.worst_set, want.gap.hex())
+        assert zero_one == (mu.is_zero_one_valued() and nu.is_zero_one_valued())
+        assert coex == (theorems.coexistence_set(mu, nu) is not None)
+        assert both_one[i][j] == (theorems.coexistence_set(mu, nu, both_one=True) is not None)
+        seen.add((dom.holds, zero_one, coex, bool(both_one[i][j])))
+    assert len(seen) == 6
 
 
 def test_sweep_theorem_4_calls_neither_jensen_holds_nor_the_batched_integral(monkeypatch):
@@ -594,10 +627,10 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 
         return run
 
-    exact = theorems.gen_choquet
+    exact = theorems._tail_walk
 
-    def walk_off(mu, nu, x):
-        return exact(mu, nu, x) + 2.0**-20
+    def walk_off(total, lower, xs):
+        return exact(total, lower, xs) + 2.0**-20
 
     gallery = theorems.concave_increasing_gallery
     monkeypatch.setattr(theorems, "is_concave_on", flipped(theorems.is_concave_on))
@@ -609,7 +642,7 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     )
     monkeypatch.setattr(theorems, "GAP_MATCH_TOL", -1.0)
     monkeypatch.setattr(theorems, "_property_trials", partial(theorems._property_trials, tol=-1.0))
-    monkeypatch.setattr(theorems, "gen_choquet", walk_off)
+    monkeypatch.setattr(theorems, "_tail_walk", walk_off)
 
     report = run_full_report(
         n=2, levels=(0.0, 0.5, 1.0), seed=42, values=tuple(-3.0 + 0.5 * k for k in range(13))
