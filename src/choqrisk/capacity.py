@@ -178,7 +178,7 @@ class Capacity:
         return bool((np.abs(_values(self) - _values(other)) <= atol).all())
 
     def is_zero_one_valued(self) -> bool:
-        return bool(((_values(self) <= STRUCT_TOL) | (_values(self) >= 1.0 - STRUCT_TOL)).all())
+        return bool(_zero_one(_values(self)))
 
     def is_additive(self) -> bool:
         """True iff every value is the sum of its singleton values."""
@@ -204,6 +204,11 @@ def _store(c: Capacity, ground: GroundSet, arr: np.ndarray) -> Capacity:
 def _values(c: Capacity) -> np.ndarray:
     """The capacity's read-only float64 array itself, not a copy."""
     return c._view.obj
+
+
+def _zero_one(tables: np.ndarray) -> np.ndarray:
+    """``is_zero_one_valued`` of a table, or of each row of a (P, 2^n) stack."""
+    return ((tables <= STRUCT_TOL) | (tables >= 1.0 - STRUCT_TOL)).all(axis=-1)
 
 
 def new_capacity(ground: GroundSet, table: Sequence[float]) -> Capacity:
@@ -403,19 +408,20 @@ class DominanceCheck:
 def dominates_dual(mu: Capacity, nu: Capacity) -> DominanceCheck:
     """Check ``mu(A) <= 1 - nu(A^c)`` for every subset A."""
     _check_same_ground(mu, nu)
-    [check] = _dominance_checks(_values(mu), _values(nu))
-    return check
+    [holds], [worst], [gap] = _dominance_checks(_values(mu), _values(nu))
+    return DominanceCheck(bool(holds), int(worst), float(gap))
 
 
-def _dominance_checks(mu: np.ndarray, nus: np.ndarray) -> list[DominanceCheck]:
-    """``dominates_dual`` of the table mu against one table nus or each row of a (J, 2^n) stack:
-    ``mu - (1 - nu[::-1])``, computed in one array of the shape of nus."""
-    gaps = np.subtract(1.0, nus[..., ::-1])
+def _dominance_checks(mu: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``dominates_dual``'s ``(holds, worst_set, gap)`` of the table mu against the table nu, or of
+    each row of a (P, 2^n) stack against the same row of another, as (1,) or (P,) arrays:
+    ``mu - (1 - nu[::-1])``, computed in one array of the shape of nu."""
+    gaps = np.subtract(1.0, nu[..., ::-1])
     np.subtract(mu, gaps, out=gaps)
-    gaps = gaps.reshape(-1, mu.size)
+    gaps = gaps.reshape(-1, gaps.shape[-1])
     worst = gaps.argmax(axis=1)
-    worst_gaps = gaps[np.arange(len(gaps)), worst].tolist()
-    return [DominanceCheck(gap <= STRUCT_TOL, a, gap) for a, gap in zip(worst.tolist(), worst_gaps)]
+    worst_gaps = gaps[np.arange(len(gaps)), worst]
+    return worst_gaps <= STRUCT_TOL, worst, worst_gaps
 
 
 def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int | None:
@@ -432,15 +438,16 @@ def coexistence_set(mu: Capacity, nu: Capacity, both_one: bool = False) -> int |
 
 def _coexisting(mu: np.ndarray, nus: np.ndarray, both_one: bool = False) -> np.ndarray:
     """``coexistence_set``'s test of each B = 1 .. full - 1 for the table mu against one table nus
-    or each row of a (J, 2^n) stack, as bools of shape (2^n - 2,) or (J, 2^n - 2)."""
-    full = mu.size - 1
+    or each row of a (J, 2^n) stack, or for each row of a (J, 2^n) stack mu against the same row
+    of nus, as bools of shape (2^n - 2,) or (J, 2^n - 2)."""
+    full = mu.shape[-1] - 1
     # over B = 1 .. full - 1: B^c runs down from full - 1, so nu(B^c) is nu's table reversed
     if both_one:
         hits = nus[..., full - 1 : 0 : -1] >= 1.0 - STRUCT_TOL
-        hits &= mu[1:full] >= 1.0 - STRUCT_TOL
+        hits &= mu[..., 1:full] >= 1.0 - STRUCT_TOL
     else:
         hits = nus[..., full - 1 : 0 : -1] > STRUCT_TOL
-        hits &= mu[1:full] > STRUCT_TOL
+        hits &= mu[..., 1:full] > STRUCT_TOL
     return hits
 
 

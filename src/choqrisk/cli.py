@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("verify", help="run the exhaustive theorem sweep")
-    p.add_argument("--n", type=int, default=2, choices=(2, 3))
+    p.add_argument("--n", type=int, default=2, choices=(2, 3, 4))
     p.add_argument("--levels", default="0,0.25,0.5,0.75,1",
                    help="comma-separated level grid including 0 and 1")
     p.add_argument("--seed", type=int, default=42)

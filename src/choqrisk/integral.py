@@ -251,14 +251,22 @@ def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
 
 
 def _collapse_points(mu: Capacity, nu: Capacity, xs) -> tuple[np.ndarray, np.ndarray]:
-    """``ax_bx`` of every row of a (K, n) array, read off the kernel's plan: b_X is the
-    largest d > 0 with ``mu(X >= d) >= 0.5``, a_X the least c < 0 with ``nu(X <= c) >= 0.5``."""
+    """``ax_bx`` of every row of a (K, n) array: ``_collapse_ends`` with b_X read off mu and
+    a_X off nu."""
     ground = _check_same_ground(mu, nu)
-    srt, starts, below, upto = _plan(_outcome_rows(ground, xs))
-    mu_t, nu_t = _values(mu), _values(nu)
-    b_hit = starts & (srt > 0.0) & (mu_t[ground.full ^ below] >= 0.5)
-    a_hit = starts & (srt < 0.0) & (nu_t[upto] >= 0.5)
-    return np.where(a_hit, srt, 0.0).min(axis=1), np.where(b_hit, srt, 0.0).max(axis=1)
+    a, b = _collapse_ends(np.stack([_values(nu), _values(mu)]), _outcome_rows(ground, xs))
+    return a[0], b[1]
+
+
+def _collapse_ends(tables: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a_X, b_X)`` of every row of a finite (K, n) array under every table t of a (C, 2ⁿ)
+    stack, as two (C, K) arrays read off one plan of the rows: b_X is the largest d > 0 with
+    ``t(X >= d) >= 0.5``, a_X the least c < 0 with ``t(X <= c) >= 0.5``."""
+    srt, starts, below, upto = _plan(xs)
+    full = tables.shape[1] - 1
+    b_hit = starts & (srt > 0.0) & (tables[:, full ^ below] >= 0.5)
+    a_hit = starts & (srt < 0.0) & (tables[:, upto] >= 0.5)
+    return np.where(a_hit, srt, 0.0).min(axis=2), np.where(b_hit, srt, 0.0).max(axis=2)
 
 
 def choquet(mu: Capacity, x: RandomVariable) -> float:

@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from itertools import islice, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import (Capacity, GroundSet, _check_same_ground, _coexisting, _dominance_checks, _values,
+from .capacity import (Capacity, GroundSet, _check_same_ground, _coexisting, _dominance_checks, _values, _zero_one,
                        coexistence_set, dominates_dual)
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
     _cell_sums,
-    _collapse_points,
+    _collapse_ends,
     _groups,
     _halves,
     _outcome_rows,
@@ -64,13 +64,16 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (1.1 s on a
-#: 2-vCPU machine, about 0.07 ms per pair), at five levels 3,549,456 (about 5.5 min,
-#: extrapolated from 20,000 of them at 0.09 ms per pair; memory grows with the pairs too)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (0.54 s for the
+#: whole run on a 2-vCPU machine), at five levels 3,549,456 (about 75 s of checks,
+#: extrapolated from 20,000 of them at 0.021 ms per pair; memory grows with the pairs too)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
 _SWEEP_MAX_BUILT = 2000
+#: values in one array of a block of pairs: the two-point scans, the collapse identity and the
+#: translation trial build their (pairs, rows) arrays a block of pairs at a time
+_BLOCK_CELLS = 2**13
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +182,8 @@ class CapacityEnumerator:
     levels: tuple[float, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise TooLarge(f"exhaustive enumeration supports n in {{2, 3}}, got {self.n}")
+        if self.n not in (2, 3, 4):
+            raise TooLarge(f"exhaustive enumeration supports n in {{2, 3, 4}}, got {self.n}")
         levels = tuple(sorted(float(v) for v in set(self.levels)))
         object.__setattr__(self, "levels", levels)
         if levels[0] != 0.0 or levels[-1] != 1.0 or any(not 0.0 <= v <= 1.0 for v in levels):
@@ -225,6 +228,32 @@ def enumerate_capacities(n: int, levels: Sequence[float] = DEFAULT_LEVELS) -> It
 # ---------------------------------------------------------------------------
 
 
+class _Checked(NamedTuple):
+    """One check over a list of (mu index, nu index) pairs: ``ok[k]`` of pair k, and its Verdict,
+    built only when asked, by ``verdict(k)``.  A probe scan flags its mixture-form ``mismatch``es."""
+
+    ok: np.ndarray
+    verdict: Callable[[int], Verdict]
+    mismatch: np.ndarray | None = None
+
+
+def _blocks(count: int, width: int) -> Iterator[slice]:
+    """Slices over ``count`` pairs such that a (pairs, width) array holds at most _BLOCK_CELLS values
+    (or one pair)."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """The column of each row's first True in a (P, K) bool array, K where the row has none."""
+    return np.hstack([mask, np.ones((len(mask), 1), dtype=bool)]).argmax(axis=1)
+
+
+def _at(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``values[p, cols[p]]`` of each row p of a (P, K) array, 0.0 where the column is K."""
+    return np.hstack([values, np.zeros((len(values), 1))])[np.arange(len(values)), cols]
+
+
 def _canonical_splits(ground: GroundSet) -> list[int]:
     """Proper nonempty subsets containing element 0 (value grids cover both orders)."""
     return [b for b in range(1, ground.full) if b & 1]
@@ -266,25 +295,6 @@ def _in_domain(f, xs: np.ndarray) -> np.ndarray:
     return xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
 
 
-def _first_violation(f, xs: np.ndarray, lhs: np.ndarray, f_integrals: np.ndarray) -> list[tuple[int, dict | None]]:
-    """First row of xs (all inside f's domain) whose Jensen gap exceeds VIOLATION_TOL, per pair.
-
-    ``lhs`` holds C(f(X)) and ``f_integrals`` f(C(X)) of each row, as one
-    pair's (K,) array or P pairs' (P, K) array.  Returns, per pair, the
-    number of rows scanned up to and including that row with its witness
-    ``{"f", "x", "gap"}``, or ``(len(xs), None)`` when no row violates.
-    """
-    out = []
-    for gaps in np.atleast_2d(lhs - f_integrals):
-        bad = np.flatnonzero(gaps > VIOLATION_TOL)
-        if not bad.size:
-            out.append((len(xs), None))
-            continue
-        i = int(bad[0])
-        out.append((i + 1, {"f": f.spec(), "x": xs[i].tolist(), "gap": float(gaps[i])}))
-    return out
-
-
 def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
     """``C(f(X)) - f(C(X))``; positive means the Jensen inequality fails."""
     lhs = gen_choquet(mu, nu, x.map(f.value))
@@ -299,171 +309,167 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     """
     ground = _check_same_ground(mu, nu)
     xs = _in_domain(f, _outcome_rows(ground, xs))
-    lhs = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs))
-    [(checked, witness)] = _first_violation(f, xs, lhs, _per_distinct(f.value, gen_choquet_batch(mu, nu, xs)))
-    return Verdict("jensen", witness is None, checked, witness)
+    gaps = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, gen_choquet_batch(mu, nu, xs))
+    [k] = _first(gaps[None] > VIOLATION_TOL).tolist()
+    witness = {"f": f.spec(), "x": xs[k].tolist(), "gap": float(gaps[k])} if k < len(xs) else None
+    return Verdict("jensen", witness is None, min(k + 1, len(xs)), witness)
 
 
-def _value_pairs(ground: GroundSet, f, values: Sequence[float], probe: bool) -> np.ndarray:
-    """(K, 2) values on B and off B of the two-point variables that each canonical split B contributes.
+def _value_pairs(ground: GroundSet, gallery: list, values: Sequence[float], probe: bool) -> tuple:
+    """``(rows, masks)``: the (K, 2) values on B and off B of the two-point variables of a canonical
+    split B, and per map of ``gallery`` the mask of its rows, a subsequence of them.
 
-    The Jensen rows are ``two_point_grid``'s rows of one split inside f's
-    domain, in its order.  The probe's (``probe``) are the pairs alpha < beta
-    of in-domain values, beta on B, then the same pairs with beta off B.
+    A map's rows are ``two_point_grid``'s rows of one split inside its
+    domain, in its order; with ``probe``, the pairs alpha < beta of
+    in-domain values, beta on B, then the same pairs with beta off B.
     Raises ValueError for a non-finite value, and TooLarge before building
-    the rows where ``two_point_grid`` and the probe would hold over
-    GRID_MAX_CELLS cells.
+    any row where a map's grid or probe would hold over GRID_MAX_CELLS cells.
     """
     if not all(math.isfinite(v) for v in values):
         raise ValueError("value grid must be finite")
-    dom = np.asarray([v for v in values if f.in_domain(v)], dtype=float)
-    # rows per split, counted before any is built: the probe has each in-domain alpha < beta twice
-    above = len(dom) - np.searchsorted(np.sort(dom), dom, side="right")
-    _check_grid_size(ground, len(_canonical_splits(ground)) * (2 * int(above.sum()) if probe else len(values) ** 2))
-    s, t = (a.ravel() for a in np.meshgrid(dom, dom, indexing="ij"))
+    inside = np.array([[f.in_domain(v) for v in values] for f in gallery], dtype=bool)
+    values = np.asarray(values, dtype=float)
+    for dom in (values[mask] for mask in inside):
+        # rows per split, counted before any is built: the probe has each in-domain alpha < beta twice
+        above = len(dom) - np.searchsorted(np.sort(dom), dom, side="right")
+        _check_grid_size(ground, len(_canonical_splits(ground)) * (2 * int(above.sum()) if probe else len(values) ** 2))
+    used = np.flatnonzero(inside.any(axis=0))
+    s, t = (a.ravel() for a in np.meshgrid(used, used, indexing="ij"))
     if probe:
-        alpha, beta = s[s < t], t[s < t]
+        alpha, beta = s[values[s] < values[t]], t[values[s] < values[t]]
         s, t = np.concatenate([beta, alpha]), np.concatenate([alpha, beta])
-    return np.stack([s, t], axis=1)
+    return np.stack([values[s], values[t]], axis=1), list(inside[:, s] & inside[:, t])
 
 
-def _two_point_scans(caps: Sequence[Capacity], pairs: Sequence, gallery: list, values, probe: bool) -> list:
-    """The two-point engine: per map of ``gallery``, per canonical split B in order, ``(side, found)``.
+def _two_point_scans(caps: Sequence[Capacity], pairs: np.ndarray, gallery: list, values, probe: bool) -> list:
+    """The two-point engine: the ``_Checked`` Jensen scan (with ``probe``, concavity probe) of
+    each map of ``gallery`` over the (mu index, nu index) ``pairs`` into ``caps``.
 
     A variable taking one value on B and one off it reads only t(B) and
-    t(Bᶜ) of a capacity table t: its other events are the empty and the
-    whole set.  ``side[c]`` indexes the distinct (t(B), t(Bᶜ)) of
-    ``caps[c]``, and ``found`` holds the ``_split_scan`` result of each
-    (mu side, nu side) index pair that some (mu index, nu index) of
-    ``pairs`` has.
+    t(Bᶜ) of a table t, so it is the row (value on B, value off B) under the
+    table (0, t(B), t(Bᶜ), 1), a side: its integral under a pair depends on
+    the split only through the pair's (mu side, nu side).  The sides of all
+    splits are stacked and their halves of the rows made once; each map
+    integrates only f of its rows (``_split_scan``), once per distinct side
+    pair, and each pair reads its splits' results in order (``_scan_checked``).
     """
-    ground, tables, splits = caps[0].ground, np.stack([_values(cap) for cap in caps]), []
-    for b in _canonical_splits(ground):
-        index: dict = {}
-        side = [index.setdefault(tuple(t), len(index)) for t in tables[:, (b, ground.full ^ b)].tolist()]
-        splits.append((b, side, list(index), list(dict.fromkeys((side[i], side[j]) for i, j in pairs))))
-    out = []
-    for f in gallery:
-        rows = _value_pairs(ground, f, values, probe)
-        out.append([(side, _split_scan(ground, f, b, rows, sides, wanted, probe)) for b, side, sides, wanted in splits])
-    return out
+    ground, splits = caps[0].ground, _canonical_splits(caps[0].ground)
+    tables = np.stack([_values(cap) for cap in caps])
+    rows, masks = _value_pairs(ground, gallery, values, probe)
+    sides, side = np.unique(tables[:, [(b, ground.full ^ b) for b in splits]].reshape(-1, 2), axis=0, return_inverse=True)
+    side = side.reshape(len(caps), len(splits))
+    codes = side[pairs[:, 0]] * len(sides) + side[pairs[:, 1]]
+    wanted, at = np.unique(codes, return_inverse=True)
+    quads = np.zeros((len(sides), 4))
+    quads[:, 1:3], quads[:, 3] = sides, 1.0
+    gains, losses = _halves(quads, rows)
+    si, sj = np.divmod(wanted, len(sides))
+    return [
+        _scan_checked(ground, splits, f, rows[mask], at.reshape(codes.shape), probe,
+                      *_split_scan(quads, f, probe, rows[mask], gains[:, mask], losses[:, mask], si, sj))
+        for f, mask in zip(gallery, masks)
+    ]
 
 
-def _split_scan(ground: GroundSet, f, b: int, rows: np.ndarray, sides: list, wanted: list, probe: bool) -> dict:
-    """``(seen, witness, mismatch)`` of the rows of split B for each (mu side, nu side) index pair of ``wanted``.
+def _split_scan(quads: np.ndarray, f, probe: bool, rows: np.ndarray, gains, losses, si, sj) -> tuple:
+    """Per side pair w = (mu side ``si[w]``, nu side ``sj[w]``) of ``quads``: the first row (or
+    len(rows)) whose Jensen gap exceeds VIOLATION_TOL and the gap; with ``probe`` also the first
+    row (or len(rows)) off the closed two-valued mixture forms, with the integral and the form.
 
-    ``rows`` gives each variable's value on B and off it, and the variable
-    is that two-element row under the table (0, t(B), t(Bᶜ), 1).  So one
-    ``_halves`` call on the rows and f(rows) stacked together (each row's
-    halves do not depend on the others) gives every pair's C(X) and
-    C(f(X)) by one subtraction each, bit-for-bit ``gen_choquet_batch`` of
-    the whole rows.  On a row with no negative value every loss half is
-    0.0, so C(X) is ``gains[i]``, and on one with no positive value it is
-    ``0.0 - losses[j]``: f(C(X)) is made once per side there, and per pair
-    only on the mixed-sign rows.  A Jensen scan reports
-    ``_first_violation``.  The probe first sets C(X) against the closed
-    two-valued mixture forms and reports the first row off them as ``(rows
-    before it, witness, True)``, else every row and the first violation.
-    Pairs are scanned one mu side at a time, so that no array holds more
-    than (C, K) values.
+    ``gains`` and ``losses`` are the halves of ``rows`` under ``quads``, so
+    C(X) is one subtraction, bit-for-bit ``gen_choquet_batch``, and so is
+    C(f(X)) after one ``_halves`` call on f(rows).  f(C(X)) is made once per
+    side on rows of one sign, and on the mixed-sign rows once per distinct
+    value of a block of side pairs (``_blocks``), whose rows are scored at
+    once: ``argmax`` finds each first violation or mismatch.
     """
-    xs = np.where([b >> i & 1 for i in range(ground.n)], rows[:, :1], rows[:, 1:])
-    tables = np.zeros((len(sides), 4))
-    tables[:, 3] = 1.0
-    tables[:, 1:3] = sides
     k = len(rows)
-    gains, losses = _halves(tables, np.concatenate([rows, _per_distinct(f.value, rows)]))
-    gains, f_gains, losses, f_losses = gains[:, :k], gains[:, k:], losses[:, :k], losses[:, k:]
     alpha, beta, beta_on_b = rows.min(axis=1), rows.max(axis=1), rows[:, 0] > rows[:, 1]
     on_gains, on_losses = alpha >= 0.0, (beta <= 0.0) & (alpha < 0.0)
     mixed = ~(on_gains | on_losses)
-    f_on_gains = _per_distinct(f.value, gains[:, on_gains])
-    f_on_losses = _per_distinct(f.value, 0.0 - losses[:, on_losses])
-    found = {}
-    for i, js in _by_mu(wanted).items():
-        m = gains[i] - losses[js]
+    f_gains, f_losses = _halves(quads, _per_distinct(f.value, rows))
+    f_on_gains, f_on_losses = _per_distinct(f.value, gains[:, on_gains]), _per_distinct(f.value, 0.0 - losses[:, on_losses])
+    first, off = np.full((2, len(si)), k)
+    gap, integral, expected = np.empty((3, len(si)))
+    for block in _blocks(len(si), k):
+        i, j = si[block], sj[block]
+        m = gains[i] - losses[j]
         f_m = np.empty_like(m)
-        f_m[:, on_gains] = f_on_gains[i]
-        f_m[:, on_losses] = f_on_losses[js]
+        f_m[:, on_gains], f_m[:, on_losses] = f_on_gains[i], f_on_losses[j]
         f_m[:, mixed] = _per_distinct(f.value, m[:, mixed])
-        scans = _first_violation(f, xs, f_gains[i] - f_losses[js], f_m)
+        gaps = f_gains[i] - f_losses[j]
+        gaps -= f_m
+        first[block] = _first(gaps > VIOLATION_TOL)
+        gap[block] = _at(gaps, first[block])
         if probe:
             # closed two-valued mixture forms: p = mu(X = beta), q = nu(X = alpha)
-            p = np.where(beta_on_b, tables[i, 1], tables[i, 2])
-            q = np.where(beta_on_b, tables[js, 2:3], tables[js, 1:2])
+            p = np.where(beta_on_b, quads[i, 1:2], quads[i, 2:3])
+            q = np.where(beta_on_b, quads[j, 2:3], quads[j, 1:2])
             expect = np.where(
                 alpha >= 0.0,
                 alpha * (1 - p) + beta * p,
                 np.where(beta <= 0.0, alpha * q + beta * (1 - q), alpha * q + beta * p),
             )
-            off = np.abs(m - expect) > 1e-9
-        for r, (j, (seen, witness)) in enumerate(zip(js, scans)):
-            bad = np.flatnonzero(off[r]) if probe else ()
-            if len(bad):
-                k = int(bad[0])
-                witness = {"x": xs[k].tolist(), "integral": float(m[r, k]), "expected": float(expect[r, k])}
-                found[i, j] = k, witness, True
-            else:
-                found[i, j] = (len(xs) if probe else seen), witness, False
-    return found
+            off[block] = _first(np.abs(m - expect) > 1e-9)
+            integral[block], expected[block] = _at(m, off[block]), _at(expect, off[block])
+    return first, gap, off, integral, expected
 
 
-def _by_mu(pairs) -> dict:
-    """The second entries of the (mu index, nu index) ``pairs``, per mu index, in order."""
-    out: dict = {}
-    for i, j in pairs:
-        out.setdefault(i, []).append(j)
-    return out
+def _scan_checked(ground: GroundSet, splits: list, f, rows, at, probe: bool, first, gap, off, integral, expected):
+    """The two-point verdicts of the pairs whose side pair at split ``splits[s]`` is ``at[:, s]``.
 
-
-def _scan_verdict(splits: list, i: int, j: int, probe: bool = False) -> Verdict:
-    """The two-point verdict of the pair (mu index i, nu index j) of a map's ``_two_point_scans``.
-
-    ``checked`` sums the splits' rows in order, up to the first mixture-form
-    mismatch, which is its own verdict, or for a Jensen scan the first
-    violation.  The probe scans past a violation and reports the first one.
+    A pair's verdict walks its splits in order: ``checked`` sums their rows
+    up to the first mixture-form mismatch, which is its own verdict, or for
+    a Jensen scan the first violation.  The probe scans past a violation and
+    reports the first one.
     """
-    checked, violation = 0, None
-    for side, found in splits:
-        seen, witness, mismatch = found[side[i], side[j]]
-        checked += seen
-        if mismatch:
-            return Verdict("two-valued mixture form", False, checked, witness)
-        violation = witness if violation is None else violation
-        if violation is not None and not probe:
-            break
-    return Verdict("jensen", violation is None, checked, violation)
+    k = len(rows)
+
+    def x(s: int, r: int) -> list:
+        return np.where([splits[s] >> e & 1 for e in range(ground.n)], rows[r, 0], rows[r, 1]).tolist()
+
+    def verdict(p: int) -> Verdict:
+        checked, violation = 0, None
+        for s, w in enumerate(at[p].tolist()):
+            if off[w] < k:
+                witness = {"x": x(s, off[w]), "integral": float(integral[w]), "expected": float(expected[w])}
+                return Verdict("two-valued mixture form", False, checked + int(off[w]), witness)
+            checked += k if probe or first[w] == k else int(first[w]) + 1
+            if violation is None and first[w] < k:
+                violation = {"f": f.spec(), "x": x(s, first[w]), "gap": float(gap[w])}
+                if not probe:
+                    break
+        return Verdict("jensen", violation is None, checked, violation)
+
+    mismatch = (off[at] < k).any(axis=1)
+    return _Checked(~mismatch & ~(first[at] < k).any(axis=1), verdict, mismatch)
 
 
-def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False) -> Verdict:
-    """``_scan_verdict`` of one pair: the engine over the tables (mu, nu)."""
+def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False, reader=None) -> Verdict:
+    """The verdict of one pair: the engine over the tables (mu, nu), read by ``reader`` if given."""
     _check_same_ground(mu, nu)
-    [splits] = _two_point_scans((mu, nu), [(0, 1)], [f], values, probe)
-    return _scan_verdict(splits, 0, 1, probe)
+    caps, pairs = (mu, nu), np.array([[0, 1]])
+    [scan] = _two_point_scans(caps, pairs, [f], values, probe)
+    return (reader(caps, pairs, f, values, scan) if reader else scan).verdict(0)
 
 
-def _certifier(f, shape: str, values: Sequence[float]) -> Callable[[], tuple]:
-    """``(shape, certificate)`` of f, made at the first call and kept for the next.
-
-    ``shape`` names the certificate: ``"concave"`` (is_concave_on) or ``"ws"``
-    (is_weakly_superadditive_on), run on the in-domain values at
-    VIOLATION_TOL, the scans' own tolerance, so comparisons are grid-exact.
-    """
+def _certified(check: str, f, shape: str, values, scan: _Checked, exempt, exempt_verdict, detail, offset=0):
+    """The verdicts that f's Jensen ``scan`` found a violation exactly when f fails the certificate
+    ``shape`` (is_concave_on or is_weakly_superadditive_on, ``"ws"``), run once on the in-domain
+    values at VIOLATION_TOL, the scans' own tolerance, so comparisons are grid-exact; ``exempt``
+    pairs get ``exempt_verdict`` of the scan's.  ``detail`` may name ``{holds}`` and ``{found}``."""
     certify = is_concave_on if shape == "concave" else is_weakly_superadditive_on
-    return cache(lambda: (shape, certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL)))
+    holds = exempt.all() or certify(f, [v for v in values if f.in_domain(v)], tol=VIOLATION_TOL).holds
 
+    def verdict(p: int) -> Verdict:
+        v = scan.verdict(p)
+        if exempt[p]:
+            return exempt_verdict(v)
+        witness = None if holds == v.holds else {"f": f.spec(), shape: holds, "violation": v.witness}
+        found = "none" if v.witness is None else "found"
+        return Verdict(check, witness is None, v.checked + offset, witness, detail.format(holds=holds, found=found))
 
-def _certified(check: str, f, cert, checked: int, violation: dict | None, detail: str) -> Verdict:
-    """Verdict that a Jensen scan found a violation exactly when f fails the certificate ``cert()``.
-
-    ``detail`` may name ``{holds}`` (the certificate) and ``{found}``
-    (``none`` or ``found``).
-    """
-    shape, certificate = cert()
-    holds = certificate.holds
-    witness = None if holds == (violation is None) else {"f": f.spec(), shape: holds, "violation": violation}
-    found = "none" if violation is None else "found"
-    return Verdict(check, witness is None, checked, witness, detail=detail.format(holds=holds, found=found))
+    return _Checked(np.where(exempt, scan.ok, scan.ok == holds), verdict)
 
 
 @dataclass(frozen=True)
@@ -497,6 +503,25 @@ def _counterexample_rows(ground: GroundSet, worst_sets: Sequence[int]) -> np.nda
     return np.array([[0.0 if a >> i & 1 else -1.0 for i in range(ground.n)] for a in worst_sets])
 
 
+def _converse_checked(caps: Sequence[Capacity], pairs: np.ndarray) -> _Checked:
+    """Whether ``jensen_counterexample``'s realized gap, bit-for-bit, exceeds VIOLATION_TOL and
+    matches the dominance gap within GAP_MATCH_TOL, for each non-dominant pair of ``pairs``.  Its
+    X is 0 on the worst set and -1 off it, and f(x) = x + 2, so one ``_halves`` call on X and f(X)
+    of the distinct worst sets gives every pair's C(X) and C(f(X)) by one subtraction each."""
+    f, tables, (i, j) = AffineMap(1.0, 2.0), np.stack([_values(cap) for cap in caps]), pairs.T
+    _, worst, dominance_gap = _dominance_checks(tables[i], tables[j])
+    sets, r = np.unique(worst, return_inverse=True)
+    x = _counterexample_rows(caps[0].ground, sets.tolist())
+    gains, losses = _halves(tables, np.concatenate([x, f.value(x)]))
+    gap = (gains[i, r + len(sets)] - losses[j, r + len(sets)]) - f.value(gains[i, r] - losses[j, r])
+    ok = (gap > VIOLATION_TOL) & (np.abs(gap - dominance_gap) <= GAP_MATCH_TOL)
+
+    def verdict(p: int) -> Verdict:
+        return Verdict("jensen converse", bool(ok[p]), 1, {"gap": float(gap[p]), "dominance_gap": float(dominance_gap[p])})
+
+    return _Checked(ok, verdict)
+
+
 def integral_property_checks(
     mu: Capacity,
     nu: Capacity,
@@ -516,30 +541,29 @@ def integral_property_checks(
     engine's call on the one pair (``_property_trials``).
     """
     _check_same_ground(mu, nu)
-    [verdicts] = _property_trials((mu, nu), [(0, 1)], samples, seed, tol)
-    return verdicts
+    return {key: trial.verdict(0) for key, trial in _property_trials((mu, nu), [(0, 1)], samples, seed, tol)}
 
 
 def _property_trials(
-    caps: Sequence[Capacity], pairs: Sequence, samples: int, seed: int, tol: float = VIOLATION_TOL
-) -> list[dict[str, Verdict]]:
-    """The lemma engine: ``integral_property_checks`` of each (mu index, nu index) of ``pairs`` into ``caps``.
+    caps: Sequence[Capacity], pairs, samples: int, seed: int, tol: float = VIOLATION_TOL
+) -> list[tuple[str, _Checked]]:
+    """The lemma engine: ``(key, verdicts)`` per trial of ``integral_property_checks``, over the
+    (mu index, nu index) ``pairs`` into ``caps``.
 
     Every pair draws the seed's stream, each trial from where the pair's
     trial before it stopped.  So per trial, the pairs at one stream position
     share its draws and set-up, and one ``_halves`` call per row set gives
-    the gains and loss halves of every capacity.  C(X) under pair (i, j) is
-    then ``gains[i] - losses[j]``, bit-for-bit ``gen_choquet``.  The
-    translation identity's step integral reads mu and nu inside each cell,
-    so it gathers both per pair and sums the cells in ``step_integral``'s
-    order.  The tail trial walks each capacity the pairs use once per
-    sample (``_walk_groups``): the walk's gains part reads mu only and its
-    loss part nu only, so ``_tail_walk`` of the parts gives each pair's
-    scalar integral.
+    the halves of every capacity: C(X) under pair (i, j) is ``gains[i] -
+    losses[j]``, bit-for-bit ``gen_choquet``.  The translation trial gathers
+    each capacity's values in the step cells once and combines them by pair
+    a block at a time (``_cell_sums``).  The tail trial walks each capacity
+    once per sample: the walk's gains part reads mu only and its loss part
+    nu only (``_walk_groups``, ``_tail_walk``).
     """
     ground = caps[0].ground
     n, size = ground.n, max(samples, 0)
     tables = np.stack([_values(cap) for cap in caps])
+    pairs = np.asarray(pairs)
 
     def tails(c, i, j, rows):
         parts = np.zeros((len(caps), size, 2))  # (gains part, loss part) per capacity and row
@@ -547,62 +571,77 @@ def _property_trials(
             walks = [_walk_groups(caps[k], caps[k], groups, ground.full) for groups in rows["groups"]]
             parts[k] = np.reshape(walks, (size, 2))
         walk, halves = _tail_walk(parts[i, :, 0], parts[j, :, 1], rows["x"]), c("x", i, j)
-        return walk != halves, lambda r, k: {"gap": float(abs(walk[r, k] - halves[r, k]))}
+        return walk != halves, np.abs(walk - halves)
 
     def monotonicity(c, i, j, rows):
         gaps = c("x", i, j) - c("y", i, j)
-        return gaps > tol, lambda r, k: {"y": rows["y"][k].tolist(), "gap": float(gaps[r, k])}
+        return gaps > tol, gaps
 
     def homogeneity(c, i, j, rows):
         b = rows["b"]
-        rhs = b * np.where(b > 0, c("x", i, j), c("x", j, i))
-        gaps = np.abs(c("bx", i, j) - rhs)
-        return gaps > tol, lambda r, k: {"b": float(b[k]), "gap": float(gaps[r, k])}
+        gaps = np.abs(c("bx", i, j) - b * np.where(b > 0, c("x", i, j), c("x", j, i)))
+        return gaps > tol, gaps
 
     def translation(c, i, j, rows):
         width, above, below, sign = rows["cells"]
-        lhs = c("xa", i, j) - rows["a"] - c("x", i, j)
-        values = tables[i][:, above] - (1.0 - tables[j][:, below])
-        gaps = np.abs(lhs - _cell_sums(width, sign, values))
-        return gaps > tol, lambda r, k: {"a": float(rows["a"][k]), "gap": float(gaps[r, k])}
+        # per capacity t and cell: t(X > s), as mu, and dual(t)(X >= s) = 1 - t(X < s), as nu
+        ups, downs = tables[:, above], 1.0 - tables[:, below]
+        gaps = c("xa", i, j) - rows["a"] - c("x", i, j)
+        for block in _blocks(len(i), above.size):
+            values = ups[i[block]]
+            values -= downs[j[block]]
+            gaps[block] -= _cell_sums(width, sign, values)
+        gaps = np.abs(gaps)
+        return gaps > tol, gaps
 
-    # (key, check name, the ranges each sample draws from after X, set-up, trial) in draw order; a
-    # set-up reads the draws and no capacity: the rows integrated ("x", "y", "bx", "xa") and the scalars.
-    # A trial reads C of rows name under the pairs (i, j) as the (P, K) array c(name, i, j).
+    # (key, check name, the ranges each sample draws from after X, set-up, trial, the set-up's rows
+    # in a witness) in draw order; a set-up reads the draws and no capacity: the rows integrated
+    # ("x", "y", "bx", "xa") and the scalars.  A trial reads C of rows name under the pairs (i, j)
+    # as the (P, K) array c(name, i, j), and returns each row's failure and gap.
     trials = (
         ("tail-conventions", "tail conventions agree", (),
-         lambda x, more: {"x": x, "groups": [_groups(v) for v in x.tolist()]}, tails),
+         lambda x, more: {"x": x, "groups": [_groups(v) for v in x.tolist()]}, tails, ("x",)),
         ("monotonicity", "pointwise monotonicity", ((0.0, 5.0),) * n,
-         lambda x, more: {"x": x, "y": x + more}, monotonicity),
+         lambda x, more: {"x": x, "y": x + more}, monotonicity, ("x", "y")),
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),
-         lambda x, more: {"x": x, "bx": x * more, "b": more[:, 0]}, homogeneity),
+         lambda x, more: {"x": x, "bx": x * more, "b": more[:, 0]}, homogeneity, ("x", "b")),
         ("translation", "translation identity", ((-10.0, 10.0),),
          lambda x, more: {"x": x, "xa": x + more, "a": more[:, 0],
-                          "cells": _step_cells(x, -more[:, 0], np.zeros(size))}, translation),
+                          "cells": _step_cells(x, -more[:, 0], np.zeros(size))}, translation, ("x", "a")),
     )
-    out: list[dict[str, Verdict]] = [{} for _ in pairs]
-    starts = [0] * len(pairs)
-    for key, check, ranges, setup, trial in trials:
-        at: dict = {}
-        for p, start in enumerate(starts):
-            at.setdefault(start, []).append(p)
-        for start, members in at.items():
+    out = []
+    starts = np.zeros(len(pairs), dtype=np.int64)
+    for key, check, ranges, setup, trial, fields in trials:
+        failed_at, gap, drawn = np.empty(len(pairs), dtype=np.intp), np.empty(len(pairs)), []
+        positions, group = np.unique(starts, return_inverse=True)
+        for g, start in enumerate(positions.tolist()):
             # the trial's stream is default_rng(seed) past the doubles earlier trials drew; one
             # uniform call over the block draws them in the order of one call per X and per value
             rng = np.random.default_rng(seed)
             rng.bit_generator.advance(start)
             low, high = zip(*[(-10.0, 10.0)] * n, *ranges)
-            drawn = rng.uniform(low, high, (size, len(low)))
-            x, rows = drawn[:, :n], setup(drawn[:, :n], drawn[:, n:])
+            draws = rng.uniform(low, high, (size, len(low)))
+            rows = setup(draws[:, :n], draws[:, n:])
             halves = {name: _halves(tables, rows[name]) for name in ("x", "y", "bx", "xa") if name in rows}
-            i, j = np.array([pairs[p] for p in members]).T
-            fails, fields = trial(lambda name, m, v: halves[name][0][m] - halves[name][1][v], i, j, rows)
-            for r, p in enumerate(members):
-                bad = np.flatnonzero(fails[r])
-                witness = {"x": x[bad[0]].tolist(), **fields(r, bad[0])} if bad.size else None
-                out[p][key] = Verdict(check, witness is None, samples, witness)
-                starts[p] = start + (int(bad[0]) + 1 if bad.size else size) * (n + len(ranges))
+            members = np.flatnonzero(group == g)
+            fails, gaps = trial(lambda name, m, v: halves[name][0][m] - halves[name][1][v], *pairs[members].T, rows)
+            failed_at[members] = first = _first(fails)
+            gap[members] = _at(gaps, first)
+            starts[members] = start + np.minimum(first + 1, size) * (n + len(ranges))
+            drawn.append(rows)
+        verdict = partial(_trial_verdict, check, samples, fields, failed_at, gap, group, drawn)
+        out.append((key, _Checked(failed_at == size, verdict)))
     return out
+
+
+def _trial_verdict(check: str, samples: int, fields: tuple, failed_at, gap, group, drawn: list, k: int) -> Verdict:
+    """A lemma trial's verdict of pair k: it failed at row ``failed_at[k]`` (none when that is
+    ``samples``), with gap ``gap[k]``, of the rows drawn at its stream position, ``drawn[group[k]]``,
+    whose ``fields`` it names."""
+    if failed_at[k] == max(samples, 0):
+        return Verdict(check, True, samples)
+    rows, r = drawn[group[k]], failed_at[k]
+    return Verdict(check, False, samples, {**{name: rows[name][r].tolist() for name in fields}, "gap": float(gap[k])})
 
 
 def _tail_walk(total: np.ndarray, lower: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -631,51 +670,46 @@ def zero_one_collapse_check(
     values = tuple(values)
     if not values:
         raise ValueError("the collapse check needs a nonempty value grid")
-    scan = _pair_scan(mu, nu, f, values)
-    return _collapse_reader((mu, nu), [(0, 1)], f, values, seed)(mu, nu, (0, 1), scan)
+    return _pair_scan(mu, nu, f, values, reader=partial(_collapse_checked, seed=seed))
 
 
-def _collapse_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple, seed: int) -> Callable:
-    """``zero_one_collapse_check`` of the {0,1}-valued pairs (mu index, nu index) of ``pairs`` into ``caps``.
+def _collapse_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked, seed: int):
+    """``zero_one_collapse_check`` of the {0,1}-valued (mu index, nu index) ``pairs`` into ``caps``,
+    from their Jensen ``scan`` of f.
 
-    Prepared once per map: the rows are every few rows of ``two_point_grid``
-    plus 25 dense draws, inside f's domain, and one ``_halves`` call on
-    f(rows) over the stack of the capacities the pairs use gives every
-    pair's C(f(X)).  b_X reads mu alone and a_X nu alone, so f(b_X) and
-    f(a_X) are made once per capacity.  The coexistence sets come from one
-    ``_coexisting`` call per mu.  Returns ``read(mu, nu, (i, j), scan)``,
-    the verdict of a pair whose two-point Jensen scan is ``scan``.
+    The rows are every few rows of ``two_point_grid`` plus 25 dense draws,
+    inside f's domain.  One ``_halves`` call on f(rows) over the capacities
+    the pairs use gives every pair's C(f(X)); b_X reads mu alone and a_X nu
+    alone, so one plan of the rows gives every capacity's (a_X, b_X)
+    (``_collapse_ends``), and f of them is made once per distinct value.
     """
     ground = caps[0].ground
     dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, ground.n))
     grid = two_point_grid(ground, values)
     xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
-    row = {k: r for r, k in enumerate(dict.fromkeys(k for ij in pairs for k in ij))}
-    tables = np.stack([_values(caps[k]) for k in row])
+    used, index = np.unique(pairs, return_inverse=True)
+    i, j = index.reshape(pairs.shape).T
+    tables = np.stack([_values(caps[c]) for c in used.tolist()])
     gains, losses = _halves(tables, _outcome_rows(ground, _per_distinct(f.value, xs)))
-    # (f(a_X), f(b_X)) of each capacity, as nu and as mu
-    ends = {k: _per_distinct(f.value, np.stack(_collapse_points(caps[k], caps[k], xs))) for k in row}
-    coexist = {
-        (i, j): hit
-        for i, js in _by_mu(pairs).items()
-        for j, hit in zip(js, _coexisting(tables[row[i]], tables[[row[j] for j in js]], both_one=True).any(axis=1))
-    }
-    cert = _certifier(f, "ws", values)
+    f_a, f_b = _per_distinct(f.value, np.stack(_collapse_ends(tables, xs)))
+    k = len(xs)
+    bad, (lhs, rhs) = np.empty(len(pairs), dtype=np.intp), np.empty((2, len(pairs)))
+    for block in _blocks(len(pairs), k):
+        left, right = gains[i[block]] - losses[j[block]], f_a[j[block]] + f_b[i[block]]
+        bad[block] = _first(left != right)
+        lhs[block], rhs[block] = _at(left, bad[block]), _at(right, bad[block])
+    unconditional = ~_coexisting(tables[i], tables[j], both_one=True).any(axis=1)
+    jensen = _certified("collapse equivalence", f, "ws", values, scan, unconditional | (bad < k),
+                        lambda v: Verdict("collapse unconditional", v.holds, k + v.checked, v.witness,
+                                          detail="no coexistence set"), "coexistence set present", k)
 
-    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
-        i, j = ij
-        lhs, rhs = gains[row[i]] - losses[row[j]], ends[j][0] + ends[i][1]
-        bad = np.flatnonzero(lhs != rhs)
-        if bad.size:
-            k = int(bad[0])
-            witness = {"f": f.spec(), "x": xs[k].tolist(), "lhs": float(lhs[k]), "rhs": float(rhs[k])}
-            return Verdict("collapse identity", False, k + 1, witness)
-        checked = len(xs) + scan.checked
-        if coexist[ij]:
-            return _certified("collapse equivalence", f, cert, checked, scan.witness, "coexistence set present")
-        return Verdict("collapse unconditional", scan.holds, checked, scan.witness, detail="no coexistence set")
+    def verdict(p: int) -> Verdict:
+        if bad[p] == k:
+            return jensen.verdict(p)
+        witness = {"f": f.spec(), "x": xs[bad[p]].tolist(), "lhs": float(lhs[p]), "rhs": float(rhs[p])}
+        return Verdict("collapse identity", False, int(bad[p]) + 1, witness)
 
-    return read
+    return _Checked((bad == k) & jensen.ok, verdict)
 
 
 def two_valued_concavity_probe(
@@ -694,23 +728,14 @@ def two_valued_concavity_probe(
         raise HypothesisFailure("conjugate dominance fails")
     if coexistence_set(mu, nu) is None:
         raise HypothesisFailure("no set with mu(B) > 0 and nu(B^c) > 0")
-    values = tuple(values)
-    scan = _pair_scan(mu, nu, f, values, probe=True)
-    return _probe_reader((mu, nu), [(0, 1)], f, values)(mu, nu, (0, 1), scan)
+    return _pair_scan(mu, nu, f, tuple(values), probe=True, reader=_probe_checked)
 
 
-def _probe_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple) -> Callable:
-    """``two_valued_concavity_probe`` of pairs meeting its hypotheses: ``read(mu, nu, (i, j), scan)``
-    from a probe scan, which sets each row's integral against its closed mixture form (``_split_scan``)."""
-    cert = _certifier(f, "concave", values)
-
-    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
-        if scan.check == "two-valued mixture form":
-            return scan
-        detail = "concave={holds}, violation={found}"
-        return _certified("two-valued concavity probe", f, cert, scan.checked, scan.witness, detail)
-
-    return read
+def _probe_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
+    """``two_valued_concavity_probe`` of pairs meeting its hypotheses, from their probe ``scan``: a
+    row off its closed mixture form is the verdict, else the scan against concavity."""
+    detail = "concave={holds}, violation={found}"
+    return _certified("two-valued concavity probe", f, "concave", values, scan, scan.mismatch, lambda v: v, detail)
 
 
 def nonnegative_axis_check(
@@ -728,20 +753,16 @@ def nonnegative_axis_check(
     values = tuple(values)
     if any(v < 0.0 for v in values):
         raise ValueError("value grid must be nonnegative")
-    return _axis_reader((mu, nu), [(0, 1)], f, values)(mu, nu, (0, 1), _pair_scan(mu, nu, f, values))
+    return _pair_scan(mu, nu, f, values, reader=_axis_checked)
 
 
-def _axis_reader(caps: Sequence[Capacity], pairs: Sequence, f, values: tuple) -> Callable:
-    """``nonnegative_axis_check`` on a nonnegative grid: ``read(mu, nu, (i, j), scan)`` from a Jensen scan."""
-    cert, zero_one = _certifier(f, "concave", values), [cap.is_zero_one_valued() for cap in caps]
-
-    def read(mu: Capacity, nu: Capacity, ij: tuple, scan: Verdict) -> Verdict:
-        if zero_one[ij[0]]:
-            detail = "{0,1}-valued gains capacity: unconditional"
-            return Verdict("nonnegative-axis zero-one", scan.holds, scan.checked, scan.witness, detail=detail)
-        return _certified("nonnegative-axis probe", f, cert, scan.checked, scan.witness, "concave on x>=0: {holds}")
-
-    return read
+def _axis_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
+    """``nonnegative_axis_check`` on a nonnegative grid, from a Jensen ``scan``."""
+    zero_one = _zero_one(np.stack([_values(cap) for cap in caps]))[pairs[:, 0]]
+    detail = "{0,1}-valued gains capacity: unconditional"
+    return _certified("nonnegative-axis probe", f, "concave", values, scan, zero_one,
+                      lambda v: Verdict("nonnegative-axis zero-one", v.holds, v.checked, v.witness, detail=detail),
+                      "concave on x>=0: {holds}")
 
 
 # ---------------------------------------------------------------------------
@@ -828,82 +849,49 @@ def run_full_report(
         raise TooLarge(f"the sweep has {pairs} capacity pairs, above SWEEP_MAX_PAIRS = {SWEEP_MAX_PAIRS}")
     report = SweepReport(n=n, levels=tuple(sorted(set(float(v) for v in levels))), seed=seed)
     report.capacity_count = len(caps)
-    pairs = product(caps, caps)
-    for mu, nu, ck, verdicts in _sweep_verdicts(pairs, theorems, seed, tuple(values), property_samples):
-        report.pair_count += 1
-        report.class_counts[ck] = report.class_counts.get(ck, 0) + 1
-        for name, ok, witness in verdicts:
-            good, total = report.verdict_counts.get(name, (0, 0))
-            report.verdict_counts[name] = (good + (1 if ok else 0), total + 1)
-            if not ok:
-                report.unexpected.append(
-                    {"check": name, "mu": _values(mu).tolist(), "nu": _values(nu).tolist(), "witness": witness}
-                )
-
+    _tally(report, _sweep_verdicts(product(caps, caps), theorems, seed, tuple(values), property_samples))
     # a converse verdict is as expected exactly when its counterexample verified
     report.counterexamples = report.verdict_counts.get("jensen converse", (0, 0))[0]
     return report
 
 
-def _pair_classes(caps: Sequence[Capacity], pairs: Sequence) -> list[tuple]:
-    """``(dominates_dual, zero_one, has a coexistence set)`` of each (mu index, nu index) of ``pairs``, in order.
-
-    One ``_dominance_checks`` and one ``_coexisting`` call per mu index
-    set its table against the tables of the nu indices it meets, which
-    gives each pair's worst set, gap and coexistence flag bit-for-bit as
-    ``dominates_dual`` and ``coexistence_set`` give them.
-    """
+def _pair_classes(caps: Sequence[Capacity], pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dominates_dual holds, zero_one, has a coexistence set)`` of each (mu index, nu index) of
+    ``pairs``, as bool arrays, from one ``_dominance_checks`` and one ``_coexisting`` call on the
+    stacks of the pairs' mu and nu tables."""
     tables = np.stack([_values(cap) for cap in caps])
-    zero_one = [cap.is_zero_one_valued() for cap in caps]
-    out: list = [None] * len(pairs)
-    for i, members in _by_mu((mu, (p, nu)) for p, (mu, nu) in enumerate(pairs)).items():
-        positions, js = zip(*members)
-        nus = tables[list(js)]
-        coexist = _coexisting(tables[i], nus).any(axis=1).tolist()
-        for p, j, dom, c in zip(positions, js, _dominance_checks(tables[i], nus), coexist):
-            out[p] = dom, zero_one[i] and zero_one[j], c
-    return out
+    mus, nus = tables[pairs[:, 0]], tables[pairs[:, 1]]
+    return _dominance_checks(mus, nus)[0], _zero_one(mus) & _zero_one(nus), _coexisting(mus, nus).any(axis=1)
 
 
-def _converse_gaps(caps: Sequence[Capacity], pairs: Sequence, worst_sets: Sequence[int]) -> list[float]:
-    """``jensen_counterexample``'s realized gap of each (mu index, nu index) of ``pairs``, whose
-    worst set is the matching entry of ``worst_sets``, bit-for-bit.
+def _class_key(dominant: bool, zero_one: bool, coexistence: bool) -> str:
+    return f"dominant={dominant}, zero_one={zero_one}, coexistence={coexistence}"
 
-    Its X is 0 on the worst set and -1 off it, and f(x) = x + 2, so one
-    ``_halves`` call on the rows X and f(X) of the distinct worst sets gives
-    every pair's C(X) and C(f(X)) by one subtraction each.
+
+class _Sweep(NamedTuple):
+    """Capacity ``pairs``, their (dominance, zero_one, coexistence) ``classes``, and per check name
+    and gallery map or lemma trial, in report order, ``(check name, positions of the pairs it
+    applies to, index of each in its distinct index pairs, _Checked)``."""
+
+    pairs: list
+    classes: tuple
+    columns: list
+
+
+def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> _Sweep:
+    """The checks of each (mu, nu) of ``pairs``, as verdict arrays.
+
+    Each capacity object is keyed once by its values and indexes its table
+    in the stack of distinct ones.  Every check runs its engine once for the
+    distinct (mu index, nu index) pairs it applies to: the lemma trials, the
+    converse, and the two-point scans of theorems 1 (dominant pairs), 2
+    (zero-one), 3 (dominant with a coexistence set) and 4 (all), which
+    theorem 2's collapse identity and the grid certificates read.  Nothing
+    outlives the call.
     """
-    f, sets = AffineMap(1.0, 2.0), list(dict.fromkeys(worst_sets))
-    x = _counterexample_rows(caps[0].ground, sets)
-    gains, losses = _halves(np.stack([_values(cap) for cap in caps]), np.concatenate([x, f.value(x)]))
-    row = {a: r for r, a in enumerate(sets)}
-    i, j = np.array(pairs).T
-    r = np.array([row[a] for a in worst_sets])
-    fr = r + len(sets)
-    return ((gains[i, fr] - losses[j, fr]) - f.value(gains[i, r] - losses[j, r])).tolist()
-
-
-def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> Iterator:
-    """``(mu, nu, class key, [(check name, ok, witness), ...])`` for each pair, in order.
-
-    Each capacity object is keyed once by its values and gets the index of
-    its table in the stack of distinct ones, and the pairs are classified
-    up front, once per mu index (``_pair_classes``).  Before any pair's
-    checks, every check runs its engine once over the stack for the (mu
-    index, nu index) pairs it applies to, and a pair reads its verdicts by
-    index: the lemma trials once per stream position
-    (``_property_trials``), the converse once over the worst sets of its
-    pairs (``_converse_gaps``), the two-point scans of theorems 1 (dominant
-    pairs), 2 (zero-one pairs), 3 (dominant pairs with a coexistence set)
-    and 4 (every pair) once per map and split (``_two_point_scans``, read
-    by side index in ``_scan_verdict``), and theorem 2's collapse identity
-    once per map (``_collapse_reader``).  A grid certificate is made at
-    most once per check and map (``_certifier``).  Nothing outlives the
-    call.
-    """
-    forward_gallery, collapse_gallery = concave_increasing_gallery(), zero_at_zero_gallery()
-    concavity_probe_gallery = [Exponential(1.0), PiecewiseLinearKink(), PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
-    axis_gallery = [Exponential(1.0), Power(0.0, 2.0), Power(0.0, 0.5)]
+    # the probe and axis galleries share the collapse gallery's maps (each build checks its shape)
+    collapse_gallery = zero_at_zero_gallery()
+    exp, kink, _, expm1 = collapse_gallery
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
     pairs = list(pairs)
@@ -912,59 +900,62 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     key = {i: (_values(cap) + 0.0).tobytes() for i, cap in objects.items()}
     caps = list({key[id(cap)]: cap for pair in pairs for cap in pair}.values())
     index = {key[id(cap)]: k for k, cap in enumerate(caps)}
-    ids = [(index[key[id(mu)]], index[key[id(nu)]]) for mu, nu in pairs]
-    classes = _pair_classes(caps, ids)
-
-    def lemma(mine):
-        trials = dict(zip(mine, _property_trials(caps, mine, property_samples, seed)))
-        return lambda mu, nu, ij, dom: ((f"property {name}", v.holds, v.witness) for name, v in trials[ij].items())
-
-    def converse(mine):
-        worst = {ij: dom.worst_set for ij, (dom, _, _) in zip(ids, classes)}
-        gaps = dict(zip(mine, _converse_gaps(caps, mine, [worst[ij] for ij in mine])))
-
-        def run(mu, nu, ij, dom):
-            gap = gaps[ij]
-            ok = gap > VIOLATION_TOL and abs(gap - dom.gap) <= GAP_MATCH_TOL
-            yield "jensen converse", ok, {"gap": gap, "dominance_gap": dom.gap}
-
-        return run
+    ids = np.array([(index[key[id(mu)]], index[key[id(nu)]]) for mu, nu in pairs])
+    dominant, zero_one, coexistence = classes = _pair_classes(caps, ids)
 
     def scanned(name, gallery, grid, probe, reader, mine):
-        """The check over its pairs ``mine``: the engines run here, per map, and each pair reads them."""
         scans = _two_point_scans(caps, mine, gallery, grid, probe)
-        readers = [reader(caps, mine, f, grid) for f in gallery]
+        return [(name, reader(caps, mine, f, grid, scan) if reader else scan) for f, scan in zip(gallery, scans)]
 
-        def run(mu, nu, ij, dom):
-            for splits, read in zip(scans, readers):
-                v = read(mu, nu, ij, _scan_verdict(splits, *ij, probe))
-                yield name, v.holds, v.witness
-
-        return run
-
-    # (theorem id, applies to the pair class (dominance, zero_one, coexistence), check); a check
-    # prepared over the distinct index pairs it applies to yields (check name, ok, witness) of the
-    # pair, its capacity indices and its dominates_dual.  A scanned check's reader, prepared per
-    # map, gives the pair's verdict from its two-point scan.
+    # (theorem id, the pairs it applies to, check): a check run on the distinct index pairs it
+    # applies to gives (check name, _Checked) per gallery map or lemma trial
     table = (
-        ("lemma", lambda d, z, c: True, lemma),
-        ("1", lambda d, z, c: d,
-         partial(scanned, "jensen forward", forward_gallery, values, False, lambda *_: lambda mu, nu, ij, scan: scan)),
-        ("1", lambda d, z, c: not d, converse),
-        ("2", lambda d, z, c: z,
-         partial(scanned, "collapse", collapse_gallery, probe_values, False, partial(_collapse_reader, seed=seed))),
-        ("3", lambda d, z, c: d and c,
-         partial(scanned, "two-valued concavity", concavity_probe_gallery, probe_values, True, _probe_reader)),
-        ("4", lambda d, z, c: True,
-         partial(scanned, "nonnegative axis", axis_gallery, NONNEG_VALUE_GRID, False, _axis_reader)),
+        ("lemma", True, lambda mine: [(f"property {key}", checked) for key, checked in
+                                      _property_trials(caps, mine, property_samples, seed)]),
+        ("1", dominant, partial(scanned, "jensen forward", concave_increasing_gallery(), values, False, None)),
+        ("1", ~dominant, lambda mine: [("jensen converse", _converse_checked(caps, mine))]),
+        ("2", zero_one,
+         partial(scanned, "collapse", collapse_gallery, probe_values, False, partial(_collapse_checked, seed=seed))),
+        ("3", dominant & coexistence, partial(scanned, "two-valued concavity", [exp, kink, expm1, Power(0.5, 2.0)],
+                                              probe_values, True, _probe_checked)),
+        ("4", True, partial(scanned, "nonnegative axis", [exp, Power(0.0, 2.0), Power(0.0, 0.5)],
+                            NONNEG_VALUE_GRID, False, _axis_checked)),
     )
-    rows = []
+    columns = []
     for tid, applies, check in table:
-        mine = list(dict.fromkeys(ij for ij, cls in zip(ids, classes) if tid in theorems and applies(*cls)))
-        if mine:
-            rows.append((applies, check(mine)))
-    for (mu, nu), ij, (dom, zero_one, coex) in zip(pairs, ids, classes):
-        ck = f"dominant={dom.holds}, zero_one={zero_one}, coexistence={coex}"
-        yield mu, nu, ck, [
-            verdict for applies, check in rows if applies(dom, zero_one, coex) for verdict in check(mu, nu, ij, dom)
-        ]
+        where = np.flatnonzero(np.broadcast_to(applies, len(ids))) if tid in theorems else []
+        if len(where):
+            distinct, at = np.unique(ids[where] @ [len(caps), 1], return_inverse=True)
+            columns += [(name, where, at, checked) for name, checked in check(np.stack(np.divmod(distinct, len(caps)), 1))]
+    return _Sweep(pairs, classes, columns)
+
+
+def _entries(sweep: _Sweep, everything: bool = False) -> Iterator[tuple[int, str, Verdict]]:
+    """``(pair position, check name, verdict)`` of each failing verdict of ``sweep`` (with
+    ``everything``, of each verdict) in report order: by pair, then check row, then gallery map,
+    then lemma trial."""
+    by_pair: dict = {}
+    for name, where, at, checked in sweep.columns:
+        picked = np.flatnonzero(~checked.ok[at] | everything)
+        for p, k in zip(where[picked].tolist(), at[picked].tolist()):
+            by_pair.setdefault(p, []).append((name, checked.verdict, k))
+    for p in sorted(by_pair):
+        yield from ((p, name, verdict(k)) for name, verdict, k in by_pair[p])
+
+
+def _tally(report: SweepReport, sweep: _Sweep) -> None:
+    """Add the pairs of ``sweep``, their class and verdict counts and their failing verdicts, in
+    order, to ``report``.  Counts add and failures concatenate, so sweeps over consecutive blocks
+    of pairs add up to the sweep over all of them."""
+    report.pair_count += len(sweep.pairs)
+    for cls, count in zip(*np.unique(np.stack(sweep.classes, axis=1), axis=0, return_counts=True)):
+        key = _class_key(*cls.tolist())
+        report.class_counts[key] = report.class_counts.get(key, 0) + int(count)
+    for name, _, at, checked in sweep.columns:
+        good, total = report.verdict_counts.get(name, (0, 0))
+        report.verdict_counts[name] = (good + int(np.count_nonzero(checked.ok[at])), total + len(at))
+    for p, name, verdict in _entries(sweep):
+        mu, nu = sweep.pairs[p]
+        report.unexpected.append(
+            {"check": name, "mu": _values(mu).tolist(), "nu": _values(nu).tolist(), "witness": verdict.witness}
+        )

@@ -420,6 +420,23 @@ def test_cli_verify_refuses_a_sweep_above_the_pair_cap(capsys):
     assert "verdicts" not in captured.out
 
 
+def test_cli_verify_refuses_n4_at_the_default_levels_before_any_check(capsys, monkeypatch):
+    """Four elements at the five default levels: the sweep builds a bounded number of capacities
+    and refuses before any check runs; five elements are refused by the parser."""
+    from choqrisk import theorems
+
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(theorems, "_sweep_verdicts", refuse)
+    assert main(["verify", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert f"at least {(theorems._SWEEP_MAX_BUILT + 1) ** 2}" in captured.err and "100000" in captured.err
+    assert "verdicts" not in captured.out
+    with pytest.raises(SystemExit):
+        main(["verify", "--n", "5"])
+
+
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -437,8 +454,11 @@ def test_cli_verify_refuses_a_sweep_above_the_pair_cap(capsys):
         # one memo of draws and per-capacity halves, pinned here at n = 3 as well
         (["--n", "3", "--levels", "0,0.5,1", "--seed", "42"],
          "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"),
+        # the 27,556 pairs of the 166 {0,1}-valued capacities on four elements; recorded with the
+        # per-pair sweep driver that preceded the verdict arrays, with only n = 4 admitted
+        (["--n", "4", "--levels", "0,1"], "06626be59258dceed93071daf1ef4a5fc31e7a861f871e511ca05e7b3f91b316"),
     ],
-    ids=["n2-three-levels", "n2-default-levels", "n3-jensen-theorems", "n3"],
+    ids=["n2-three-levels", "n2-default-levels", "n3-jensen-theorems", "n3", "n4-zero-one"],
 )
 def test_cli_verify_report_digest(tmp_path, capsys, argv, sha256):
     """A sweep report, pinned byte for byte."""

@@ -78,6 +78,7 @@ def brute_count(n, levels):
         (2, (0.0, 0.25, 0.5, 0.75, 1.0), 25),
         (3, (0.0, 1.0), 18),
         (3, (0.0, 0.5, 1.0), 129),
+        (4, (0.0, 1.0), 166),
     ],
 )
 def test_enumeration_count_matches_brute_force(n, levels, expected):
@@ -89,7 +90,7 @@ def test_enumeration_count_matches_brute_force(n, levels, expected):
 
 def test_enumerator_rejects_large_ground():
     with pytest.raises(TooLarge):
-        CapacityEnumerator(4)
+        CapacityEnumerator(5)
 
 
 def test_enumerator_rejects_bad_levels():
@@ -196,7 +197,11 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
             got = integral_property_checks(mu, nu, samples, seed, tol)
             assert repr(got) == want
             failures |= {(key, tol) for key, v in got.items() if not v.holds}
-            both = theorems._property_trials((mu, nu), [(0, 1), (1, 0)], samples, seed, tol)
+            trials = theorems._property_trials((mu, nu), [(0, 1), (1, 0)], samples, seed, tol)
+            both = [{key: trial.verdict(p) for key, trial in trials} for p in (0, 1)]
+            assert [bool(trial.ok[p]) for _, trial in trials for p in (0, 1)] == [
+                v.holds for key in got for v in (both[0][key], both[1][key])
+            ]
             assert [repr(v) for v in both] == [want, repr(scalar_property_checks(nu, mu, samples, seed, tol))]
             # a trial before the last that fails at another row, or in one pair only, moves the streams apart
             diverged += any(both[0][key].witness != both[1][key].witness for key in list(got)[:-1])
@@ -264,13 +269,14 @@ def test_sweep_lemma_trials_integrate_each_row_set_once_per_stream_position(monk
 
 def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatch):
     """Theorem 2's reader integrates f(rows) over the four {0,1}-valued capacities its pairs
-    use, not all nine, and each pair reads the verdict of the one-pair check."""
-    from choqrisk import theorems
+    use, not all nine, plans the rows once for all of them (one plan inside the halves, one for
+    every capacity's a_X and b_X), and each pair reads the verdict of the one-pair check."""
+    from choqrisk import integral, theorems
 
     caps = list(enumerate_capacities(2, (0.0, 0.5, 1.0)))
     zero_one = [k for k, cap in enumerate(caps) if cap.is_zero_one_valued()]
-    pairs = list(product(zero_one, zero_one))
-    stacks, exact = [], theorems._halves
+    pairs = np.array(list(product(zero_one, zero_one)))
+    stacks, plans, exact, plan = [], [], theorems._halves, integral._plan
 
     def counting(tables, xs):
         stacks.append(len(tables))
@@ -278,14 +284,18 @@ def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatc
 
     values = tuple(-3.0 + 0.5 * k for k in range(13))
     for f in theorems.zero_at_zero_gallery():
+        [scan] = theorems._two_point_scans(caps, pairs, [f], values, False)
         monkeypatch.setattr(theorems, "_halves", counting)
-        read = theorems._collapse_reader(caps, pairs, f, values, seed=42)
+        monkeypatch.setattr(integral, "_plan", lambda xs: plans.append(len(xs)) or plan(xs))
+        checked = theorems._collapse_checked(caps, pairs, f, values, scan, seed=42)
         monkeypatch.setattr(theorems, "_halves", exact)
-        assert stacks == [len(zero_one)] == [4]
+        monkeypatch.setattr(integral, "_plan", plan)
+        assert stacks == [len(zero_one)] == [4] and len(plans) == 2
         stacks.clear()
-        for i, j in pairs:
-            scan = theorems._pair_scan(caps[i], caps[j], f, values)
-            assert read(caps[i], caps[j], (i, j), scan) == zero_one_collapse_check(caps[i], caps[j], f, values, 42)
+        plans.clear()
+        for k, (i, j) in enumerate(pairs.tolist()):
+            want = zero_one_collapse_check(caps[i], caps[j], f, values, 42)
+            assert checked.verdict(k) == want and checked.ok[k] == want.holds
 
 
 def test_sweep_keys_capacities_by_value_with_signed_zeros_equal(monkeypatch):
@@ -302,9 +312,9 @@ def test_sweep_keys_capacities_by_value_with_signed_zeros_equal(monkeypatch):
         return trials(caps, pairs, *args)
 
     monkeypatch.setattr(theorems, "_property_trials", recording)
-    out = list(theorems._sweep_verdicts([(a, c), (b, c), (c, a)], ("lemma",), 0, (0.0, 1.0), 4))
+    out = sweep_by_pair([(a, c), (b, c), (c, a)], ("lemma",), 0, (0.0, 1.0), 4)
     [(caps, pairs)] = seen
-    assert len(caps) == 2 and pairs == [(0, 1), (1, 0)]
+    assert len(caps) == 2 and pairs.tolist() == [[0, 1], [1, 0]]
     assert out[0][3] == out[1][3]
 
 
@@ -324,26 +334,28 @@ def test_sweep_classifies_per_capacity_and_reads_the_converse_off_halves(monkeyp
 
 
 def test_matrix_classes_match_the_per_pair_checks_on_every_n3_pair():
-    """The sweep's classes, one matrix call per mu, against dominates_dual (holds, worst set,
-    gap bits) and coexistence_set, both tests, over all 16,641 pairs of n = 3 at three levels."""
+    """The sweep's classes and the converse's worst sets and gaps, one call over the stacks of the
+    pairs' tables, against dominates_dual (holds, worst set, gap bits) and coexistence_set, both
+    tests, over all 16,641 pairs of n = 3 at three levels."""
     from choqrisk import theorems
-    from choqrisk.capacity import _coexisting, _values
+    from choqrisk.capacity import _coexisting, _dominance_checks, _values
 
     caps = list(enumerate_capacities(3, (0.0, 0.5, 1.0)))
-    pairs = list(product(range(len(caps)), range(len(caps))))
-    classes = theorems._pair_classes(caps, pairs)
+    pairs = np.array(list(product(range(len(caps)), range(len(caps)))))
     tables = np.stack([_values(cap) for cap in caps])
+    _, worst, gap = _dominance_checks(tables[pairs[:, 0]], tables[pairs[:, 1]])
+    classes = zip(*(a.tolist() for a in (*theorems._pair_classes(caps, pairs), worst, gap)))
     both_one = {i: _coexisting(tables[i], tables, both_one=True).any(axis=1) for i in range(len(caps))}
-    assert len(classes) == len(pairs) == 16641
+    assert len(worst) == len(pairs) == 16641
     seen = set()
-    for (i, j), (dom, zero_one, coex) in zip(pairs, classes):
+    for (i, j), (dom, zero_one, coex, worst_set, dom_gap) in zip(pairs.tolist(), classes):
         mu, nu = caps[i], caps[j]
         want = theorems.dominates_dual(mu, nu)
-        assert (dom.holds, dom.worst_set, dom.gap.hex()) == (want.holds, want.worst_set, want.gap.hex())
+        assert (dom, worst_set, dom_gap.hex()) == (want.holds, want.worst_set, want.gap.hex())
         assert zero_one == (mu.is_zero_one_valued() and nu.is_zero_one_valued())
         assert coex == (theorems.coexistence_set(mu, nu) is not None)
         assert both_one[i][j] == (theorems.coexistence_set(mu, nu, both_one=True) is not None)
-        seen.add((dom.holds, zero_one, coex, bool(both_one[i][j])))
+        seen.add((dom, zero_one, coex, bool(both_one[i][j])))
     assert len(seen) == 6
 
 
@@ -676,6 +688,19 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 
 # --- the keyed sweep against a per-pair reference loop ------------------------------------
 
+def sweep_by_pair(pairs, theorem_ids, seed, values, property_samples):
+    """``_sweep_verdicts`` read pair by pair, through the report's own reading of its arrays:
+    ``(mu, nu, class key, [(check name, ok, witness), ...])`` of each pair, in order."""
+    from choqrisk import theorems
+
+    sweep = theorems._sweep_verdicts(pairs, theorem_ids, seed, values, property_samples)
+    verdicts = [[] for _ in sweep.pairs]
+    for p, name, verdict in theorems._entries(sweep, everything=True):
+        verdicts[p].append((name, verdict.holds, verdict.witness))
+    classes = zip(*(a.tolist() for a in sweep.classes))
+    return [(mu, nu, theorems._class_key(*cls), out) for (mu, nu), cls, out in zip(sweep.pairs, classes, verdicts)]
+
+
 def reference_verdicts(mu, nu, values, seed=42, property_samples=12):
     """The sweep's class key and checks of one pair, each public check called directly, no memo."""
     from choqrisk import theorems
@@ -780,7 +805,7 @@ def test_keyed_sweep_matches_a_per_pair_reference_loop(monkeypatch, faults):
     assert len({mu.table for mu, _ in pairs}) < len(pairs)
 
     values = tuple(-4.0 + k for k in range(9))  # not the probes' grid, which the sweep fixes
-    got = list(theorems._sweep_verdicts(pairs, theorems.THEOREM_IDS, 42, values, 12))
+    got = sweep_by_pair(pairs, theorems.THEOREM_IDS, 42, values, 12)
     assert len(got) == len(pairs)
     for (mu, nu), (mu_got, nu_got, ck, verdicts) in zip(pairs, got):
         assert (mu_got, nu_got) == (mu, nu)
@@ -805,6 +830,63 @@ def test_sweep_keeps_no_state_between_calls(monkeypatch):
     assert first_a == second_a == reference_report(2, levels, grid_a)
     assert b == reference_report(2, levels, grid_b)
     assert first_a != b and first_a != clean
+
+
+def test_sweep_over_consecutive_blocks_of_pairs_adds_up_to_the_whole(monkeypatch):
+    """Class and verdict counts add, and failing verdicts concatenate in pair order, when the
+    pairs of a sweep go through the verdict arrays in consecutive blocks (here under injected
+    faults, so that most checks file entries)."""
+    from choqrisk import theorems
+
+    inject_witness_faults(monkeypatch)
+    levels, values = (0.0, 0.5, 1.0), tuple(-4.0 + k for k in range(9))
+    whole = run_full_report(n=2, levels=levels, values=values)
+    caps = list(enumerate_capacities(2, levels))
+    pairs = list(product(caps, caps))
+    blocks = theorems.SweepReport(n=2, levels=levels, seed=42, capacity_count=len(caps))
+    for start, stop in ((0, 10), (10, 11), (11, 50), (50, 81)):
+        theorems._tally(blocks, theorems._sweep_verdicts(pairs[start:stop], theorems.THEOREM_IDS, 42, values, 12))
+    blocks.counterexamples = blocks.verdict_counts["jensen converse"][0]
+    assert len(whole.unexpected) > 100
+    assert blocks.to_json_dict() == whole.to_json_dict() and blocks.to_text() == whole.to_text()
+
+
+def test_lemma_sweep_traced_peak_is_bounded():
+    """The lemma trials over the 16,641 three-level n = 3 pairs gather each capacity's step-cell
+    values once and combine them by pair a block at a time: a traced peak of 38 MB, set by
+    per-pair (pairs, rows, cells) gathers, fell to about 13 MB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = run_full_report(n=3, levels=(0.0, 0.5, 1.0), theorems=("lemma",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pair_count == 16641 and report.clean
+    assert peak <= 19 * 10**6
+
+
+def test_sweep_leaves_numpy_ma_unimported():
+    # np.unique without an inverse, index or counts imports numpy.ma, which costs a fresh process
+    # memory; no sweep step needs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "from choqrisk import run_full_report\n"
+        "run_full_report(n=2, levels=(0, 0.5, 1))\n"
+        "run_full_report(n=3, levels=(0, 1))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 # --- two point generator ------------------------------------------------------------------
@@ -1011,7 +1093,7 @@ def test_sweep_files_the_probe_mixture_form_failure(g3, monkeypatch):
     nu = mu.dual()
     values = tuple(-3.0 + 0.5 * k for k in range(13))
     perturb_halves_from_row(monkeypatch, 40)
-    [(_, _, _, verdicts)] = theorems._sweep_verdicts([(mu, nu)], ("3",), 42, values, 12)
+    [(_, _, _, verdicts)] = sweep_by_pair([(mu, nu)], ("3",), 42, values, 12)
     assert [(name, ok) for name, ok, _ in verdicts] == [("two-valued concavity", False)] * 4
     probe = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
     assert probe.check == "two-valued mixture form" and verdicts[0][2] == probe.witness
