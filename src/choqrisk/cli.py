@@ -242,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ChoqriskError, ValueError, FileNotFoundError) as exc:
+    except (ChoqriskError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

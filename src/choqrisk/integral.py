@@ -151,17 +151,16 @@ def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
     and ``nu(X <= d)``, by other code.
     """
     _check_same_ground(mu, nu, x)
-    total, lower_part = _walk_groups(mu, nu, _groups(x.values), x.ground.full)
+    total, lower_part = _walk_groups(mu._view, nu._view, _groups(x.values), x.ground.full)
     return total - lower_part
 
 
-def _walk_groups(mu: Capacity, nu: Capacity, groups, full: int) -> tuple[float, float]:
+def _walk_groups(mu_t, nu_t, groups, full: int) -> tuple[float, float]:
     """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans, as its
-    two parts ``(total, lower_part)``: the gains, which read mu only, and the losses, which read
-    nu only.  The integral is ``total - lower_part``.  The caller has checked that mu, nu and X
-    share the ground set."""
+    two parts ``(total, lower_part)``: the gains, which read the mask-indexed table mu_t only,
+    and the losses, which read nu_t only.  The integral is ``total - lower_part``.  The caller
+    has checked that both tables and X share the ground set."""
     ds, upto = groups
-    mu_t, nu_t = mu._view, nu._view
     # at group g: X <= the previous value, which is X < d
     lt = [0, *upto]
     total = lower_part = 0.0

@@ -132,12 +132,16 @@ def _tail_gap_integral(mu: Capacity, nu: Capacity, groups, full: int, upper: flo
     return sign * acc
 
 
+def _swapped_with_gap(s: Scenario, values, upper: float) -> float:
+    """C_swapped(Z) plus the tail gap of Z up to ``upper``, off one ``_groups`` of Z's values."""
+    groups, full = _groups(values), s.x.ground.full
+    total, lower_part = _walk_groups(s.nu._view, s.mu._view, groups, full)
+    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
+
+
 def risk_neutral_premium(s: Scenario) -> float:
-    """Linear-utility benchmark premium; ignores ``s.u``.  One ``_groups`` of X
-    serves the swapped integral and the tail gap."""
-    groups, full = _groups(s.x.values), s.x.ground.full
-    total, lower_part = _walk_groups(s.nu, s.mu, groups, full)
-    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, s.w)
+    """Linear-utility benchmark premium; ignores ``s.u``."""
+    return _swapped_with_gap(s, s.x.values, s.w)
 
 
 def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacity) -> np.ndarray:
@@ -172,9 +176,7 @@ def approx_premium(s: Scenario) -> float:
     upper = s.u.value(s.w) / d1
     if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
         upper = max(0.0, *y.values)
-    groups, full = _groups(y.values), y.ground.full
-    total, lower_part = _walk_groups(s.nu, s.mu, groups, full)
-    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
+    return _swapped_with_gap(s, y.values, upper)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -184,7 +184,7 @@ class CapacityEnumerator:
     def __post_init__(self):
         if self.n not in (2, 3, 4):
             raise TooLarge(f"exhaustive enumeration supports n in {{2, 3, 4}}, got {self.n}")
-        levels = tuple(sorted(float(v) for v in set(self.levels)))
+        levels = tuple(sorted({float(v) + 0.0 for v in self.levels}))  # + 0.0 makes -0.0 0.0
         object.__setattr__(self, "levels", levels)
         if levels[0] != 0.0 or levels[-1] != 1.0 or any(not 0.0 <= v <= 1.0 for v in levels):
             raise ValueError("levels must lie in [0, 1] and include 0 and 1")
@@ -252,6 +252,11 @@ def _first(mask: np.ndarray) -> np.ndarray:
 def _at(values: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``values[p, cols[p]]`` of each row p of a (P, K) array, 0.0 where the column is K."""
     return np.hstack([values, np.zeros((len(values), 1))])[np.arange(len(values)), cols]
+
+
+def _ground(tables: np.ndarray) -> GroundSet:
+    """The ground set of a (C, 2ⁿ) stack of tables."""
+    return GroundSet(tables.shape[1].bit_length() - 1)
 
 
 def _canonical_splits(ground: GroundSet) -> list[int]:
@@ -341,9 +346,9 @@ def _value_pairs(ground: GroundSet, gallery: list, values: Sequence[float], prob
     return np.stack([values[s], values[t]], axis=1), list(inside[:, s] & inside[:, t])
 
 
-def _two_point_scans(caps: Sequence[Capacity], pairs: np.ndarray, gallery: list, values, probe: bool) -> list:
+def _two_point_scans(tables: np.ndarray, pairs: np.ndarray, gallery: list, values, probe: bool) -> list:
     """The two-point engine: the ``_Checked`` Jensen scan (with ``probe``, concavity probe) of
-    each map of ``gallery`` over the (mu index, nu index) ``pairs`` into ``caps``.
+    each map of ``gallery`` over the (mu index, nu index) ``pairs`` into the stack ``tables``.
 
     A variable taking one value on B and one off it reads only t(B) and
     t(Bᶜ) of a table t, so it is the row (value on B, value off B) under the
@@ -353,11 +358,11 @@ def _two_point_scans(caps: Sequence[Capacity], pairs: np.ndarray, gallery: list,
     integrates only f of its rows (``_split_scan``), once per distinct side
     pair, and each pair reads its splits' results in order (``_scan_checked``).
     """
-    ground, splits = caps[0].ground, _canonical_splits(caps[0].ground)
-    tables = np.stack([_values(cap) for cap in caps])
+    ground = _ground(tables)
+    splits = _canonical_splits(ground)
     rows, masks = _value_pairs(ground, gallery, values, probe)
     sides, side = np.unique(tables[:, [(b, ground.full ^ b) for b in splits]].reshape(-1, 2), axis=0, return_inverse=True)
-    side = side.reshape(len(caps), len(splits))
+    side = side.reshape(len(tables), len(splits))
     codes = side[pairs[:, 0]] * len(sides) + side[pairs[:, 1]]
     wanted, at = np.unique(codes, return_inverse=True)
     quads = np.zeros((len(sides), 4))
@@ -448,9 +453,9 @@ def _scan_checked(ground: GroundSet, splits: list, f, rows, at, probe: bool, fir
 def _pair_scan(mu: Capacity, nu: Capacity, f, values: tuple, probe: bool = False, reader=None) -> Verdict:
     """The verdict of one pair: the engine over the tables (mu, nu), read by ``reader`` if given."""
     _check_same_ground(mu, nu)
-    caps, pairs = (mu, nu), np.array([[0, 1]])
-    [scan] = _two_point_scans(caps, pairs, [f], values, probe)
-    return (reader(caps, pairs, f, values, scan) if reader else scan).verdict(0)
+    tables, pairs = np.stack([_values(mu), _values(nu)]), np.array([[0, 1]])
+    [scan] = _two_point_scans(tables, pairs, [f], values, probe)
+    return (reader(tables, pairs, f, values, scan) if reader else scan).verdict(0)
 
 
 def _certified(check: str, f, shape: str, values, scan: _Checked, exempt, exempt_verdict, detail, offset=0):
@@ -503,15 +508,15 @@ def _counterexample_rows(ground: GroundSet, worst_sets: Sequence[int]) -> np.nda
     return np.array([[0.0 if a >> i & 1 else -1.0 for i in range(ground.n)] for a in worst_sets])
 
 
-def _converse_checked(caps: Sequence[Capacity], pairs: np.ndarray) -> _Checked:
+def _converse_checked(tables: np.ndarray, pairs: np.ndarray) -> _Checked:
     """Whether ``jensen_counterexample``'s realized gap, bit-for-bit, exceeds VIOLATION_TOL and
     matches the dominance gap within GAP_MATCH_TOL, for each non-dominant pair of ``pairs``.  Its
     X is 0 on the worst set and -1 off it, and f(x) = x + 2, so one ``_halves`` call on X and f(X)
     of the distinct worst sets gives every pair's C(X) and C(f(X)) by one subtraction each."""
-    f, tables, (i, j) = AffineMap(1.0, 2.0), np.stack([_values(cap) for cap in caps]), pairs.T
+    f, (i, j) = AffineMap(1.0, 2.0), pairs.T
     _, worst, dominance_gap = _dominance_checks(tables[i], tables[j])
     sets, r = np.unique(worst, return_inverse=True)
-    x = _counterexample_rows(caps[0].ground, sets.tolist())
+    x = _counterexample_rows(_ground(tables), sets.tolist())
     gains, losses = _halves(tables, np.concatenate([x, f.value(x)]))
     gap = (gains[i, r + len(sets)] - losses[j, r + len(sets)]) - f.value(gains[i, r] - losses[j, r])
     ok = (gap > VIOLATION_TOL) & (np.abs(gap - dominance_gap) <= GAP_MATCH_TOL)
@@ -541,14 +546,15 @@ def integral_property_checks(
     engine's call on the one pair (``_property_trials``).
     """
     _check_same_ground(mu, nu)
-    return {key: trial.verdict(0) for key, trial in _property_trials((mu, nu), [(0, 1)], samples, seed, tol)}
+    tables = np.stack([_values(mu), _values(nu)])
+    return {key: trial.verdict(0) for key, trial in _property_trials(tables, [(0, 1)], samples, seed, tol)}
 
 
 def _property_trials(
-    caps: Sequence[Capacity], pairs, samples: int, seed: int, tol: float = VIOLATION_TOL
+    tables: np.ndarray, pairs, samples: int, seed: int, tol: float = VIOLATION_TOL
 ) -> list[tuple[str, _Checked]]:
     """The lemma engine: ``(key, verdicts)`` per trial of ``integral_property_checks``, over the
-    (mu index, nu index) ``pairs`` into ``caps``.
+    (mu index, nu index) ``pairs`` into the stack ``tables``.
 
     Every pair draws the seed's stream, each trial from where the pair's
     trial before it stopped.  So per trial, the pairs at one stream position
@@ -560,15 +566,15 @@ def _property_trials(
     once per sample: the walk's gains part reads mu only and its loss part
     nu only (``_walk_groups``, ``_tail_walk``).
     """
-    ground = caps[0].ground
+    ground = _ground(tables)
     n, size = ground.n, max(samples, 0)
-    tables = np.stack([_values(cap) for cap in caps])
     pairs = np.asarray(pairs)
 
     def tails(c, i, j, rows):
-        parts = np.zeros((len(caps), size, 2))  # (gains part, loss part) per capacity and row
+        parts = np.zeros((len(tables), size, 2))  # (gains part, loss part) per capacity and row
         for k in set(i.tolist()) | set(j.tolist()):
-            walks = [_walk_groups(caps[k], caps[k], groups, ground.full) for groups in rows["groups"]]
+            table = memoryview(tables[k])
+            walks = [_walk_groups(table, table, groups, ground.full) for groups in rows["groups"]]
             parts[k] = np.reshape(walks, (size, 2))
         walk, halves = _tail_walk(parts[i, :, 0], parts[j, :, 1], rows["x"]), c("x", i, j)
         return walk != halves, np.abs(walk - halves)
@@ -673,9 +679,9 @@ def zero_one_collapse_check(
     return _pair_scan(mu, nu, f, values, reader=partial(_collapse_checked, seed=seed))
 
 
-def _collapse_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked, seed: int):
-    """``zero_one_collapse_check`` of the {0,1}-valued (mu index, nu index) ``pairs`` into ``caps``,
-    from their Jensen ``scan`` of f.
+def _collapse_checked(tables: np.ndarray, pairs: np.ndarray, f, values: tuple, scan: _Checked, seed: int):
+    """``zero_one_collapse_check`` of the {0,1}-valued (mu index, nu index) ``pairs`` into the stack
+    ``tables``, from their Jensen ``scan`` of f.
 
     The rows are every few rows of ``two_point_grid`` plus 25 dense draws,
     inside f's domain.  One ``_halves`` call on f(rows) over the capacities
@@ -683,13 +689,13 @@ def _collapse_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tu
     alone, so one plan of the rows gives every capacity's (a_X, b_X)
     (``_collapse_ends``), and f of them is made once per distinct value.
     """
-    ground = caps[0].ground
+    ground = _ground(tables)
     dense = np.random.default_rng(seed).uniform(min(values), max(values), (25, ground.n))
     grid = two_point_grid(ground, values)
     xs = _in_domain(f, np.concatenate([grid[:: max(1, len(values) // 8)], dense]))
     used, index = np.unique(pairs, return_inverse=True)
     i, j = index.reshape(pairs.shape).T
-    tables = np.stack([_values(caps[c]) for c in used.tolist()])
+    tables = tables[used]
     gains, losses = _halves(tables, _outcome_rows(ground, _per_distinct(f.value, xs)))
     f_a, f_b = _per_distinct(f.value, np.stack(_collapse_ends(tables, xs)))
     k = len(xs)
@@ -731,7 +737,7 @@ def two_valued_concavity_probe(
     return _pair_scan(mu, nu, f, tuple(values), probe=True, reader=_probe_checked)
 
 
-def _probe_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
+def _probe_checked(tables: np.ndarray, pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
     """``two_valued_concavity_probe`` of pairs meeting its hypotheses, from their probe ``scan``: a
     row off its closed mixture form is the verdict, else the scan against concavity."""
     detail = "concave={holds}, violation={found}"
@@ -756,9 +762,9 @@ def nonnegative_axis_check(
     return _pair_scan(mu, nu, f, values, reader=_axis_checked)
 
 
-def _axis_checked(caps: Sequence[Capacity], pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
+def _axis_checked(tables: np.ndarray, pairs: np.ndarray, f, values: tuple, scan: _Checked) -> _Checked:
     """``nonnegative_axis_check`` on a nonnegative grid, from a Jensen ``scan``."""
-    zero_one = _zero_one(np.stack([_values(cap) for cap in caps]))[pairs[:, 0]]
+    zero_one = _zero_one(tables)[pairs[:, 0]]
     detail = "{0,1}-valued gains capacity: unconditional"
     return _certified("nonnegative-axis probe", f, "concave", values, scan, zero_one,
                       lambda v: Verdict("nonnegative-axis zero-one", v.holds, v.checked, v.witness, detail=detail),
@@ -832,10 +838,10 @@ def run_full_report(
 
     ``theorems`` selects check families by id (see THEOREM_IDS); an unknown
     id raises ValueError.  Anything contradicting a theorem lands in
-    ``report.unexpected``; a clean report has none.  Raises TooLarge above
-    SWEEP_MAX_PAIRS pairs, before any check runs and after building at most
-    _SWEEP_MAX_BUILT + 1 capacities.  Deterministic for fixed
-    arguments.
+    ``report.unexpected``; a clean report has none.  Raises ValueError for a
+    negative seed, and TooLarge above SWEEP_MAX_PAIRS pairs, before any check
+    runs and after building at most _SWEEP_MAX_BUILT + 1 capacities.
+    Deterministic for fixed arguments.
     """
     theorems = tuple(theorems)
     unknown = [t for t in theorems if t not in THEOREM_IDS]
@@ -843,23 +849,26 @@ def run_full_report(
         raise ValueError(
             f"unknown theorem id {', '.join(map(repr, unknown))}; valid ids: {', '.join(THEOREM_IDS)}"
         )
-    caps = list(islice(enumerate_capacities(n, levels), _SWEEP_MAX_BUILT + 1))
-    if len(caps) ** 2 > SWEEP_MAX_PAIRS:
-        pairs = f"{'at least ' if len(caps) > _SWEEP_MAX_BUILT else ''}{len(caps) ** 2}"
-        raise TooLarge(f"the sweep has {pairs} capacity pairs, above SWEEP_MAX_PAIRS = {SWEEP_MAX_PAIRS}")
-    report = SweepReport(n=n, levels=tuple(sorted(set(float(v) for v in levels))), seed=seed)
-    report.capacity_count = len(caps)
-    _tally(report, _sweep_verdicts(product(caps, caps), theorems, seed, tuple(values), property_samples))
+    if seed < 0:
+        raise ValueError(f"the seed must be nonnegative, got {seed}")
+    levels = CapacityEnumerator(n, levels).levels
+    tables = np.stack([_values(cap) for cap in islice(enumerate_capacities(n, levels), _SWEEP_MAX_BUILT + 1)])
+    count = len(tables)
+    if count**2 > SWEEP_MAX_PAIRS:
+        at_least = "at least " if count > _SWEEP_MAX_BUILT else ""
+        raise TooLarge(f"the sweep has {at_least}{count**2} capacity pairs, above SWEEP_MAX_PAIRS = {SWEEP_MAX_PAIRS}")
+    report = SweepReport(n=n, levels=levels, seed=seed, capacity_count=count)
+    pairs = np.stack(np.divmod(np.arange(count**2), count), axis=1)
+    _tally(report, _sweep_verdicts(tables, pairs, theorems, seed, tuple(values), property_samples))
     # a converse verdict is as expected exactly when its counterexample verified
     report.counterexamples = report.verdict_counts.get("jensen converse", (0, 0))[0]
     return report
 
 
-def _pair_classes(caps: Sequence[Capacity], pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_classes(tables: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(dominates_dual holds, zero_one, has a coexistence set)`` of each (mu index, nu index) of
-    ``pairs``, as bool arrays, from one ``_dominance_checks`` and one ``_coexisting`` call on the
-    stacks of the pairs' mu and nu tables."""
-    tables = np.stack([_values(cap) for cap in caps])
+    ``pairs`` into the stack ``tables``, as bool arrays, from one ``_dominance_checks`` and one
+    ``_coexisting`` call on the stacks of the pairs' mu and nu tables."""
     mus, nus = tables[pairs[:, 0]], tables[pairs[:, 1]]
     return _dominance_checks(mus, nus)[0], _zero_one(mus) & _zero_one(nus), _coexisting(mus, nus).any(axis=1)
 
@@ -869,51 +878,43 @@ def _class_key(dominant: bool, zero_one: bool, coexistence: bool) -> str:
 
 
 class _Sweep(NamedTuple):
-    """Capacity ``pairs``, their (dominance, zero_one, coexistence) ``classes``, and per check name
-    and gallery map or lemma trial, in report order, ``(check name, positions of the pairs it
-    applies to, index of each in its distinct index pairs, _Checked)``."""
+    """A (C, 2ⁿ) stack of ``tables``, (P, 2) (mu index, nu index) ``pairs`` into it, their (dominance,
+    zero_one, coexistence) ``classes``, and per check name and gallery map or lemma trial, in report
+    order, ``(check name, positions of the pairs it applies to, _Checked of those pairs)``."""
 
-    pairs: list
+    tables: np.ndarray
+    pairs: np.ndarray
     classes: tuple
     columns: list
 
 
-def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_samples: int) -> _Sweep:
-    """The checks of each (mu, nu) of ``pairs``, as verdict arrays.
+def _sweep_verdicts(tables, pairs: np.ndarray, theorems: tuple, seed: int, values: tuple, property_samples: int):
+    """The checks of each (mu index, nu index) of ``pairs`` into the stack ``tables``, as a _Sweep.
 
-    Each capacity object is keyed once by its values and indexes its table
-    in the stack of distinct ones.  Every check runs its engine once for the
-    distinct (mu index, nu index) pairs it applies to: the lemma trials, the
-    converse, and the two-point scans of theorems 1 (dominant pairs), 2
-    (zero-one), 3 (dominant with a coexistence set) and 4 (all), which
-    theorem 2's collapse identity and the grid certificates read.  Nothing
-    outlives the call.
+    Every check runs its engine once for the pairs it applies to: the lemma
+    trials, the converse, and the two-point scans of theorems 1 (dominant
+    pairs), 2 (zero-one), 3 (dominant with a coexistence set) and 4 (all),
+    which theorem 2's collapse identity and the grid certificates read.
+    Nothing outlives the call.
     """
     # the probe and axis galleries share the collapse gallery's maps (each build checks its shape)
     collapse_gallery = zero_at_zero_gallery()
     exp, kink, _, expm1 = collapse_gallery
     probe_values = tuple(-3.0 + 0.5 * k for k in range(13))
 
-    pairs = list(pairs)
-    # each capacity object is keyed once, by its bytes with -0.0 made 0.0: keys match as tables compare
-    objects = {id(cap): cap for pair in pairs for cap in pair}
-    key = {i: (_values(cap) + 0.0).tobytes() for i, cap in objects.items()}
-    caps = list({key[id(cap)]: cap for pair in pairs for cap in pair}.values())
-    index = {key[id(cap)]: k for k, cap in enumerate(caps)}
-    ids = np.array([(index[key[id(mu)]], index[key[id(nu)]]) for mu, nu in pairs])
-    dominant, zero_one, coexistence = classes = _pair_classes(caps, ids)
+    dominant, zero_one, coexistence = classes = _pair_classes(tables, pairs)
 
     def scanned(name, gallery, grid, probe, reader, mine):
-        scans = _two_point_scans(caps, mine, gallery, grid, probe)
-        return [(name, reader(caps, mine, f, grid, scan) if reader else scan) for f, scan in zip(gallery, scans)]
+        scans = _two_point_scans(tables, mine, gallery, grid, probe)
+        return [(name, reader(tables, mine, f, grid, scan) if reader else scan) for f, scan in zip(gallery, scans)]
 
-    # (theorem id, the pairs it applies to, check): a check run on the distinct index pairs it
-    # applies to gives (check name, _Checked) per gallery map or lemma trial
+    # (theorem id, the pairs it applies to, check): a check run on the index pairs it applies to
+    # gives (check name, _Checked) per gallery map or lemma trial
     table = (
         ("lemma", True, lambda mine: [(f"property {key}", checked) for key, checked in
-                                      _property_trials(caps, mine, property_samples, seed)]),
+                                      _property_trials(tables, mine, property_samples, seed)]),
         ("1", dominant, partial(scanned, "jensen forward", concave_increasing_gallery(), values, False, None)),
-        ("1", ~dominant, lambda mine: [("jensen converse", _converse_checked(caps, mine))]),
+        ("1", ~dominant, lambda mine: [("jensen converse", _converse_checked(tables, mine))]),
         ("2", zero_one,
          partial(scanned, "collapse", collapse_gallery, probe_values, False, partial(_collapse_checked, seed=seed))),
         ("3", dominant & coexistence, partial(scanned, "two-valued concavity", [exp, kink, expm1, Power(0.5, 2.0)],
@@ -923,11 +924,10 @@ def _sweep_verdicts(pairs, theorems: tuple, seed: int, values: tuple, property_s
     )
     columns = []
     for tid, applies, check in table:
-        where = np.flatnonzero(np.broadcast_to(applies, len(ids))) if tid in theorems else []
+        where = np.flatnonzero(np.broadcast_to(applies, len(pairs))) if tid in theorems else []
         if len(where):
-            distinct, at = np.unique(ids[where] @ [len(caps), 1], return_inverse=True)
-            columns += [(name, where, at, checked) for name, checked in check(np.stack(np.divmod(distinct, len(caps)), 1))]
-    return _Sweep(pairs, classes, columns)
+            columns += [(name, where, checked) for name, checked in check(pairs[where])]
+    return _Sweep(tables, pairs, classes, columns)
 
 
 def _entries(sweep: _Sweep, everything: bool = False) -> Iterator[tuple[int, str, Verdict]]:
@@ -935,9 +935,9 @@ def _entries(sweep: _Sweep, everything: bool = False) -> Iterator[tuple[int, str
     ``everything``, of each verdict) in report order: by pair, then check row, then gallery map,
     then lemma trial."""
     by_pair: dict = {}
-    for name, where, at, checked in sweep.columns:
-        picked = np.flatnonzero(~checked.ok[at] | everything)
-        for p, k in zip(where[picked].tolist(), at[picked].tolist()):
+    for name, where, checked in sweep.columns:
+        picked = np.flatnonzero(~checked.ok | everything)
+        for p, k in zip(where[picked].tolist(), picked.tolist()):
             by_pair.setdefault(p, []).append((name, checked.verdict, k))
     for p in sorted(by_pair):
         yield from ((p, name, verdict(k)) for name, verdict, k in by_pair[p])
@@ -951,11 +951,9 @@ def _tally(report: SweepReport, sweep: _Sweep) -> None:
     for cls, count in zip(*np.unique(np.stack(sweep.classes, axis=1), axis=0, return_counts=True)):
         key = _class_key(*cls.tolist())
         report.class_counts[key] = report.class_counts.get(key, 0) + int(count)
-    for name, _, at, checked in sweep.columns:
+    for name, where, checked in sweep.columns:
         good, total = report.verdict_counts.get(name, (0, 0))
-        report.verdict_counts[name] = (good + int(np.count_nonzero(checked.ok[at])), total + len(at))
+        report.verdict_counts[name] = (good + int(np.count_nonzero(checked.ok)), total + len(where))
     for p, name, verdict in _entries(sweep):
-        mu, nu = sweep.pairs[p]
-        report.unexpected.append(
-            {"check": name, "mu": _values(mu).tolist(), "nu": _values(nu).tolist(), "witness": verdict.witness}
-        )
+        mu, nu = sweep.tables[sweep.pairs[p]].tolist()
+        report.unexpected.append({"check": name, "mu": mu, "nu": nu, "witness": verdict.witness})

@@ -467,6 +467,41 @@ def test_cli_verify_report_digest(tmp_path, capsys, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("levels", ["0,0.5,1", "-0,0.5,1", "0.5,-0,1", "0,-0,0.5,1", "1,0.5,0,0.5"])
+def test_cli_verify_reads_every_spelling_of_the_levels_as_one_grid(tmp_path, capsys, levels):
+    """A level grid is a set of floats in [0, 1], with -0.0 read as 0.0: every spelling of the
+    three-level grid writes the three-level report, byte for byte."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "--n", "2", f"--levels={levels}", "--seed", "42", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"
+    )
+
+
+def test_cli_verify_refuses_a_negative_seed_before_building_a_capacity(capsys, monkeypatch):
+    from choqrisk import theorems
+
+    def refuse(*args):
+        raise AssertionError("a capacity was built")
+
+    monkeypatch.setattr(theorems, "enumerate_capacities", refuse)
+    for theorem in ("1", "all"):
+        assert main(["verify", "--seed", "-1", "--theorem", theorem]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "seed" in captured.err and "-1" in captured.err
+        assert "verdicts" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [["check-capacity", "{dir}"],
+                                  ["verify", "--levels", "0,1", "--theorem", "1", "--json", "{dir}"]],
+                         ids=["check-capacity", "verify-json"])
+def test_cli_maps_an_os_error_to_exit_1(tmp_path, capsys, argv):
+    """A directory where a file is read or written: exit 1 with one error line, no traceback."""
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_figures_byte_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["figures", "--family", "ge", "--out", str(a), "--grid-size", "201"])

@@ -32,6 +32,7 @@ from choqrisk import (
     nonnegative_axis_check,
     unanimity,
 )
+from choqrisk.capacity import _values
 from choqrisk.errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from choqrisk.sampling import random_capacity, random_dominant_pair, random_variable, rng_from_seed
 import numpy as np
@@ -91,6 +92,13 @@ def test_enumeration_count_matches_brute_force(n, levels, expected):
 def test_enumerator_rejects_large_ground():
     with pytest.raises(TooLarge):
         CapacityEnumerator(5)
+
+
+def test_enumerator_reads_minus_zero_as_zero():
+    for levels in ((-0.0, 0.5, 1.0), (0.5, -0.0, 1.0), (0.0, -0.0, 0.5, 1.0), (-0.0, 0.0, 0.5, 1.0)):
+        enumerator = CapacityEnumerator(2, levels)
+        assert [math.copysign(1.0, v) for v in enumerator.levels] == [1.0] * 3
+        assert all(math.copysign(1.0, v) == 1.0 for cap in enumerator for v in cap.table)
 
 
 def test_enumerator_rejects_bad_levels():
@@ -197,7 +205,7 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
             got = integral_property_checks(mu, nu, samples, seed, tol)
             assert repr(got) == want
             failures |= {(key, tol) for key, v in got.items() if not v.holds}
-            trials = theorems._property_trials((mu, nu), [(0, 1), (1, 0)], samples, seed, tol)
+            trials = theorems._property_trials(stack(mu, nu), [(0, 1), (1, 0)], samples, seed, tol)
             both = [{key: trial.verdict(p) for key, trial in trials} for p in (0, 1)]
             assert [bool(trial.ok[p]) for _, trial in trials for p in (0, 1)] == [
                 v.holds for key in got for v in (both[0][key], both[1][key])
@@ -227,7 +235,7 @@ def test_sweep_lemma_trials_walk_each_capacity_once_per_sample(monkeypatch):
 
     def counting(mu, nu, groups, full):
         assert mu is nu
-        walks[mu] += 1
+        walks[bytes(mu)] += 1
         return exact(mu, nu, groups, full)
 
     monkeypatch.setattr(theorems, "gen_choquet", refuse)
@@ -274,6 +282,7 @@ def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatc
     from choqrisk import integral, theorems
 
     caps = list(enumerate_capacities(2, (0.0, 0.5, 1.0)))
+    tables = stack(*caps)
     zero_one = [k for k, cap in enumerate(caps) if cap.is_zero_one_valued()]
     pairs = np.array(list(product(zero_one, zero_one)))
     stacks, plans, exact, plan = [], [], theorems._halves, integral._plan
@@ -284,10 +293,10 @@ def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatc
 
     values = tuple(-3.0 + 0.5 * k for k in range(13))
     for f in theorems.zero_at_zero_gallery():
-        [scan] = theorems._two_point_scans(caps, pairs, [f], values, False)
+        [scan] = theorems._two_point_scans(tables, pairs, [f], values, False)
         monkeypatch.setattr(theorems, "_halves", counting)
         monkeypatch.setattr(integral, "_plan", lambda xs: plans.append(len(xs)) or plan(xs))
-        checked = theorems._collapse_checked(caps, pairs, f, values, scan, seed=42)
+        checked = theorems._collapse_checked(tables, pairs, f, values, scan, seed=42)
         monkeypatch.setattr(theorems, "_halves", exact)
         monkeypatch.setattr(integral, "_plan", plan)
         assert stacks == [len(zero_one)] == [4] and len(plans) == 2
@@ -298,24 +307,18 @@ def test_collapse_reader_integrates_only_the_capacities_its_pairs_use(monkeypatc
             assert checked.verdict(k) == want and checked.ok[k] == want.holds
 
 
-def test_sweep_keys_capacities_by_value_with_signed_zeros_equal(monkeypatch):
-    """Two capacity objects with equal tables, one with -0.0 at the empty set, share one
-    index, as equal tables did when the sweep keyed them by their tuples."""
+def test_sweep_gives_one_table_at_two_stack_indices_the_same_verdicts(g3):
+    """A table stacked twice, at indices 0 and 2, gets the same verdict list as mu and as nu,
+    under every check family, against a table that fails dominance with it and one that holds."""
     from choqrisk import theorems
 
-    g = GroundSet(2)
-    a, b, c = (new_capacity(g, t) for t in ([0.0, 0.5, 0.5, 1.0], [-0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 1.0, 1.0]))
-    seen, trials = [], theorems._property_trials
-
-    def recording(caps, pairs, *args):
-        seen.append((caps, pairs))
-        return trials(caps, pairs, *args)
-
-    monkeypatch.setattr(theorems, "_property_trials", recording)
-    out = sweep_by_pair([(a, c), (b, c), (c, a)], ("lemma",), 0, (0.0, 1.0), 4)
-    [(caps, pairs)] = seen
-    assert len(caps) == 2 and pairs.tolist() == [[0, 1], [1, 0]]
-    assert out[0][3] == out[1][3]
+    mu = new_capacity(g3, [0.0, 0.2, 0.3, 0.5, 0.1, 0.4, 0.4, 1.0])
+    tables = stack(mu, mu.dual(), mu, unanimity(g3, 0b001))
+    pairs = np.array([[0, 1], [2, 1], [1, 0], [1, 2], [0, 3], [2, 3], [3, 0], [3, 2], [0, 2], [2, 0]])
+    out = sweep_by_pair(tables, pairs, theorems.THEOREM_IDS, 42, tuple(-4.0 + k for k in range(9)), 12)
+    for first, second in zip(out[::2], out[1::2]):
+        assert first[2:] == second[2:] and first[3]
+    assert {name for _, _, _, verdicts in out for name, _, _ in verdicts} >= {"jensen forward", "jensen converse"}
 
 
 def test_sweep_classifies_per_capacity_and_reads_the_converse_off_halves(monkeypatch):
@@ -344,7 +347,7 @@ def test_matrix_classes_match_the_per_pair_checks_on_every_n3_pair():
     pairs = np.array(list(product(range(len(caps)), range(len(caps)))))
     tables = np.stack([_values(cap) for cap in caps])
     _, worst, gap = _dominance_checks(tables[pairs[:, 0]], tables[pairs[:, 1]])
-    classes = zip(*(a.tolist() for a in (*theorems._pair_classes(caps, pairs), worst, gap)))
+    classes = zip(*(a.tolist() for a in (*theorems._pair_classes(tables, pairs), worst, gap)))
     both_one = {i: _coexisting(tables[i], tables, both_one=True).any(axis=1) for i in range(len(caps))}
     assert len(worst) == len(pairs) == 16641
     seen = set()
@@ -688,17 +691,23 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 
 # --- the keyed sweep against a per-pair reference loop ------------------------------------
 
-def sweep_by_pair(pairs, theorem_ids, seed, values, property_samples):
-    """``_sweep_verdicts`` read pair by pair, through the report's own reading of its arrays:
-    ``(mu, nu, class key, [(check name, ok, witness), ...])`` of each pair, in order."""
+def stack(*caps):
+    """The (C, 2ⁿ) stack of the capacities' tables, as the sweep reads them."""
+    return np.stack([_values(cap) for cap in caps])
+
+
+def sweep_by_pair(tables, pairs, theorem_ids, seed, values, property_samples):
+    """``_sweep_verdicts`` of the (mu index, nu index) ``pairs`` into the stack ``tables``, read
+    pair by pair through the report's own reading of its arrays: ``(mu index, nu index, class
+    key, [(check name, ok, witness), ...])`` of each pair, in order."""
     from choqrisk import theorems
 
-    sweep = theorems._sweep_verdicts(pairs, theorem_ids, seed, values, property_samples)
+    sweep = theorems._sweep_verdicts(tables, np.asarray(pairs), theorem_ids, seed, values, property_samples)
     verdicts = [[] for _ in sweep.pairs]
     for p, name, verdict in theorems._entries(sweep, everything=True):
         verdicts[p].append((name, verdict.holds, verdict.witness))
     classes = zip(*(a.tolist() for a in sweep.classes))
-    return [(mu, nu, theorems._class_key(*cls), out) for (mu, nu), cls, out in zip(sweep.pairs, classes, verdicts)]
+    return [(i, j, theorems._class_key(*cls), out) for (i, j), cls, out in zip(sweep.pairs.tolist(), classes, verdicts)]
 
 
 def reference_verdicts(mu, nu, values, seed=42, property_samples=12):
@@ -805,9 +814,12 @@ def test_keyed_sweep_matches_a_per_pair_reference_loop(monkeypatch, faults):
     assert len({mu.table for mu, _ in pairs}) < len(pairs)
 
     values = tuple(-4.0 + k for k in range(9))  # not the probes' grid, which the sweep fixes
-    got = sweep_by_pair(pairs, theorems.THEOREM_IDS, 42, values, 12)
+    index = {id(cap): k for k, cap in enumerate(caps)}
+    got = sweep_by_pair(stack(*caps), [(index[id(mu)], index[id(nu)]) for mu, nu in pairs], theorems.THEOREM_IDS,
+                        42, values, 12)
     assert len(got) == len(pairs)
-    for (mu, nu), (mu_got, nu_got, ck, verdicts) in zip(pairs, got):
+    for (mu, nu), (i, j, ck, verdicts) in zip(pairs, got):
+        mu_got, nu_got = caps[i], caps[j]
         assert (mu_got, nu_got) == (mu, nu)
         assert (ck, verdicts) == reference_verdicts(mu, nu, values)
     if faults:
@@ -842,10 +854,10 @@ def test_sweep_over_consecutive_blocks_of_pairs_adds_up_to_the_whole(monkeypatch
     levels, values = (0.0, 0.5, 1.0), tuple(-4.0 + k for k in range(9))
     whole = run_full_report(n=2, levels=levels, values=values)
     caps = list(enumerate_capacities(2, levels))
-    pairs = list(product(caps, caps))
+    tables, pairs = stack(*caps), np.array(list(product(range(len(caps)), repeat=2)))
     blocks = theorems.SweepReport(n=2, levels=levels, seed=42, capacity_count=len(caps))
     for start, stop in ((0, 10), (10, 11), (11, 50), (50, 81)):
-        theorems._tally(blocks, theorems._sweep_verdicts(pairs[start:stop], theorems.THEOREM_IDS, 42, values, 12))
+        theorems._tally(blocks, theorems._sweep_verdicts(tables, pairs[start:stop], theorems.THEOREM_IDS, 42, values, 12))
     blocks.counterexamples = blocks.verdict_counts["jensen converse"][0]
     assert len(whole.unexpected) > 100
     assert blocks.to_json_dict() == whole.to_json_dict() and blocks.to_text() == whole.to_text()
@@ -1093,7 +1105,7 @@ def test_sweep_files_the_probe_mixture_form_failure(g3, monkeypatch):
     nu = mu.dual()
     values = tuple(-3.0 + 0.5 * k for k in range(13))
     perturb_halves_from_row(monkeypatch, 40)
-    [(_, _, _, verdicts)] = sweep_by_pair([(mu, nu)], ("3",), 42, values, 12)
+    [(_, _, _, verdicts)] = sweep_by_pair(stack(mu, nu), [[0, 1]], ("3",), 42, values, 12)
     assert [(name, ok) for name, ok, _ in verdicts] == [("two-valued concavity", False)] * 4
     probe = two_valued_concavity_probe(mu, nu, Exponential(1.0), values)
     assert probe.check == "two-valued mixture form" and verdicts[0][2] == probe.witness
