@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 validation error, 2 theorem violation found under
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -214,7 +216,20 @@ def _cmd_figures(args) -> int:
     return 0
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Raise the OSError that writing a file at path would, when path is a directory or its
+    parent is not one; the file itself is neither opened nor created."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_verify(args) -> int:
+    if args.json:  # before the sweep, which can take minutes
+        _refuse_unwritable(args.json)
     levels = tuple(float(t) for t in args.levels.split(","))
     theorems = THEOREM_IDS if args.theorem == "all" else tuple(args.theorem.split(","))
     report = run_full_report(n=args.n, levels=levels, seed=args.seed, theorems=theorems)

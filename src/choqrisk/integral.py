@@ -58,6 +58,13 @@ class IntervalI:
 REALS = IntervalI()
 
 
+def _finite(values: tuple[float, ...]) -> tuple[float, ...]:
+    """values, refused with ValueError unless every one is finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("values must be finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
     """One real value per ground-set element."""
@@ -70,8 +77,7 @@ class RandomVariable:
         object.__setattr__(self, "values", values)
         if len(values) != self.ground.n:
             raise ValueError(f"expected {self.ground.n} values, got {len(values)}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError("values must be finite")
+        _finite(values)
 
     def map(self, fn: Callable[[float], float]) -> "RandomVariable":
         return RandomVariable(self.ground, tuple(map(fn, self.values)))

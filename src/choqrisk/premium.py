@@ -32,13 +32,13 @@ from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, Zer
 from .integral import (
     RandomVariable,
     _cell_sums,
+    _finite,
     _groups,
     _halves,
     _lower,
     _outcome_rows,
     _step_cells,
     _walk_groups,
-    gen_choquet,
 )
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
@@ -76,6 +76,12 @@ class Scenario:
         return self.w - self.x
 
 
+def _integral(s: Scenario, values: tuple[float, ...]) -> float:
+    """``gen_choquet(s.mu, s.nu, Z)`` of the Z with these values, whose ground set Scenario has checked."""
+    total, lower_part = _walk_groups(s.mu._view, s.nu._view, _groups(values), s.x.ground.full)
+    return total - lower_part
+
+
 def _price(s: Scenario) -> tuple[str | None, float | None]:
     """Membership test and pricing in one pass over the scenario.
 
@@ -85,13 +91,16 @@ def _price(s: Scenario) -> tuple[str | None, float | None]:
     too; and the integral of ``u(w - X)`` lies in the utility's range so
     the inverse applies.  Both tests are the utility's own ``in_domain``
     and ``in_range``, so endpoints are admitted exactly where u has them.
+    w - X and u(w - X) are tuples of floats, refused as RandomVariable
+    refuses them when a value is not finite; no RandomVariable is built.
     """
-    u, y = s.u, s.outcome
-    if not all(map(u.in_domain, y.values)):
+    u, y = s.u, _finite(tuple([s.w - v for v in s.x.values]))
+    if not all(map(u.in_domain, y)):
         return "values", None
-    if not u.in_domain(gen_choquet(s.mu, s.nu, y)):
+    if not u.in_domain(_integral(s, y)):
         return "outcome_integral", None
-    mu_val = gen_choquet(s.mu, s.nu, y.map(u.value))
+    uy = tuple(map(u.value, y))
+    mu_val = _integral(s, _finite(tuple(map(float, uy))))
     if not u.in_range(mu_val):
         return "utility_integral", None
     return None, s.w - u.inverse(mu_val)
@@ -172,11 +181,11 @@ def approx_premium(s: Scenario) -> float:
     d1 = s.u.prime(s.w)
     if d1 <= 0.0:
         raise ZeroDerivative(f"u'({s.w}) = {d1}")
-    y = s.x.map(lambda v: v + r * v * v / 2.0)
+    y = _finite(tuple([float(v + r * v * v / 2.0) for v in s.x.values]))
     upper = s.u.value(s.w) / d1
     if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
-        upper = max(0.0, *y.values)
-    return _swapped_with_gap(s, y.values, upper)
+        upper = max(0.0, *y)
+    return _swapped_with_gap(s, y, upper)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .utility import (
     NegSqrtKink,
     PiecewiseLinearKink,
     Power,
+    _per_distinct,
     is_concave_on,
     is_weakly_superadditive_on,
 )
@@ -285,14 +286,6 @@ def two_point_grid(ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GR
     ).reshape(-1, 1, 1, ground.n)
     grid = np.where(on_b, values[:, None, None], values[None, :, None])
     return grid.reshape(-1, ground.n)
-
-
-def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
-    """``fn`` at every entry of xs, called once per distinct float (by bit pattern)."""
-    xs = np.ascontiguousarray(xs, dtype=float)
-    keys, inverse = np.unique(xs.view(np.int64).ravel(), return_inverse=True)
-    out = np.array([fn(v) for v in keys.view(np.float64).tolist()], dtype=dtype)
-    return out[inverse].reshape(xs.shape)
 
 
 def _in_domain(f, xs: np.ndarray) -> np.ndarray:

@@ -502,6 +502,29 @@ def test_cli_maps_an_os_error_to_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/report.json", "{dir}/file.txt/report.json"],
+                         ids=["directory", "missing-parent", "file-as-parent"])
+def test_cli_verify_refuses_an_unwritable_json_path_before_the_sweep(tmp_path, capsys, monkeypatch, out):
+    """``verify --json`` refuses a path it cannot write before any capacity is built, with the
+    error that writing there would raise, and creates no file."""
+    from choqrisk import theorems
+
+    def refuse(*args):
+        raise AssertionError("a capacity was built")
+
+    (tmp_path / "file.txt").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(theorems, "enumerate_capacities", refuse)
+    path = out.format(dir=tmp_path)
+    assert main(["verify", "--n", "3", "--levels", "0,0.5,1", "--json", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    with pytest.raises(OSError) as raised:
+        Path(path).write_text("")
+    assert captured.err == f"error: {raised.value}\n"
+    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "file.txt").read_text() == "kept"
+
+
 def test_cli_figures_byte_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["figures", "--family", "ge", "--out", str(a), "--grid-size", "201"])

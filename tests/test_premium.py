@@ -673,7 +673,7 @@ def test_scans_make_no_scalar_integral_call_and_one_inverse_per_row(monkeypatch)
         upto = batch if comp.witness is None else batch[: [x for _, x in batch].index(comp.witness.x) + 1]
         expected_rows[a, b] = sum(class_membership(Scenario(w, x, mu, nu, parse_utility(a)))[0] for w, x in upto)
 
-    monkeypatch.setattr(pm, "gen_choquet", lambda *args: pytest.fail("a scan called the scalar integral"))
+    monkeypatch.setattr(pm, "_integral", lambda *args: pytest.fail("a scan called the scalar integral"))
     monkeypatch.setattr(pm, "_walk_groups", lambda *args: pytest.fail("a scan called the scalar group walk"))
     for spec, (averse, nonneg) in expected.items():
         u, calls = counted_inverse(parse_utility(spec))
@@ -803,3 +803,107 @@ def test_scalar_pricing_sorts_each_variable_once(monkeypatch, mu_worked, nu_work
         sorted_values.clear()
         fn(s)
         assert len(sorted_values) == sorts, fn.__name__
+
+
+# --- one-row pricing on tuples ---------------------------------------------------------------
+
+def rv_price(s):
+    """``premium._price`` as it was when it built RandomVariables for w - X and u(w - X),
+    kept verbatim as the reference."""
+    from choqrisk import gen_choquet
+
+    u, y = s.u, s.outcome
+    if not all(map(u.in_domain, y.values)):
+        return "values", None
+    if not u.in_domain(gen_choquet(s.mu, s.nu, y)):
+        return "outcome_integral", None
+    mu_val = gen_choquet(s.mu, s.nu, y.map(u.value))
+    if not u.in_range(mu_val):
+        return "utility_integral", None
+    return None, s.w - u.inverse(mu_val)
+
+
+def rv_premium(s):
+    reason, pi = rv_price(s)
+    if reason is not None:
+        raise OutOfClass(reason)
+    return pi
+
+
+def rv_class_membership(s):
+    reason, _ = rv_price(s)
+    return reason is None, reason
+
+
+def rv_approx_premium(s):
+    """``approx_premium`` as it was when it built a RandomVariable for Y, kept verbatim as the
+    reference."""
+    from choqrisk import arrow_pratt
+
+    r = arrow_pratt(s.u, s.w)
+    d1 = s.u.prime(s.w)
+    if d1 <= 0.0:
+        raise ZeroDerivative(f"u'({s.w}) = {d1}")
+    y = s.x.map(lambda v: v + r * v * v / 2.0)
+    upper = s.u.value(s.w) / d1
+    if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
+        upper = max(0.0, *y.values)
+    return pm._swapped_with_gap(s, y.values, upper)
+
+
+class NaNBelowZero(Linear):
+    """The identity, except that u is NaN below 0 (``value`` passes a NaN on)."""
+
+    def _value(self, x):
+        return math.nan if x < 0.0 else x
+
+
+def one_row_outcomes(s):
+    return [outcome_of(fn, s) for fn in (premium, class_membership, approx_premium)]
+
+
+def test_one_row_pricing_matches_the_random_variable_reference():
+    rng = rng_from_seed(2500)
+    ground = GroundSet(8)
+    seen = set()
+    for spec in ("exp:1", "power:1,0.5", "log:1", TABLE):
+        u = parse_utility(spec)
+        mu, nu = random_dominant_pair(rng, ground)
+        for w, x in sample_outcomes(rng, ground, 40) + scan_rows(rng, ground, 40):
+            s = Scenario(w, x, mu, nu, u)
+            got = one_row_outcomes(s)
+            assert got == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, rv_approx_premium)]
+            seen.add(got[1])
+    assert {repr((True, None)), repr((False, "values"))} <= seen
+    mu, nu = random_dominant_pair(rng, ground)
+    edges = [
+        (1e308, (-1e308,) * 8, "exp:1"),  # w - X overflows to inf
+        (1.0, (1e200,) + (0.5,) * 7, "exp:1"),  # u(w - X) overflows, and so does Y
+        (1.0, (2.0, 0.5, 3.0, 1.0, -1.0, 0.0, 0.25, 1.5), NaNBelowZero()),  # u is NaN at three values
+        (1.0, (0.5, -1.0, 0.0, 1.0, 0.25, 0.5, -2.0, 0.75), NaNBelowZero()),  # and finite at every one
+    ]
+    priced = []
+    for w, vals, u in edges:
+        s = Scenario(w, RandomVariable(ground, vals), mu, nu, parse_utility(u) if isinstance(u, str) else u)
+        priced.append(one_row_outcomes(s))
+        assert priced[-1] == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, rv_approx_premium)]
+    finite = ("ValueError", "values must be finite")
+    overflow = ("ValueError", "exp:1: u(-1e+200) is not a finite float (overflow)")
+    assert [got[0] for got in priced[:3]] == [finite, overflow, finite]
+    assert priced[1][2] == finite and priced[3][1] == repr((True, None))
+
+
+def test_one_row_pricing_builds_no_random_variable(monkeypatch):
+    rng = rng_from_seed(2501)
+    ground = GroundSet(8)
+    mu, nu = random_dominant_pair(rng, ground)
+    [(w, x)] = sample_outcomes(rng, ground, 1)
+    s = Scenario(w, x, mu, nu, parse_utility("exp:1"))
+    builds, init = [], RandomVariable.__post_init__
+    monkeypatch.setattr(RandomVariable, "__post_init__", lambda self: builds.append(self) or init(self))
+    for fn in (premium, class_membership, approx_premium, risk_neutral_premium):
+        builds.clear()
+        fn(s)
+        assert builds == [], fn.__name__
+    s.outcome  # the counter sees a build
+    assert len(builds) == 1

@@ -309,6 +309,40 @@ def test_shape_checks_match_the_double_loops_bitwise(u):
             assert repr(is_weakly_superadditive_on(u, grid)) == repr(double_loop_superadditive(u, grid))
 
 
+class NaNAtOddQuarters:
+    """x -> sign * x², except NaN at the odd multiples of 1/4."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def value(self, x):
+        return math.nan if (4.0 * x) % 2.0 == 1.0 else self.sign * x * x
+
+
+@pytest.mark.parametrize(
+    "f, grid",
+    [
+        # NaN gaps, first in pair order, among finite ones; and only NaN gaps
+        (NaNAtOddQuarters(1.0), [0.0, 0.5, 1.0, 1.5, 2.0]),
+        (NaNAtOddQuarters(-1.0), [0.0, 0.5, 1.0, 1.5, 2.0]),
+        (NaNAtOddQuarters(1.0), [0.0, 0.5]),
+        (NaNAtOddQuarters(1.0), [-0.25, 0.25, 1.0, 3.0]),  # NaN at grid points too
+        # one point and none: no pair
+        (Exponential(1.0), [1.0]),
+        (Exponential(1.0), []),
+        # both zeros: the grid keeps the first one, whose sign f's value and the witness show
+        (Power(0.5, 2.0), [0.0, -0.0, 0.25, 1.0]),
+        (Power(0.5, 2.0), [-0.0, 0.0, 0.25, 1.0]),
+        (Power(0.5, 2.0), [0.25, -0.25, -0.0, 0.0]),
+        (Exponential(1.0), [-0.0, 1.0, 0.0, -1.0]),
+    ],
+    ids=["nan-convex", "nan-concave", "nan-only", "nan-at-grid", "one-point", "empty",
+         "zero-first", "minus-zero-first", "zeros-as-midpoints", "zeros-concave"],
+)
+def test_concavity_check_matches_the_double_loop_at_its_edges(f, grid):
+    assert repr(is_concave_on(f, grid)) == repr(double_loop_concave(f, grid))
+
+
 def test_shape_checks_call_f_once_per_distinct_point():
     u = Exponential(1.0)
     calls = []
