@@ -90,17 +90,18 @@ def _price(s: Scenario) -> tuple[str | None, float | None]:
     ``w - X`` lies in the utility domain; the integral of ``w - X`` does
     too; and the integral of ``u(w - X)`` lies in the utility's range so
     the inverse applies.  Both tests are the utility's own ``in_domain``
-    and ``in_range``, so endpoints are admitted exactly where u has them.
-    w - X and u(w - X) are tuples of floats, refused as RandomVariable
-    refuses them when a value is not finite; no RandomVariable is built.
+    and ``in_range``, so endpoints are admitted exactly where u has them;
+    a domain is an interval, so the first test reads the least and the
+    greatest value of w - X.  u(w - X) is one ``values`` call.  w - X and
+    u(w - X) are tuples of floats, refused as RandomVariable refuses them
+    when a value is not finite; no RandomVariable is built.
     """
     u, y = s.u, _finite(tuple([s.w - v for v in s.x.values]))
-    if not all(map(u.in_domain, y)):
+    if not (u.in_domain(min(y)) and u.in_domain(max(y))):
         return "values", None
     if not u.in_domain(_integral(s, y)):
         return "outcome_integral", None
-    uy = tuple(map(u.value, y))
-    mu_val = _integral(s, _finite(tuple(map(float, uy))))
+    mu_val = _integral(s, _finite(tuple(map(float, u.values(y)))))
     if not u.in_range(mu_val):
         return "utility_integral", None
     return None, s.w - u.inverse(mu_val)
@@ -216,11 +217,13 @@ def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> Pre
 
     ws holds K wealths, which the caller has checked as Scenario does, and
     xs the (K, n) array of their outcomes.  One ``_halves`` call on the
-    stack (mu, nu) integrates w - X and u(w - X).  The utility runs through
-    its scalar methods, row by row as ``premium`` calls them: ``in_domain``
-    at the values of w - X up to the first outside u's domain, ``value`` at
-    every value of a row inside it, ``in_domain`` and ``in_range`` at the
-    row's two integrals, and ``inverse`` only when a row's premium is read.  The batch stops at the
+    stack (mu, nu) integrates w - X and u(w - X).  The utility's domain test
+    of a row reads the least and the greatest value of its w - X, as
+    ``premium``'s does, and one ``values`` call evaluates every row inside
+    u's domain; if that call raises, the rows are evaluated again one at a
+    time, so that the row which raises is the one where ``premium`` raises.
+    ``in_domain`` and ``in_range`` run at each row's two integrals, and
+    ``inverse`` only when a row's premium is read.  The batch stops at the
     first row where the scalar path raises (``error``): a w - X that is not
     finite, or a utility call that raises.
     """
@@ -233,16 +236,18 @@ def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> Pre
         ys = ws[:, None] - xs
     wide = ~np.isfinite(ys).all(axis=1)
     stop = int(np.argmax(wide)) if wide.any() else len(ys)
-    values = ys[:stop].tolist()
-    inside = [all(map(u.in_domain, y)) for y in values]
-    uy, raised, zeros = [], {}, [0.0] * ground.n
-    for i, y in enumerate(values):
-        try:
-            uy.append(list(map(u.value, y)) if inside[i] else zeros)
-        except Exception as exc:  # raised at the row, unless its outcome integral is out of domain
-            raised[i] = exc
-            uy.append(zeros)
-    uy = np.array(uy, dtype=float).reshape(stop, ground.n)
+    lows, highs = ys[:stop].min(axis=1).tolist(), ys[:stop].max(axis=1).tolist()
+    inside = [u.in_domain(lo) and u.in_domain(hi) for lo, hi in zip(lows, highs)]
+    valued = np.flatnonzero(inside)
+    uy, raised = np.zeros((stop, ground.n)), {}
+    try:
+        uy[valued] = np.reshape(u.values(ys[valued].ravel().tolist()), (-1, ground.n))
+    except Exception:  # find the rows that raise, as premium meets them
+        for i in valued.tolist():
+            try:
+                uy[i] = u.values(ys[i].tolist())
+            except Exception as exc:  # raised at the row, unless its outcome integral is out of domain
+                raised[i] = exc
     for i in np.flatnonzero(~np.isfinite(uy).all(axis=1)).tolist():  # a NaN, which RandomVariable refuses
         raised[i] = ValueError("values must be finite")
         uy[i] = 0.0

@@ -30,8 +30,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .capacity import (Capacity, GroundSet, _check_same_ground, _coexisting, _dominance_checks, _values, _zero_one,
-                       coexistence_set, dominates_dual)
+from .capacity import (STRUCT_TOL, Capacity, GroundSet, _check_same_ground, _coexisting, _dominance_checks, _values,
+                       _zero_one, coexistence_set, dominates_dual)
 from .errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from .integral import (
     RandomVariable,
@@ -50,6 +50,7 @@ from .utility import (
     NegSqrtKink,
     PiecewiseLinearKink,
     Power,
+    _each,
     _per_distinct,
     is_concave_on,
     is_weakly_superadditive_on,
@@ -101,6 +102,10 @@ class AffineMap:
     def value(self, x: float) -> float:
         return self.slope * x + self.intercept
 
+    def values(self, xs: Sequence[float]) -> list[float]:
+        slope, intercept = self.slope, self.intercept
+        return [slope * x + intercept for x in xs]
+
     def in_domain(self, x: float) -> bool:
         return True
 
@@ -119,6 +124,9 @@ class PlainMap:
 
     def value(self, x: float) -> float:
         return self.fn(x)
+
+    def values(self, xs: Sequence[float]) -> list[float]:
+        return list(map(self.fn, xs))
 
     def in_domain(self, x: float) -> bool:
         return self.lo < x < self.hi
@@ -290,7 +298,7 @@ def two_point_grid(ground: GroundSet, values: Sequence[float] = DEFAULT_VALUE_GR
 
 def _in_domain(f, xs: np.ndarray) -> np.ndarray:
     """The rows of xs whose every value lies in f's domain."""
-    return xs[_per_distinct(f.in_domain, xs, dtype=bool).all(axis=1)]
+    return xs[_per_distinct(_each(f.in_domain), xs, dtype=bool).all(axis=1)]
 
 
 def jensen_gap(mu: Capacity, nu: Capacity, f, x: RandomVariable) -> float:
@@ -307,7 +315,7 @@ def jensen_holds(mu: Capacity, nu: Capacity, f, xs: np.ndarray) -> Verdict:
     """
     ground = _check_same_ground(mu, nu)
     xs = _in_domain(f, _outcome_rows(ground, xs))
-    gaps = gen_choquet_batch(mu, nu, _per_distinct(f.value, xs)) - _per_distinct(f.value, gen_choquet_batch(mu, nu, xs))
+    gaps = gen_choquet_batch(mu, nu, _per_distinct(f.values, xs)) - _per_distinct(f.values, gen_choquet_batch(mu, nu, xs))
     [k] = _first(gaps[None] > VIOLATION_TOL).tolist()
     witness = {"f": f.spec(), "x": xs[k].tolist(), "gap": float(gaps[k])} if k < len(xs) else None
     return Verdict("jensen", witness is None, min(k + 1, len(xs)), witness)
@@ -385,8 +393,8 @@ def _split_scan(quads: np.ndarray, f, probe: bool, rows: np.ndarray, gains, loss
     alpha, beta, beta_on_b = rows.min(axis=1), rows.max(axis=1), rows[:, 0] > rows[:, 1]
     on_gains, on_losses = alpha >= 0.0, (beta <= 0.0) & (alpha < 0.0)
     mixed = ~(on_gains | on_losses)
-    f_gains, f_losses = _halves(quads, _per_distinct(f.value, rows))
-    f_on_gains, f_on_losses = _per_distinct(f.value, gains[:, on_gains]), _per_distinct(f.value, 0.0 - losses[:, on_losses])
+    f_gains, f_losses = _halves(quads, _per_distinct(f.values, rows))
+    f_on_gains, f_on_losses = _per_distinct(f.values, gains[:, on_gains]), _per_distinct(f.values, 0.0 - losses[:, on_losses])
     first, off = np.full((2, len(si)), k)
     gap, integral, expected = np.empty((3, len(si)))
     for block in _blocks(len(si), k):
@@ -394,7 +402,7 @@ def _split_scan(quads: np.ndarray, f, probe: bool, rows: np.ndarray, gains, loss
         m = gains[i] - losses[j]
         f_m = np.empty_like(m)
         f_m[:, on_gains], f_m[:, on_losses] = f_on_gains[i], f_on_losses[j]
-        f_m[:, mixed] = _per_distinct(f.value, m[:, mixed])
+        f_m[:, mixed] = _per_distinct(f.values, m[:, mixed])
         gaps = f_gains[i] - f_losses[j]
         gaps -= f_m
         first[block] = _first(gaps > VIOLATION_TOL)
@@ -502,17 +510,19 @@ def _counterexample_rows(ground: GroundSet, worst_sets: Sequence[int]) -> np.nda
 
 
 def _converse_checked(tables: np.ndarray, pairs: np.ndarray) -> _Checked:
-    """Whether ``jensen_counterexample``'s realized gap, bit-for-bit, exceeds VIOLATION_TOL and
+    """Whether ``jensen_counterexample``'s realized gap, bit-for-bit, exceeds STRUCT_TOL and
     matches the dominance gap within GAP_MATCH_TOL, for each non-dominant pair of ``pairs``.  Its
     X is 0 on the worst set and -1 off it, and f(x) = x + 2, so one ``_halves`` call on X and f(X)
-    of the distinct worst sets gives every pair's C(X) and C(f(X)) by one subtraction each."""
+    of the distinct worst sets gives every pair's C(X) and C(f(X)) by one subtraction each.
+    STRUCT_TOL is the threshold above which a dominance gap classes the pair non-dominant, so a
+    gap between it and VIOLATION_TOL that the witness realizes verifies too."""
     f, (i, j) = AffineMap(1.0, 2.0), pairs.T
     _, worst, dominance_gap = _dominance_checks(tables[i], tables[j])
     sets, r = np.unique(worst, return_inverse=True)
     x = _counterexample_rows(_ground(tables), sets.tolist())
     gains, losses = _halves(tables, np.concatenate([x, f.value(x)]))
     gap = (gains[i, r + len(sets)] - losses[j, r + len(sets)]) - f.value(gains[i, r] - losses[j, r])
-    ok = (gap > VIOLATION_TOL) & (np.abs(gap - dominance_gap) <= GAP_MATCH_TOL)
+    ok = (gap > STRUCT_TOL) & (np.abs(gap - dominance_gap) <= GAP_MATCH_TOL)
 
     def verdict(p: int) -> Verdict:
         return Verdict("jensen converse", bool(ok[p]), 1, {"gap": float(gap[p]), "dominance_gap": float(dominance_gap[p])})
@@ -689,8 +699,8 @@ def _collapse_checked(tables: np.ndarray, pairs: np.ndarray, f, values: tuple, s
     used, index = np.unique(pairs, return_inverse=True)
     i, j = index.reshape(pairs.shape).T
     tables = tables[used]
-    gains, losses = _halves(tables, _outcome_rows(ground, _per_distinct(f.value, xs)))
-    f_a, f_b = _per_distinct(f.value, np.stack(_collapse_ends(tables, xs)))
+    gains, losses = _halves(tables, _outcome_rows(ground, _per_distinct(f.values, xs)))
+    f_a, f_b = _per_distinct(f.values, np.stack(_collapse_ends(tables, xs)))
     k = len(xs)
     bad, (lhs, rhs) = np.empty(len(pairs), dtype=np.intp), np.empty((2, len(pairs)))
     for block in _blocks(len(pairs), k):

@@ -7,6 +7,10 @@ left endpoint at 0.  Derivatives and inverses are closed-form wherever the
 family admits them; the tabulated family inverts by bisection and stands in
 for empirical utilities that arrive as point estimates.
 
+``values`` evaluates a list of points at once, bit for bit ``value`` at
+each: it maps ``_value`` over the list (numpy's ufuncs would round
+differently), and the domain and overflow tests run once per list.
+
 Shape certificates (concavity, weak superadditivity) are grid-based:
 midpoint concavity over all grid pairs, and the two-sided inequality
 ``f(a) + f(b) <= f(a + b)`` over all grid pairs with ``a <= 0 <= b``.
@@ -76,6 +80,31 @@ class UtilityFunction:
 
     __call__ = value
 
+    def values(self, xs: Sequence[float]) -> list[float]:
+        """``[self.value(x) for x in xs]``, bit for bit.
+
+        The points are taken as floats, as ``value`` takes them, and mapped
+        through ``_value`` in one comprehension.  Every domain is an
+        interval, so the domain test reads the least and the greatest
+        point, once the sum of the points shows no NaN; the overflow test
+        looks for an infinity among the values.  Where either fails, or
+        ``_value`` raises, the scalar loop runs instead and raises what
+        ``value`` raises at the first point that fails.
+        """
+        xs = [float(x) for x in xs]
+        if not xs:
+            return []
+        total = sum(xs)
+        if total == total and self.in_domain(min(xs)) and self.in_domain(max(xs)):
+            value = self._value
+            try:
+                vs = [value(x) for x in xs]
+                if INF not in vs and -INF not in vs:
+                    return vs
+            except Exception:  # the scalar loop below raises it again, at its point
+                pass
+        return [self.value(x) for x in xs]
+
     def prime(self, x: float) -> float:
         return self._prime(self._require(x))
 
@@ -100,12 +129,12 @@ class UtilityFunction:
         if not abs(value(0.0)) <= 1e-12:
             raise ValueError(f"{self.spec()}: u(0) = {value(0.0)!r}, expected 0")
         grid = default_grid(self)
-        vals = [value(x) for x in grid]
+        vals = self.values(grid)
         for (x0, v0), (x1, v1) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
             if not v1 >= v0:
                 raise ValueError(f"{self.spec()}: decreasing between {x0} and {x1}")
         central = default_grid(self, 41, (-1.0, 1.0))
-        cvals = [value(x) for x in central]
+        cvals = self.values(central)
         top = self.range()[1]
         for (x0, v0), (x1, v1) in zip(zip(central, cvals), zip(central[1:], cvals[1:])):
             if not (v1 > v0 or v0 == v1 == top):
@@ -397,7 +426,11 @@ class TabulatedUtility(UtilityFunction):
     path an empirical (non-closed-form) utility would take; tests pin it
     against the exact segment inverse.  Its steps find each midpoint's
     segment by bisection over the knot abscissae (``_segment``), looked
-    up again only when the midpoint leaves the segment of the step before.
+    up again only when the midpoint leaves the segment of the step before,
+    and take the segment's rise and run once per lookup; each step is then
+    ``_interpolate``'s formula, one comparison of its distance to the
+    target and one width test.  ``values`` interpolates a list of points
+    with ``_interpolate``, one segment lookup per point.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -437,6 +470,7 @@ class TabulatedUtility(UtilityFunction):
         return 0.0
 
     def _inverse(self, y: float) -> float:
+        tol = BISECTION_TOL
         lo, hi = self.domain_lo, self.domain_hi
         x0 = x1 = lo  # no segment in hand yet: (x0, x1] is empty
         for _ in range(BISECTION_MAX_ITER):
@@ -444,14 +478,16 @@ class TabulatedUtility(UtilityFunction):
             # _segment maps every point of (x0, x1] to this segment; else look it up again
             if not x0 < mid <= x1:
                 (x0, y0), (x1, y1) = _segment(self.knots, mid)
-            v = y0 + (y1 - y0) * (mid - x0) / (x1 - x0)  # _interpolate's formula
-            if abs(v - y) <= BISECTION_TOL:
+                dy, dx = y1 - y0, x1 - x0
+            d = y0 + dy * (mid - x0) / dx - y  # v - y, with _interpolate's formula for v
+            if -tol <= d <= tol:  # abs(v - y) <= tol
                 return mid
-            if v < y:
+            if d < 0.0:  # v < y: v - y rounds to 0 only where v == y
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= BISECTION_TOL * max(1.0, abs(lo)):
+            # the step is tol * max(1.0, abs(lo)); rounding commutes with the sign and with max
+            if hi - lo <= (tol * lo if lo > 1.0 else tol * -lo if lo < -1.0 else tol):
                 break
         return (lo + hi) / 2.0
 
@@ -482,25 +518,18 @@ class ShapeCheck:
         return self.holds
 
 
-def _once_per_point(fn):
-    """fn with each result kept, so it runs once per distinct point; 0.0 and -0.0 are kept apart."""
-    kept = {}
-
-    def at(x: float) -> float:
-        key = x if x else (x, math.copysign(1.0, x))
-        if key not in kept:
-            kept[key] = fn(x)
-        return kept[key]
-
-    return at
-
-
 def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
-    """``fn`` at every entry of xs, called once per distinct float (by bit pattern)."""
+    """The list function ``fn`` (such as ``values``) at every entry of xs, called once on the list of
+    its distinct floats (by bit pattern, so 0.0 and -0.0 are apart)."""
     xs = np.ascontiguousarray(xs, dtype=float)
     keys, inverse = np.unique(xs.view(np.int64).ravel(), return_inverse=True)
-    out = np.array([fn(v) for v in keys.view(np.float64).tolist()], dtype=dtype)
+    out = np.array(fn(keys.view(np.float64).tolist()), dtype=dtype)
     return out[inverse].reshape(xs.shape)
+
+
+def _each(fn):
+    """The list function of the scalar ``fn``: it calls fn once per point, in order."""
+    return lambda xs: [fn(x) for x in xs]
 
 
 def is_concave_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeCheck:
@@ -516,7 +545,7 @@ def is_concave_on(f, grid: Sequence[float], tol: float = SHAPE_TOL) -> ShapeChec
     i, j = np.nonzero(order[:, None] < order)  # np.triu_indices(len(xs), 1) at an eighth of its cost
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN arise as in float arithmetic
         mids = (pts[i] + pts[j]) / 2.0
-    vals = _per_distinct(f.value, np.concatenate([pts, mids]))
+    vals = _per_distinct(_each(f.value), np.concatenate([pts, mids]))
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = (vals[i] + vals[j]) / 2.0 - vals[len(xs) :]
     gaps[np.isnan(gaps)] = -INF
@@ -530,22 +559,20 @@ def is_weakly_superadditive_on(f, grid: Sequence[float], tol: float = SHAPE_TOL)
     """Check ``f(a) + f(b) <= f(a + b)`` for grid pairs with ``a <= 0 <= b``.
 
     Pairs whose sum leaves the evaluation domain are skipped.  f runs once
-    per distinct point.
+    per distinct point of the pairs it scores.
     """
-    fn = _once_per_point(f.value)
     xs = sorted(set(float(x) for x in grid))
     neg = [x for x in xs if x <= 0.0]
     pos = [x for x in xs if x >= 0.0]
     if not neg or not pos:
         raise ValueError("grid must straddle 0")
+    triples = [(a, b, a + b) for a in neg for b in pos if f.in_domain(a + b)]
+    vals = _per_distinct(_each(f.value), np.array(triples, dtype=float).reshape(-1, 3)).tolist()
     worst, worst_gap = None, float("-inf")
-    for a in neg:
-        for b in pos:
-            if not f.in_domain(a + b):
-                continue
-            gap = fn(a) + fn(b) - fn(a + b)
-            if gap > worst_gap:
-                worst, worst_gap = (a, b), gap
+    for (a, b, _), (f_a, f_b, f_sum) in zip(triples, vals):
+        gap = f_a + f_b - f_sum
+        if gap > worst_gap:
+            worst, worst_gap = (a, b), gap
     return ShapeCheck(worst_gap <= tol, None if worst_gap <= tol else worst, worst_gap)
 
 
@@ -574,8 +601,7 @@ class ComposedMap:
     def grid(self, points: int = DEFAULT_GRID_POINTS, bounds=DEFAULT_GRID_BOUNDS) -> list[float]:
         """Grid in the x-space of g (the image of v)."""
         ys = default_grid(self.v, points, bounds)
-        ys = [y for y in ys if self.u.in_domain(y)]
-        return [self.v.value(y) for y in ys]
+        return self.v.values([y for y in ys if self.u.in_domain(y)])
 
 
 def compose_via_inverse(u: UtilityFunction, v: UtilityFunction) -> ComposedMap:

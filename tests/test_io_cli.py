@@ -467,6 +467,19 @@ def test_cli_verify_report_digest(tmp_path, capsys, argv, sha256):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+def test_cli_verify_verifies_converses_whose_gap_lies_between_the_tolerances(tmp_path, capsys):
+    """A level 5e-11 above 0.5 gives 57 pairs dominance gaps of about 5e-11 and 1e-10: above
+    STRUCT_TOL (1e-12), which classes them non-dominant, and below VIOLATION_TOL (1e-9).  The
+    constructed witness realizes each gap exactly, so every converse verifies."""
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n", "2", "--levels", "0,0.5,0.50000000005,1", "--json", str(out), "--expect-clean"]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["clean"] is True and doc["pair_count"] == 256
+    assert doc["verdict_counts"]["jensen converse"] == [192, 192]
+    assert "constructed counterexamples verified: 192" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("levels", ["0,0.5,1", "-0,0.5,1", "0.5,-0,1", "0,-0,0.5,1", "1,0.5,0,0.5"])
 def test_cli_verify_reads_every_spelling_of_the_levels_as_one_grid(tmp_path, capsys, levels):
     """A level grid is a set of floats in [0, 1], with -0.0 read as 0.0: every spelling of the

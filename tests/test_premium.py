@@ -8,6 +8,7 @@ consistency check that pins the capacity order in the benchmark formula.
 import importlib
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -551,6 +552,64 @@ def test_premium_batch_stops_at_a_utility_error_and_takes_an_empty_batch(mu_work
     empty = pm.premium_batch([], np.zeros((0, 2)), mu_worked, nu_worked, u)
     assert (empty.reasons, empty.levels, empty.error) == ((), (), None)
     assert pm._risk_neutral_rows(np.zeros(0), np.zeros((0, 2)), mu_worked, nu_worked).shape == (0,)
+
+
+@dataclass(frozen=True)
+class RefusesOne(Power):
+    """A shifted power, except that u raises at the one point ``bad``."""
+
+    bad: float = math.nan
+
+    def _value(self, x):
+        if x == self.bad:
+            raise RuntimeError(f"refused {x!r}")
+        return super()._value(x)
+
+
+def counted_values(u):
+    """u with the length of each list it evaluates through ``values`` recorded in ``calls``."""
+    calls = []
+    values = u.values
+    object.__setattr__(u, "values", lambda xs: calls.append(len(xs)) or values(xs))
+    return u, calls
+
+
+def batch_outcome(batch):
+    error = None if batch.error is None else (type(batch.error).__name__, str(batch.error))
+    return repr(batch.reasons), repr(batch.levels), error
+
+
+def row_by_row_batch(ws, xs, mu, nu, u):
+    """``batch_outcome`` of premium_batch called on one row at a time, up to the first that raises."""
+    reasons, levels = (), ()
+    for i in range(len(ws)):
+        one = pm.premium_batch(ws[i : i + 1], xs[i : i + 1], mu, nu, u)
+        if one.error is not None:
+            return repr(reasons), repr(levels), (type(one.error).__name__, str(one.error))
+        reasons, levels = reasons + one.reasons, levels + one.levels
+    return repr(reasons), repr(levels), None
+
+
+def test_premium_batch_makes_one_values_call_and_meets_a_raising_row_as_row_by_row():
+    """The in-domain rows of a batch go through one ``values`` call.  When it raises, the rows are
+    evaluated again one by one, and the batch stops at the row where the row-by-row path stops."""
+    rng = rng_from_seed(2600)
+    ground = GroundSet(3)
+    mu, nu = random_dominant_pair(rng, ground)
+    ws, xs = rng.uniform(0.0, 3.0, 40), rng.uniform(-2.0, 2.0, (40, 3))
+    inside = np.flatnonzero((ws[:, None] - xs > -1.0).all(axis=1))  # the domain of power:1,0.5
+    assert 0 < len(inside) < 40
+    u, calls = counted_values(RefusesOne(1.0, 0.5))
+    batch = pm.premium_batch(ws, xs, mu, nu, u)
+    assert batch.error is None and len(batch.reasons) == 40 and calls == [3 * len(inside)]
+    assert batch_outcome(batch) == row_by_row_batch(ws, xs, mu, nu, u)
+    for k in inside[[0, 1, len(inside) // 2, -1]].tolist():
+        bad = float(ws[k] - xs[k, 1])
+        u, calls = counted_values(RefusesOne(1.0, 0.5, bad))
+        batch = pm.premium_batch(ws, xs, mu, nu, u)
+        assert batch_outcome(batch)[2] == ("RuntimeError", f"refused {bad!r}") and len(batch.reasons) == k
+        assert calls == [3 * len(inside)] + [3] * len(inside)
+        assert batch_outcome(batch) == row_by_row_batch(ws, xs, mu, nu, RefusesOne(1.0, 0.5, bad))
 
 
 def test_premium_batch_stops_at_a_non_finite_outcome(mu_worked, nu_worked):

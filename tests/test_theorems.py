@@ -336,6 +336,22 @@ def test_sweep_classifies_per_capacity_and_reads_the_converse_off_halves(monkeyp
     assert report.verdict_counts["jensen converse"] == (45, 45) and report.counterexamples == 45
 
 
+def test_sweep_verifies_a_converse_whose_gap_lies_between_the_tolerances():
+    """Dominance gaps above STRUCT_TOL class a pair non-dominant; those below VIOLATION_TOL too
+    are realized exactly by the constructed witness, and the sweep's converse verifies them."""
+    from choqrisk import theorems
+
+    caps = list(enumerate_capacities(2, (0.0, 0.5, 0.50000000005, 1.0)))
+    band = [(i, j) for (i, mu), (j, nu) in product(enumerate(caps), enumerate(caps))
+            if theorems.STRUCT_TOL < theorems.dominates_dual(mu, nu).gap <= VIOLATION_TOL]
+    assert len(band) == 57
+    got = sweep_by_pair(stack(*caps), band, ("1",), 42, tuple(-4.0 + k for k in range(9)), 12)
+    for (i, j), (_, _, _, verdicts) in zip(band, got):
+        wit = jensen_counterexample(caps[i], caps[j])
+        assert wit.gap == wit.dominance_gap < VIOLATION_TOL
+        assert verdicts == [("jensen converse", True, {"gap": wit.gap, "dominance_gap": wit.dominance_gap})]
+
+
 def test_matrix_classes_match_the_per_pair_checks_on_every_n3_pair():
     """The sweep's classes and the converse's worst sets and gaps, one call over the stacks of the
     pairs' tables, against dominates_dual (holds, worst set, gap bits) and coexistence_set, both
@@ -728,7 +744,7 @@ def reference_verdicts(mu, nu, values, seed=42, property_samples=12):
         checks += [("jensen forward", jensen_holds(mu, nu, f, grid)) for f in theorems.concave_increasing_gallery()]
     else:
         wit = jensen_counterexample(mu, nu)
-        ok = wit.gap > VIOLATION_TOL and abs(wit.gap - wit.dominance_gap) <= theorems.GAP_MATCH_TOL
+        ok = wit.gap > theorems.STRUCT_TOL and abs(wit.gap - wit.dominance_gap) <= theorems.GAP_MATCH_TOL
         out.append(("jensen converse", ok, {"gap": wit.gap, "dominance_gap": wit.dominance_gap}))
     if zero_one:
         checks += [

@@ -358,6 +358,78 @@ def test_shape_checks_call_f_once_per_distinct_point():
     assert len(calls) == len(set(calls)) == 41  # every sum a + b is a grid point
 
 
+# --- bulk values -----------------------------------------------------------------------
+
+class NaNBelowZero(Linear):
+    """The identity, except NaN below 0: a subclass that overrides ``_value`` alone."""
+
+    def _value(self, x):
+        return math.nan if x < 0.0 else x
+
+
+def bulk_maps():
+    from choqrisk.theorems import AffineMap, PlainMap
+
+    return [
+        Exponential(1.0), Exponential(70.0), Power(1.0, 0.5), Power(0.0, 2.0), Power(0.5, 2.0), Power(6.0, 0.5),
+        Logarithmic(1.0), PowerExpo(1.0, 0.5), PowerExpo(0.5, 2.0), Linear(), NegSqrtKink(), PiecewiseLinearKink(),
+        TabulatedUtility(((-3.0, -6.0), (-1.0, -1.5), (0.0, 0.0), (1.0, 0.8), (2.0, 1.4), (6.0, 2.8))),
+        NaNBelowZero(), AffineMap(1.0, 2.0), PlainMap("expm1", math.expm1),
+    ]
+
+
+@pytest.mark.parametrize("f", bulk_maps(), ids=lambda f: f.spec())
+def test_values_match_the_scalar_values_bitwise(f):
+    """``values`` of a list is ``value`` at each point, bit for bit, or raises what the first
+    failing ``value`` call raises: out of the domain, NaN, or an overflow (exp:70 below about -10,
+    power:0.5,2 and expm1 far above 0)."""
+    rng = np.random.default_rng(43)
+    specials = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, -3.0, 6.0, -6.0, -20.0, 800.0, 1e200, -1e200]
+    pool = [float(x) for x in rng.uniform(-12.0, 12.0, 300)] + specials
+    inside = [x for x in pool if f.in_domain(x)]
+    outside = [math.nan, math.inf, -math.inf] + [x for x in pool if not f.in_domain(x)]
+    kinds = set()
+    for trial in range(300):
+        xs = [inside[k] for k in rng.integers(0, len(inside), int(rng.integers(1, 12)))]
+        if trial % 3 == 0:  # one bad point, anywhere in the list
+            xs.insert(int(rng.integers(0, len(xs) + 1)), outside[int(rng.integers(0, len(outside)))])
+        want = outcome(lambda: [f.value(x) for x in xs])
+        assert outcome(f.values, xs) == want, xs
+        kinds.add(want[0] if isinstance(want, tuple) else "ok")
+    assert f.values([]) == []
+    assert "ok" in kinds
+    if isinstance(f, UtilityFunction):  # NaN and the infinities lie outside every domain
+        assert "DomainError" in kinds
+    if f.spec() in ("exp:70", "power:0.5,2"):
+        assert "ValueError" in kinds  # the overflow message, u(...) is not a finite float
+    if f.spec() == "expm1":
+        assert "OverflowError" in kinds
+
+
+def test_values_evaluate_a_list_without_the_scalar_method(monkeypatch):
+    """In the domain and without overflow, ``values`` makes no ``value`` call, and a subclass that
+    overrides ``_value`` alone is evaluated through its own ``_value``."""
+    maps = [f for f in bulk_maps() if isinstance(f, UtilityFunction)]
+    xs = [[0.0, 0.5, 1.0, 2.0, 5.0, -0.0, 0.25] for _ in maps]
+    want = [[f.value(x) for x in pts] for f, pts in zip(maps, xs)]
+    monkeypatch.setattr(UtilityFunction, "value", lambda self, x: pytest.fail("a scalar value call"))
+    for f, pts, expected in zip(maps, xs, want):
+        assert repr(f.values(pts)) == repr(expected), f.spec()
+    assert repr(NaNBelowZero().values([-1.0, 1.0])) == "[nan, 1.0]"
+
+
+@pytest.mark.parametrize("f", [f for f in bulk_maps() if isinstance(f, UtilityFunction)], ids=lambda f: f.spec())
+def test_values_take_ints_and_numpy_scalars_as_value_does(f):
+    """``value`` takes its point as a float first; ``values`` does too, so an int or an
+    np.float64 point gives the same Python float, or the same error, as ``value`` gives."""
+    for xs in ([0, 1, 2], [np.float64(0.0), np.float64(0.5), np.float64(1.0)], [np.float64(800.0)], [np.float64(-20.0)]):
+        want = outcome(lambda: [f.value(x) for x in xs])
+        got = outcome(f.values, xs)
+        assert got == want, xs
+        if not isinstance(want, tuple):
+            assert all(type(v) is float for v in f.values(xs)), xs
+
+
 # --- composition -----------------------------------------------------------------------
 
 def test_compose_same_utility_is_identity():
