@@ -122,9 +122,7 @@ class Capacity:
 
     def __post_init__(self, ground: GroundSet, table: Sequence[float]):
         """Convert and check ``table``, then store it; ``__init__`` runs this, as the generated one did."""
-        # float() per entry, as for any iterable; a 1-D numeric array is converted in one copy
-        numeric = isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "biuf"
-        arr = np.array(table, dtype=float) if numeric else np.fromiter(map(float, table), float)
+        arr = _float_array(table)
         size = ground.size
         if arr.size != size:
             raise ValueError(f"table must have {size} entries, got {arr.size}")
@@ -191,6 +189,28 @@ class Capacity:
             f"{self.ground.describe(a)}: {v:g}" for a, v in enumerate(_values(self).tolist())
         )
         return f"Capacity(n={self.ground.n}, {{{entries}}})"
+
+
+def _float_array(table: Sequence[float]) -> np.ndarray:
+    """``table`` as a new float64 array, each entry converted as ``float()`` converts it.
+
+    A 1-D numeric array is converted in one copy.  A list or tuple that numpy reads as a
+    1-D float64 or int64 array is too: both round as ``float()`` does (an int subclass
+    whose ``__float__`` disagrees with its value is read by its value).  Anything else,
+    including a list numpy refuses or reads with another dtype, is converted by ``float()``
+    per entry, which raises what it raises.
+    """
+    if isinstance(table, (list, tuple)):
+        try:
+            arr = np.array(table)
+        except Exception:  # ragged, or an entry numpy cannot take; float() names it below
+            pass
+        else:
+            if arr.ndim == 1 and arr.dtype in (np.float64, np.int64):
+                return arr.astype(float, copy=False)
+    elif isinstance(table, np.ndarray) and table.ndim == 1 and table.dtype.kind in "biuf":
+        return np.array(table, dtype=float)
+    return np.fromiter(map(float, table), float)
 
 
 def _store(c: Capacity, ground: GroundSet, arr: np.ndarray) -> Capacity:

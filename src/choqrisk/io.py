@@ -9,13 +9,14 @@ comma-joined label sets ("" for the empty set); every subset must be
 present.  The table may instead be dense, ``"table": [0.0, 0.3, 0.5, 1.0]``,
 one number per bitmask.  ``load_capacity`` first tries the file as text: an
 ASCII document without backslashes whose one ``"table"`` object holds only
-``"digits": number`` entries is rewritten, about a megabyte at a time, as
-flat ``[mask, value, ...]`` arrays, each parsed by one ``json.loads``, with
-no 2^n-key dict.  Any other document is parsed as it stands, and a keyed
-table in it is read entry by entry, which is where every schema error is
-raised.  Files are decoded as UTF-8.  The writer always emits the keyed
-form.  Mass-function documents carry a dense ``"mass"`` array of length 2^n
-indexed by bitmask.  An integer too large for a float is refused by entry.
+``"digits": number`` entries is read about a megabyte at a time, its keys
+parsed in numpy and its values by one ``json.loads`` of the chunk with the
+keys blanked out, with no 2^n-key dict.  Any other document is parsed as it
+stands, and a keyed table in it is read entry by entry, which is where every
+schema error is raised.  Files are decoded as UTF-8.  The writer always
+emits the keyed form.  Mass-function documents carry a dense ``"mass"``
+array of length 2^n indexed by bitmask.  An integer too large for a float
+is refused by entry.
 Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
@@ -163,30 +164,83 @@ def _read_json(path: Path) -> Any:
 
 _TABLE_OBJECT = re.compile(rb'"table"[ \t\n\r]*:[ \t\n\r]*\{')
 _NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
-_DIGITS = b"0123456789"
-_KEYS_TO_ARRAY = bytes.maketrans(b'":', b" ,")
+# the bytes JSON takes as whitespace
+_SPACE = np.zeros(256, bool)
+_SPACE[list(b" \t\n\r")] = True
+# the widest key _key_masks reads: 10^18 - 1 fits an int64
+_KEY_DIGITS = 18
+# the longest whitespace run _past_space steps over, one numpy pass a byte
+_SPACE_RUN = 64
 # Bytes of table body checked and parsed at a time; a chunk ends at the first comma past it.
 _CHUNK_BYTES = 1 << 20
 
 
+def _key_masks(buf: np.ndarray, quotes: np.ndarray) -> np.ndarray | None:
+    """The decimal numbers between the quotes at ``quotes[0::2]`` and ``quotes[1::2]`` in the
+    bytes ``buf``, as int64, or None unless each is 1 to ``_KEY_DIGITS`` digits with no
+    leading zero (``"0"`` itself is a key).
+
+    One gather per digit position reads that digit of every key; a key that has ended
+    reads its closing quote there and keeps its value.
+    """
+    opens, closes = quotes[::2] + 1, quotes[1::2]
+    widths = closes - opens
+    if widths.min() < 1 or widths.max() > _KEY_DIGITS:
+        return None
+    if ((buf[opens] == ord("0")) & (widths > 1)).any():
+        return None
+    masks = np.zeros(len(opens), np.int64)
+    for j in range(int(widths.max())):
+        digits = buf[np.minimum(opens + j, closes)] - np.uint8(ord("0"))  # a non-digit wraps above 9
+        inside = widths > j
+        if (inside & (digits > 9)).any():
+            return None
+        masks = np.where(inside, masks * 10 + digits, masks)
+    return masks
+
+
+def _past_space(buf: np.ndarray, at: np.ndarray) -> np.ndarray | None:
+    """Each position in ``at`` moved past the JSON whitespace that starts there, or None if a
+    run is longer than ``_SPACE_RUN`` bytes; ``buf`` must end in a byte that is not whitespace."""
+    at = at.copy()
+    todo = np.flatnonzero(_SPACE[buf[at]])
+    for _ in range(_SPACE_RUN):
+        if not todo.size:
+            break
+        at[todo] += 1
+        todo = todo[_SPACE[buf[at[todo]]]]
+    return None if todo.size else at
+
+
 def _flat_keyed_capacity(path: Path) -> Capacity | None:
-    """Read the capacity document at ``path`` with its keyed table as a flat
-    ``[mask, value, ...]`` array, chunk by chunk, or None unless the document is plain
-    enough for that and holds one entry per subset.  A bad ``n`` or ``labels`` raises the
-    ``SchemaError`` that ``capacity_from_dict`` raises.
+    """Read the capacity document at ``path`` with its keyed table parsed chunk by chunk,
+    the keys in numpy and only the values by ``json.loads``, or None unless the document
+    is plain enough for that and holds one entry per subset.  A bad ``n`` or ``labels``
+    raises the ``SchemaError`` that ``capacity_from_dict`` raises.
 
     Plain is an ASCII document without backslashes, so that every quote delimits a
     string and ``"table"`` is the key itself, with one top-level ``"table"`` object
     whose body holds only number characters, JSON whitespace, quotes, colons and
     commas.  The rest of the document is parsed once with ``[]`` for the table.  The
-    body is cut at commas into chunks of about ``_CHUNK_BYTES``, and three byte passes
-    check each chunk: its quotes and separators run ``"":,`` repeated, ending in
-    ``"":`` (any other character survives the deletion and fails this), every key is
-    digits only, and no key is empty.  A body that passes has commas only between
-    entries, so no entry is cut.  Quotes become spaces, not nothing, so that a number
-    character outside a key cannot join it (beside an empty key it would stand in for
-    it); ``json.loads`` of each chunk's flat array still checks the grammar and parses
-    every number.
+    body is cut at commas into chunks of about ``_CHUNK_BYTES``, and each chunk is
+    copied once, between two spaces, and read in these passes:
+
+    1. One byte pass checks that its quotes and separators run ``"":,`` repeated,
+       ending in ``"":`` (any other character survives the deletion and fails this).
+       So the quotes pair up, one pair per key, and commas stand only between entries:
+       no entry is cut.
+    2. One numpy pass finds the quotes, and ``_key_masks`` reads every key as 1 to 18
+       digits with no leading zero, one gather per digit position.
+    3. ``_past_space`` finds the colon after each key and the first byte after the
+       colon; a comma or the chunk's end there is an entry without a value, which a
+       number elsewhere in the entry could stand in for.  Whitespace runs longer than
+       ``_SPACE_RUN`` decline.
+    4. The spaces become brackets and the quotes, key digits and colons spaces,
+       leaving ``[value, ...]``.  ``json.loads`` of it checks the grammar of every
+       number, and refuses a number left before a key or its colon, which makes two
+       numbers in one entry, and a colon that did not follow its key.
+    5. The values go straight into a float64 array, which converts an integer as
+       ``float()`` does and raises the same ``OverflowError``.
     """
     data = path.read_bytes()
     found = _TABLE_OBJECT.search(data) if data.isascii() and b"\\" not in data else None
@@ -204,31 +258,44 @@ def _flat_keyed_capacity(path: Path) -> Capacity | None:
         return None
     entries = data.count(b",", start, end) + 1
     masks, values = np.empty(entries, np.int64), np.empty(entries)
-    pos = 0
+    body, pos = memoryview(data), 0
     while start <= end:
         cut = data.find(b",", start + _CHUNK_BYTES, end)
-        chunk = data[start : end if cut < 0 else cut]
-        start = end + 1 if cut < 0 else cut + 1
-        skeleton = chunk.translate(None, _NUMBER_OR_SPACE)
+        stop = end if cut < 0 else cut
+        text = bytearray(b" ") * (stop - start + 2)
+        text[1:-1] = body[start:stop]
+        start = stop + 1
+        skeleton = text.translate(None, _NUMBER_OR_SPACE)
         keys = len(skeleton) // 4 + 1
-        if (
-            skeleton != b'"":,' * (keys - 1) + b'"":'
-            or chunk.translate(None, _DIGITS).count(b'""') != keys
-            or b'""' in chunk
-        ):
+        if skeleton != b'"":,' * (keys - 1) + b'"":':
             return None
+        text[0], text[-1] = ord("["), ord("]")
+        buf = np.frombuffer(text, np.uint8)  # a view: text is blanked through it
+        quotes = np.flatnonzero(buf == ord('"'))
+        keyed = _key_masks(buf, quotes)
+        if keyed is None:
+            return None
+        colons = _past_space(buf, quotes[1::2] + 1)  # or a number, which leaves the colon to json
+        starts = None if colons is None else _past_space(buf, colons + 1)
+        if starts is None or np.isin(buf[starts], list(b",]")).any():  # an entry without a value
+            return None
+        widest = int((quotes[1::2] - quotes[::2]).max())
+        for j in range(widest + 1):  # each quoted key, quotes included
+            buf[np.minimum(quotes[::2] + j, quotes[1::2])] = ord(" ")
+        buf[colons] = ord(" ")
         try:
-            flat = json.loads(b"[%b]" % chunk.translate(_KEYS_TO_ARRAY))
+            vals = json.loads(text)
         except json.JSONDecodeError:
             return None
-        vals = flat[1::2]  # ints and floats: the body holds no other JSON value
+        if len(vals) != keys:
+            return None
+        masks[pos : pos + keys] = keyed
         try:
-            masks[pos : pos + keys] = flat[::2]
-            values[pos : pos + keys] = list(map(float, vals)) if int in set(map(type, vals)) else vals
-        except OverflowError:  # a key of 20 or more digits, or an integer value beyond the float range
+            values[pos : pos + keys] = vals  # ints and floats: the body holds no other JSON value
+        except OverflowError:  # an integer value beyond the float range
             return None
         pos += keys
-    del data, found
+    del data, found, body
     ground = _parse_ground(doc, str(path))
     size = ground.size
     if entries != size or masks.max() >= size or np.bincount(masks, minlength=size).max() != 1:

@@ -308,6 +308,52 @@ def test_constructor_converts_entries_with_float(g2):
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
+FLOAT_CONVERSION_CASES = [
+    [0, 2**53 + 1, 2**60 + 3, -(2**63), 1],  # ints above 2^53, read as int64
+    [0, 2**63, 1],  # above the int64 range, read as uint64
+    [2**63, -1],  # read as float64
+    [0, 2**64 + 1, 1],  # read as object
+    [0, 0.5, 3, 2**53 + 1, 1.0],
+    [True, False, 0.5],
+    [True, False],
+    [np.float32(0.1), 0.5],
+    [np.float32(0.1), np.float32(0.7)],
+    [-0.0, 0.0, 1],
+    [0, 1j],
+    [0.0, 1 + 0j],
+    [0.0, "x"],
+    [0.0, "0.5"],
+    [[0.5], [0.5]],
+    [0.0, [0.5]],
+    [[0.0, 1.0], [0.5]],
+    [0.0, None],
+    [10**400],
+    [0.5, 10**400],
+    [10**400, 2**53],
+    [],
+]
+FLOAT_CONVERSION_IDS = [
+    "int64", "uint64", "int-float64", "int-object", "mixed", "bool-float", "bool", "float32-float",
+    "float32", "signed-zeros", "complex", "complex-zero", "string", "numeric-string", "nested", "ragged",
+    "ragged-nested", "none", "huge", "float-huge", "huge-int", "empty",
+]
+
+
+@pytest.mark.parametrize("convert", [list, tuple])
+@pytest.mark.parametrize("entries", FLOAT_CONVERSION_CASES, ids=FLOAT_CONVERSION_IDS)
+def test_a_list_or_tuple_converts_as_float_per_entry(entries, convert):
+    from choqrisk.capacity import _float_array
+
+    def outcome(read):
+        try:
+            arr = read(convert(entries))
+        except Exception as exc:
+            return type(exc), str(exc)
+        return arr.dtype, arr.shape, arr.tobytes()
+
+    assert outcome(_float_array) == outcome(lambda t: np.fromiter(map(float, t), float))
+
+
 def test_a_capacity_pickles_and_deep_copies(mu_worked):
     import copy
     import pickle

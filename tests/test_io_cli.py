@@ -717,9 +717,15 @@ FLAT_READ_CASES = [
     PLAIN.replace('"1": 1e-05', '"1": 1E-5'),
     PLAIN.replace('"1": 1e-05', '"1":1e-5').replace("{", "{\r\n\t").replace(", ", " ,\r\n\t "),
     json.dumps({"n": 3, "labels": ["a", "b", "c"], **TEXT_DOC}),
+    PLAIN.replace('"7": 1.0', '"7": 1E0'),
+    PLAIN.replace('"0": 0.0', '"0": 0E0'),
+    PLAIN.replace('"7": 1.0', '"7": 1.0e0'),
+    PLAIN.replace('"0": 0.0', '"0": -0'),
+    PLAIN.replace('"1": 1e-05', '"1"' + " " * 64 + ":" + "\t" * 64 + "1e-05"),
 ]
 FLAT_READ_IDS = [
     "default", "compact", "save_capacity", "shuffled", "ints", "negative-zero", "1E-5", "crlf-tabs", "labels",
+    "1E0", "0E0", "1.0e0", "-0", "long-runs",
 ]
 
 
@@ -773,13 +779,28 @@ DECLINED_CASES = [
     '{"n": 2, "table": ' + FLAT + ', "x": {"table": ' + TABLE_OBJECT + "}}",
     BASE.replace('"2": 0.5, ', ""),
     BASE.replace('"3": 1.0', '"3": 1.0, "4": 1.0'),
+    # keys of number characters that are not digits
+    BASE.replace('"1"', '"1e2"'),
+    BASE.replace('"1"', '"1E2"'),
+    BASE.replace('"1"', '"-1"'),
+    BASE.replace('"1"', '"+1"'),
+    BASE.replace('"1"', '"1.5"'),
+    BASE.replace('"1"', '"1 "'),
+    # an entry with no value after its colon, and a number elsewhere in it
+    BASE.replace('"1": 0.3', '"1"3:'),
+    BASE.replace('"1": 0.3', '3"1":'),
+    # whitespace runs longer than io._SPACE_RUN, which the dict read takes
+    BASE.replace('"1": 0.3', '"1":' + " " * 65 + "0.3"),
+    BASE.replace('"1": 0.3', '"1"' + "\n" * 65 + ": 0.3"),
 ]
 DECLINED_IDS = [
     "key-01", "key-space-1", "key-empty", "duplicate", "string-value", "NaN", "Infinity", "+0.3", ".5",
     "1.", "comma-for-colon", "colon-for-comma", "trailing-comma", "nested-object", "second-table",
     "table-label", "non-ascii-label", "bom", "huge-int", "key-19-digits", "key-20-digits", "truncated",
     "digit-after-key", "digit-before-empty-key", "escaped-table-key", "nested-table-first",
-    "nested-table-last", "missing-entry", "extra-entry",
+    "nested-table-last", "missing-entry", "extra-entry", "key-1e2", "key-1E2", "key-minus-1", "key-plus-1",
+    "key-1.5", "key-1-space", "number-before-colon", "number-before-key", "long-run-after-colon",
+    "long-run-before-colon",
 ]
 
 
@@ -805,6 +826,48 @@ def test_flat_keyed_read_in_small_chunks(text, chunk, tmp_path, monkeypatch):
 def test_declined_documents_in_small_chunks(text, chunk, tmp_path, monkeypatch):
     monkeypatch.setattr(choqrisk_io, "_CHUNK_BYTES", chunk)
     test_declined_documents_read_as_the_dict_read(text, tmp_path)
+
+
+@pytest.mark.parametrize("value", [2**53 + 1, 2**63, 2**64 + 1])
+def test_an_integer_value_is_read_as_the_dict_read_reads_it(value, tmp_path, monkeypatch):
+    """The NotMonotone message carries the value's repr, so both reads take the integer as one float."""
+    text = json.dumps({"n": 2, "table": {"0": 0, "1": value, "2": 0.5, "3": 1}})
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = _outcome(capacity_from_dict, json.loads(text), str(path))
+    assert want == ("NotMonotone", f"monotonicity violated: table[0b1]={float(value)!r} > table[0b11]=1.0")
+    monkeypatch.setattr(choqrisk_io, "_read_json", lambda path: pytest.fail("parsed as a dict"))
+    assert _outcome(load_capacity, path) == want
+
+
+def _key_masks(keys: list[bytes]):
+    """``io._key_masks`` of ``keys``, each quoted, between commas."""
+    buf = np.frombuffer(b"[" + b",".join(b'"%b"' % k for k in keys) + b"]", np.uint8)
+    masks = choqrisk_io._key_masks(buf, np.flatnonzero(buf == ord('"')))
+    return None if masks is None else masks.tolist()
+
+
+def test_key_masks_read_every_width_as_int():
+    rng = np.random.default_rng(3)
+    keys = [b"0"]
+    for width in range(1, 19):
+        low = 10 ** (width - 1) if width > 1 else 1
+        keys += [str(k).encode() for k in (low, 10 * low - 1, *rng.integers(low, 10 * low, 20).tolist())]
+    rng.shuffle(keys)
+    assert _key_masks(keys) == [int(k) for k in keys]
+
+
+@pytest.mark.parametrize("bad", [b"01", b"00", b"0123", b"1" * 19, b"9" * 25, b""])
+def test_key_masks_decline_leading_zeros_widths_and_empty_keys(bad):
+    assert _key_masks([b"1", bad, b"23"]) is None
+
+
+@pytest.mark.parametrize("byte", list(b"eE.+- \t\n\r"), ids=lambda byte: repr(chr(byte)))
+def test_key_masks_decline_each_non_digit_the_skeleton_admits(byte):
+    char = bytes([byte])
+    for key in (char, char + b"1", b"1" + char, b"12" + char + b"4", b"1" * 17 + char):
+        assert _key_masks([b"7", key, b"123456"]) is None, key
+        assert _key_masks([key]) is None, key
 
 
 def _sorted_table(n: int, seed: int) -> list[float]:
