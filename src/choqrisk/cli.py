@@ -183,7 +183,7 @@ def _cmd_figures(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = []
-    if args.family is None and not args.g:
+    if args.family is None and not (args.g or args.h):
         jobs = [(name, g, h) for name, g, h in PUBLISHED_FIGURES]
     else:
         if args.family:

@@ -14,9 +14,8 @@ parsed in numpy and its values by one ``json.loads`` of the chunk with the
 keys blanked out, with no 2^n-key dict.  Any other document is parsed as it
 stands, and a keyed table in it is read entry by entry, which is where every
 schema error is raised.  Files are decoded as UTF-8.  The writer always
-emits the keyed form.  Mass-function documents carry a dense ``"mass"``
-array of length 2^n indexed by bitmask.  An integer too large for a float
-is refused by entry.
+emits the keyed form.  An integer too large for a float is refused by
+entry.
 Scenario documents::
 
     {"w": 1.0, "X": [4, -2], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "exp:1"}
@@ -34,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .capacity import Capacity, GroundSet, MassFunction
+from .capacity import Capacity, GroundSet
 from .errors import SchemaError
 
 
@@ -328,18 +327,6 @@ def save_capacity(c: Capacity, path: str | Path):
     entries = ",\n".join([f'    "{m}": {table[m]!r}' for m in sorted(c.ground.subsets(), key=str)])
     lines += [f'  "n": {c.ground.n},', '  "table": {', entries, "  }", "}", ""]
     Path(path).write_text("\n".join(lines))
-
-
-def mass_from_dict(doc: dict, what: str = "mass function") -> MassFunction:
-    ground = _parse_ground(doc, what)
-    _require("mass" in doc and isinstance(doc["mass"], list), f"{what}: missing 'mass' array")
-    mass = doc["mass"]
-    _require(len(mass) == ground.size, f"{what}: 'mass' must have 2^n = {ground.size} entries")
-    _require(all(map(_is_number, mass)), f"{what}: masses must be numbers")
-    try:
-        return MassFunction(ground, tuple(_floats(mass, f"{what}: mass entry")))
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def load_values_array(text_or_path: str) -> list[float]:

@@ -45,8 +45,7 @@ from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_conca
 PREMIUM_TOL = 1e-9
 #: cap on one sample_outcomes batch (the CLI defaults draw 200 and 500)
 _MAX_SAMPLES = 10**5
-#: rows of the scans' first premium_batch call; each next chunk doubles, up to _SCAN_CHUNK rows
-_FIRST_CHUNK = 16
+#: rows of each premium_batch call of the scans
 _SCAN_CHUNK = 256
 
 
@@ -271,24 +270,21 @@ def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> Pre
 
 
 def _scan_chunks(outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity, nu: Capacity) -> Iterator:
-    """The (w, X) rows of ``outcomes`` as ``(rows, ws, xs, error)``, in chunks of 16, 32, 64, ... rows.
+    """The (w, X) rows of ``outcomes`` as ``(rows, ws, xs, error)``, in chunks of _SCAN_CHUNK rows.
 
-    Chunks double from _FIRST_CHUNK up to _SCAN_CHUNK rows, so a scan whose
-    witness is row j has read and priced at most ``min(2 j + 16, j + 256)``
-    rows, and a streaming input is held a chunk at a time.  A chunk's
-    kernel calls cost about as much as pricing 20 rows at n = 8, so a
-    smaller first chunk would not find an early witness much sooner.  A
+    A scan whose witness is row j has read and priced the chunks up to
+    j's, 256 (floor(j / 256) + 1) <= j + 256 rows (fewer where the input
+    ends sooner), and a streaming input is held a chunk at a time.  A
     chunk ends early at the first row that raises while it is read (a
     generator's own check) or at Scenario's wealth and ground-set checks.
     ``error`` is what that row raised; a scan raises it only when no
     witness comes before it, as a row-by-row loop would.
     """
     it = iter(outcomes)
-    size = _FIRST_CHUNK
     while True:
         rows, error = [], None
         try:
-            for w, x in islice(it, size):
+            for w, x in islice(it, _SCAN_CHUNK):
                 _check_scenario(w, x, mu, nu)
                 rows.append((w, x))
         except Exception as exc:  # raised after the chunk's rows are scanned
@@ -297,9 +293,8 @@ def _scan_chunks(outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity,
         xs = np.array([x.values for _, x in rows], dtype=float).reshape(len(rows), mu.ground.n)
         if rows or error is not None:
             yield rows, ws, xs, error
-        if error is not None or len(rows) < size:
+        if error is not None or len(rows) < _SCAN_CHUNK:
             return
-        size = min(2 * size, _SCAN_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -330,7 +325,7 @@ def is_risk_averse(
     """Test the agent against the risk-neutral benchmark over sampled (w, X).
 
     The outcomes are read in chunks (``_scan_chunks``): with the witness at
-    row j, at most ``min(2 j + 16, j + 256)`` rows are drawn from them.
+    row j, 256 (floor(j / 256) + 1) <= j + 256 rows are drawn from them.
     """
     checked = skipped = 0
     for rows, ws, xs, error in _scan_chunks(outcomes, mu, nu):
@@ -433,8 +428,8 @@ def compare_agents(
 
     Grid points where u or v has no derivative (a kink, a tabulated knot)
     are left out of the Arrow-Pratt and curvature verdicts.  The outcomes
-    are read in chunks as ``is_risk_averse`` reads them, so at most
-    ``min(2 j + 16, j + 256)`` rows are drawn for a witness at row j.
+    are read in chunks as ``is_risk_averse`` reads them, so
+    256 (floor(j / 256) + 1) <= j + 256 rows are drawn for a witness at row j.
     """
     hypotheses = dominates_dual(mu, nu).holds and coexistence_set(mu, nu) is not None
 
@@ -495,7 +490,8 @@ def nonneg_loss_check(
 ) -> NonnegLossReport:
     """Check risk aversion over scenarios with ``X <= w`` pointwise.
 
-    The scan is ``is_risk_averse``'s and reads the outcomes in its chunks.
+    The scan is ``is_risk_averse``'s and reads the outcomes in its chunks:
+    256 (floor(j / 256) + 1) <= j + 256 rows for a witness at row j.
     """
     if mu.is_zero_one_valued():
         raise ZeroOneCapacity("hypothesis requires a capacity that is not {0,1}-valued")

@@ -140,11 +140,6 @@ def concave_increasing_gallery() -> list:
     return [Exponential(1.0), PiecewiseLinearKink(), AffineMap(1.0, 2.0), Power(6.0, 0.5)]
 
 
-def convex_increasing_gallery() -> list:
-    """Strictly convex increasing maps with f(0) = 0 (contrapositive probes)."""
-    return [PlainMap("expm1", math.expm1), Power(0.5, 2.0)]
-
-
 def zero_at_zero_gallery() -> list:
     """Strictly increasing continuous maps with f(0) = 0, mixed shapes."""
     return [
@@ -328,9 +323,12 @@ def _value_pairs(ground: GroundSet, gallery: list, values: Sequence[float], prob
     A map's rows are ``two_point_grid``'s rows of one split inside its
     domain, in its order; with ``probe``, the pairs alpha < beta of
     in-domain values, beta on B, then the same pairs with beta off B.
-    Raises ValueError for a non-finite value, and TooLarge before building
-    any row where a map's grid or probe would hold over GRID_MAX_CELLS cells.
+    Raises ValueError for an empty grid or a non-finite value, and TooLarge
+    before building any row where a map's grid or probe would hold over
+    GRID_MAX_CELLS cells.
     """
+    if not values:
+        raise ValueError("the two-point scans need a nonempty value grid")
     if not all(math.isfinite(v) for v in values):
         raise ValueError("value grid must be finite")
     inside = np.array([[f.in_domain(v) for v in values] for f in gallery], dtype=bool)
@@ -676,10 +674,7 @@ def zero_one_collapse_check(
     """
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("collapse identity needs {0,1}-valued capacities")
-    values = tuple(values)
-    if not values:
-        raise ValueError("the collapse check needs a nonempty value grid")
-    return _pair_scan(mu, nu, f, values, reader=partial(_collapse_checked, seed=seed))
+    return _pair_scan(mu, nu, f, tuple(values), reader=partial(_collapse_checked, seed=seed))
 
 
 def _collapse_checked(tables: np.ndarray, pairs: np.ndarray, f, values: tuple, scan: _Checked, seed: int):

@@ -25,7 +25,6 @@ from choqrisk.io import (
     load_capacity,
     load_scenario_doc,
     load_values_array,
-    mass_from_dict,
     save_capacity,
 )
 
@@ -89,18 +88,6 @@ def test_invalid_capacity_surfaces_domain_error():
 
     with pytest.raises(NotMonotone):
         capacity_from_dict({"n": 2, "table": {"0": 0.0, "1": 0.6, "2": 0.1, "3": 0.5}})
-
-
-def test_mass_document():
-    m = mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.0, 0.5]})
-    assert m.mass == (0.0, 0.5, 0.0, 0.5)
-    with pytest.raises(SchemaError):
-        mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.5]})
-    with pytest.raises(SchemaError, match="numbers"):
-        mass_from_dict({"n": 2, "mass": [0.0, 0.5, 0.0, True]})
-    # Python's json reads NaN; it must fail the sum check
-    with pytest.raises(SchemaError, match="sum"):
-        mass_from_dict(json.loads('{"n": 1, "mass": [0, NaN]}'))
 
 
 def test_values_array_inline_and_file(tmp_path):
@@ -388,6 +375,13 @@ def test_cli_figures_custom_specs(tmp_path, capsys):
     assert (tmp_path / "figure.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--g", "--h"])
+def test_cli_figures_refuse_one_spec_without_a_family(tmp_path, capsys, flag):
+    assert main(["figures", flag, "prelec:1,0.74", "--out", str(tmp_path), "--grid-size", "21"]) == 1
+    assert "without --family, both --g and --h specs are required" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_verify_small_sweep(capsys, tmp_path):
     out_json = tmp_path / "report.json"
     code = main(
@@ -655,8 +649,6 @@ def test_keyed_read_takes_a_non_ascii_digit_key_as_its_mask():
 
 
 def test_oversized_integers_are_named_schema_errors(tmp_path):
-    with pytest.raises(SchemaError, match=re.escape("mass entry 1 is too large for a float")):
-        mass_from_dict({"n": 1, "mass": [0, HUGE]})
     with pytest.raises(SchemaError, match=re.escape("array entry 1 is too large for a float")):
         load_values_array(json.dumps([1, HUGE]))
     for field, value, message in [("w", HUGE, "'w' is too large"), ("X", [0.5, HUGE], "'X' entry 1 is too large")]:

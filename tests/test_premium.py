@@ -630,12 +630,11 @@ def test_premium_batch_rejects_malformed_input(mu_worked, nu_worked, ws, xs, mes
         pm.premium_batch(ws, xs, mu_worked, nu_worked, Exponential(1.0))
 
 
-@pytest.mark.parametrize("first, cap", [(1, 1), (1, 3), (16, 256)])
+@pytest.mark.parametrize("chunk", [1, 3, 256])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_scans_match_the_row_by_row_reference(n, first, cap, monkeypatch):
-    monkeypatch.setattr(pm, "_FIRST_CHUNK", first)
-    monkeypatch.setattr(pm, "_SCAN_CHUNK", cap)
-    rng = rng_from_seed(500 + 10 * n + cap)
+def test_scans_match_the_row_by_row_reference(n, chunk, monkeypatch):
+    monkeypatch.setattr(pm, "_SCAN_CHUNK", chunk)
+    rng = rng_from_seed(500 + 10 * n + chunk)
     ground = GroundSet(n)
     witness_rows = set()
     for trial in range(6):
@@ -686,16 +685,15 @@ def counted(rows, drawn):
         yield row
 
 
-@pytest.mark.parametrize("at", [0, 1, 15, 16, 47, 48, 100, 300])
-def test_scans_read_the_input_in_doubling_chunks(at, mu_worked, nu_worked):
+@pytest.mark.parametrize("at", [0, 1, 255, 256, 300, 511, 512, 600])
+def test_scans_read_whole_chunks_up_to_the_witness(at, mu_worked, nu_worked):
     # the convex u prices X = (3, 0) at w = 3 below pi0 and the linear v, and a constant X at X
     u, v = Power(0.5, 2.0), parse_utility("linear")
     g2 = GroundSet(2)
     flat, witness = (1.0, RandomVariable(g2, (0.5, 0.5))), (3.0, RandomVariable(g2, (3.0, 0.0)))
     rows = [flat] * at + [witness] + [flat] * 600
-    # chunks of 16, 32, 64, 128 and 256 rows end after 16, 48, 112, 240 and 496 rows
-    read = next(end for end in (16, 48, 112, 240, 496) if at < end)
-    assert read <= min(2 * at + 16, at + 256)
+    read = 256 * (at // 256 + 1)
+    assert read <= at + 256
     drawn = [0]
     report = is_risk_averse(u, mu_worked, nu_worked, counted(rows, drawn))
     assert (report.averse, report.checked, drawn[0]) == (False, at + 1, read)

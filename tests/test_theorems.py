@@ -45,7 +45,6 @@ from choqrisk.theorems import (
     AffineMap,
     PlainMap,
     concave_increasing_gallery,
-    convex_increasing_gallery,
     jensen_gap,
     Verdict,
     two_point_grid,
@@ -575,7 +574,8 @@ def test_axis_check_rejects_negative_grid(mu_worked, nu_worked, values):
 
 def test_two_point_checks_reject_non_finite_and_empty_grids(g2):
     """A non-finite grid value is refused, as ``jensen_holds`` refuses it on ``two_point_grid``,
-    not dropped from the scan; the collapse check names an empty grid."""
+    not dropped from the scan; an empty grid, which would check nothing, is refused by every
+    two-point entry point."""
     mu = new_capacity(g2, [0.0, 0.3, 0.4, 1.0])
     zero_one = (unanimity(g2, 0b01), unanimity(g2, 0b10))
     with pytest.raises(ValueError, match="finite"):
@@ -584,10 +584,17 @@ def test_two_point_checks_reject_non_finite_and_empty_grids(g2):
         two_valued_concavity_probe(mu, mu.dual(), Exponential(1.0), (-1.0, math.nan, 1.0))
     with pytest.raises(ValueError, match="finite"):
         zero_one_collapse_check(*zero_one, Exponential(1.0), (-1.0, -math.inf, 1.0))
-    with pytest.raises(ValueError, match="value grid"):
-        zero_one_collapse_check(*zero_one, Exponential(1.0), ())
     with pytest.raises(ValueError, match="finite"):
         run_full_report(n=2, levels=(0, 1), values=(0.0, math.nan))
+    empty = "the two-point scans need a nonempty value grid"
+    with pytest.raises(ValueError, match=empty):
+        nonnegative_axis_check(mu, mu.dual(), Exponential(1.0), values=())
+    with pytest.raises(ValueError, match=empty):
+        two_valued_concavity_probe(mu, mu.dual(), Exponential(1.0), values=())
+    with pytest.raises(ValueError, match=empty):
+        zero_one_collapse_check(*zero_one, Exponential(1.0), values=())
+    with pytest.raises(ValueError, match=empty):
+        run_full_report(n=2, levels=(0, 1), values=())
 
 
 # --- full sweep -------------------------------------------------------------------------
@@ -1021,7 +1028,7 @@ def test_jensen_holds_matches_the_scalar_scan(pl_pair):
     rng = rng_from_seed(41)
     ground = GroundSet(3)
     pairs = [(pl, pl)] + [(random_capacity(rng, ground), random_capacity(rng, ground)) for _ in range(3)]
-    maps = concave_increasing_gallery() + convex_increasing_gallery() + [Power(0.0, 0.5)]
+    maps = concave_increasing_gallery() + [PlainMap("expm1", math.expm1), Power(0.5, 2.0), Power(0.0, 0.5)]
     violations = 0
     for mu, nu in pairs:
         values = DEFAULT_VALUE_GRID[::3]
