@@ -190,19 +190,17 @@ def approx_premium(s: Scenario) -> float:
 
 @dataclass(frozen=True)
 class PremiumBatch:
-    """``premium_batch``'s rows, priced in row order up to the first that raised.
+    """``premium_batch``'s rows, every one priced.
 
     ``reasons[i]`` is the check row i fails, as ``class_membership`` names
     it, or None inside the premium class, and ``levels[i]`` is C(u(w - X))
-    of an in-class row.  When ``error`` is None every row is priced;
-    otherwise it is what the row after the last priced one raised.
+    of an in-class row.
     """
 
     u: UtilityFunction
     ws: tuple[float, ...]
     reasons: tuple[str | None, ...]
     levels: tuple[float, ...]
-    error: Exception | None
 
     def premium(self, i: int) -> float:
         """``premium`` of row i; calls ``u.inverse`` once, as the scalar path does."""
@@ -212,73 +210,78 @@ class PremiumBatch:
 
 
 def premium_batch(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction) -> PremiumBatch:
-    """``class_membership`` and ``premium`` of every (w, X) row, bit for bit.
+    """``class_membership`` and ``premium`` of every (w, X) row, bit for bit, or an error.
 
     ws holds K wealths, which the caller has checked as Scenario does, and
     xs the (K, n) array of their outcomes.  One ``_halves`` call on the
     stack (mu, nu) integrates w - X and u(w - X).  The utility's domain test
     of a row reads the least and the greatest value of its w - X, as
     ``premium``'s does, and one ``values`` call evaluates every row inside
-    u's domain; if that call raises, the rows are evaluated again one at a
-    time, so that the row which raises is the one where ``premium`` raises.
-    ``in_domain`` and ``in_range`` run at each row's two integrals, and
-    ``inverse`` only when a row's premium is read.  The batch stops at the
-    first row where the scalar path raises (``error``): a w - X that is not
-    finite, or a utility call that raises.
+    u's domain.  ``in_domain`` and ``in_range`` run at each row's two
+    integrals, and ``inverse`` only when a row's premium is read.  The batch
+    raises where a w - X or a u(w - X) is not finite or the ``values`` call
+    raises; that call takes every in-domain row at once, so it may raise at
+    a row that ``premium`` finds out of class at its outcome integral.
     """
     ground = _check_same_ground(mu, nu)
     xs = _outcome_rows(ground, xs)
     ws = np.asarray(ws, dtype=float)
     if ws.shape != (len(xs),):
         raise ValueError(f"expected {len(xs)} wealths, got an array of shape {ws.shape}")
-    with np.errstate(over="ignore"):  # an infinite w - X stops the batch at its row
-        ys = ws[:, None] - xs
-    wide = ~np.isfinite(ys).all(axis=1)
-    stop = int(np.argmax(wide)) if wide.any() else len(ys)
-    lows, highs = ys[:stop].min(axis=1).tolist(), ys[:stop].max(axis=1).tolist()
+    with np.errstate(over="ignore"):  # an infinite w - X is refused as not finite
+        ys = _outcome_rows(ground, ws[:, None] - xs)
+    lows, highs = ys.min(axis=1).tolist(), ys.max(axis=1).tolist()
     inside = [u.in_domain(lo) and u.in_domain(hi) for lo, hi in zip(lows, highs)]
     valued = np.flatnonzero(inside)
-    uy, raised = np.zeros((stop, ground.n)), {}
-    try:
-        uy[valued] = np.reshape(u.values(ys[valued].ravel().tolist()), (-1, ground.n))
-    except Exception:  # find the rows that raise, as premium meets them
-        for i in valued.tolist():
-            try:
-                uy[i] = u.values(ys[i].tolist())
-            except Exception as exc:  # raised at the row, unless its outcome integral is out of domain
-                raised[i] = exc
-    for i in np.flatnonzero(~np.isfinite(uy).all(axis=1)).tolist():  # a NaN, which RandomVariable refuses
-        raised[i] = ValueError("values must be finite")
-        uy[i] = 0.0
-    gains, losses = _halves((_values(mu), _values(nu)), np.concatenate([ys[:stop], uy]))
-    integrals = (gains[0] - losses[1]).tolist()
-    reasons, error = [], None
-    for i, ok in enumerate(inside):
-        if not ok:
-            reasons.append("values")
-        elif not u.in_domain(integrals[i]):
-            reasons.append("outcome_integral")
-        elif i in raised:
-            error = raised[i]
-            break
-        else:
-            reasons.append(None if u.in_range(integrals[stop + i]) else "utility_integral")
-    if error is None and stop < len(ys):
-        error = ValueError("values must be finite")
-    rows = len(reasons)
-    return PremiumBatch(u, tuple(ws[:rows].tolist()), tuple(reasons), tuple(integrals[stop : stop + rows]), error)
+    uy = np.zeros_like(ys)
+    uy[valued] = np.reshape(u.values(ys[valued].ravel().tolist()), (-1, ground.n))
+    gains, losses = _halves((_values(mu), _values(nu)), np.concatenate([ys, _outcome_rows(ground, uy)]))
+    integrals, k = (gains[0] - losses[1]).tolist(), len(ys)
+    reasons = [
+        "values" if not ok
+        else "outcome_integral" if not u.in_domain(integrals[i])
+        else None if u.in_range(integrals[k + i]) else "utility_integral"
+        for i, ok in enumerate(inside)
+    ]
+    return PremiumBatch(u, tuple(ws.tolist()), tuple(reasons), tuple(integrals[k:]))
 
 
-def _scan_chunks(outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity, nu: Capacity) -> Iterator:
-    """The (w, X) rows of ``outcomes`` as ``(rows, ws, xs, error)``, in chunks of _SCAN_CHUNK rows.
+def _batch_prices(ws, xs, mu: Capacity, nu: Capacity, u: UtilityFunction, v: UtilityFunction | None) -> Iterator:
+    """_priced_rows's ``(pi, benchmark)`` pairs off one premium_batch per utility; inverses run as pairs are drawn."""
+    by_u = premium_batch(ws, xs, mu, nu, u)
+    ins = [i for i, reason in enumerate(by_u.reasons) if reason is None]
+    if v is None:
+        bench = iter(_risk_neutral_rows(ws[ins], xs[ins], mu, nu).tolist())
+    else:
+        by_v = premium_batch(ws[ins], xs[ins], mu, nu, v)
+        bench = (by_v.premium(k) if reason is None else None for k, reason in enumerate(by_v.reasons))
+    return ((by_u.premium(i), next(bench)) if reason is None else (None, None) for i, reason in enumerate(by_u.reasons))
 
-    A scan whose witness is row j has read and priced the chunks up to
-    j's, 256 (floor(j / 256) + 1) <= j + 256 rows (fewer where the input
-    ends sooner), and a streaming input is held a chunk at a time.  A
-    chunk ends early at the first row that raises while it is read (a
-    generator's own check) or at Scenario's wealth and ground-set checks.
-    ``error`` is what that row raised; a scan raises it only when no
-    witness comes before it, as a row-by-row loop would.
+
+def _row_prices(row, mu: Capacity, nu: Capacity, u: UtilityFunction, v: UtilityFunction | None) -> tuple:
+    """_priced_rows's ``(pi, benchmark)`` of one row on the scalar path, which raises where ``premium`` does."""
+    s = Scenario(*row, mu, nu, u)
+    pi = _price(s)[1]
+    if pi is None:
+        return None, None
+    return pi, risk_neutral_premium(s) if v is None else _price(Scenario(*row, mu, nu, v))[1]
+
+
+def _priced_rows(
+    outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity, nu: Capacity, u: UtilityFunction,
+    v: UtilityFunction | None = None,
+) -> Iterator:
+    """The (w, X) rows of ``outcomes`` as ``((w, X), (pi, benchmark))``, priced _SCAN_CHUNK rows at a time.
+
+    pi is u's premium, or None outside u's class; the benchmark is
+    ``risk_neutral_premium``, or v's premium (None outside v's class), and
+    None wherever pi is.  A chunk is priced by premium_batch; where that
+    raises, it is priced again row by row with ``_price``, which raises at
+    the row where a row-by-row loop would, at several times the batch's cost.
+    A witness at row j reads 256 (floor(j / 256) + 1) <= j + 256 rows (fewer
+    where the input ends sooner).  A row that raises while it is read (a
+    generator's own check, or Scenario's checks) ends the input; its error
+    is raised after the rows before it are yielded.
     """
     it = iter(outcomes)
     while True:
@@ -287,13 +290,20 @@ def _scan_chunks(outcomes: Iterable[tuple[float, RandomVariable]], mu: Capacity,
             for w, x in islice(it, _SCAN_CHUNK):
                 _check_scenario(w, x, mu, nu)
                 rows.append((w, x))
-        except Exception as exc:  # raised after the chunk's rows are scanned
+        except Exception as exc:  # raised after the chunk's rows are yielded
             error = exc
+        if not rows and error is None:  # the input ended with the last chunk
+            return
         ws = np.array([w for w, _ in rows], dtype=float)
         xs = np.array([x.values for _, x in rows], dtype=float).reshape(len(rows), mu.ground.n)
-        if rows or error is not None:
-            yield rows, ws, xs, error
-        if error is not None or len(rows) < _SCAN_CHUNK:
+        try:
+            priced = _batch_prices(ws, xs, mu, nu, u, v)
+        except Exception:  # a row raised: price the chunk again, so that it raises at its row
+            priced = (_row_prices(row, mu, nu, u, v) for row in rows)
+        yield from zip(rows, priced)
+        if error is not None:
+            raise error
+        if len(rows) < _SCAN_CHUNK:
             return
 
 
@@ -324,24 +334,18 @@ def is_risk_averse(
 ) -> RiskAversionReport:
     """Test the agent against the risk-neutral benchmark over sampled (w, X).
 
-    The outcomes are read in chunks (``_scan_chunks``): with the witness at
+    The outcomes are read in chunks (``_priced_rows``): with the witness at
     row j, 256 (floor(j / 256) + 1) <= j + 256 rows are drawn from them.
     """
     checked = skipped = 0
-    for rows, ws, xs, error in _scan_chunks(outcomes, mu, nu):
-        batch = premium_batch(ws, xs, mu, nu, u)
-        priced = [i for i, reason in enumerate(batch.reasons) if reason is None]
-        pi0 = iter(_risk_neutral_rows(ws[priced], xs[priced], mu, nu).tolist())
-        for i, reason in enumerate(batch.reasons):
-            if reason is not None:
-                skipped += 1
-                continue
-            checked += 1
-            shortfall = next(pi0) - batch.premium(i)
-            if shortfall > PREMIUM_TOL:
-                return RiskAversionReport(False, checked, skipped, Scenario(*rows[i], mu, nu, u), shortfall)
-        if batch.error or error:
-            raise batch.error or error
+    for row, (pi, pi0) in _priced_rows(outcomes, mu, nu, u):
+        if pi is None:
+            skipped += 1
+            continue
+        checked += 1
+        shortfall = pi0 - pi
+        if shortfall > PREMIUM_TOL:
+            return RiskAversionReport(False, checked, skipped, Scenario(*row, mu, nu, u), shortfall)
     return RiskAversionReport(True, checked, skipped, None, 0.0)
 
 
@@ -402,7 +406,6 @@ class AgentComparison:
     composition_concave: bool
     checked: int
     witness: Scenario | None
-    detail: str = ""
 
     def verdicts_agree(self) -> bool:
         return self.premium_order_holds == self.r_order_holds == self.composition_concave
@@ -448,22 +451,12 @@ def compare_agents(
     comp_concave = all(g2 <= PREMIUM_TOL for g2 in _where_differentiable(comp.second, comp.grid()))
 
     checked = 0
-    for rows, ws, xs, error in _scan_chunks(outcomes, mu, nu):
-        by_u = premium_batch(ws, xs, mu, nu, u)
-        in_u = [i for i, r in enumerate(by_u.reasons) if r is None]
-        by_v = premium_batch(ws[in_u], xs[in_u], mu, nu, v)
-        for k, i in enumerate(in_u):
-            pi_u = by_u.premium(i)
-            if k == len(by_v.reasons):  # v's utility raised at this row
-                raise by_v.error
-            if by_v.reasons[k] is not None:
-                continue
-            checked += 1
-            if pi_u < by_v.premium(k) - PREMIUM_TOL:
-                witness = Scenario(*rows[i], mu, nu, u)
-                return AgentComparison(hypotheses, False, r_order, comp_concave, checked, witness)
-        if by_u.error or error:
-            raise by_u.error or error
+    for row, (pi_u, pi_v) in _priced_rows(outcomes, mu, nu, u, v):
+        if pi_v is None:
+            continue
+        checked += 1
+        if pi_u < pi_v - PREMIUM_TOL:
+            return AgentComparison(hypotheses, False, r_order, comp_concave, checked, Scenario(*row, mu, nu, u))
     return AgentComparison(hypotheses, True, r_order, comp_concave, checked, None)
 
 

@@ -119,8 +119,6 @@ class PlainMap:
 
     name: str
     fn: Callable[[float], float]
-    lo: float = -math.inf
-    hi: float = math.inf
 
     def value(self, x: float) -> float:
         return self.fn(x)
@@ -129,7 +127,7 @@ class PlainMap:
         return list(map(self.fn, xs))
 
     def in_domain(self, x: float) -> bool:
-        return self.lo < x < self.hi
+        return math.isfinite(x)
 
     def spec(self) -> str:
         return self.name

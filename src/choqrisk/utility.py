@@ -596,7 +596,8 @@ class ComposedMap:
         y = self.v.inverse(x)
         ru = arrow_pratt(self.u, y)
         rv = arrow_pratt(self.v, y)
-        return -(self.u.prime(y) / self.v.prime(y) ** 2) * (ru - rv)
+        d = self.v.prime(y)  # twice over d: d ** 2 overflows for a steep v, such as exp:70 at -10
+        return -(self.u.prime(y) / d / d) * (ru - rv)
 
     def grid(self, points: int = DEFAULT_GRID_POINTS, bounds=DEFAULT_GRID_BOUNDS) -> list[float]:
         """Grid in the x-space of g (the image of v)."""

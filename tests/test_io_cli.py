@@ -181,6 +181,16 @@ def test_cli_integrate_choquet_mode(mu_file, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(2.0, abs=1e-14)
 
 
+def test_cli_integrate_sipos_mode(mu_file, capsys):
+    assert main(["integrate", "--mu", str(mu_file), "--x", "[1, -2]", "--mode", "sipos"]) == 0
+    assert capsys.readouterr().out == "-0.69999999999999996\n"
+
+
+def test_cli_integrate_gen_mode_requires_nu(mu_file, capsys):
+    assert main(["integrate", "--mu", str(mu_file), "--x", "[1, -2]"]) == 1
+    assert capsys.readouterr().err == "error: --mode gen requires --nu\n"
+
+
 def test_cli_integrate_mismatched_x(mu_file, nu_file, capsys):
     assert main(["integrate", "--mu", str(mu_file), "--nu", str(nu_file), "--x", "[1,2,3]"]) == 1
 
@@ -209,6 +219,14 @@ def test_cli_premium_reports_a_utility_overflow(tmp_path, mu_file, nu_file, caps
     sc.write_text(json.dumps(doc))
     assert main(["premium", str(sc)]) == 1
     assert capsys.readouterr().err == "error: exp:70: u(-20.0) is not a finite float (overflow)\n"
+
+
+def test_cli_premium_without_a_derivative_at_the_wealth(tmp_path, mu_file, nu_file, capsys):
+    doc = {"w": 0.0, "X": [0.5, -0.5], "mu_file": "mu.json", "nu_file": "nu.json", "utility": "kink"}
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["premium", str(sc)]) == 0
+    assert "approx_premium:       unavailable (kink: kink at 0)\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field,value", [("w", True), ("X", [True, 2.0])])
@@ -240,6 +258,15 @@ def test_cli_compare(mu_file, nu_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "composition concave:   True" in out
+
+
+def test_cli_compare_with_a_steep_second_utility(mu_file, capsys):
+    # v'(-10) = 70 exp(700) is a float but its square is not
+    code = main(["compare", "--u", "exp:1", "--v", "exp:70", "--mu", str(mu_file), "--nu", str(mu_file)])
+    assert code == 0
+    out = capsys.readouterr().out
+    for verdict in ("premium order holds:   False", "arrow-pratt order:     False", "composition concave:   False"):
+        assert verdict in out
 
 
 TABLE_SPEC = "utable:-1,-2;0,0;1,0.5"

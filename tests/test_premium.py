@@ -30,6 +30,7 @@ from choqrisk import (
     compare_agents,
     from_probability,
     is_risk_averse,
+    new_capacity,
     nonneg_loss_check,
     premium,
     risk_neutral_premium,
@@ -319,6 +320,13 @@ def test_comparison_with_a_tabulated_utility_skips_its_knots():
     assert comp.r_order_holds and comp.composition_concave
 
 
+def test_comparison_with_a_steep_second_utility():
+    # v'(-10) = 70 exp(700) is a float but its square is not; u is less risk averse than v
+    mu, nu, outcomes = comparison_setup()
+    comp = compare_agents(Exponential(1.0), Exponential(70.0), mu, nu, outcomes)
+    assert not comp.premium_order_holds and not comp.r_order_holds and not comp.composition_concave
+
+
 def test_comparison_reports_hypothesis_failure(pl_pair):
     pl, _ = pl_pair
     outcomes = sample_outcomes(rng_from_seed(7), pl.ground, 50)
@@ -526,12 +534,12 @@ def test_premium_batch_matches_the_scalar_pricing_row_by_row(n):
     for spec in SCAN_SPECS:
         u = parse_utility(spec)
         mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
-        # rows where exp:70 overflows stop a batch; the next test takes them
+        # rows where exp:70 overflows make a batch raise; the next test takes them
         rows = [row for row in scan_rows(rng, ground, 40) if not (spec == "exp:70" and row[1].max - row[0] > 10)]
         ws, xs = np.array([w for w, _ in rows]), np.array([x.values for _, x in rows])
         batch = pm.premium_batch(ws, xs, mu, nu, u)
         pi0 = pm._risk_neutral_rows(ws, xs, mu, nu)
-        assert batch.error is None and len(batch.reasons) == len(rows)
+        assert len(batch.reasons) == len(rows)
         for i, (w, x) in enumerate(rows):
             s = Scenario(w, x, mu, nu, u)
             assert batch.reasons[i] == class_membership(s)[1]
@@ -546,11 +554,10 @@ def test_premium_batch_matches_the_scalar_pricing_row_by_row(n):
 def test_premium_batch_stops_at_a_utility_error_and_takes_an_empty_batch(mu_worked, nu_worked):
     u = parse_utility("exp:70")
     ws, xs = [1.0, 0.0, 2.0, 0.0], [(0.5, -0.5), (20.0, 1.0), (0.0, 0.0), (30.0, 30.0)]
-    batch = pm.premium_batch(ws, xs, mu_worked, nu_worked, u)
-    assert len(batch.reasons) == 1 and batch.reasons[0] is None
-    assert str(batch.error) == "exp:70: u(-20.0) is not a finite float (overflow)"
+    with pytest.raises(ValueError, match=re.escape("exp:70: u(-20.0) is not a finite float (overflow)")):
+        pm.premium_batch(ws, xs, mu_worked, nu_worked, u)
     empty = pm.premium_batch([], np.zeros((0, 2)), mu_worked, nu_worked, u)
-    assert (empty.reasons, empty.levels, empty.error) == ((), (), None)
+    assert (empty.reasons, empty.levels) == ((), ())
     assert pm._risk_neutral_rows(np.zeros(0), np.zeros((0, 2)), mu_worked, nu_worked).shape == (0,)
 
 
@@ -575,24 +582,22 @@ def counted_values(u):
 
 
 def batch_outcome(batch):
-    error = None if batch.error is None else (type(batch.error).__name__, str(batch.error))
-    return repr(batch.reasons), repr(batch.levels), error
+    return repr(batch.reasons), repr(batch.levels)
 
 
 def row_by_row_batch(ws, xs, mu, nu, u):
-    """``batch_outcome`` of premium_batch called on one row at a time, up to the first that raises."""
+    """``batch_outcome`` of premium_batch called on one row at a time."""
     reasons, levels = (), ()
     for i in range(len(ws)):
         one = pm.premium_batch(ws[i : i + 1], xs[i : i + 1], mu, nu, u)
-        if one.error is not None:
-            return repr(reasons), repr(levels), (type(one.error).__name__, str(one.error))
         reasons, levels = reasons + one.reasons, levels + one.levels
-    return repr(reasons), repr(levels), None
+    return repr(reasons), repr(levels)
 
 
 def test_premium_batch_makes_one_values_call_and_meets_a_raising_row_as_row_by_row():
-    """The in-domain rows of a batch go through one ``values`` call.  When it raises, the rows are
-    evaluated again one by one, and the batch stops at the row where the row-by-row path stops."""
+    """The in-domain rows of a batch go through one ``values`` call.  When it raises, the batch
+    raises, and the scans, which price that chunk again row by row, meet the row as the row-by-row
+    reference loops do."""
     rng = rng_from_seed(2600)
     ground = GroundSet(3)
     mu, nu = random_dominant_pair(rng, ground)
@@ -601,22 +606,29 @@ def test_premium_batch_makes_one_values_call_and_meets_a_raising_row_as_row_by_r
     assert 0 < len(inside) < 40
     u, calls = counted_values(RefusesOne(1.0, 0.5))
     batch = pm.premium_batch(ws, xs, mu, nu, u)
-    assert batch.error is None and len(batch.reasons) == 40 and calls == [3 * len(inside)]
+    assert len(batch.reasons) == 40 and calls == [3 * len(inside)]
     assert batch_outcome(batch) == row_by_row_batch(ws, xs, mu, nu, u)
+    rows = [(w, RandomVariable(ground, tuple(x))) for w, x in zip(ws.tolist(), xs.tolist())]
+    v = parse_utility("linear")
     for k in inside[[0, 1, len(inside) // 2, -1]].tolist():
         bad = float(ws[k] - xs[k, 1])
         u, calls = counted_values(RefusesOne(1.0, 0.5, bad))
-        batch = pm.premium_batch(ws, xs, mu, nu, u)
-        assert batch_outcome(batch)[2] == ("RuntimeError", f"refused {bad!r}") and len(batch.reasons) == k
-        assert calls == [3 * len(inside)] + [3] * len(inside)
-        assert batch_outcome(batch) == row_by_row_batch(ws, xs, mu, nu, RefusesOne(1.0, 0.5, bad))
+        with pytest.raises(RuntimeError, match=re.escape(f"refused {bad!r}")):
+            pm.premium_batch(ws, xs, mu, nu, u)
+        assert calls == [3 * len(inside)]
+        u = RefusesOne(1.0, 0.5, bad)
+        assert outcome_of(is_risk_averse, u, mu, nu, rows) == outcome_of(scalar_is_risk_averse, u, mu, nu, rows)
+        assert outcome_of(nonneg_loss_check, u, mu, nu, rows) == outcome_of(scalar_nonneg_loss_check, u, mu, nu, rows)
+        for a, b in ((u, v), (v, u)):
+            got = outcome_of(compare_agents, a, b, mu, nu, rows)
+            assert got == outcome_of(scalar_compare_agents, a, b, mu, nu, rows)
 
 
 def test_premium_batch_stops_at_a_non_finite_outcome(mu_worked, nu_worked):
-    # w - X overflows in the third row; the first two are priced, as the scalar scan prices them
+    # w - X overflows in the third row, and the batch raises as the scalar pricing of that row does
     ws, xs = [1.0, 0.0, 1e308, 2.0], [(0.5, -0.5), (0.0, 0.0), (-1e308, 0.0), (0.0, 0.0)]
-    batch = pm.premium_batch(ws, xs, mu_worked, nu_worked, Exponential(1.0))
-    assert batch.reasons == (None, None) and str(batch.error) == "values must be finite"
+    with pytest.raises(ValueError, match="values must be finite"):
+        pm.premium_batch(ws, xs, mu_worked, nu_worked, Exponential(1.0))
 
 
 @pytest.mark.parametrize(
@@ -771,6 +783,37 @@ def test_risk_aversion_scan_raises_a_utility_overflow_at_its_row(mu_worked, nu_w
     assert (report.witness.w, report.witness.x.values) == (witness.witness.w, witness.witness.x.values)
     with pytest.raises(ValueError, match=re.escape("negsqrt: u(-150.0) is not a finite float (overflow)")):
         is_risk_averse(OverflowingKink(), pl, pl, rows[: at - 1] + [far] + rows[at - 1 :])
+
+
+def test_comparison_raises_where_the_second_utility_raises_at_a_row_the_first_prices(g2):
+    # linear prices boom's w - X = (-150, -1); OverflowingKink raises at -150
+    mu, nu = new_capacity(g2, [0.0, 0.3, 0.5, 1.0]), new_capacity(g2, [0.0, 0.4, 0.2, 1.0])
+    u, v = parse_utility("linear"), OverflowingKink()
+    flat, boom = (1.0, RandomVariable(g2, (0.5, 0.5))), (0.0, RandomVariable(g2, (150.0, 1.0)))
+    two_point = [
+        (w, RandomVariable(g2, (a, b)))
+        for w in (0.5, 1.0, 2.0) for a in (-2.0, -0.5, 0.5, 2.0) for b in (-2.0, 0.0, 1.0)
+    ]
+    overflow = ("ValueError", "negsqrt: u(-150.0) is not a finite float (overflow)")
+    for rows, raises in (([flat, flat, boom], True), ([flat] * 300 + [boom], True), (two_point + [boom], False)):
+        for a, b in ((u, v), (v, u)):
+            got = outcome_of(compare_agents, a, b, mu, nu, rows)
+            assert got == outcome_of(scalar_compare_agents, a, b, mu, nu, rows)
+            assert (got == overflow) == raises and (raises or "premium_order_holds=False" in got)
+
+
+def test_an_outcome_integral_outside_the_utility_domain_is_out_of_class(g2):
+    # mu may exceed 1 by MONOTONE_TOL, so C(w - X) = 1 + 5e-13 lies above max(w - X) = 1, the top of u's domain
+    mu = new_capacity(g2, [0.0, 1.0 + 1e-12, 0.5, 1.0])
+    u = parse_utility("utable:-1,-1;0,0;1,1")
+    row = (1.0, RandomVariable(g2, (0.0, 0.5)))
+    s = Scenario(*row, mu, mu, u)
+    assert class_membership(s) == (False, "outcome_integral")
+    assert pm.premium_batch([1.0], [(0.0, 0.5)], mu, mu, u).reasons == ("outcome_integral",)
+    with pytest.raises(OutOfClass, match="outcome_integral"):
+        premium(s)
+    report = is_risk_averse(u, mu, mu, [row])
+    assert (report.averse, report.checked, report.skipped) == (True, 0, 1)
 
 
 # --- scalar pricing: one sort per variable --------------------------------------------------
