@@ -43,6 +43,8 @@ PUBLISHED_FIGURES = (
     ("figure2.csv", "ge:0.65,0.60", "ge:0.84,0.65"),
     ("figure3.csv", "prelec:1,0.74", "prelec:1,0.74"),
 )
+#: each published figure under the kind of its g spec, the ``figures --family`` choices
+_FIGURE_OF_FAMILY = {g.partition(":")[0]: (name, g, h) for name, g, h in PUBLISHED_FIGURES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=500)
 
     p = sub.add_parser("figures", help="emit weighting-function curve data as CSV")
-    p.add_argument("--family", choices=("kt", "ge", "prelec"),
+    p.add_argument("--family", choices=tuple(_FIGURE_OF_FAMILY),
                    help="published parameter set to emit (default: all three)")
     p.add_argument("--g", help="gains weighting: bare parameters with --family, else a full spec like kt:0.61")
     p.add_argument("--h", help="losses weighting, same format as --g")
@@ -187,8 +189,7 @@ def _cmd_figures(args) -> int:
         jobs = [(name, g, h) for name, g, h in PUBLISHED_FIGURES]
     else:
         if args.family:
-            index = {"kt": 0, "ge": 1, "prelec": 2}[args.family]
-            name, g_default, h_default = PUBLISHED_FIGURES[index]
+            name, g_default, h_default = _FIGURE_OF_FAMILY[args.family]
             g_spec = args.g or g_default
             h_spec = args.h or h_default
             if ":" not in g_spec:

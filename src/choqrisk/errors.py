@@ -82,9 +82,9 @@ class OutOfClass(ChoqriskError, ValueError):
     "utility_integral".
     """
 
-    def __init__(self, reason: str, detail: str = ""):
+    def __init__(self, reason: str):
         self.reason = reason
-        super().__init__(f"scenario outside premium class ({reason}){': ' + detail if detail else ''}")
+        super().__init__(f"scenario outside premium class ({reason})")
 
 
 class HypothesisFailure(ChoqriskError, ValueError):

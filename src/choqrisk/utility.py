@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Sequence
 
@@ -40,8 +40,8 @@ class UtilityFunction:
     """Base class for strictly increasing utilities vanishing at 0.
 
     Families define ``_value``, ``_prime``, ``_second`` and ``_inverse`` on
-    checked arguments, ``range()`` (the endpoints of the image of the
-    domain; ``in_range`` says which are included) and ``spec()``.
+    checked arguments and ``range()`` (the endpoints of the image of the
+    domain; ``in_range`` says which are included).
     """
 
     #: open domain endpoints; subclasses override
@@ -59,6 +59,9 @@ class UtilityFunction:
         """True where ``inverse`` applies: y is the image of a domain point."""
         lo, hi = self.range()
         return lo <= y < hi if self.closed_at_lo else lo < y < hi
+
+    def spec(self) -> str:
+        return _spec(self, _UTILITY_FAMILIES)
 
     def _require(self, x: float) -> float:
         x = float(x)
@@ -189,9 +192,6 @@ class Exponential(UtilityFunction):
     def range(self) -> tuple[float, float]:
         return (-INF, 1.0)
 
-    def spec(self) -> str:
-        return f"exp:{self.a:g}"
-
 
 @dataclass(frozen=True)
 class Power(UtilityFunction):
@@ -232,9 +232,6 @@ class Power(UtilityFunction):
     def range(self) -> tuple[float, float]:
         return (-(self.a**self.b), INF)
 
-    def spec(self) -> str:
-        return f"power:{self.a:g},{self.b:g}"
-
 
 @dataclass(frozen=True)
 class Logarithmic(UtilityFunction):
@@ -262,9 +259,6 @@ class Logarithmic(UtilityFunction):
 
     def range(self) -> tuple[float, float]:
         return (-INF, INF)
-
-    def spec(self) -> str:
-        return f"log:{self.a:g}"
 
 
 @dataclass(frozen=True)
@@ -308,9 +302,6 @@ class PowerExpo(UtilityFunction):
     def range(self) -> tuple[float, float]:
         return (0.0, 1.0)
 
-    def spec(self) -> str:
-        return f"powerexpo:{self.b:g},{self.c:g}"
-
 
 @dataclass(frozen=True)
 class Linear(UtilityFunction):
@@ -330,9 +321,6 @@ class Linear(UtilityFunction):
 
     def range(self) -> tuple[float, float]:
         return (-INF, INF)
-
-    def spec(self) -> str:
-        return "linear"
 
 
 @dataclass(frozen=True)
@@ -365,9 +353,6 @@ class NegSqrtKink(UtilityFunction):
     def range(self) -> tuple[float, float]:
         return (-INF, INF)
 
-    def spec(self) -> str:
-        return "negsqrt"
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearKink(UtilityFunction):
@@ -391,9 +376,6 @@ class PiecewiseLinearKink(UtilityFunction):
 
     def range(self) -> tuple[float, float]:
         return (-INF, INF)
-
-    def spec(self) -> str:
-        return "kink"
 
 
 _abscissa = itemgetter(0)
@@ -493,9 +475,6 @@ class TabulatedUtility(UtilityFunction):
 
     def range(self) -> tuple[float, float]:
         return (self.knots[0][1], self.knots[-1][1])
-
-    def spec(self) -> str:
-        return "utable:" + ";".join(f"{x:g},{y:g}" for x, y in self.knots)
 
 
 def arrow_pratt(u: UtilityFunction, x: float) -> float:
@@ -600,14 +579,36 @@ class ComposedMap:
         return -(self.u.prime(y) / d / d) * (ru - rv)
 
     def grid(self, points: int = DEFAULT_GRID_POINTS, bounds=DEFAULT_GRID_BOUNDS) -> list[float]:
-        """Grid in the x-space of g (the image of v)."""
+        """Grid in the x-space of g (the image of v), without the points that round out of v's range."""
         ys = default_grid(self.v, points, bounds)
-        return self.v.values([y for y in ys if self.u.in_domain(y)])
+        xs = self.v.values([y for y in ys if self.u.in_domain(y)])
+        return [x for x in xs if self.v.in_range(x)]
 
 
 def compose_via_inverse(u: UtilityFunction, v: UtilityFunction) -> ComposedMap:
     """Relative-curvature map ``u o v^{-1}`` used by agent comparison."""
     return ComposedMap(u, v)
+
+
+def _spec(f, families: dict) -> str:
+    """The spec of f that ``_parse_spec`` reads back from ``families``.
+
+    f's family is the first class of its MRO in the table, so a subclass
+    writes its base family's spec.  A knot family writes its knots, any
+    other family its first ``count`` dataclass fields: the ones
+    ``_parse_spec`` fills positionally.
+    """
+    kinds = {cls: (kind, count) for kind, (cls, count) in families.items()}
+    family = next((cls for cls in type(f).__mro__ if cls in kinds), None)
+    if family is None:
+        raise TypeError(f"{type(f).__name__} is in no family table, so it has no spec")
+    kind, count = kinds[family]
+    params = [getattr(f, field.name) for field in fields(family)]
+    if count is None:
+        args = ";".join(f"{x:g},{y:g}" for x, y in params[0])
+    else:
+        args = ",".join(f"{p:g}" for p in params[:count])
+    return f"{kind}:{args}" if args else kind
 
 
 def _parse_spec(spec: str, families: dict, what: str):

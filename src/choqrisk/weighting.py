@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError, TooLarge
-from .utility import _interpolate, _parse_spec
+from .utility import _interpolate, _parse_spec, _spec
 
 GRID_POINTS = 1001
 #: cap on the rows of one figure_data grid (the published figures use 1001)
@@ -49,6 +49,9 @@ class WeightingFunction:
 
     __call__ = value
 
+    def spec(self) -> str:
+        return _spec(self, _WEIGHTING_FAMILIES)
+
     def dual_value(self, p: float) -> float:
         """Conjugate weighting ``1 - value(1 - p)``."""
         return 1.0 - self.value(1.0 - _check_p(p))
@@ -70,9 +73,6 @@ class WeightingFunction:
 class Identity(WeightingFunction):
     def _raw(self, p: float) -> float:
         return p
-
-    def spec(self) -> str:
-        return "identity"
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,6 @@ class KahnemanTversky(WeightingFunction):
         num = p**g
         return num / (num + (1.0 - p) ** g) ** (1.0 / g)
 
-    def spec(self) -> str:
-        return f"kt:{self.gamma:g}"
-
 
 @dataclass(frozen=True)
 class GoldsteinEinhorn(WeightingFunction):
@@ -127,9 +124,6 @@ class GoldsteinEinhorn(WeightingFunction):
     def _raw(self, p: float) -> float:
         num = self.delta * p**self.gamma
         return num / (num + (1.0 - p) ** self.gamma)
-
-    def spec(self) -> str:
-        return f"ge:{self.delta:g},{self.gamma:g}"
 
 
 @dataclass(frozen=True)
@@ -152,9 +146,6 @@ class Prelec(WeightingFunction):
 
     def _raw(self, p: float) -> float:
         return math.exp(-self.delta * (-math.log(p)) ** self.gamma)
-
-    def spec(self) -> str:
-        return f"prelec:{self.delta:g},{self.gamma:g}"
 
 
 @dataclass(frozen=True)
@@ -183,9 +174,6 @@ class TabulatedWeighting(WeightingFunction):
 
     def _raw(self, p: float) -> float:
         return _interpolate(self.knots, p)
-
-    def spec(self) -> str:
-        return "table:" + ";".join(f"{p:g},{w:g}" for p, w in self.knots)
 
 
 @dataclass(frozen=True)

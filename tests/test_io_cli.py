@@ -269,6 +269,15 @@ def test_cli_compare_with_a_steep_second_utility(mu_file, capsys):
         assert verdict in out
 
 
+def test_cli_compare_a_steep_utility_with_itself(mu_file, capsys):
+    # 95 of the composition's 201 grid points round to 1.0, where exp:70 has no inverse
+    code = main(["compare", "--u", "exp:70", "--v", "exp:70", "--mu", str(mu_file), "--nu", str(mu_file)])
+    assert code == 0
+    out = capsys.readouterr().out
+    for verdict in ("premium order holds:   True", "arrow-pratt order:     True", "composition concave:   True"):
+        assert verdict in out
+
+
 TABLE_SPEC = "utable:-1,-2;0,0;1,0.5"
 
 

@@ -35,6 +35,7 @@ from choqrisk.utility import (
     SHAPE_TOL,
     ShapeCheck,
     UtilityFunction,
+    _UTILITY_FAMILIES,
     _segment,
     default_grid,
 )
@@ -446,6 +447,15 @@ def test_compose_exponentials_strictly_concave():
         assert comp.second(x) < 0.0
 
 
+def test_compose_grid_drops_the_points_that_round_out_of_the_range():
+    v = Exponential(70.0)
+    comp = compose_via_inverse(v, v)
+    xs = comp.grid()
+    assert len(xs) == 201 - 95  # 95 of the y points map to 1.0, the open end of v's range
+    assert all(v.in_range(x) for x in xs)
+    assert all(comp.second(x) == 0.0 for x in xs)
+
+
 def test_compose_second_matches_finite_difference():
     comp = compose_via_inverse(Exponential(2.0), Logarithmic(2.0))
     for x in (-0.5, 0.2, 1.0):
@@ -641,10 +651,27 @@ def test_tabulated_value_and_domain():
 # --- spec parsing ----------------------------------------------------------------------------
 
 def test_parse_round_trip():
-    for spec in ("linear", "exp:1.5", "power:4,0.5", "log:2", "powerexpo:1,0.5", "negsqrt", "kink",
-                 "utable:-1,-2;0,0;1,0.5"):
+    specs = ("linear", "exp:1.5", "power:4,0.5", "log:2", "powerexpo:1,0.5", "negsqrt", "kink",
+             "utable:-1,-2;0,0;1,0.5")
+    assert {spec.partition(":")[0] for spec in specs} == set(_UTILITY_FAMILIES)
+    for spec in specs:
         u = parse_utility(spec)
+        assert u.spec() == spec
         assert parse_utility(u.spec()).spec() == u.spec()
+    assert NaNBelowZero().spec() == "linear"  # a subclass writes its base family's spec
+
+    class Unlisted(UtilityFunction):
+        pass
+
+    with pytest.raises(TypeError, match="Unlisted"):
+        Unlisted().spec()
+
+
+def test_no_family_class_writes_its_own_spec():
+    from choqrisk.weighting import _WEIGHTING_FAMILIES
+
+    for cls, _ in [*_UTILITY_FAMILIES.values(), *_WEIGHTING_FAMILIES.values()]:
+        assert "spec" not in vars(cls), cls.__name__
 
 
 def test_parse_rejects_garbage():

@@ -21,6 +21,7 @@ from choqrisk import (
     parse_weighting,
 )
 from choqrisk.errors import DomainError
+from choqrisk.weighting import _WEIGHTING_FAMILIES
 
 E_INV = 1.0 / math.e
 
@@ -244,9 +245,18 @@ def test_cli_figures_stream_the_rows_of_figure_data(tmp_path, capsys):
 # --- spec parsing ------------------------------------------------------------------
 
 def test_parse_round_trip():
-    for spec in ("identity", "kt:0.61", "ge:0.65,0.6", "prelec:1,0.74", "table:0,0;0.4,0.5;1,1"):
+    specs = ("identity", "kt:0.61", "ge:0.65,0.6", "prelec:1,0.74", "table:0,0;0.4,0.5;1,1")
+    assert {spec.partition(":")[0] for spec in specs} == set(_WEIGHTING_FAMILIES)
+    for spec in specs:
         fn = parse_weighting(spec)
+        assert fn.spec() == spec
         assert parse_weighting(fn.spec()).value(0.3) == fn.value(0.3)
+    assert KahnemanTversky(0.61, allow_out_of_range=True).spec() == "kt:0.61"  # only the parsed field
+
+    class SteepPrelec(Prelec):
+        pass
+
+    assert SteepPrelec(1.0, 0.5).spec() == "prelec:1,0.5"  # a subclass writes its base family's spec
 
 
 def test_parse_rejects_unknown():
