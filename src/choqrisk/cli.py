@@ -127,9 +127,10 @@ def _cmd_integrate(args) -> int:
         nu = mu
     x = RandomVariable(mu.ground, tuple(load_values_array(args.x)))
     value = gen_choquet(mu, nu, x)
+    # the oracle runs before anything is printed, so a refused step prints no result
+    approx = None if args.oracle_step is None else riemann_oracle(mu, nu, x, args.oracle_step)
     print(fmt17(value))
-    if args.oracle_step is not None:
-        approx = riemann_oracle(mu, nu, x, args.oracle_step)
+    if approx is not None:
         print(f"oracle delta: {fmt17(abs(value - approx))}")
     return 0
 

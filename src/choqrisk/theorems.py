@@ -51,6 +51,7 @@ from .utility import (
     PiecewiseLinearKink,
     Power,
     _each,
+    _number,
     _per_distinct,
     is_concave_on,
     is_weakly_superadditive_on,
@@ -110,7 +111,7 @@ class AffineMap:
         return True
 
     def spec(self) -> str:
-        return f"affine:{self.slope:g},{self.intercept:g}"
+        return f"affine:{_number(self.slope)},{_number(self.intercept)}"
 
 
 @dataclass(frozen=True)

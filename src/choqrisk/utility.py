@@ -590,13 +590,20 @@ def compose_via_inverse(u: UtilityFunction, v: UtilityFunction) -> ComposedMap:
     return ComposedMap(u, v)
 
 
+def _number(p: float) -> str:
+    """p as a spec writes it: in ``:g`` form where that reads back as p, else in full (``repr``)."""
+    text = f"{p:g}"
+    return text if float(text) == p else repr(float(p))
+
+
 def _spec(f, families: dict) -> str:
-    """The spec of f that ``_parse_spec`` reads back from ``families``.
+    """The spec of f that ``_parse_spec`` reads back from ``families`` as f.
 
     f's family is the first class of its MRO in the table, so a subclass
     writes its base family's spec.  A knot family writes its knots, any
     other family its first ``count`` dataclass fields: the ones
-    ``_parse_spec`` fills positionally.
+    ``_parse_spec`` fills positionally.  Each number goes through
+    ``_number``.
     """
     kinds = {cls: (kind, count) for kind, (cls, count) in families.items()}
     family = next((cls for cls in type(f).__mro__ if cls in kinds), None)
@@ -605,9 +612,9 @@ def _spec(f, families: dict) -> str:
     kind, count = kinds[family]
     params = [getattr(f, field.name) for field in fields(family)]
     if count is None:
-        args = ";".join(f"{x:g},{y:g}" for x, y in params[0])
+        args = ";".join(f"{_number(x)},{_number(y)}" for x, y in params[0])
     else:
-        args = ",".join(f"{p:g}" for p in params[:count])
+        args = ",".join(map(_number, params[:count]))
     return f"{kind}:{args}" if args else kind
 
 

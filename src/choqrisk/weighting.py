@@ -10,7 +10,6 @@ distorted capacities.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -77,30 +76,15 @@ class Identity(WeightingFunction):
 
 @dataclass(frozen=True)
 class KahnemanTversky(WeightingFunction):
-    """Inverse-S weighting ``p^g / (p^g + (1-p)^g)^(1/g)``.
-
-    ``gamma`` is kept in (0.28, 1]; pass ``allow_out_of_range=True`` to
-    construct outside that interval anyway (a warning is emitted and the
-    grid monotonicity check still applies).
-    """
+    """Inverse-S weighting ``p^g / (p^g + (1-p)^g)^(1/g)``, with ``gamma`` in (0.28, 1]."""
 
     gamma: float
-    allow_out_of_range: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if not KT_GAMMA_MIN < self.gamma <= 1.0:
-            if not self.allow_out_of_range:
-                raise ValueError(
-                    f"gamma={self.gamma!r} outside ({KT_GAMMA_MIN}, 1]; "
-                    "pass allow_out_of_range=True to override"
-                )
-            warnings.warn(
-                f"gamma={self.gamma!r} outside the validated range ({KT_GAMMA_MIN}, 1]",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            raise ValueError(f"gamma={self.gamma!r} outside ({KT_GAMMA_MIN}, 1]")
         self._validate_shape()
 
     def _raw(self, p: float) -> float:

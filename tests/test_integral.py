@@ -34,7 +34,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk import integral
-from choqrisk.capacity import _check_same_ground
+from choqrisk.capacity import _check_same_ground, _values
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued, TooLarge
 from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_points, _halves, _step_cells
 from choqrisk.premium import Scenario, risk_neutral_premium
@@ -527,6 +527,29 @@ def test_halves_give_the_scalar_integral_of_every_pair_bitwise(n):
             assert gen_choquet_batch(mu, nu, rows).view(np.int64).tolist() == got
         one_gains, one_losses = _halves([mu.table], rows)
         assert (one_gains[0] - one_losses[0]).tobytes() == gen_choquet_batch(mu, mu, rows).tobytes()
+
+
+# these draws give at most 3.0 ulp of max|X| (at n = 8; 2.0 at n = 2, 3 and 5)
+HALVES_LINEARITY_ULPS = 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_halves_are_linear_in_the_table(n):
+    """Each half of t = lam a + (1 - lam) b is the same mixture of the halves of a and b, within
+    HALVES_LINEARITY_ULPS ulp of each row's max|X|: the integral is linear in the pair (step (a) of
+    the vertex argument for theorem 1)."""
+    ground = GroundSet(n)
+    rng = rng_from_seed(90 + n)
+    for _ in range(25):
+        a, b = (_values(random_capacity(rng, ground)) for _ in range(2))
+        lam = rng.uniform()
+        rows = np.concatenate([rng.uniform(-10.0, 10.0, (20, n)), rng.choice(TIE_POOL, (20, n))])
+        (gains_a, gains_b, gains_t), (losses_a, losses_b, losses_t) = _halves(
+            np.stack([a, b, lam * a + (1.0 - lam) * b]), rows
+        )
+        unit = np.spacing(np.abs(rows).max(axis=1))
+        for t_half, a_half, b_half in ((gains_t, gains_a, gains_b), (losses_t, losses_a, losses_b)):
+            assert np.all(np.abs(t_half - (lam * a_half + (1.0 - lam) * b_half)) <= HALVES_LINEARITY_ULPS * unit)
 
 
 # --- the tie-group walk against the threshold-mask definition ---------------------

@@ -163,7 +163,9 @@ def test_cli_integrate_oracle_cell_cap(mu_file, nu_file, capsys, monkeypatch):
          "--oracle-step", "1e-9"]
     )
     assert code == 1
-    assert "cap" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "cap" in captured.err
+    assert captured.out == ""  # the oracle is refused before the integral is printed
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
@@ -173,7 +175,9 @@ def test_cli_integrate_rejects_bad_oracle_step(mu_file, nu_file, capsys, step):
          "--oracle-step", step]
     )
     assert code == 1
-    assert "step must be positive and finite" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "step must be positive and finite" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_integrate_choquet_mode(mu_file, capsys):

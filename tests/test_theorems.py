@@ -32,7 +32,7 @@ from choqrisk import (
     nonnegative_axis_check,
     unanimity,
 )
-from choqrisk.capacity import _values
+from choqrisk.capacity import _coexisting, _dominance_checks, _values
 from choqrisk.errors import HypothesisFailure, NotZeroOneValued, TooLarge
 from choqrisk.sampling import random_capacity, random_dominant_pair, random_variable, rng_from_seed
 import numpy as np
@@ -103,6 +103,21 @@ def test_enumerator_reads_minus_zero_as_zero():
 def test_enumerator_rejects_bad_levels():
     with pytest.raises(ValueError):
         CapacityEnumerator(2, (0.25, 1.0))
+
+
+def test_dominant_zero_one_pairs_are_the_three_level_capacities_and_never_coexist():
+    """Steps (c) count and (d) of the vertex argument for theorem 1.  The dominant {0,1}-valued
+    pairs (mu <= dual(nu)) number 9, 129 and 7,246 at n = 2, 3 and 4: t = (mu + dual(nu)) / 2 takes
+    them one to one onto the capacities at levels {0, 0.5, 1}.  None has a coexistence set."""
+    for n, expected in ((2, 9), (3, 129), (4, 7246)):
+        tables = np.array([c.table for c in enumerate_capacities(n, (0.0, 1.0))])
+        i, j = np.divmod(np.arange(len(tables) ** 2), len(tables))
+        dominant, _, _ = _dominance_checks(tables[i], tables[j])
+        mu, nu = tables[i[dominant]], tables[j[dominant]]
+        assert len(mu) == expected
+        halfway = {tuple(t) for t in ((mu + (1.0 - nu[:, ::-1])) / 2.0).tolist()}
+        assert halfway == {c.table for c in enumerate_capacities(n, (0.0, 0.5, 1.0))}
+        assert not _coexisting(mu, nu).any()
 
 
 # --- lemma suite ------------------------------------------------------------------
@@ -399,6 +414,11 @@ def test_jensen_equality_for_linear_map_and_conjugate_pair(mu_worked):
     xs = [random_variable(rng, mu_worked.ground, -5, 5) for _ in range(50)]
     for x in xs:
         assert abs(jensen_gap(mu_worked, nu, f, x)) <= 1e-9
+
+
+def test_affine_map_spec_reads_back():
+    assert AffineMap(1.0, 2.0).spec() == "affine:1,2"
+    assert AffineMap(1 / 3, 2.0000001).spec() == "affine:0.3333333333333333,2.0000001"
 
 
 def test_jensen_equality_for_constant_x(pl_pair):

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqrisk import (
     Exponential,
@@ -36,6 +38,7 @@ from choqrisk.utility import (
     ShapeCheck,
     UtilityFunction,
     _UTILITY_FAMILIES,
+    _number,
     _segment,
     default_grid,
 )
@@ -665,6 +668,60 @@ def test_parse_round_trip():
 
     with pytest.raises(TypeError, match="Unlisted"):
         Unlisted().spec()
+
+
+def _utility_knots():
+    """Knot tables through (0, 0): up to three knots below it and one to three above, each a
+    positive step in both coordinates from the knot before."""
+    steps = st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0))
+
+    def walk(sign, moves):
+        x = y = 0.0
+        out = []
+        for dx, dy in moves:
+            x, y = x + sign * dx, y + sign * dy
+            out.append((x, y))
+        return out
+
+    return st.tuples(st.lists(steps, max_size=3), st.lists(steps, min_size=1, max_size=3)).map(
+        lambda sides: (tuple(walk(-1.0, sides[0])[::-1] + [(0.0, 0.0)] + walk(1.0, sides[1])),)
+    )
+
+
+#: kind -> strategy for the constructor's arguments, in their order
+_UTILITY_ARGS = {
+    "linear": st.just(()), "negsqrt": st.just(()), "kink": st.just(()),
+    "exp": st.tuples(st.floats(0.01, 20.0)),
+    "log": st.tuples(st.floats(1.0, 100.0)),
+    "power": st.tuples(st.floats(0.01, 10.0), st.floats(0.1, 2.0)),
+    "powerexpo": st.tuples(st.floats(0.1, 5.0), st.floats(0.2, 3.0)),
+    "utable": _utility_knots(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UTILITY_ARGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_written_spec_parses_back_equal(kind, data):
+    assert set(_UTILITY_ARGS) == set(_UTILITY_FAMILIES)
+    u = _UTILITY_FAMILIES[kind][0](*data.draw(_UTILITY_ARGS[kind]))
+    assert parse_utility(u.spec()) == u
+
+
+def test_non_round_specs_name_their_function():
+    # in six significant digits these read exp:1.23457 and utable:-1,-2;0,0;1,0.333333
+    assert Exponential(1.23456789).spec() == "exp:1.23456789"
+    assert parse_utility("exp:1.23456789") == Exponential(1.23456789)
+    spec = "utable:-1,-2.0000001;0,0;1,0.3333333333"
+    assert parse_utility(spec).spec() == spec
+
+
+@given(st.floats(allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_spec_number_reads_back(p):
+    text = _number(p)
+    assert float(text) == p
+    assert text == f"{p:g}" or text == repr(p)
 
 
 def test_no_family_class_writes_its_own_spec():

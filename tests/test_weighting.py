@@ -78,16 +78,17 @@ def test_kt_parameter_range_enforced():
         KahnemanTversky(0.2)
     with pytest.raises(ValueError):
         KahnemanTversky(1.4)
-    # above 1 the curve is S-shaped but still monotone, so the override works
-    with pytest.warns(RuntimeWarning):
-        KahnemanTversky(1.4, allow_out_of_range=True)
+    # every gamma the constructor takes writes a spec that parses back; the message offers no way round
+    with pytest.raises(ValueError, match=r"^gamma=1.2 outside \(0.28, 1\]$"):
+        KahnemanTversky(1.2)
 
 
 def test_kt_out_of_range_still_shape_checked():
-    # below the guarded range the curve loses monotonicity on the grid
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(ValueError):
-            KahnemanTversky(0.25, allow_out_of_range=True)
+    # below the guarded range the curve loses monotonicity on the grid, which the shape check sees
+    g = object.__new__(KahnemanTversky)
+    object.__setattr__(g, "gamma", 0.25)
+    with pytest.raises(ValueError, match="decreasing"):
+        g._validate_shape()
 
 
 def test_prelec_parameter_ranges():
@@ -251,12 +252,41 @@ def test_parse_round_trip():
         fn = parse_weighting(spec)
         assert fn.spec() == spec
         assert parse_weighting(fn.spec()).value(0.3) == fn.value(0.3)
-    assert KahnemanTversky(0.61, allow_out_of_range=True).spec() == "kt:0.61"  # only the parsed field
 
     class SteepPrelec(Prelec):
         pass
 
     assert SteepPrelec(1.0, 0.5).spec() == "prelec:1,0.5"  # a subclass writes its base family's spec
+
+
+def _weighting_knots():
+    """Knot tables from (0, 0) to (1, 1) with up to four inner knots: abscissae strictly and
+    ordinates weakly increasing."""
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return st.lists(inner, max_size=4, unique=True).flatmap(
+        lambda ps: st.lists(st.floats(0.0, 1.0), min_size=len(ps), max_size=len(ps)).map(
+            lambda ws: ((((0.0, 0.0), *zip(sorted(ps), sorted(ws)), (1.0, 1.0))),)
+        )
+    )
+
+
+#: kind -> strategy for the constructor's arguments, in their order
+_WEIGHTING_ARGS = {
+    "identity": st.just(()),
+    "kt": st.tuples(st.floats(0.3, 1.0)),
+    "ge": st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 2.0)),
+    "prelec": st.tuples(st.floats(0.1, 5.0), st.floats(0.05, 1.0)),
+    "table": _weighting_knots(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHTING_ARGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_written_spec_parses_back_equal(kind, data):
+    assert set(_WEIGHTING_ARGS) == set(_WEIGHTING_FAMILIES)
+    g = _WEIGHTING_FAMILIES[kind][0](*data.draw(_WEIGHTING_ARGS[kind]))
+    assert parse_weighting(g.spec()) == g
 
 
 def test_parse_rejects_unknown():
@@ -272,7 +302,7 @@ def test_parse_rejects_unknown():
 @pytest.mark.parametrize(
     "spec, build",
     [
-        ("kt:nan", lambda: KahnemanTversky(math.nan, allow_out_of_range=True)),
+        ("kt:nan", lambda: KahnemanTversky(math.nan)),
         ("ge:nan,1", lambda: GoldsteinEinhorn(math.nan, 1.0)),
         ("ge:inf,1", lambda: GoldsteinEinhorn(math.inf, 1.0)),
         ("prelec:nan,0.5", lambda: Prelec(math.nan, 0.5)),
