@@ -16,27 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ChoqriskError
-from .integral import RandomVariable, gen_choquet, riemann_oracle
-from .io import (
-    fmt17,
-    load_capacity,
-    load_scenario_doc,
-    load_values_array,
-    save_capacity,
-    write_csv,
-)
-from .premium import (
-    Scenario,
-    approx_premium,
-    compare_agents,
-    premium,
-    risk_neutral_premium,
-    sample_outcomes,
-)
-from .sampling import rng_from_seed
-from .theorems import THEOREM_IDS, run_full_report
-from .utility import parse_utility
-from .weighting import _DominanceTally, _figure_rows, parse_weighting
+
+# Each command imports the layers it uses when it runs, so a process loads only those.
 
 PUBLISHED_FIGURES = (
     ("figure1.csv", "kt:0.61", "kt:0.69"),
@@ -107,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check_capacity(args) -> int:
+    from .io import load_capacity, save_capacity
+
     cap = load_capacity(args.file)
     print(f"ok: valid capacity on {cap.ground.n} elements ({cap.ground.size} subsets)")
     if args.rewrite:
@@ -116,6 +99,9 @@ def _cmd_check_capacity(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from .integral import RandomVariable, gen_choquet, riemann_oracle
+    from .io import fmt17, load_capacity, load_values_array
+
     mu = load_capacity(args.mu)
     if args.mode == "gen":
         if not args.nu:
@@ -136,6 +122,11 @@ def _cmd_integrate(args) -> int:
 
 
 def _load_scenario(args) -> Scenario:
+    from .integral import RandomVariable
+    from .io import load_capacity, load_scenario_doc
+    from .premium import Scenario
+    from .utility import parse_utility
+
     doc = load_scenario_doc(args.scenario)
     base = doc["_dir"]
     mu = load_capacity(base / doc["mu_file"])
@@ -146,6 +137,10 @@ def _load_scenario(args) -> Scenario:
 
 
 def _cmd_premium(args) -> int:
+    from .io import fmt17
+    from .premium import approx_premium, premium, risk_neutral_premium
+    from .utility import parse_utility
+
     s = _load_scenario(args)
     pi = premium(s)
     pi0 = risk_neutral_premium(s)
@@ -163,6 +158,9 @@ def _cmd_premium(args) -> int:
 
 def _run_comparison(u, v, mu, nu, args) -> None:
     """Sample ``args.samples`` outcomes from ``args.seed``, compare u and v, print the verdicts."""
+    from .premium import compare_agents, sample_outcomes
+    from .sampling import rng_from_seed
+
     if args.samples < 1:
         raise ChoqriskError(f"--samples must be at least 1, got {args.samples}")
     outcomes = sample_outcomes(rng_from_seed(args.seed), mu.ground, args.samples)
@@ -176,6 +174,9 @@ def _run_comparison(u, v, mu, nu, args) -> None:
 
 
 def _cmd_compare(args) -> int:
+    from .io import load_capacity
+    from .utility import parse_utility
+
     u = parse_utility(args.u)
     v = parse_utility(args.v)
     _run_comparison(u, v, load_capacity(args.mu), load_capacity(args.nu), args)
@@ -183,6 +184,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .io import fmt17, write_csv
+    from .weighting import _DominanceTally, _figure_rows, parse_weighting
+
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = []
@@ -230,6 +234,8 @@ def _refuse_unwritable(path: str) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .theorems import THEOREM_IDS, run_full_report
+
     if args.json:  # before the sweep, which can take minutes
         _refuse_unwritable(args.json)
     levels = tuple(float(t) for t in args.levels.split(","))

@@ -120,6 +120,39 @@ def test_dominant_zero_one_pairs_are_the_three_level_capacities_and_never_coexis
         assert not _coexisting(mu, nu).any()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dominant_pair_polytope_has_zero_one_vertices(n):
+    """Step (c) of the vertex argument for theorem 1.  The pairs (mu, nu_bar) with both monotone and
+    normalized and mu <= nu_bar form a polytope whose vertices are {0,1}-valued: a simplex solve,
+    which ends at a vertex, lands on one for every objective tried."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    size = 1 << n
+    # variables: mu(A) for A in 0..size-1, then nu_bar(A)
+    rows = []
+    for offset in (0, size):
+        for a in range(size):
+            for i in range(n):
+                if not a >> i & 1:  # t(A) - t(A + {i}) <= 0
+                    row = np.zeros(2 * size)
+                    row[offset + a], row[offset + (a | 1 << i)] = 1.0, -1.0
+                    rows.append(row)
+    for a in range(size):  # mu(A) - nu_bar(A) <= 0
+        row = np.zeros(2 * size)
+        row[a], row[size + a] = 1.0, -1.0
+        rows.append(row)
+    a_ub = np.array(rows)
+    a_eq = np.zeros((4, 2 * size))
+    for k, index in enumerate((0, size - 1, size, 2 * size - 1)):
+        a_eq[k, index] = 1.0
+    b_eq = np.array([0.0, 1.0, 0.0, 1.0])
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        res = linprog(rng.normal(size=2 * size), A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=b_eq,
+                      bounds=(0, 1), method="highs-ds")
+        assert res.status == 0, res.message
+        assert np.all(np.minimum(np.abs(res.x), np.abs(res.x - 1.0)) <= 1e-9), res.x
+
+
 # --- lemma suite ------------------------------------------------------------------
 
 def test_lemma_verdicts_hold_for_random_pairs():
