@@ -5,18 +5,20 @@ The premium solves ``u(w - pi) = C(u(w - X))`` and is computed in closed
 form as ``pi = w - u^{-1}(C(u(w - X)))``; strict monotonicity of u makes it
 unique whenever the scenario passes the membership test below.
 
-The risk-neutral benchmark is
+The risk-neutral benchmark pi0 is the linear agent's premium
+``w - C(w - X)``, and the quadratic approximation is the linear agent's
+premium of ``Y = X + r_u(w) X^2 / 2`` at the wealth ``u(w) / u'(w)``.  Both
+are read at the cap ``V = min(w, max(0, max X))``: the linear premium is
+the same at every wealth from ``max(0, max X)`` up, and at V the rounding
+error stays in proportion to X rather than to w.  The closed form
 
     pi0 = C_swapped(X) + int_0^w (dual(nu)(X < s) - mu(X < s)) ds,
 
-where ``C_swapped`` applies nu to gains and mu to losses (the capacity
-order is the one under which a linear-utility agent's premium equals pi0
-exactly; tests pin this identity).  The quadratic approximation replaces X
-by ``Y = X + r_u(w) X^2 / 2`` and the upper limit by ``u(w) / u'(w)``.
+where ``C_swapped`` applies nu to gains and mu to losses, is the same
+number; the tests check the identity.
 
-All step integrals are evaluated exactly by enumerating the atoms of the
-relevant variable inside the integration range; there is no quadrature
-error anywhere in this module.
+Every integral is the exact walk over the atoms of its variable; there is
+no quadrature error anywhere in this module.
 """
 
 from __future__ import annotations
@@ -29,17 +31,7 @@ import numpy as np
 
 from .capacity import Capacity, _check_same_ground, _values, coexistence_set, dominates_dual
 from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, ZeroOneCapacity
-from .integral import (
-    RandomVariable,
-    _cell_sums,
-    _finite,
-    _groups,
-    _halves,
-    _lower,
-    _outcome_rows,
-    _step_cells,
-    _walk_groups,
-)
+from .integral import RandomVariable, _finite, _groups, _halves, _outcome_rows, _walk_groups
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
@@ -120,72 +112,44 @@ def premium(s: Scenario) -> float:
     return pi
 
 
-def _tail_gap_integral(mu: Capacity, nu: Capacity, groups, full: int, upper: float) -> float:
-    """Exact ``int_0^upper (dual(nu)(Z < t) - mu(Z < t)) dt`` from the ``_groups`` of Z.
-
-    ``step_integral`` with the values of Z as breakpoints, bit for bit: its
-    cells run over 0, the distinct values strictly between 0 and upper, and
-    upper, in ascending order; each is read at its midpoint and added left
-    to right, and a negative upper flips the sign.
-    """
-    if upper == 0.0:
-        return 0.0
-    lo, hi, sign = (upper, 0.0, -1.0) if 0.0 > upper else (0.0, upper, 1.0)
-    pts = [lo, *(d for d in groups[0] if lo < d < hi), hi]
-    mu_t, nu_t = mu._view, nu._view
-    acc = 0.0
-    for left, right in zip(pts, pts[1:]):
-        below = _lower(groups, (left + right) / 2.0, True)
-        # dual(nu)(Z < t) = 1 - nu(Z >= t), and Z >= t is the complement of Z < t
-        acc += (right - left) * ((1.0 - nu_t[full ^ below]) - mu_t[below])
-    return sign * acc
-
-
-def _swapped_with_gap(s: Scenario, values, upper: float) -> float:
-    """C_swapped(Z) plus the tail gap of Z up to ``upper``, off one ``_groups`` of Z's values."""
-    groups, full = _groups(values), s.x.ground.full
-    total, lower_part = _walk_groups(s.nu._view, s.mu._view, groups, full)
-    return (total - lower_part) + _tail_gap_integral(s.mu, s.nu, groups, full, upper)
+def _linear_premium(s: Scenario, values, upper: float) -> float:
+    """The linear agent's premium ``V - C(V - Z)`` of the Z with these values at the wealth
+    ``upper``, read at the cap ``V = min(upper, max(0, max Z))``; refused as RandomVariable
+    refuses it where a value of V - Z is not finite."""
+    v = min(upper, max(0.0, *values))
+    return v - _integral(s, _finite(tuple([v - z for z in values])))
 
 
 def risk_neutral_premium(s: Scenario) -> float:
-    """Linear-utility benchmark premium; ignores ``s.u``."""
-    return _swapped_with_gap(s, s.x.values, s.w)
+    """Linear-utility benchmark premium ``w - C(w - X)``; ignores ``s.u``."""
+    return _linear_premium(s, s.x.values, s.w)
 
 
 def _risk_neutral_rows(ws: np.ndarray, xs: np.ndarray, mu: Capacity, nu: Capacity) -> np.ndarray:
-    """``risk_neutral_premium`` of every (w, X) row, bit for bit.
-
-    One ``_halves`` call gives the swapped C(X), and the tail gap is summed
-    per cell in ``step_integral``'s order, from the cells that the lemma's
-    translation trial also reads.
-    """
-    mu_t, nu_t = _values(mu), _values(nu)
-    gains, losses = _halves((mu_t, nu_t), xs)
-    width, _, below, sign = _step_cells(xs, np.zeros(len(xs)), ws)
-    # dual(nu)(X < t) - mu(X < t) in each cell, as _tail_gap_integral reads it
-    gap = _cell_sums(width, sign, (1.0 - nu_t[mu.ground.full ^ below]) - mu_t[below])
-    return (gains[1] - losses[0]) + gap
+    """``risk_neutral_premium`` of every (w, X) row, bit for bit: one ``_halves`` call on the rows
+    V - X, whose caps are taken as ``min`` and ``max`` take them, the first argument on a tie."""
+    top = xs.max(axis=1)
+    caps = np.where(top > 0.0, top, 0.0)
+    caps = np.where(caps < ws, caps, ws)
+    with np.errstate(over="ignore"):  # an infinite V - X is refused as not finite
+        rows = _outcome_rows(mu.ground, caps[:, None] - xs)
+    gains, losses = _halves((_values(mu), _values(nu)), rows)
+    return caps - (gains[0] - losses[1])
 
 
 def approx_premium(s: Scenario) -> float:
-    """Quadratic (local-curvature) approximation of the premium.
+    """Quadratic (local-curvature) approximation of the premium: the linear agent's premium of
+    ``Y = X + r_u(w) X^2 / 2`` at the wealth ``u(w) / u'(w)``, which may overflow to infinity.
 
     Requires u twice differentiable at w with positive slope.  Error decays
     quadratically in the scale of X; see the risk-aversion tests for the
-    measured constants.  The tail gap runs from 0 to u(w) / u'(w); where
-    that overflows to infinity, it stops at the largest value of Y, above
-    which it is 0.
+    measured constants.
     """
     r = arrow_pratt(s.u, s.w)
     d1 = s.u.prime(s.w)
     if d1 <= 0.0:
         raise ZeroDerivative(f"u'({s.w}) = {d1}")
-    y = _finite(tuple([float(v + r * v * v / 2.0) for v in s.x.values]))
-    upper = s.u.value(s.w) / d1
-    if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
-        upper = max(0.0, *y)
-    return _swapped_with_gap(s, y, upper)
+    return _linear_premium(s, [float(v + r * v * v / 2.0) for v in s.x.values], s.u.value(s.w) / d1)
 
 
 @dataclass(frozen=True)

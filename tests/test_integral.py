@@ -36,7 +36,7 @@ from choqrisk import (
 from choqrisk import integral
 from choqrisk.capacity import _check_same_ground, _values
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued, TooLarge
-from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_points, _halves, _step_cells
+from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_ends, _collapse_points, _halves, _step_cells
 from choqrisk.premium import Scenario, risk_neutral_premium
 from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
@@ -552,6 +552,33 @@ def test_halves_are_linear_in_the_table(n):
             assert np.all(np.abs(t_half - (lam * a_half + (1.0 - lam) * b_half)) <= HALVES_LINEARITY_ULPS * unit)
 
 
+# these draws give at most 2.0 ulp of max|X|
+COLLAPSE_LINEARITY_ULPS = 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integral_of_a_mixture_of_zero_one_pairs_is_the_mixture_of_their_collapse_points(n):
+    """Under a mixture sum_i lam_i (mu_i, nu_i) of {0,1} pairs, ``_halves`` give the integral
+    sum_i lam_i (a_X(nu_i) + b_X(mu_i)), with each vertex's collapse points read off
+    ``_collapse_ends``, within COLLAPSE_LINEARITY_ULPS ulp of each row's max|X| (step (a) of the
+    vertex argument for theorem 1, at the collapse points)."""
+    ground = GroundSet(n)
+    rng = rng_from_seed(110 + n)
+
+    def vertex():
+        return _values(zero_one_capacity(ground, rng.integers(1, ground.full + 1, rng.integers(1, 4)).tolist()))
+
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        mus, nus = [vertex() for _ in range(k)], [vertex() for _ in range(k)]
+        lam = rng.dirichlet(np.ones(k))
+        rows = np.concatenate([rng.uniform(-10.0, 10.0, (20, n)), rng.choice(TIE_POOL, (20, n))])
+        gains, losses = _halves(np.stack([lam @ mus, lam @ nus]), rows)
+        a, b = _collapse_ends(np.stack(mus + nus), rows)
+        unit = np.spacing(np.abs(rows).max(axis=1))
+        assert np.all(np.abs((gains[0] - losses[1]) - lam @ (a[k:] + b[:k])) <= COLLAPSE_LINEARITY_ULPS * unit)
+
+
 # --- the tie-group walk against the threshold-mask definition ---------------------
 
 # both zeros in a small pool, so rows carry ties and signed zeros
@@ -621,7 +648,11 @@ def test_group_walk_matches_the_threshold_definition_bitwise(n, seed, data):
         vals,
     )
     pi0 = risk_neutral_premium(Scenario(w, x, mu, nu, Exponential(1.0)))
-    assert bits(pi0) == bits(reference_choquet(nu, mu, vals, True) + tail_gap)
+    # the linear agent's premium w - C(w - X), read at the cap v, where it is the same
+    v = min(w, max(0.0, *vals))
+    assert bits(pi0) == bits(v - reference_choquet(mu, nu, tuple(v - t for t in vals), True))
+    # and the closed form, the swapped integral plus the tail gap, is that number within 8 ulp
+    assert abs(pi0 - (reference_choquet(nu, mu, vals, True) + tail_gap)) <= 8.0 * math.ulp(max(map(abs, vals)))
 
 
 @pytest.mark.parametrize("strict", [True, False])

@@ -8,7 +8,9 @@ consistency check that pins the capacity order in the benchmark formula.
 import importlib
 import math
 import re
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -831,22 +833,71 @@ def closure_tail_gap(mu, nu, z, upper):
     return step_integral(integrand, 0.0, upper, z.values)
 
 
-def reference_risk_neutral_premium(s):
+def closed_form_premium(mu, nu, z, upper):
+    """The linear agent's premium of Z at the wealth ``upper`` in closed form: the swapped integral
+    plus the tail gap up to ``upper``."""
     from choqrisk import gen_choquet
 
-    return gen_choquet(s.nu, s.mu, s.x) + closure_tail_gap(s.mu, s.nu, s.x, s.w)
+    return gen_choquet(nu, mu, z) + closure_tail_gap(mu, nu, z, upper)
+
+
+def reference_linear_premium(mu, nu, z, upper):
+    """The linear agent's premium ``v - C(v - Z)`` of Z at the wealth ``upper``, read at the cap
+    ``v = min(upper, max(0, max Z))``, from the public API."""
+    from choqrisk import gen_choquet
+
+    v = min(upper, max(0.0, *z.values))
+    return v - gen_choquet(mu, nu, v - z)
+
+
+def reference_risk_neutral_premium(s):
+    return reference_linear_premium(s.mu, s.nu, s.x, s.w)
 
 
 def reference_approx_premium(s):
-    from choqrisk import arrow_pratt, gen_choquet
+    from choqrisk import arrow_pratt
 
     r = arrow_pratt(s.u, s.w)
     d1 = s.u.prime(s.w)
     if d1 <= 0.0:
         raise ZeroDerivative(f"u'({s.w}) = {d1}")
     y = s.x.map(lambda v: v + r * v * v / 2.0)
-    upper = s.u.value(s.w) / d1
-    return gen_choquet(s.nu, s.mu, y) + closure_tail_gap(s.mu, s.nu, y, upper)
+    return reference_linear_premium(s.mu, s.nu, y, s.u.value(s.w) / d1)
+
+
+def exact_choquet(mu, nu, values):
+    """``gen_choquet`` of these values in exact rational arithmetic, summed by parts over the
+    distinct values with one mask per threshold."""
+    vals = [Fraction(v) for v in values]
+
+    def event(pred):
+        return sum(1 << i for i, v in enumerate(vals) if pred(v))
+
+    total = Fraction(0)
+    for d in sorted(set(vals)):
+        if d > 0:
+            total += d * (Fraction(mu[event(lambda v: v >= d)]) - Fraction(mu[event(lambda v: v > d)]))
+        elif d < 0:
+            total += d * (Fraction(nu[event(lambda v: v <= d)]) - Fraction(nu[event(lambda v: v < d)]))
+    return total
+
+
+def exact_linear_premium(mu, nu, values, upper):
+    """The linear agent's premium ``upper - C(upper - Z)`` in exact rational arithmetic."""
+    upper = Fraction(upper)
+    return upper - exact_choquet(mu, nu, [upper - Fraction(v) for v in values])
+
+
+def ulps_off(got, exact, values):
+    """|got - exact| in ulps of max|Z|; infinite where got is not finite."""
+    if not math.isfinite(got):
+        return math.inf
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(max(map(abs, values)))))
+
+
+#: the benchmark premiums' bound in ulps of max|X| (or max|Y|): the draws below give at most 2.5 from
+#: the exact value, and 2.0 from the closed form, itself within 1.5 of the exact value
+LINEAR_PREMIUM_ULPS = 8.0
 
 
 def tail_gap_cases(rng, n):
@@ -863,15 +914,73 @@ def tail_gap_cases(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_tail_gap_matches_the_closure_reference_bitwise(n):
+def test_linear_premium_matches_the_reference_and_the_closed_form(n):
+    """The linear agent's premium at the cap, on edge values of Z: bit for bit the public-API
+    reference, and within LINEAR_PREMIUM_ULPS ulp of max|Z| of its exact value and of the closed
+    form.  The wealth ``upper`` is w >= 0 or u(w) / u'(w), a float or +inf; at +inf the closed
+    form and the exact value are read at max(0, max Z), above which the tail gap is 0.  An upper
+    of -inf or NaN, where the closed form is NaN, raises.  Above half the float range the closed
+    form's cell midpoint (left + right) / 2 overflows, so it is compared only below that."""
     rng = rng_from_seed(900 + n)
     ground = GroundSet(n)
+    compared = 0
     for _ in range(6):
         mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
         for vals, upper in tail_gap_cases(rng, n):
             z = RandomVariable(ground, vals)
-            got = pm._tail_gap_integral(mu, nu, _groups(z.values), ground.full, upper)
-            assert repr(got) == repr(closure_tail_gap(mu, nu, z, upper)), (vals, upper)
+            got = outcome_of(pm._linear_premium, Scenario(0.0, z, mu, nu, Linear()), vals, upper)
+            assert got == outcome_of(reference_linear_premium, mu, nu, z, upper), (vals, upper)
+            if upper == -math.inf or math.isnan(upper):
+                assert got == ("ValueError", "values must be finite")
+                continue
+            got, upper = float(got), upper if upper < math.inf else max(0.0, *vals)
+            assert ulps_off(got, exact_linear_premium(mu, nu, vals, upper), vals) <= LINEAR_PREMIUM_ULPS
+            if max(abs(upper), *map(abs, vals)) <= sys.float_info.max / 2.0:
+                compared += 1
+                closed = closed_form_premium(mu, nu, z, upper)
+                assert abs(got - closed) <= LINEAR_PREMIUM_ULPS * math.ulp(max(map(abs, vals))), (vals, upper)
+    assert compared >= 100
+
+
+def test_benchmark_premiums_are_within_a_few_ulps_of_their_exact_values():
+    """pi0 and the quadratic approximation against their exact rational values, at wealths up to
+    1e6 and |X| from 1e-3 to 1e3: within LINEAR_PREMIUM_ULPS ulp of max|X| (of max|Y|).  Read at
+    the wealth itself, w - C(w - X) misses by far more, and the bound catches it."""
+    from choqrisk import arrow_pratt, gen_choquet
+
+    rng = rng_from_seed(3300)
+    worst = {"pi0": 0.0, "approx": 0.0, "uncapped": 0.0}
+    for k in range(240):
+        ground = GroundSet(1 + k % 6)
+        mu, nu = random_capacity(rng, ground), random_capacity(rng, ground)
+        w = 0.0 if k % 10 == 0 else float(10.0 ** rng.uniform(-3.0, 6.0))
+        signs, scales = rng.choice([-1.0, 1.0], ground.n), 10.0 ** rng.uniform(-3.0, 3.0, ground.n)
+        x = RandomVariable(ground, tuple((signs * scales).tolist()))
+        s = Scenario(w, x, mu, nu, parse_utility(("power:1,0.5", "log:1")[k % 2]))
+        exact = exact_linear_premium(mu, nu, x.values, w)
+        worst["pi0"] = max(worst["pi0"], ulps_off(risk_neutral_premium(s), exact, x.values))
+        worst["uncapped"] = max(worst["uncapped"], ulps_off(w - gen_choquet(mu, nu, w - x), exact, x.values))
+        r = arrow_pratt(s.u, w)
+        y = [v + r * v * v / 2.0 for v in x.values]
+        exact = exact_linear_premium(mu, nu, y, s.u.value(w) / s.u.prime(w))
+        worst["approx"] = max(worst["approx"], ulps_off(approx_premium(s), exact, y))
+    assert worst["pi0"] <= LINEAR_PREMIUM_ULPS and worst["approx"] <= LINEAR_PREMIUM_ULPS, worst
+    assert worst["uncapped"] > LINEAR_PREMIUM_ULPS, worst
+
+
+def test_risk_neutral_rows_take_the_cap_as_the_scalar_path_does(mu_worked, nu_worked, g2):
+    """``_risk_neutral_rows`` against ``risk_neutral_premium``, repr for repr, where the cap
+    V = min(w, max(0, max X)) ties or meets a signed zero: V below w and at w, a max X of 0.0 or
+    -0.0, a wealth of -0.0 (Scenario takes it), and X <= 0."""
+    xs = [(0.5, -1.0), (2.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-0.0, -1.0), (0.0, -1.0),
+          (-1.0, -2.0), (-0.5, -0.5)]
+    rows = [(w, x) for w in (-0.0, 0.0, 0.5, 2.0) for x in xs]
+    ws, xs = np.array([w for w, _ in rows]), np.array([x for _, x in rows])
+    got = [repr(p) for p in pm._risk_neutral_rows(ws, xs, mu_worked, nu_worked).tolist()]
+    assert got == [
+        repr(risk_neutral_premium(Scenario(w, RandomVariable(g2, x), mu_worked, nu_worked, Linear()))) for w, x in rows
+    ]
+    assert {"-0.0", "0.0"} <= set(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -935,22 +1044,6 @@ def rv_class_membership(s):
     return reason is None, reason
 
 
-def rv_approx_premium(s):
-    """``approx_premium`` as it was when it built a RandomVariable for Y, kept verbatim as the
-    reference."""
-    from choqrisk import arrow_pratt
-
-    r = arrow_pratt(s.u, s.w)
-    d1 = s.u.prime(s.w)
-    if d1 <= 0.0:
-        raise ZeroDerivative(f"u'({s.w}) = {d1}")
-    y = s.x.map(lambda v: v + r * v * v / 2.0)
-    upper = s.u.value(s.w) / d1
-    if upper == np.inf:  # the tail gap is 0 above every value of Y, and an infinite cell would give inf * 0
-        upper = max(0.0, *y.values)
-    return pm._swapped_with_gap(s, y.values, upper)
-
-
 class NaNBelowZero(Linear):
     """The identity, except that u is NaN below 0 (``value`` passes a NaN on)."""
 
@@ -972,7 +1065,7 @@ def test_one_row_pricing_matches_the_random_variable_reference():
         for w, x in sample_outcomes(rng, ground, 40) + scan_rows(rng, ground, 40):
             s = Scenario(w, x, mu, nu, u)
             got = one_row_outcomes(s)
-            assert got == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, rv_approx_premium)]
+            assert got == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, reference_approx_premium)]
             seen.add(got[1])
     assert {repr((True, None)), repr((False, "values"))} <= seen
     mu, nu = random_dominant_pair(rng, ground)
@@ -986,7 +1079,7 @@ def test_one_row_pricing_matches_the_random_variable_reference():
     for w, vals, u in edges:
         s = Scenario(w, RandomVariable(ground, vals), mu, nu, parse_utility(u) if isinstance(u, str) else u)
         priced.append(one_row_outcomes(s))
-        assert priced[-1] == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, rv_approx_premium)]
+        assert priced[-1] == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership, reference_approx_premium)]
     finite = ("ValueError", "values must be finite")
     overflow = ("ValueError", "exp:1: u(-1e+200) is not a finite float (overflow)")
     assert [got[0] for got in priced[:3]] == [finite, overflow, finite]
