@@ -110,12 +110,17 @@ class RandomVariable:
         return max(self.values)
 
 
+def _order(values: Sequence[float]) -> list[int]:
+    """The indices of values in ascending order of value, from one stable sort."""
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
 def _groups(values: Sequence[float]) -> tuple[list[float], list[int]]:
     """The tie groups of X in ascending order: the distinct values d and the
-    bitmasks of the events ``X <= d``, from one stable sort."""
+    bitmasks of the events ``X <= d``, from ``_order``."""
     ds, upto = [], []
     seen = 0
-    for i in sorted(range(len(values)), key=values.__getitem__):
+    for i in _order(values):
         if not ds or values[i] != ds[-1]:
             ds.append(values[i])
             upto.append(seen)
@@ -150,31 +155,40 @@ def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -
 def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
     """Exact generalized Choquet integral of X with respect to (mu, nu).
 
-    Walks the tie groups of X in ascending order and reads the strict
-    tails off them: ``mu(X > t)`` is ``mu(X > previous value)`` up to each
-    distinct value, and ``nu(X < t)`` is ``nu(X < next value)`` from it.
-    ``_halves`` reaches the same events as the weak tails ``mu(X >= d)``
-    and ``nu(X <= d)``, by other code.
+    Walks the values of X in ascending order (``_walk``) and reads the
+    strict tails at each tie group: ``mu(X > t)`` is ``mu(X > previous
+    value)`` up to each distinct value, and ``nu(X < t)`` is ``nu(X < next
+    value)`` from it.  ``_halves`` reaches the same events as the weak
+    tails ``mu(X >= d)`` and ``nu(X <= d)``, by other code.
     """
     _check_same_ground(mu, nu, x)
-    total, lower_part = _walk_groups(mu._view, nu._view, _groups(x.values), x.ground.full)
+    total, lower_part = _walk(mu._view, nu._view, x.values, _order(x.values), x.ground.full)
     return total - lower_part
 
 
-def _walk_groups(mu_t, nu_t, groups, full: int) -> tuple[float, float]:
-    """``gen_choquet``'s walk over the ``_groups`` of X, whose ground set ``full`` spans, as its
-    two parts ``(total, lower_part)``: the gains, which read the mask-indexed table mu_t only,
-    and the losses, which read nu_t only.  The integral is ``total - lower_part``.  The caller
-    has checked that both tables and X share the ground set."""
-    ds, upto = groups
-    # at group g: X <= the previous value, which is X < d
-    lt = [0, *upto]
+def _walk(mu_t, nu_t, values: Sequence[float], order: Sequence[int], full: int) -> tuple[float, float] | None:
+    """``gen_choquet``'s walk over X in ``order`` as its parts ``(total, lower_part)``: the gains read the
+    mask-indexed table mu_t only, the losses nu_t only.  It closes each tie group d as it passes, with
+    the events ``X < d`` and ``X <= d``, so every order that takes the values in ascending order gives
+    the same terms in the same order; any other gives None.  The caller has checked the ground sets."""
     total = lower_part = 0.0
-    for g, d in enumerate(ds):
-        if d > 0.0:
-            total += d * (mu_t[full ^ lt[g]] - mu_t[full ^ lt[g + 1]])
-        elif d < 0.0:
-            lower_part += d * (nu_t[lt[g]] - nu_t[lt[g + 1]])
+    below = seen = 0  # X < d and X <= d of the open group d
+    d = values[order[0]]
+    for i in order:
+        v = values[i]
+        if v != d:
+            if v < d:
+                return None
+            if d > 0.0:
+                total += d * (mu_t[full ^ below] - mu_t[full ^ seen])
+            elif d < 0.0:
+                lower_part += d * (nu_t[below] - nu_t[seen])
+            below, d = seen, v
+        seen |= 1 << i
+    if d > 0.0:
+        total += d * (mu_t[full ^ below] - mu_t[full ^ seen])
+    elif d < 0.0:
+        lower_part += d * (nu_t[below] - nu_t[seen])
     return total, lower_part
 
 
@@ -217,8 +231,8 @@ def _halves(tables, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first column of a tie group with value d it holds the events ``X < d``
     and ``X <= d``; their complements are ``X >= d`` and ``X > d``.  So the
     halves read the weak tails ``mu(X >= d)`` and ``nu(X <= d)`` at each
-    value, where the scalar loop reads the strict tails between values off
-    ``_groups``: the same events, reached by other code.  Evaluation gathers
+    value, where the scalar loop (``_walk``) reads the strict tails between
+    values: the same events, reached by other code.  Evaluation gathers
     the table values at those masks for every column at once, then adds
     the scalar loop's terms column by column in its order.  One half is
     summed before the other is gathered, in place, so at most two (C, K, n)

@@ -30,8 +30,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .capacity import Capacity, _check_same_ground, _values, coexistence_set, dominates_dual
-from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroDerivative, ZeroOneCapacity
-from .integral import RandomVariable, _finite, _groups, _halves, _outcome_rows, _walk_groups
+from .errors import NonDifferentiable, OutOfClass, TooLarge, ZeroOneCapacity
+from .integral import RandomVariable, _finite, _halves, _order, _outcome_rows, _walk
 from .utility import UtilityFunction, arrow_pratt, compose_via_inverse, is_concave_on
 
 PREMIUM_TOL = 1e-9
@@ -67,9 +67,11 @@ class Scenario:
         return self.w - self.x
 
 
-def _integral(s: Scenario, values: tuple[float, ...]) -> float:
-    """``gen_choquet(s.mu, s.nu, Z)`` of the Z with these values, whose ground set Scenario has checked."""
-    total, lower_part = _walk_groups(s.mu._view, s.nu._view, _groups(values), s.x.ground.full)
+def _integral(s: Scenario, values: tuple[float, ...], order: list[int] | None = None) -> float:
+    """``gen_choquet(s.mu, s.nu, Z)`` of the Z with these values, whose ground set Scenario has checked,
+    walked in ``order`` where that takes the values in ascending order, else on a sort of their own."""
+    parts = order and _walk(s.mu._view, s.nu._view, values, order, s.x.ground.full)
+    total, lower_part = parts or _walk(s.mu._view, s.nu._view, values, _order(values), s.x.ground.full)
     return total - lower_part
 
 
@@ -81,18 +83,20 @@ def _price(s: Scenario) -> tuple[str | None, float | None]:
     ``w - X`` lies in the utility domain; the integral of ``w - X`` does
     too; and the integral of ``u(w - X)`` lies in the utility's range so
     the inverse applies.  Both tests are the utility's own ``in_domain``
-    and ``in_range``, so endpoints are admitted exactly where u has them;
-    a domain is an interval, so the first test reads the least and the
-    greatest value of w - X.  u(w - X) is one ``values`` call.  w - X and
-    u(w - X) are tuples of floats, refused as RandomVariable refuses them
-    when a value is not finite; no RandomVariable is built.
+    and ``in_range``, so endpoints are admitted exactly where u has them.
+    w - X is sorted once: a domain is an interval, so the first test reads
+    its ends, and u(w - X), one ``values`` call, is walked in its order (u
+    is nondecreasing), sorted again only where rounding breaks it.  w - X
+    and u(w - X) are tuples of floats, refused as RandomVariable refuses
+    them when a value is not finite; no RandomVariable is built.
     """
     u, y = s.u, _finite(tuple([s.w - v for v in s.x.values]))
-    if not (u.in_domain(min(y)) and u.in_domain(max(y))):
+    order = _order(y)
+    if not (u.in_domain(y[order[0]]) and u.in_domain(y[order[-1]])):
         return "values", None
-    if not u.in_domain(_integral(s, y)):
+    if not u.in_domain(_integral(s, y, order)):
         return "outcome_integral", None
-    mu_val = _integral(s, _finite(tuple(map(float, u.values(y)))))
+    mu_val = _integral(s, _finite(tuple(map(float, u.values(y)))), order)
     if not u.in_range(mu_val):
         return "utility_integral", None
     return None, s.w - u.inverse(mu_val)
@@ -146,10 +150,7 @@ def approx_premium(s: Scenario) -> float:
     measured constants.
     """
     r = arrow_pratt(s.u, s.w)
-    d1 = s.u.prime(s.w)
-    if d1 <= 0.0:
-        raise ZeroDerivative(f"u'({s.w}) = {d1}")
-    return _linear_premium(s, [float(v + r * v * v / 2.0) for v in s.x.values], s.u.value(s.w) / d1)
+    return _linear_premium(s, [float(v + r * v * v / 2.0) for v in s.x.values], s.u.value(s.w) / s.u.prime(s.w))
 
 
 @dataclass(frozen=True)

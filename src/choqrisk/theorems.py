@@ -37,11 +37,11 @@ from .integral import (
     RandomVariable,
     _cell_sums,
     _collapse_ends,
-    _groups,
     _halves,
+    _order,
     _outcome_rows,
     _step_cells,
-    _walk_groups,
+    _walk,
     gen_choquet,
     gen_choquet_batch,
 )
@@ -537,7 +537,7 @@ def integral_property_checks(
     """Randomized checks of the four structural integral properties.
 
     Tail-convention equality is asserted exactly, as the scalar walk
-    (strict tails, read off ``_groups``; ``_walk_groups`` and
+    (strict tails, read off the sorted values; ``_walk`` and
     ``_tail_walk``) against the halves (weak tails, read off ``_plan``);
     pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
@@ -564,7 +564,7 @@ def _property_trials(
     each capacity's values in the step cells once and combines them by pair
     a block at a time (``_cell_sums``).  The tail trial walks each capacity
     once per sample: the walk's gains part reads mu only and its loss part
-    nu only (``_walk_groups``, ``_tail_walk``).
+    nu only (``_walk``, ``_tail_walk``), in the sample's one sort order.
     """
     ground = _ground(tables)
     n, size = ground.n, max(samples, 0)
@@ -574,7 +574,7 @@ def _property_trials(
         parts = np.zeros((len(tables), size, 2))  # (gains part, loss part) per capacity and row
         for k in set(i.tolist()) | set(j.tolist()):
             table = memoryview(tables[k])
-            walks = [_walk_groups(table, table, groups, ground.full) for groups in rows["groups"]]
+            walks = [_walk(table, table, x, order, ground.full) for x, order in rows["orders"]]
             parts[k] = np.reshape(walks, (size, 2))
         walk, halves = _tail_walk(parts[i, :, 0], parts[j, :, 1], rows["x"]), c("x", i, j)
         return walk != halves, np.abs(walk - halves)
@@ -606,7 +606,7 @@ def _property_trials(
     # as the (P, K) array c(name, i, j), and returns each row's failure and gap.
     trials = (
         ("tail-conventions", "tail conventions agree", (),
-         lambda x, more: {"x": x, "groups": [_groups(v) for v in x.tolist()]}, tails, ("x",)),
+         lambda x, more: {"x": x, "orders": [(v, _order(v)) for v in x.tolist()]}, tails, ("x",)),
         ("monotonicity", "pointwise monotonicity", ((0.0, 5.0),) * n,
          lambda x, more: {"x": x, "y": x + more}, monotonicity, ("x", "y")),
         ("homogeneity", "positive homogeneity with swap", ((-3.0, 3.0),),

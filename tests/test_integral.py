@@ -199,7 +199,7 @@ def test_oracle_shares_no_code_with_the_exact_path(mu_worked, nu_worked, x_worke
     def fail(*args, **kwargs):
         raise AssertionError("the oracle reached the exact path")
 
-    for name in ("_groups", "_walk_groups", "_plan", "_halves", "gen_choquet"):
+    for name in ("_order", "_groups", "_walk", "_plan", "_halves", "gen_choquet"):
         monkeypatch.setattr(integral, name, fail)
     got = riemann_oracle(mu_worked, nu_worked, x_worked, 1e-3)
     assert repr(got) == repr(reference_oracle(mu_worked, nu_worked, x_worked, 1e-3))
@@ -229,7 +229,9 @@ def test_tail_conventions_with_ties(mu_worked, nu_worked, g2):
 def test_walk_parts_recombine_to_the_integral_bit_for_bit(n):
     """The tail trial walks each capacity alone: the gains part of a walk under (mu, mu) and
     the loss part under (nu, nu), recombined by ``theorems._tail_walk``, are gen_choquet of
-    (mu, nu) and the halves' rows bit for bit, with ties, zeros and -0.0 in X."""
+    (mu, nu) and the halves' rows bit for bit, with ties, zeros and -0.0 in X.  The walk gives
+    the same bits in every ascending order (ties taken last index first) and refuses, with None,
+    an order that is not ascending."""
     from choqrisk import theorems
     from choqrisk.capacity import _values
 
@@ -240,11 +242,15 @@ def test_walk_parts_recombine_to_the_integral_bit_for_bit(n):
         xs = np.concatenate([rng.choice(pool, (6, n)), rng.uniform(-3, 3, (2, n))])
         gains, losses = _halves((_values(mu), _values(nu)), xs)
         for r, x in enumerate(xs.tolist()):
-            groups = integral._groups(x)
-            total, lower = integral._walk_groups(mu, nu, groups, ground.full)
-            assert (total, lower) == (integral._walk_groups(mu, mu, groups, ground.full)[0],
-                                      integral._walk_groups(nu, nu, groups, ground.full)[1])
+            order = integral._order(x)
+            total, lower = integral._walk(mu, nu, x, order, ground.full)
+            assert (total, lower) == (integral._walk(mu, mu, x, order, ground.full)[0],
+                                      integral._walk(nu, nu, x, order, ground.full)[1])
             assert (bits(total), bits(lower)) == (bits(gains[0, r]), bits(losses[1, r]))
+            ties_reversed = sorted(range(n), key=lambda i: (x[i], -i))
+            assert repr(integral._walk(mu, nu, x, ties_reversed, ground.full)) == repr((total, lower))
+            if len(set(x)) > 1:
+                assert integral._walk(mu, nu, x, order[::-1], ground.full) is None
             got = theorems._tail_walk(np.array([total]), np.array([lower]), np.array([x]))[0]
             assert bits(got) == bits(gen_choquet(mu, nu, RandomVariable(ground, x))) == bits(total - lower)
 

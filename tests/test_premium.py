@@ -39,7 +39,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
-from choqrisk.integral import _groups, _lower, step_integral
+from choqrisk.integral import _groups, _lower, gen_choquet_batch, step_integral
 from choqrisk.premium import class_membership, sample_outcomes, two_point_outcomes
 from choqrisk.utility import parse_utility
 from choqrisk.sampling import (
@@ -745,7 +745,7 @@ def test_scans_make_no_scalar_integral_call_and_one_inverse_per_row(monkeypatch)
         expected_rows[a, b] = sum(class_membership(Scenario(w, x, mu, nu, parse_utility(a)))[0] for w, x in upto)
 
     monkeypatch.setattr(pm, "_integral", lambda *args: pytest.fail("a scan called the scalar integral"))
-    monkeypatch.setattr(pm, "_walk_groups", lambda *args: pytest.fail("a scan called the scalar group walk"))
+    monkeypatch.setattr(pm, "_walk", lambda *args: pytest.fail("a scan called the scalar walk"))
     for spec, (averse, nonneg) in expected.items():
         u, calls = counted_inverse(parse_utility(spec))
         report = is_risk_averse(u, mu, nu, batch)
@@ -818,7 +818,7 @@ def test_an_outcome_integral_outside_the_utility_domain_is_out_of_class(g2):
     assert (report.averse, report.checked, report.skipped) == (True, 0, 1)
 
 
-# --- scalar pricing: one sort per variable --------------------------------------------------
+# --- scalar pricing: one sort per call ------------------------------------------------------
 
 def closure_tail_gap(mu, nu, z, upper):
     """The tail gap as step_integral over a closure, kept verbatim as the reference."""
@@ -998,20 +998,86 @@ def test_risk_neutral_and_approx_premium_match_the_reference_bitwise(n):
 
 def test_scalar_pricing_sorts_each_variable_once(monkeypatch, mu_worked, nu_worked, x_worked):
     integral = importlib.import_module("choqrisk.integral")
-    groups, sorted_values = integral._groups, []
+    order, sorted_values = integral._order, []
 
     def counting(values):
         sorted_values.append(values)
-        return groups(values)
+        return order(values)
 
-    monkeypatch.setattr(integral, "_groups", counting)
-    monkeypatch.setattr(pm, "_groups", counting)
+    monkeypatch.setattr(integral, "_order", counting)
+    monkeypatch.setattr(pm, "_order", counting)
     s = Scenario(1.0, x_worked, mu_worked, nu_worked, Exponential(1.0))
-    # premium sorts w - X and u(w - X); the benchmark and its approximation sort X or Y once
-    for fn, sorts in ((premium, 2), (risk_neutral_premium, 1), (approx_premium, 1)):
+    # premium sorts w - X and walks u(w - X) in its order; the benchmark and its approximation
+    # sort X or Y once
+    for fn, sorts in ((premium, 1), (risk_neutral_premium, 1), (approx_premium, 1)):
         sorted_values.clear()
         fn(s)
         assert len(sorted_values) == sorts, fn.__name__
+    sorted_values.clear()
+    premium(s)
+    assert sorted_values == [s.outcome.values]
+
+
+def dipping_knots(rng, count):
+    """``count`` (tabulated utility, inner knot abscissa) pairs, found by a seeded search, where u's
+    ``values`` is not nondecreasing across the knot: from the float before it to the float after,
+    one value rounds above the next."""
+    found = []
+    while len(found) < count:
+        xs = sorted({0.0, *rng.uniform(-4.0, 4.0, 4).tolist()})
+        ys = np.cumsum(rng.uniform(0.1, 2.0, len(xs))).tolist()
+        u = TabulatedUtility(tuple(zip(xs, [y - ys[xs.index(0.0)] for y in ys])))
+        for x in xs[1:-1]:
+            v = u.values([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)])
+            if v[1] < v[0] or v[2] < v[1]:
+                found.append((u, x))
+    return found
+
+
+def test_premium_walks_u_of_w_minus_x_in_its_order_and_sorts_again_where_u_dips(monkeypatch):
+    """``_price`` walks u(w - X) in the sort order of w - X.  Where a tabulated u dips by an ulp
+    across a knot that w - X straddles, that order does not take u(w - X) in ascending order, and
+    the walk sorts u(w - X) again: premium and class_membership match a reference that sorts
+    every variable afresh, repr for repr, the level C(u(w - X)) matches the batched halves bit for
+    bit, and the sorts counted are two exactly where u(w - X) is out of order along w - X.  The
+    rows hold ties, 0.0 and -0.0, and one-point groups."""
+    integral = importlib.import_module("choqrisk.integral")
+    order, sorts = integral._order, []
+    monkeypatch.setattr(pm, "_order", lambda values: sorts.append(values) or order(values))
+    rng = rng_from_seed(34)
+    resorted = 0
+    for k, (u, knot) in enumerate(dipping_knots(rng, 24)):
+        ground = GroundSet(k % 5 + 1)
+        mu, nu = random_dominant_pair(rng, ground)
+        pool = [math.nextafter(knot, -math.inf), knot, math.nextafter(knot, math.inf), 0.0, -0.0,
+                float(rng.uniform(-1.0, 1.0))]
+        for _ in range(20):
+            y = tuple(float(rng.choice(pool)) for _ in range(ground.n))
+            # at w = -0.0, w - X is y bit for bit: -0.0 - -v is v, 0.0 included
+            s = Scenario(-0.0, RandomVariable(ground, tuple(-v for v in y)), mu, nu, u)
+            assert repr(s.outcome.values) == repr(y)
+            sorts.clear()
+            got = [outcome_of(fn, s) for fn in (premium, class_membership)]
+            assert got == [outcome_of(fn, s) for fn in (rv_premium, rv_class_membership)]
+            if rv_class_membership(s)[1] in ("values", "outcome_integral"):  # u(w - X) is not walked
+                assert sorts == [y, y]
+                continue
+            uy, by_y = tuple(u.values(list(y))), order(y)
+            resort = any(uy[b] < uy[a] for a, b in zip(by_y, by_y[1:]))
+            # premium, then class_membership: each sorts w - X, and u(w - X) again where it is out of order
+            assert sorts == [y, uy] * 2 if resort else sorts == [y, y]
+            # the level C(u(w - X)), walked from the order of w - X, against the batched halves
+            assert repr(pm._integral(s, uy, by_y)) == repr(float(gen_choquet_batch(mu, nu, [uy])[0]))
+            resorted += resort
+    assert resorted >= 10
+
+
+def test_approx_premium_refuses_a_zero_slope_wealth_with_arrow_pratts_message(mu_worked, nu_worked, x_worked):
+    """exp:1 has u'(800) = exp(-800) = 0.0: ``arrow_pratt`` raises, and its message names the utility."""
+    s = Scenario(800.0, x_worked, mu_worked, nu_worked, Exponential(1.0))
+    with pytest.raises(ZeroDerivative) as raised:
+        approx_premium(s)
+    assert str(raised.value) == "exp:1: u'(800.0) = 0.0"
 
 
 # --- one-row pricing on tuples ---------------------------------------------------------------

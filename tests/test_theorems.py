@@ -168,18 +168,18 @@ def test_lemma_verdicts_hold_for_random_pairs():
 def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
     """Reference: the lemma trials as one scalar loop, each X and value drawn in turn.
 
-    The tail trial sets the scalar walk the trials read (``_walk_groups``'s parts,
+    The tail trial sets the scalar walk the trials read (``_walk``'s parts,
     recombined by ``theorems._tail_walk``) against the batched kernel; every other
     trial calls this module's ``gen_choquet``.
     """
     from choqrisk import theorems
-    from choqrisk.integral import _groups, _walk_groups
+    from choqrisk.integral import _order, _walk
 
     rng = np.random.default_rng(seed)
     ground = mu.ground
 
     def tails(x: RandomVariable) -> dict | None:
-        total, lower = _walk_groups(mu, nu, _groups(x.values), ground.full)
+        total, lower = _walk(mu, nu, x.values, _order(x.values), ground.full)
         a = float(theorems._tail_walk(np.array([total]), np.array([lower]), np.array([x.values]))[0])
         b = float(gen_choquet_batch(mu, nu, [x.values])[0])
         return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
@@ -278,15 +278,15 @@ def test_sweep_lemma_trials_walk_each_capacity_once_per_sample(monkeypatch):
     def refuse(*args):
         raise AssertionError("the lemma trials called the scalar integral")
 
-    walks, exact = Counter(), theorems._walk_groups
+    walks, exact = Counter(), theorems._walk
 
-    def counting(mu, nu, groups, full):
+    def counting(mu, nu, values, order, full):
         assert mu is nu
         walks[bytes(mu)] += 1
-        return exact(mu, nu, groups, full)
+        return exact(mu, nu, values, order, full)
 
     monkeypatch.setattr(theorems, "gen_choquet", refuse)
-    monkeypatch.setattr(theorems, "_walk_groups", counting)
+    monkeypatch.setattr(theorems, "_walk", counting)
     report = run_full_report(n=2, levels=(0, 0.5, 1), property_samples=12, theorems=("lemma",))
     assert report.pair_count == 81 and report.clean
     assert len(walks) == report.capacity_count == 9
