@@ -24,7 +24,6 @@ it never shares code with the exact path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -115,25 +114,9 @@ def _order(values: Sequence[float]) -> list[int]:
     return sorted(range(len(values)), key=values.__getitem__)
 
 
-def _groups(values: Sequence[float]) -> tuple[list[float], list[int]]:
-    """The tie groups of X in ascending order: the distinct values d and the
-    bitmasks of the events ``X <= d``, from ``_order``."""
-    ds, upto = [], []
-    seen = 0
-    for i in _order(values):
-        if not ds or values[i] != ds[-1]:
-            ds.append(values[i])
-            upto.append(seen)
-        seen |= 1 << i
-        upto[-1] = seen
-    return ds, upto
-
-
-def _lower(groups, t: float, strict: bool) -> int:
-    """Bitmask of ``X < t`` (strict) or ``X <= t``: the groups up to t."""
-    ds, upto = groups
-    g = (bisect_left if strict else bisect_right)(ds, t)
-    return upto[g - 1] if g else 0
+def _event(values: Sequence[float], keep: Callable[[float], bool]) -> int:
+    """Bitmask of the event ``{i : keep(values[i])}``, read by its definition."""
+    return sum(1 << i for i, v in enumerate(values) if keep(v))
 
 
 def survival(mu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> float:
@@ -141,7 +124,7 @@ def survival(mu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> 
     _check_same_ground(mu, x)
     if math.isnan(t):
         raise ValueError("threshold t is NaN")
-    return mu[x.ground.full ^ _lower(_groups(x.values), t, not strict)]
+    return mu[_event(x.values, (lambda v: v > t) if strict else (lambda v: v >= t))]
 
 
 def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -> float:
@@ -149,7 +132,7 @@ def lower_tail(nu: Capacity, x: RandomVariable, t: float, strict: bool = True) -
     _check_same_ground(nu, x)
     if math.isnan(t):
         raise ValueError("threshold t is NaN")
-    return nu[_lower(_groups(x.values), t, strict)]
+    return nu[_event(x.values, (lambda v: v < t) if strict else (lambda v: v <= t))]
 
 
 def gen_choquet(mu: Capacity, nu: Capacity, x: RandomVariable) -> float:
@@ -269,14 +252,6 @@ def gen_choquet_batch(mu: Capacity, nu: Capacity, xs) -> np.ndarray:
     return gains[0] - losses[1]
 
 
-def _collapse_points(mu: Capacity, nu: Capacity, xs) -> tuple[np.ndarray, np.ndarray]:
-    """``ax_bx`` of every row of a (K, n) array: ``_collapse_ends`` with b_X read off mu and
-    a_X off nu."""
-    ground = _check_same_ground(mu, nu)
-    a, b = _collapse_ends(np.stack([_values(nu), _values(mu)]), _outcome_rows(ground, xs))
-    return a[0], b[1]
-
-
 def _collapse_ends(tables: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(a_X, b_X)`` of every row of a finite (K, n) array under every table t of a (C, 2ⁿ)
     stack, as two (C, K) arrays read off one plan of the rows: b_X is the largest d > 0 with
@@ -361,8 +336,12 @@ def step_integral(
     ``breakpoints`` must contain every point where the integrand can jump;
     the integrand is then evaluated once per constancy cell, at the
     midpoint, so the result carries no quadrature error.  ``lo > hi`` is
-    understood as the oriented integral (sign flipped).
+    understood as the oriented integral (sign flipped).  Raises ValueError
+    unless both bounds are finite.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"bound {name} must be finite, got {bound!r}")
     if lo == hi:
         return 0.0
     sign = 1.0
@@ -428,11 +407,9 @@ def translation_gap(mu: Capacity, nu: Capacity, x: RandomVariable, a: float) -> 
     _check_same_ground(mu, nu, x)
     lhs = gen_choquet(mu, nu, x + a) - a - gen_choquet(mu, nu, x)
 
-    groups, full = _groups(x.values), x.ground.full
-
     def integrand(s: float) -> float:
         # mu(X > s) - dual(nu)(X >= s), where dual(nu)(X >= s) = 1 - nu(X < s)
-        return mu._view[full ^ _lower(groups, s, False)] - (1.0 - nu._view[_lower(groups, s, True)])
+        return mu._view[_event(x.values, lambda v: v > s)] - (1.0 - nu._view[_event(x.values, lambda v: v < s)])
 
     correction = step_integral(integrand, -a, 0.0, x.values)
     return TranslationGap(lhs, correction)
@@ -448,8 +425,8 @@ def ax_bx(mu: Capacity, nu: Capacity, x: RandomVariable) -> tuple[float, float]:
     _check_same_ground(mu, nu, x)
     if not mu.is_zero_one_valued() or not nu.is_zero_one_valued():
         raise NotZeroOneValued("tail-collapse points require {0,1}-valued capacities")
-    a, b = _collapse_points(mu, nu, [x.values])
-    return float(a[0]), float(b[0])
+    a, b = _collapse_ends(np.stack([_values(nu), _values(mu)]), np.array([x.values]))
+    return float(a[0, 0]), float(b[1, 0])
 
 
 def in_l_class(mu: Capacity, nu: Capacity, x: RandomVariable, interval: IntervalI = REALS) -> bool:

@@ -67,9 +67,9 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (0.54 s for the
-#: whole run on a 2-vCPU machine), at five levels 3,549,456 (about 75 s of checks,
-#: extrapolated from 20,000 of them at 0.021 ms per pair; memory grows with the pairs too)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (0.09-0.13 s and 48 MB
+#: peak RSS for the whole run in one process on a 2-vCPU machine), at five levels 3,549,456
+#: (about 18-28 s, extrapolated from the 213 times fewer pairs; memory grows with the pairs too)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s

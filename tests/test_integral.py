@@ -36,7 +36,7 @@ from choqrisk import (
 from choqrisk import integral
 from choqrisk.capacity import _check_same_ground, _values
 from choqrisk.errors import GroundSetMismatch, NotZeroOneValued, TooLarge
-from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_ends, _collapse_points, _halves, _step_cells
+from choqrisk.integral import ORACLE_MAX_CELLS, _cell_sums, _collapse_ends, _halves, _step_cells
 from choqrisk.premium import Scenario, risk_neutral_premium
 from choqrisk.utility import Exponential
 from choqrisk.sampling import random_capacity, random_variable, rng_from_seed
@@ -199,7 +199,7 @@ def test_oracle_shares_no_code_with_the_exact_path(mu_worked, nu_worked, x_worke
     def fail(*args, **kwargs):
         raise AssertionError("the oracle reached the exact path")
 
-    for name in ("_order", "_groups", "_walk", "_plan", "_halves", "gen_choquet"):
+    for name in ("_order", "_event", "_walk", "_plan", "_halves", "gen_choquet"):
         monkeypatch.setattr(integral, name, fail)
     got = riemann_oracle(mu_worked, nu_worked, x_worked, 1e-3)
     assert repr(got) == repr(reference_oracle(mu_worked, nu_worked, x_worked, 1e-3))
@@ -411,6 +411,15 @@ def test_step_integral_orientation():
 
 def test_step_integral_empty_range():
     assert step_integral(lambda t: 5.0, 2.0, 2.0, []) == 0.0
+
+
+@pytest.mark.parametrize("lo, hi, name", [
+    (math.nan, 1.0, "lo"), (0.0, math.inf, "hi"), (-math.inf, 0.0, "lo"), (1.0, math.nan, "hi"),
+    (math.inf, math.inf, "lo"),
+])
+def test_step_integral_refuses_a_non_finite_bound(lo, hi, name):
+    with pytest.raises(ValueError, match=f"bound {name} must be finite"):
+        step_integral(lambda t: 1.0, lo, hi)
 
 
 def test_step_cells_sum_to_step_integral_bitwise():
@@ -631,7 +640,8 @@ def test_group_walk_matches_the_threshold_definition_bitwise(n, seed, data):
         assert bits(gen_choquet(mu, nu, x)) == bits(reference_choquet(mu, nu, vals, strict))
 
     ts = sorted(set(vals))
-    for t in [*ts, *((a + b) / 2 for a, b in zip(ts, ts[1:])), ts[0] - 1.0, ts[-1] + 1.0]:
+    extremes = [ts[0] - 1.0, ts[-1] + 1.0, -math.inf, math.inf, 0.0, -0.0]
+    for t in [*ts, *((a + b) / 2 for a, b in zip(ts, ts[1:])), *extremes]:
         assert bits(survival(mu, x, t)) == bits(mu.table[event(vals, lambda v: v > t)])
         assert bits(survival(mu, x, t, strict=False)) == bits(mu.table[event(vals, lambda v: v >= t)])
         assert bits(lower_tail(nu, x, t)) == bits(nu.table[event(vals, lambda v: v < t)])
@@ -691,7 +701,7 @@ def test_collapse_points_match_the_sup_inf_definitions(n, data):
     # no positive value, no negative value, only zeros, ties across both signs
     rows += [[-2.0] * n, [0.75] * n, [-0.0, 0.0] * n, [3.0, -0.5, -0.0] * n]
     rows = [r[:n] for r in rows]
-    a, b = _collapse_points(mu, nu, rows)
-    for r, a_x, b_x in zip(rows, a.tolist(), b.tolist()):
+    a, b = _collapse_ends(np.stack([_values(nu), _values(mu)]), np.array(rows, dtype=float))
+    for r, a_x, b_x in zip(rows, a[0].tolist(), b[1].tolist()):
         assert (bits(a_x), bits(b_x)) == tuple(map(bits, reference_collapse(mu, nu, r)))
         assert (a_x, b_x) == ax_bx(mu, nu, RandomVariable(ground, tuple(r)))

@@ -39,7 +39,7 @@ from choqrisk import (
     unanimity,
 )
 from choqrisk.errors import OutOfClass, ZeroDerivative, ZeroOneCapacity
-from choqrisk.integral import _groups, _lower, gen_choquet_batch, step_integral
+from choqrisk.integral import gen_choquet_batch, step_integral
 from choqrisk.premium import class_membership, sample_outcomes, two_point_outcomes
 from choqrisk.utility import parse_utility
 from choqrisk.sampling import (
@@ -821,13 +821,12 @@ def test_an_outcome_integral_outside_the_utility_domain_is_out_of_class(g2):
 # --- scalar pricing: one sort per call ------------------------------------------------------
 
 def closure_tail_gap(mu, nu, z, upper):
-    """The tail gap as step_integral over a closure, kept verbatim as the reference."""
-
-    groups = _groups(z.values)
+    """The tail gap as step_integral over a closure that reads ``Z < t`` by its definition, kept
+    as the reference."""
 
     def integrand(t: float) -> float:
         # dual(nu)(Z < t) = 1 - nu(Z >= t), and Z >= t is the complement of Z < t
-        below = _lower(groups, t, True)
+        below = sum(1 << i for i, v in enumerate(z.values) if v < t)
         return (1.0 - nu.table[z.ground.full ^ below]) - mu.table[below]
 
     return step_integral(integrand, 0.0, upper, z.values)

@@ -49,7 +49,8 @@ from choqrisk.theorems import (
     Verdict,
     two_point_grid,
 )
-from choqrisk.integral import translation_gap
+from choqrisk.integral import _halves, translation_gap
+from choqrisk.utility import _per_distinct
 
 
 # --- enumeration oracle --------------------------------------------------------
@@ -151,6 +152,29 @@ def test_dominant_pair_polytope_has_zero_one_vertices(n):
                       bounds=(0, 1), method="highs-ds")
         assert res.status == 0, res.message
         assert np.all(np.minimum(np.abs(res.x), np.abs(res.x - 1.0)) <= 1e-9), res.x
+
+
+def test_forward_jensen_holds_at_every_dominant_zero_one_pair_on_a_full_value_grid():
+    """The vertex scan of the vertex argument for theorem 1: at each of the 129 dominant {0,1} pairs
+    of n = 3, C(f(X)) <= f(C(X)) within VIOLATION_TOL for every X in {-5, -4.5, ..., 5}^3 (9,261
+    rows) and every map of concave_increasing_gallery.  One ``_halves`` call over the 18 {0,1}
+    capacities integrates X, and one per map integrates f(X)."""
+    tables = np.array([c.table for c in enumerate_capacities(3, (0.0, 1.0))])
+    i, j = np.divmod(np.arange(len(tables) ** 2), len(tables))
+    dominant, _, _ = _dominance_checks(tables[i], tables[j])
+    i, j = i[dominant], j[dominant]
+    assert len(i) == 129
+    xs = np.array(list(product(np.arange(-10, 11) / 2.0, repeat=3)))
+    gains, losses = _halves(tables, xs)
+    cx = gains[i] - losses[j]
+    ground = GroundSet(3)
+    mu, nu = new_capacity(ground, tables[i[-1]]), new_capacity(ground, tables[j[-1]])
+    assert cx[-1].tolist() == gen_choquet_batch(mu, nu, xs).tolist()
+    for f in concave_increasing_gallery():
+        assert all(map(f.in_domain, xs.ravel().tolist()))
+        f_gains, f_losses = _halves(tables, _per_distinct(f.values, xs))
+        gaps = (f_gains[i] - f_losses[j]) - _per_distinct(f.values, cx)
+        assert gaps.max() <= VIOLATION_TOL, (f.spec(), gaps.max())
 
 
 # --- lemma suite ------------------------------------------------------------------
