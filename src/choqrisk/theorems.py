@@ -537,8 +537,8 @@ def integral_property_checks(
     """Randomized checks of the four structural integral properties.
 
     Tail-convention equality is asserted exactly, as the scalar walk
-    (strict tails, read off the sorted values; ``_walk`` and
-    ``_tail_walk``) against the halves (weak tails, read off ``_plan``);
+    (strict tails, read off the sorted values; ``_walk``) against the
+    halves (weak tails, read off ``_plan``);
     pointwise monotonicity,
     positive homogeneity (with the capacity swap at negative scale) and the
     translation identity at ``tol``.  A trial stops at its first failing
@@ -564,7 +564,8 @@ def _property_trials(
     each capacity's values in the step cells once and combines them by pair
     a block at a time (``_cell_sums``).  The tail trial walks each capacity
     once per sample: the walk's gains part reads mu only and its loss part
-    nu only (``_walk``, ``_tail_walk``), in the sample's one sort order.
+    nu only (``_walk``), in the sample's one sort order, and C(X) under pair
+    (i, j) is the one less the other, bit-for-bit ``gen_choquet``.
     """
     ground = _ground(tables)
     n, size = ground.n, max(samples, 0)
@@ -576,7 +577,7 @@ def _property_trials(
             table = memoryview(tables[k])
             walks = [_walk(table, table, x, order, ground.full) for x, order in rows["orders"]]
             parts[k] = np.reshape(walks, (size, 2))
-        walk, halves = _tail_walk(parts[i, :, 0], parts[j, :, 1], rows["x"]), c("x", i, j)
+        walk, halves = parts[i, :, 0] - parts[j, :, 1], c("x", i, j)
         return walk != halves, np.abs(walk - halves)
 
     def monotonicity(c, i, j, rows):
@@ -648,13 +649,6 @@ def _trial_verdict(check: str, samples: int, fields: tuple, failed_at, gap, grou
         return Verdict(check, True, samples)
     rows, r = drawn[group[k]], failed_at[k]
     return Verdict(check, False, samples, {**{name: rows[name][r].tolist() for name in fields}, "gap": float(gap[k])})
-
-
-def _tail_walk(total: np.ndarray, lower: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The scalar walk's C(X) of the (K, n) rows xs under pairs, from its parts: ``total``, the
-    gains part under each pair's mu, less ``lower``, the loss part under its nu; bit-for-bit
-    ``gen_choquet``."""
-    return total - lower
 
 
 def zero_one_collapse_check(

@@ -3,9 +3,9 @@
 All families are strictly increasing with ``u(0) = 0``.  Each carries its
 own open domain; two families are only defined from 0 upward (power with
 zero shift, and power-expo with fractional exponent), recorded by a closed
-left endpoint at 0.  Derivatives and inverses are closed-form wherever the
-family admits them; the tabulated family inverts by bisection and stands in
-for empirical utilities that arrive as point estimates.
+left endpoint at 0.  Derivatives and inverses are closed-form; the tabulated
+family, which stands in for empirical utilities that arrive as point
+estimates, inverts segment by segment.
 
 ``values`` evaluates a list of points at once, bit for bit ``value`` at
 each: it maps ``_value`` over the list (numpy's ufuncs would round
@@ -32,8 +32,6 @@ INF = float("inf")
 SHAPE_TOL = 1e-12
 DEFAULT_GRID_POINTS = 201
 DEFAULT_GRID_BOUNDS = (-10.0, 10.0)
-BISECTION_TOL = 1e-12
-BISECTION_MAX_ITER = 200
 
 
 class UtilityFunction:
@@ -378,17 +376,18 @@ class PiecewiseLinearKink(UtilityFunction):
         return (-INF, INF)
 
 
-_abscissa = itemgetter(0)
+_abscissa, _ordinate = itemgetter(0), itemgetter(1)
 
 
-def _segment(knots: Sequence[tuple[float, float]], x: float) -> Sequence[tuple[float, float]]:
-    """End knots of the segment holding x (the first or last one beyond the ends).
+def _segment(knots: Sequence[tuple[float, float]], t: float, key=_abscissa) -> Sequence[tuple[float, float]]:
+    """End knots of the segment holding t on the ``key`` axis (the first or last one beyond the ends).
 
-    The segment ends at the first inner knot at or beyond x, found by
-    bisection over the abscissae, or at the last knot; below the first
-    knot and at NaN it is the first segment.
+    The segment ends at the first inner knot whose key is at or beyond t,
+    found by bisection over the keys (the abscissae, or with ``_ordinate``
+    the ordinates of an increasing table), or at the last knot; below the
+    first knot and at NaN it is the first segment.
     """
-    j = bisect_left(knots, x, 1, len(knots) - 1, key=_abscissa)
+    j = bisect_left(knots, t, 1, len(knots) - 1, key=key)
     return knots[j - 1], knots[j]
 
 
@@ -403,16 +402,10 @@ class TabulatedUtility(UtilityFunction):
     """Strictly increasing piecewise-linear utility through knots.
 
     A knot at ``(0, 0)`` is required.  Domain and range are closed at both
-    ends: the end knots belong to them.  The inverse runs the generic
-    bisection bracket rather than segment algebra, exercising the fallback
-    path an empirical (non-closed-form) utility would take; tests pin it
-    against the exact segment inverse.  Its steps find each midpoint's
-    segment by bisection over the knot abscissae (``_segment``), looked
-    up again only when the midpoint leaves the segment of the step before,
-    and take the segment's rise and run once per lookup; each step is then
-    ``_interpolate``'s formula, one comparison of its distance to the
-    target and one width test.  ``values`` interpolates a list of points
-    with ``_interpolate``, one segment lookup per point.
+    ends: the end knots belong to them.  ``values`` interpolates a list of
+    points with ``_interpolate``, one segment lookup per point.  The
+    inverse is piecewise linear too: ``_segment`` looks up the segment by
+    its ordinates, and each knot ordinate maps back to its knot exactly.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -452,26 +445,10 @@ class TabulatedUtility(UtilityFunction):
         return 0.0
 
     def _inverse(self, y: float) -> float:
-        tol = BISECTION_TOL
-        lo, hi = self.domain_lo, self.domain_hi
-        x0 = x1 = lo  # no segment in hand yet: (x0, x1] is empty
-        for _ in range(BISECTION_MAX_ITER):
-            mid = (lo + hi) / 2.0
-            # _segment maps every point of (x0, x1] to this segment; else look it up again
-            if not x0 < mid <= x1:
-                (x0, y0), (x1, y1) = _segment(self.knots, mid)
-                dy, dx = y1 - y0, x1 - x0
-            d = y0 + dy * (mid - x0) / dx - y  # v - y, with _interpolate's formula for v
-            if -tol <= d <= tol:  # abs(v - y) <= tol
-                return mid
-            if d < 0.0:  # v < y: v - y rounds to 0 only where v == y
-                lo = mid
-            else:
-                hi = mid
-            # the step is tol * max(1.0, abs(lo)); rounding commutes with the sign and with max
-            if hi - lo <= (tol * lo if lo > 1.0 else tol * -lo if lo < -1.0 else tol):
-                break
-        return (lo + hi) / 2.0
+        (x0, y0), (x1, y1) = _segment(self.knots, y, _ordinate)
+        if y == y1:  # y == y0 only at the first knot, where the formula gives x0
+            return x1
+        return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
 
     def range(self) -> tuple[float, float]:
         return (self.knots[0][1], self.knots[-1][1])

@@ -30,6 +30,7 @@ from choqrisk import (
     TabulatedUtility,
     approx_premium,
     compare_agents,
+    compose_via_inverse,
     from_probability,
     is_risk_averse,
     new_capacity,
@@ -85,6 +86,26 @@ def test_tabulated_top_endpoint_is_in_class(g2, x):
     s = Scenario(1.0, RandomVariable(g2, x), cap, cap, u)
     assert class_membership(s) == (True, None)
     assert premium(s) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_a_wealth_position_at_a_knot_prices_bit_for_bit():
+    # C of the constant u(x_k) is u(x_k), which the tabulated inverse maps back to x_k itself
+    u = parse_utility("utable:-3,-6;-1,-1.5;0,0;1,0.8;2,1.4;4,2.2;6,2.8")
+    rng = rng_from_seed(36)
+    for n in (1, 3, 8):
+        ground = GroundSet(n)
+        mu, nu = random_dominant_pair(rng, ground)
+        for w in (0.0, 0.1, 3.0, 6.5):
+            for x_k, _ in u.knots:
+                c = w - x_k
+                assert w - c == x_k
+                s = Scenario(w, RandomVariable(ground, (c,) * n), mu, nu, u)
+                assert repr(premium(s)) == repr(w - x_k), (n, w, x_k)
+    for outer in (Exponential(1.0), Logarithmic(4.0), Linear(), u):
+        g = compose_via_inverse(outer, u)
+        for x_k, _ in u.knots:
+            if outer.in_domain(x_k):
+                assert g.value(u(x_k)) == outer(x_k), (outer.spec(), x_k)
 
 
 def test_out_of_class_reports_reason(g2, mu_worked, nu_worked):

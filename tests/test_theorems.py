@@ -9,6 +9,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choqrisk import (
     CapacityEnumerator,
@@ -177,6 +179,33 @@ def test_forward_jensen_holds_at_every_dominant_zero_one_pair_on_a_full_value_gr
         assert gaps.max() <= VIOLATION_TOL, (f.spec(), gaps.max())
 
 
+#: rounding bound of C(bX + c) - (b C(X) + c) in ulp of b max|X| + c, the size of the terms added
+AFFINE_ULPS = 8
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6).flatmap(lambda n: st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_affine_maps_with_nonnegative_slope_and_intercept_keep_the_forward_half(seed, x, a, b, c):
+    """The affine step of the vertex argument for theorem 1.  At a dominant pair (mu <= dual(nu)),
+    C(X + a) - a - C(X) is translation_gap's correction, the integral over [-a, 0] of
+    mu(X > s) - dual(nu)(X >= s) <= 0.  With positive homogeneity, C(bX + c) <= b C(X) + c for
+    every X and b, c >= 0: Jensen for the affine map bx + c whatever its value c at 0.  The
+    gap is rounding only; under cancellation it is not small beside max|bX + c|, so it is
+    bounded in ulp of the terms' size."""
+    ground = GroundSet(len(x))
+    mu, nu = random_dominant_pair(rng_from_seed(seed), ground)
+    x = RandomVariable(ground, tuple(x))
+    assert translation_gap(mu, nu, x, a).correction <= 0.0
+    gap = gen_choquet(mu, nu, x * b + c) - (b * gen_choquet(mu, nu, x) + c)
+    assert gap <= AFFINE_ULPS * 2.0**-52 * (b * max(map(abs, x.values)) + c), gap
+
+
 # --- lemma suite ------------------------------------------------------------------
 
 def test_lemma_verdicts_hold_for_random_pairs():
@@ -192,19 +221,19 @@ def test_lemma_verdicts_hold_for_random_pairs():
 def scalar_property_checks(mu, nu, samples=50, seed=0, tol=VIOLATION_TOL):
     """Reference: the lemma trials as one scalar loop, each X and value drawn in turn.
 
-    The tail trial sets the scalar walk the trials read (``_walk``'s parts,
-    recombined by ``theorems._tail_walk``) against the batched kernel; every other
-    trial calls this module's ``gen_choquet``.
+    The tail trial sets the scalar walk the trials read (``theorems._walk``'s
+    parts, the gains part less the loss part) against the batched kernel; every
+    other trial calls this module's ``gen_choquet``.
     """
     from choqrisk import theorems
-    from choqrisk.integral import _order, _walk
+    from choqrisk.integral import _order
 
     rng = np.random.default_rng(seed)
     ground = mu.ground
 
     def tails(x: RandomVariable) -> dict | None:
-        total, lower = _walk(mu, nu, x.values, _order(x.values), ground.full)
-        a = float(theorems._tail_walk(np.array([total]), np.array([lower]), np.array([x.values]))[0])
+        total, lower = theorems._walk(mu, nu, x.values, _order(x.values), ground.full)
+        a = total - lower
         b = float(gen_choquet_batch(mu, nu, [x.values])[0])
         return None if a == b else {"x": list(x.values), "gap": abs(a - b)}
 
@@ -258,12 +287,13 @@ def test_lemma_trials_match_the_scalar_loop(monkeypatch, faults):
     from choqrisk import theorems
 
     if faults:
-        exact = theorems._tail_walk
+        exact = theorems._walk
 
-        def walk_off(total, lower, xs):
-            return exact(total, lower, xs) + np.where(xs[:, 0] > 3, 2.0**-20, 0.0)
+        def walk_off(mu, nu, x, order, full):
+            total, lower = exact(mu, nu, x, order, full)
+            return total + (2.0**-20 if x[0] > 3 else 0.0), lower
 
-        monkeypatch.setattr(theorems, "_tail_walk", walk_off)
+        monkeypatch.setattr(theorems, "_walk", walk_off)
     rng = rng_from_seed(14)
     failures, diverged = set(), 0
     for _ in range(150):
@@ -742,10 +772,11 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
 
         return run
 
-    exact = theorems._tail_walk
+    exact = theorems._walk
 
-    def walk_off(total, lower, xs):
-        return exact(total, lower, xs) + 2.0**-20
+    def walk_off(mu, nu, x, order, full):
+        total, lower = exact(mu, nu, x, order, full)
+        return total + 2.0**-20, lower
 
     gallery = theorems.concave_increasing_gallery
     monkeypatch.setattr(theorems, "is_concave_on", flipped(theorems.is_concave_on))
@@ -757,7 +788,7 @@ def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
     )
     monkeypatch.setattr(theorems, "GAP_MATCH_TOL", -1.0)
     monkeypatch.setattr(theorems, "_property_trials", partial(theorems._property_trials, tol=-1.0))
-    monkeypatch.setattr(theorems, "_tail_walk", walk_off)
+    monkeypatch.setattr(theorems, "_walk", walk_off)
 
     report = run_full_report(
         n=2, levels=(0.0, 0.5, 1.0), seed=42, values=tuple(-3.0 + 0.5 * k for k in range(13))

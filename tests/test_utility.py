@@ -5,9 +5,9 @@ The finite-difference oracles here are the independent check on every
 closed-form derivative; step 1e-4, tolerance 1e-5 at interior points.
 """
 
-import importlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +32,6 @@ from choqrisk import (
 )
 from choqrisk.errors import DomainError, NonDifferentiable, NotInRange
 from choqrisk.utility import (
-    BISECTION_MAX_ITER,
-    BISECTION_TOL,
     SHAPE_TOL,
     ShapeCheck,
     UtilityFunction,
@@ -485,20 +483,6 @@ def test_compose_concavity_iff_arrow_pratt_order():
 
 # --- tabulated utility --------------------------------------------------------------------
 
-def test_tabulated_bisection_matches_segment_algebra():
-    u = TabulatedUtility(((-2.0, -3.0), (0.0, 0.0), (1.0, 0.5), (3.0, 1.0)))
-
-    def exact_inverse(y):
-        ks = u.knots
-        for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
-            if y0 <= y <= y1:
-                return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-        raise AssertionError
-
-    for y in (-2.5, -1.0, 0.0, 0.25, 0.75, 1.0):
-        assert u.inverse(y) == pytest.approx(exact_inverse(y), abs=1e-9)
-
-
 def linear_walk_segment(knots, x):
     """End knots of the segment holding x by a walk over the knots, kept verbatim as the reference."""
     j = 1
@@ -508,7 +492,7 @@ def linear_walk_segment(knots, x):
 
 
 class LinearWalkTable(TabulatedUtility):
-    """TabulatedUtility with the knot walk and the bisection inverse kept verbatim as the reference."""
+    """TabulatedUtility with the knot walk kept verbatim as the reference."""
 
     def _value(self, x):
         (x0, y0), (x1, y1) = linear_walk_segment(self.knots, x)
@@ -521,29 +505,13 @@ class LinearWalkTable(TabulatedUtility):
         (x0, y0), (x1, y1) = linear_walk_segment(self.knots, x)
         return (y1 - y0) / (x1 - x0)
 
-    def _inverse(self, y: float) -> float:
-        lo, hi = self.domain_lo, self.domain_hi
-        for _ in range(BISECTION_MAX_ITER):
-            mid = (lo + hi) / 2.0
-            v = self._value(mid)
-            if abs(v - y) <= BISECTION_TOL:
-                return mid
-            if v < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= BISECTION_TOL * max(1.0, abs(lo)):
-                break
-        return (lo + hi) / 2.0
-
 
 def knot_tables(rng):
-    """Knot tables through (0, 0): two knots, dyadic knots that bisection midpoints land on,
-    neighbouring floats as knots, and random tables of 3-9 knots."""
+    """Knot tables through (0, 0): two knots, dyadic knots, neighbouring floats as knots, and
+    random tables of 3-9 knots."""
     tiny = 5e-324
     yield ((-1.0, -2.0), (0.0, 0.0))
     yield ((0.0, 0.0), (1.0, 0.5))
-    # bisection over [-4, 4] visits 0, then 2 on the segment (1, 3], then its ends 1 or 3
     yield ((-4.0, -8.0), (-2.0, -3.0), (-1.0, -1.0), (0.0, 0.0), (1.0, 0.75), (3.0, 1.25), (4.0, 1.5))
     yield ((-1.0, -1.0), (-tiny, -1e-300), (0.0, 0.0), (tiny, 1e-300), (math.nextafter(1.0, 0.0), 0.5), (1.0, 0.6))
     for _ in range(20):
@@ -588,42 +556,40 @@ def test_segment_lookup_matches_the_linear_walk_bitwise():
             assert repr(_segment(knots, x)) == repr(linear_walk_segment(knots, x)), (knots, x)
 
 
-def test_tabulated_inverse_and_prime_match_the_linear_walk_bitwise():
+def test_tabulated_prime_matches_the_linear_walk_bitwise():
     rng = np.random.default_rng(32)
     for knots in knot_tables(rng):
         u, ref = TabulatedUtility(knots), LinearWalkTable(knots)
-        for y in inverse_targets(knots, rng):  # the inverse itself, out of range too
-            assert repr(u._inverse(y)) == repr(ref._inverse(y)), (knots, y)
         for x in probe_points(knots, rng):
             if u.in_domain(x):
                 assert outcome(u.prime, x) == outcome(ref.prime, x), (knots, x)
                 assert outcome(u.second, x) == outcome(ref.second, x), (knots, x)
 
 
-def test_tabulated_inverse_looks_up_a_segment_only_when_the_midpoint_leaves_it(monkeypatch):
-    utility = importlib.import_module("choqrisk.utility")
-    segment, lookups, mids = utility._segment, [], []
+def exact_segment_inverse(knots, y):
+    """The inverse at an in-range y in exact arithmetic, on the first segment whose ordinates
+    bracket y, and the larger magnitude of that segment's end abscissae."""
+    for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+        if y0 <= y <= y1:
+            f = Fraction
+            return f(x0) + (f(x1) - f(x0)) * (f(y) - f(y0)) / (f(y1) - f(y0)), max(abs(x0), abs(x1))
+    raise AssertionError((knots, y))
 
-    def recorded(knots, x):
-        lookups.append(x)
-        return segment(knots, x)
 
-    class WalkedMids(LinearWalkTable):
-        def _value(self, x):
-            mids.append(x)
-            return super()._value(x)
-
-    monkeypatch.setattr(utility, "_segment", recorded)
-    rng = np.random.default_rng(33)
-    for knots in knot_tables(rng):
-        u, ref = TabulatedUtility(knots), WalkedMids(knots)
+def test_tabulated_inverse_is_the_segment_inverse_within_two_ulp_and_exact_at_the_knots():
+    rng = np.random.default_rng(32)
+    tables = [*knot_tables(rng), ((-2.0, -3.0), (0.0, 0.0), (1.0, 0.5), (3.0, 1.0))]
+    for knots in tables:
+        u = TabulatedUtility(knots)
         for y in inverse_targets(knots, rng):
-            lookups.clear()
-            mids.clear()
-            assert repr(u._inverse(y)) == repr(ref._inverse(y))
-            steps = [linear_walk_segment(knots, mid) for mid in mids]
-            changes = [mid for k, mid in enumerate(mids) if k == 0 or steps[k] != steps[k - 1]]
-            assert [repr(x) for x in lookups] == [repr(x) for x in changes], (knots, y)
+            if not u.in_range(y):  # NaN and the points beyond the range ends
+                with pytest.raises(NotInRange):
+                    u.inverse(y)
+                continue
+            exact, scale = exact_segment_inverse(knots, y)
+            assert abs(Fraction(u.inverse(y)) - exact) <= 2 * Fraction(math.ulp(scale)), (knots, y)
+        for x, y in knots:
+            assert repr(u.inverse(y)) == repr(x), (knots, y)
 
 
 def test_tabulated_prime_raises_exactly_at_the_knots():
