@@ -50,6 +50,7 @@ from .utility import (
     NegSqrtKink,
     PiecewiseLinearKink,
     Power,
+    _distinct,
     _each,
     _number,
     _per_distinct,
@@ -67,9 +68,10 @@ THEOREM_IDS = ("lemma", "1", "2", "3", "4")
 #: cap on rows x n of one two-point grid: a scan holds about a dozen arrays of
 #: that size (jensen_holds over 1.7e6 cells, n = 8, peaked at 220 MB)
 GRID_MAX_CELLS = 2 * 10**6
-#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (0.09-0.13 s and 48 MB
-#: peak RSS for the whole run in one process on a 2-vCPU machine), at five levels 3,549,456
-#: (about 18-28 s, extrapolated from the 213 times fewer pairs; memory grows with the pairs too)
+#: cap on the pairs of one sweep: n = 3 at three levels has 16,641 pairs (0.15-0.18 s and 47 MB
+#: peak RSS for the whole run in one process on a shared 2-vCPU machine), at five levels
+#: 3,549,456 (about 32-38 s, extrapolated from the 213 times fewer pairs; memory grows with the
+#: pairs too)
 SWEEP_MAX_PAIRS = 10**5
 #: capacities a refused sweep builds: the exact count of n = 2 at 18 levels
 #: (324) and n = 3 at five (1884) fits, and no level grid takes over 0.1 s
@@ -352,9 +354,10 @@ def _two_point_scans(tables: np.ndarray, pairs: np.ndarray, gallery: list, value
     t(Bᶜ) of a table t, so it is the row (value on B, value off B) under the
     table (0, t(B), t(Bᶜ), 1), a side: its integral under a pair depends on
     the split only through the pair's (mu side, nu side).  The sides of all
-    splits are stacked and their halves of the rows made once; each map
-    integrates only f of its rows (``_split_scan``), once per distinct side
-    pair, and each pair reads its splits' results in order (``_scan_checked``).
+    splits are stacked and their halves of the rows made once.  The maps
+    whose domains admit the same rows, a row set, are scanned together
+    (``_split_scan``), once per distinct side pair, and each pair reads its
+    splits' results in order (``_scan_checked``).
     """
     ground = _ground(tables)
     splits = _canonical_splits(ground)
@@ -363,47 +366,65 @@ def _two_point_scans(tables: np.ndarray, pairs: np.ndarray, gallery: list, value
     side = side.reshape(len(tables), len(splits))
     codes = side[pairs[:, 0]] * len(sides) + side[pairs[:, 1]]
     wanted, at = np.unique(codes, return_inverse=True)
+    at = at.reshape(codes.shape)
     quads = np.zeros((len(sides), 4))
     quads[:, 1:3], quads[:, 3] = sides, 1.0
     gains, losses = _halves(quads, rows)
     si, sj = np.divmod(wanted, len(sides))
-    return [
-        _scan_checked(ground, splits, f, rows[mask], at.reshape(codes.shape), probe,
-                      *_split_scan(quads, f, probe, rows[mask], gains[:, mask], losses[:, mask], si, sj))
-        for f, mask in zip(gallery, masks)
-    ]
+    row_sets: dict = {}
+    for g, mask in enumerate(masks):
+        row_sets.setdefault(mask.tobytes(), []).append(g)
+    scans = [None] * len(gallery)
+    for maps in row_sets.values():
+        # a row set of every row is a view of the rows, not a copy
+        mine = slice(None) if masks[maps[0]].all() else masks[maps[0]]
+        mine_rows = rows[mine]
+        firsts, gaps, *mixture = _split_scan(quads, [gallery[g] for g in maps], probe, mine_rows, gains[:, mine],
+                                             losses[:, mine], si, sj)
+        for g, first, gap in zip(maps, firsts, gaps):
+            scans[g] = _scan_checked(ground, splits, gallery[g], mine_rows, at, probe, first, gap, *mixture)
+    return scans
 
 
-def _split_scan(quads: np.ndarray, f, probe: bool, rows: np.ndarray, gains, losses, si, sj) -> tuple:
-    """Per side pair w = (mu side ``si[w]``, nu side ``sj[w]``) of ``quads``: the first row (or
-    len(rows)) whose Jensen gap exceeds VIOLATION_TOL and the gap; with ``probe`` also the first
-    row (or len(rows)) off the closed two-valued mixture forms, with the integral and the form.
+def _split_scan(quads: np.ndarray, maps: list, probe: bool, rows: np.ndarray, gains, losses, si, sj) -> tuple:
+    """Per map of ``maps`` (a row of ``firsts`` and ``gaps``) and side pair w = (mu side ``si[w]``,
+    nu side ``sj[w]``) of ``quads``: the first row (or len(rows)) whose Jensen gap exceeds
+    VIOLATION_TOL and the gap; with ``probe`` also per side pair the first row (or len(rows)) off
+    the closed two-valued mixture forms, with the integral and the form.  Returns ``(firsts, gaps,
+    off, integral, expected)``.
 
     ``gains`` and ``losses`` are the halves of ``rows`` under ``quads``, so
     C(X) is one subtraction, bit-for-bit ``gen_choquet_batch``, and so is
-    C(f(X)) after one ``_halves`` call on f(rows).  f(C(X)) is made once per
-    side on rows of one sign, and on the mixed-sign rows once per distinct
-    value of a block of side pairs (``_blocks``), whose rows are scored at
-    once: ``argmax`` finds each first violation or mismatch.
+    C(f(X)) after one ``_halves`` call on f(rows).  What does not depend on
+    f is made once for all the maps: the distinct values of the rows and of
+    the halves on rows of one sign, where f(C(X)) is read once per side, and
+    per block of side pairs (``_blocks``) C(X), the distinct values of its
+    mixed-sign cells, which each map reads f of, and the mixture-form check.
+    A block's rows are scored at once: ``argmax`` finds each first violation
+    or mismatch.
     """
     k = len(rows)
     alpha, beta, beta_on_b = rows.min(axis=1), rows.max(axis=1), rows[:, 0] > rows[:, 1]
     on_gains, on_losses = alpha >= 0.0, (beta <= 0.0) & (alpha < 0.0)
     mixed = ~(on_gains | on_losses)
-    f_gains, f_losses = _halves(quads, _per_distinct(f.values, rows))
-    f_on_gains, f_on_losses = _per_distinct(f.values, gains[:, on_gains]), _per_distinct(f.values, 0.0 - losses[:, on_losses])
-    first, off = np.full((2, len(si)), k)
-    gap, integral, expected = np.empty((3, len(si)))
+    at_rows, at_gains, at_losses = _distinct(rows), _distinct(gains[:, on_gains]), _distinct(0.0 - losses[:, on_losses])
+    # per map: its halves of f(rows), and f(C(X)) on the rows of one sign
+    halves = [(*_halves(quads, at_rows(f.values)), at_gains(f.values), at_losses(f.values)) for f in maps]
+    firsts, gaps = np.full((len(maps), len(si)), k), np.empty((len(maps), len(si)))
+    off = np.full(len(si), k)
+    integral, expected = np.empty((2, len(si)))
     for block in _blocks(len(si), k):
         i, j = si[block], sj[block]
         m = gains[i] - losses[j]
-        f_m = np.empty_like(m)
-        f_m[:, on_gains], f_m[:, on_losses] = f_on_gains[i], f_on_losses[j]
-        f_m[:, mixed] = _per_distinct(f.values, m[:, mixed])
-        gaps = f_gains[i] - f_losses[j]
-        gaps -= f_m
-        first[block] = _first(gaps > VIOLATION_TOL)
-        gap[block] = _at(gaps, first[block])
+        at_mixed = _distinct(m[:, mixed])
+        for f, (f_gains, f_losses, f_on_gains, f_on_losses), first, gap in zip(maps, halves, firsts, gaps):
+            f_m = np.empty_like(m)
+            f_m[:, on_gains], f_m[:, on_losses] = f_on_gains[i], f_on_losses[j]
+            f_m[:, mixed] = at_mixed(f.values)
+            jensen = f_gains[i] - f_losses[j]
+            jensen -= f_m
+            first[block] = _first(jensen > VIOLATION_TOL)
+            gap[block] = _at(jensen, first[block])
         if probe:
             # closed two-valued mixture forms: p = mu(X = beta), q = nu(X = alpha)
             p = np.where(beta_on_b, quads[i, 1:2], quads[i, 2:3])
@@ -415,7 +436,7 @@ def _split_scan(quads: np.ndarray, f, probe: bool, rows: np.ndarray, gains, loss
             )
             off[block] = _first(np.abs(m - expect) > 1e-9)
             integral[block], expected[block] = _at(m, off[block]), _at(expect, off[block])
-    return first, gap, off, integral, expected
+    return firsts, gaps, off, integral, expected
 
 
 def _scan_checked(ground: GroundSet, splits: list, f, rows, at, probe: bool, first, gap, off, integral, expected):
@@ -939,9 +960,11 @@ def _tally(report: SweepReport, sweep: _Sweep) -> None:
     order, to ``report``.  Counts add and failures concatenate, so sweeps over consecutive blocks
     of pairs add up to the sweep over all of them."""
     report.pair_count += len(sweep.pairs)
-    for cls, count in zip(*np.unique(np.stack(sweep.classes, axis=1), axis=0, return_counts=True)):
-        key = _class_key(*cls.tolist())
-        report.class_counts[key] = report.class_counts.get(key, 0) + int(count)
+    dominant, zero_one, coexistence = sweep.classes
+    counts = np.bincount(4 * dominant + 2 * zero_one + coexistence, minlength=8)
+    for code in np.flatnonzero(counts).tolist():
+        key = _class_key(bool(code & 4), bool(code & 2), bool(code & 1))
+        report.class_counts[key] = report.class_counts.get(key, 0) + int(counts[code])
     for name, where, checked in sweep.columns:
         good, total = report.verdict_counts.get(name, (0, 0))
         report.verdict_counts[name] = (good + int(np.count_nonzero(checked.ok)), total + len(where))

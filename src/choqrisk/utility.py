@@ -474,13 +474,19 @@ class ShapeCheck:
         return self.holds
 
 
-def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
-    """The list function ``fn`` (such as ``values``) at every entry of xs, called once on the list of
-    its distinct floats (by bit pattern, so 0.0 and -0.0 are apart)."""
+def _distinct(xs: np.ndarray):
+    """``read(fn, dtype=float)``: the list function ``fn`` (such as ``values``) at every entry of xs,
+    called once on the list of its distinct floats (by bit pattern, so 0.0 and -0.0 are apart),
+    which are found once for every ``fn`` read."""
     xs = np.ascontiguousarray(xs, dtype=float)
     keys, inverse = np.unique(xs.view(np.int64).ravel(), return_inverse=True)
-    out = np.array(fn(keys.view(np.float64).tolist()), dtype=dtype)
-    return out[inverse].reshape(xs.shape)
+    keys, inverse = keys.view(np.float64).tolist(), inverse.reshape(xs.shape)
+    return lambda fn, dtype=float: np.array(fn(keys), dtype=dtype)[inverse]
+
+
+def _per_distinct(fn, xs: np.ndarray, dtype=float) -> np.ndarray:
+    """The list function ``fn`` at every entry of xs, called once on its distinct floats."""
+    return _distinct(xs)(fn, dtype)
 
 
 def _each(fn):

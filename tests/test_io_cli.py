@@ -471,34 +471,48 @@ def test_cli_verify_refuses_n4_at_the_default_levels_before_any_check(capsys, mo
         main(["verify", "--n", "5"])
 
 
-@pytest.mark.parametrize(
-    "argv, sha256",
-    [
-        # the three-level sweep
-        (["--n", "2", "--levels", "0,0.5,1", "--seed", "42"],
-         "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"),
-        # the 625-pair sweep at the default five levels
-        (["--n", "2"], "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"),
-        # theorems 1 and 2 over the 16,641 three-level n = 3 pairs: at n = 3 the four
-        # entries a two-point scan reads are not the whole tables, so this pins the
-        # keying of those scans, which n = 2 cannot
-        (["--n", "3", "--levels", "0,0.5,1", "--theorem", "1,2", "--seed", "42"],
-         "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"),
-        # every check family over the same pairs: the lemma trials of all pairs share
-        # one memo of draws and per-capacity halves, pinned here at n = 3 as well
-        (["--n", "3", "--levels", "0,0.5,1", "--seed", "42"],
-         "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"),
-        # the 27,556 pairs of the 166 {0,1}-valued capacities on four elements; recorded with the
-        # per-pair sweep driver that preceded the verdict arrays, with only n = 4 admitted
-        (["--n", "4", "--levels", "0,1"], "06626be59258dceed93071daf1ef4a5fc31e7a861f871e511ca05e7b3f91b316"),
-    ],
-    ids=["n2-three-levels", "n2-default-levels", "n3-jensen-theorems", "n3", "n4-zero-one"],
-)
+#: sweep reports pinned byte for byte, by test id: (verify arguments, sha256 of the JSON report)
+REPORT_DIGESTS = {
+    # the three-level sweep
+    "n2-three-levels": (["--n", "2", "--levels", "0,0.5,1", "--seed", "42"],
+                        "6d302b13bae46601f86076596b8a8a3d86be6171516e94b3407585c3f270903c"),
+    # the 625-pair sweep at the default five levels
+    "n2-default-levels": (["--n", "2"], "801816d48a16cf594be74026c32bffd2cce3c57ca4afd6f16c130b9520384158"),
+    # theorems 1 and 2 over the 16,641 three-level n = 3 pairs: at n = 3 the four
+    # entries a two-point scan reads are not the whole tables, so this pins the
+    # keying of those scans, which n = 2 cannot
+    "n3-jensen-theorems": (["--n", "3", "--levels", "0,0.5,1", "--theorem", "1,2", "--seed", "42"],
+                           "e2a79ca706ee77fe63f23f0e631f80368c28b4dcd1be8811fd9b8164ad462fd6"),
+    # every check family over the same pairs: the lemma trials of all pairs share
+    # one memo of draws and per-capacity halves, pinned here at n = 3 as well
+    "n3": (["--n", "3", "--levels", "0,0.5,1", "--seed", "42"],
+           "102d1cb3757b3497c56efe435dde78dba2846bc905c3b1bdfbc47c42f25b74d5"),
+    # the 27,556 pairs of the 166 {0,1}-valued capacities on four elements; recorded with the
+    # per-pair sweep driver that preceded the verdict arrays, with only n = 4 admitted
+    "n4-zero-one": (["--n", "4", "--levels", "0,1"], "06626be59258dceed93071daf1ef4a5fc31e7a861f871e511ca05e7b3f91b316"),
+}
+
+
+@pytest.mark.parametrize("argv, sha256", list(REPORT_DIGESTS.values()), ids=list(REPORT_DIGESTS))
 def test_cli_verify_report_digest(tmp_path, capsys, argv, sha256):
     """A sweep report, pinned byte for byte."""
     out = tmp_path / "report.json"
     main(["verify", *argv, "--json", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("cells", [1, 2**20], ids=["one-side-pair", "2^20"])
+def test_cli_verify_reports_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch, cells):
+    """The two-point scans, the collapse identity and the translation trial work a block of pairs
+    or side pairs at a time, and the maps of a gallery share each block's C(X): one side pair per
+    block and blocks of 2²⁰ values write the pinned reports byte for byte."""
+    from choqrisk import theorems
+
+    monkeypatch.setattr(theorems, "_BLOCK_CELLS", cells)
+    out = tmp_path / "report.json"
+    for argv, sha256 in (REPORT_DIGESTS["n2-three-levels"], REPORT_DIGESTS["n3"]):
+        main(["verify", *argv, "--json", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_verify_verifies_converses_whose_gap_lies_between_the_tolerances(tmp_path, capsys):

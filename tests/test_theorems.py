@@ -728,11 +728,14 @@ def test_sweep_classification_totals():
     assert report.clean
 
 
-@pytest.mark.parametrize("theorem, maps", [("1", 4), ("2", 4), ("3", 4), ("4", 3)], ids=["1", "2", "3", "4"])
-def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch, theorem, maps):
+@pytest.mark.parametrize("theorem, maps, row_sets", [("1", 4, 1), ("2", 4, 1), ("3", 4, 2), ("4", 3, 1)],
+                         ids=["1", "2", "3", "4"])
+def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch, theorem, maps, row_sets):
     """Theorems 1-4 read every pair off per-capacity halves, not gen_choquet_batch, in one
-    engine scan per map and split (n = 2 has one canonical split); theorem 2's collapse
-    identity reads C(f(X)) off them too."""
+    engine scan per row set (the rows that the domains of its maps admit; n = 2 has one
+    canonical split), which scans each of its gallery maps once; theorem 3's Power(0.5, 2.0)
+    admits fewer rows than the rest of its gallery.  Theorem 2's collapse identity reads C(f(X))
+    off them too."""
     from choqrisk import theorems
 
     def refuse(*args, **kwargs):
@@ -741,11 +744,37 @@ def test_sweep_jensen_scans_run_without_a_per_pair_kernel_call(monkeypatch, theo
     scans = []
     split_scan = theorems._split_scan
     monkeypatch.setattr(theorems, "gen_choquet_batch", refuse)
-    monkeypatch.setattr(theorems, "_split_scan", lambda *args: scans.append(args[1:3]) or split_scan(*args))
+    monkeypatch.setattr(theorems, "_split_scan", lambda *args: scans.append(args[1]) or split_scan(*args))
     report = run_full_report(n=2, levels=(0.0, 0.5, 1.0), theorems=(theorem,))
     assert report.pair_count == 81 and report.clean
     assert sum(total for _, total in report.verdict_counts.values()) > 0
-    assert len(scans) == len(set(scans)) == maps
+    scanned = [f for row_set in scans for f in row_set]
+    assert len(scans) == row_sets
+    assert len(scanned) == len(set(scanned)) == maps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_gallery_scan_matches_its_per_map_scans(n):
+    """The maps of a gallery share what their scans do not read f for (the distinct values of
+    the rows and halves, C(X) per block of side pairs, the mixture-form check), and each map's
+    ``ok``, ``mismatch`` and verdicts are those of the map scanned alone, over every three-level
+    pair.  Theorem 3's gallery holds two row sets and runs the probe."""
+    from choqrisk import theorems
+
+    exp, kink, _, expm1 = theorems.zero_at_zero_gallery()
+    tables = stack(*enumerate_capacities(n, (0.0, 0.5, 1.0)))
+    pairs = np.array(list(product(range(len(tables)), repeat=2)))
+    for gallery, values, probe in (
+        (concave_increasing_gallery(), DEFAULT_VALUE_GRID, False),
+        ([exp, kink, expm1, Power(0.5, 2.0)], tuple(-3.0 + 0.5 * k for k in range(13)), True),
+        ([exp, Power(0.0, 2.0), Power(0.0, 0.5)], NONNEG_VALUE_GRID, False),
+    ):
+        together = theorems._two_point_scans(tables, pairs, gallery, values, probe)
+        assert not all(scan.ok.all() for scan in together)
+        for f, scan in zip(gallery, together):
+            [alone] = theorems._two_point_scans(tables, pairs, [f], values, probe)
+            assert np.array_equal(scan.ok, alone.ok) and np.array_equal(scan.mismatch, alone.mismatch)
+            assert all(scan.verdict(k) == alone.verdict(k) for k in range(len(pairs)))
 
 
 def test_sweep_reports_every_check_under_injected_faults(monkeypatch):
